@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InstanceTooLargeError, SuperviseError
+from .errors import InstanceTooLargeError, SuperviseError, require_int
 from .structures import AssignmentGraph
 
 __all__ = [
@@ -45,8 +45,7 @@ class SAInstance:
     k: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise SuperviseError(f"k must be an integer >= 1, got {self.k!r}")
+        require_int(self.k, "k", 1)
         for w, ts in self.graph.worker_tasks.items():
             if len(ts) > self.k:
                 raise SuperviseError(f"worker {w!r} has {len(ts)} tasks > k={self.k}")

@@ -19,6 +19,7 @@ import os
 import sys
 from typing import Mapping
 
+from ._csv import bool_word
 from .allocation import EXACT_TASK_CAP, SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
 from .effort import EffortFunction, Family, SchemeParams
 from .errors import SuperviseError
@@ -55,10 +56,6 @@ def fmt_decimal(x: float) -> str:
     if math.isfinite(fx) and fx == int(fx):
         return str(int(fx))
     return repr(fx)
-
-
-def _bool_word(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -109,7 +106,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         root = best_response_quant(f, args.k, args.c)
         print(fmt_decimal(root.value))
         if args.epsilon is not None:
-            print(f"proficient {_bool_word(root.value < args.epsilon)}")
+            print(f"proficient {bool_word(root.value < args.epsilon)}")
     else:  # flat
         if (args.C is None) == (args.c is None):
             raise SuperviseError("flat threshold needs exactly one of --C (binary) or --c (quantitative)")
@@ -118,7 +115,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             fb = min_verification_probability_binary(f, params)
         else:
             fb = min_verification_probability_quant(f, params)
-        lines = [fmt_decimal(fb.bound), f"feasible {_bool_word(fb.feasible)}"]
+        lines = [fmt_decimal(fb.bound), f"feasible {bool_word(fb.feasible)}"]
         if args.n_workers is not None:
             # workload at the cheapest inducing probability, namely the bound itself
             lines.append(f"workload {fmt_decimal(fb.bound * args.n_workers)}")
@@ -220,10 +217,13 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 def _parse_structure(obj) -> SupervisionTree | SupervisionHierarchy:
     if isinstance(obj, Mapping) and "levels" in obj:
-        return SupervisionTree.from_json_dict(obj)
-    if isinstance(obj, Mapping) and "graph" in obj and "tree" in obj:
-        return SupervisionHierarchy.from_json_dict(obj)
-    raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
+        structure: SupervisionTree | SupervisionHierarchy = SupervisionTree.from_json_dict(obj)
+    elif isinstance(obj, Mapping) and "graph" in obj and "tree" in obj:
+        structure = SupervisionHierarchy.from_json_dict(obj)
+    else:
+        raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
+    structure.validate()
+    return structure
 
 
 def _parse_strategies(obj) -> tuple[UniformWrong | Gaussian, dict]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError
+from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError, require_int, require_real
 
 __all__ = [
     "Family",
@@ -45,9 +45,7 @@ class EffortFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise SuperviseError(f"effort scale must be a positive finite real, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
 
     @property
     def domain_lo(self) -> float:
@@ -228,25 +226,18 @@ class SchemeParams:
     D: float | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise SuperviseError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise EpsilonRangeError(f"epsilon range: need epsilon > 0, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        require_int(self.k, "k", 1)
+        eps = require_real(self.epsilon, "epsilon range: epsilon", 0.0, lo_open=True, error=EpsilonRangeError)
+        object.__setattr__(self, "epsilon", eps)
         for name in ("C", "c"):
             v = getattr(self, name)
             if v is not None:
-                if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                    raise SuperviseError(f"{name} must be a positive finite real, got {v!r}")
-                object.__setattr__(self, name, float(v))
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise SuperviseError(f"m must be an integer >= 2, got {self.m!r}")
+                object.__setattr__(self, name, require_real(v, name, 0.0, lo_open=True))
+        require_int(self.m, "m", 2)
         if self.D is not None:
             if self.C is None:
                 raise SuperviseError("D is only meaningful alongside C")
-            if not (isinstance(self.D, (int, float)) and math.isfinite(self.D) and 0.0 <= self.D <= self.C):
-                raise SuperviseError(f"D must lie in [0, C]={[0, self.C]}, got {self.D!r}")
-            object.__setattr__(self, "D", float(self.D))
+            object.__setattr__(self, "D", require_real(self.D, "D", 0.0, self.C))
 
     def require_C(self) -> float:
         if self.C is None:

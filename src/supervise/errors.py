@@ -1,8 +1,12 @@
-"""Exception taxonomy for domain and feasibility failures.
+"""Exception taxonomy for domain and feasibility failures, and the input checks.
 
 Every error raised by the library derives from :class:`SuperviseError`, so the
-CLI can map any of them to exit code 1 with a one-line reason.
+CLI can map any of them to exit code 1 with a one-line reason.  The
+``require_*`` helpers are the one place scalar inputs are checked: they reject
+bools, NaN, infinities and non-numbers, and raise the class the caller names.
 """
+
+import math
 
 
 class SuperviseError(ValueError):
@@ -39,3 +43,47 @@ class InstanceTooLargeError(SuperviseError):
 
 class ModelMismatchError(SuperviseError):
     """An answer model was paired with an incompatible structure or strategy."""
+
+
+def require_int(x, name: str, lo: int, error: type = SuperviseError) -> int:
+    """``x`` if it is an integer >= ``lo``."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < lo:
+        raise error(f"{name} must be an integer >= {lo}, got {x!r}")
+    return x
+
+
+def require_real(
+    x, name: str, lo: float = -math.inf, hi: float = math.inf, *, lo_open: bool = False, error: type = SuperviseError
+) -> float:
+    """``x`` as a float if it is finite and lies in [lo, hi], or (lo, hi] with ``lo_open``."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, (int, float))
+        or not math.isfinite(x)
+        or x > hi
+        or (x <= lo if lo_open else x < lo)
+    ):
+        raise error(f"{name} must be a finite real in {'(' if lo_open else '['}{lo}, {hi}], got {x!r}")
+    return float(x)
+
+
+def require_prob(x, name: str, error: type = SuperviseError) -> float:
+    """``x`` as a float if it lies in [0, 1]; kept lean, since best responses call it per level."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0.0 <= x <= 1.0:
+        raise error(f"{name} must lie in [0, 1], got {x!r}")
+    return float(x)
+
+
+def require_weights(pairs) -> tuple:
+    """``(item, weight)`` pairs with float weights that are nonnegative and sum to 1."""
+    try:
+        pairs = tuple((item, w) for item, w in pairs)
+    except (TypeError, ValueError) as exc:
+        raise SuperviseError(f"population must be (type, weight) pairs: {exc}") from exc
+    pairs = tuple((item, require_real(w, "population weight", 0.0)) for item, w in pairs)
+    if not pairs:
+        raise SuperviseError("population must contain at least one type")
+    total = math.fsum(w for _, w in pairs)
+    if abs(total - 1.0) > 1e-12:
+        raise SuperviseError(f"population weights must sum to 1 (got {total!r})")
+    return pairs

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, SuperviseError
+from .errors import NoIncentiveError, require_int, require_prob
 
 __all__ = [
     "FlatBound",
@@ -54,10 +54,8 @@ class FlatParams:
     n_workers: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0):
-            raise SuperviseError(f"verification probability must lie in [0, 1], got {self.p!r}")
-        if not (isinstance(self.n_workers, int) and self.n_workers >= 0):
-            raise SuperviseError(f"n_workers must be a nonnegative integer, got {self.n_workers!r}")
+        require_prob(self.p, "verification probability")
+        require_int(self.n_workers, "n_workers", 0)
 
     @property
     def supervisor_workload(self) -> float:

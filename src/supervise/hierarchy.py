@@ -22,14 +22,14 @@ analysis, and the bits of level information a worker needs.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .effort import EffortFunction, Family, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
+from ._csv import bool_word, write_csv
+from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import AssumptionError, EpsilonRangeError, SuperviseError
+from .errors import require_int, require_prob, require_real, require_weights
 
 __all__ = [
     "WorkerType",
@@ -73,14 +73,7 @@ class PopulationModel:
     types: tuple[tuple[WorkerType, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.types:
-            raise SuperviseError("population must contain at least one type")
-        object.__setattr__(self, "types", tuple((wt, float(w)) for wt, w in self.types))
-        if any(w < 0 for _, w in self.types):
-            raise SuperviseError("population weights must be nonnegative")
-        total = math.fsum(w for _, w in self.types)
-        if abs(total - 1.0) > 1e-12:
-            raise SuperviseError(f"population weights must sum to 1 (got {total!r})")
+        object.__setattr__(self, "types", require_weights(self.types))
 
     @classmethod
     def single(cls, effort: EffortFunction, id: str = "worker") -> "PopulationModel":
@@ -168,13 +161,8 @@ def expected_penalty_pair(e_u: float, e_w: float, C: float, D: float) -> float:
 
 def expected_loss_pair(f: EffortFunction, e_u: float, e_w: float, params: SchemeParams) -> float:
     """Expected loss of a worker at e_u judged by a superior at e_w."""
-    _validate_probability(e_w, "superior error")
+    require_prob(e_w, "superior error")
     return params.k * effort_eval(f, e_u) + expected_penalty_pair(e_u, e_w, params.require_C(), params.effective_D())
-
-
-def _validate_probability(x: float, what: str) -> None:
-    if not (isinstance(x, (int, float)) and 0.0 <= x <= 1.0):
-        raise SuperviseError(f"{what} must lie in [0, 1], got {x!r}")
 
 
 def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemeParams) -> Root:
@@ -185,16 +173,17 @@ def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemePa
     admits no interior stationary point; the result is then the maximal-error
     corner, flagged as clamped.
     """
-    _validate_probability(e_w, "superior error")
+    require_prob(e_w, "superior error")
     C = params.require_C()
     target = ((2.0 * e_w - 1.0) * C - e_w * params.effective_D()) / params.k
     return solve_deriv_equals(f, target)
 
 
 def _validate_e0(e0: float, eps: float) -> float:
-    if not (isinstance(e0, (int, float)) and 0.0 <= e0 < eps):
-        raise SuperviseError(f"supervisor error must lie in [0, epsilon), got {e0!r}")
-    return float(e0)
+    e0 = require_prob(e0, "supervisor error")
+    if e0 >= eps:
+        raise SuperviseError(f"supervisor error must lie below epsilon={eps!r}, got {e0!r}")
+    return e0
 
 
 def equilibrium_homogeneous(
@@ -208,8 +197,7 @@ def equilibrium_homogeneous(
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
-    if not (isinstance(depth, int) and depth >= 1):
-        raise SuperviseError(f"depth must be an integer >= 1, got {depth!r}")
+    require_int(depth, "depth", 1)
     levels = [LevelState(0, e0, e0 < eps, False)]
     e_prev = e0
     for t in range(1, depth + 1):
@@ -250,8 +238,7 @@ def equilibrium_heterogeneous(
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
-    if not (isinstance(depth, int) and depth >= 1):
-        raise SuperviseError(f"depth must be an integer >= 1, got {depth!r}")
+    require_int(depth, "depth", 1)
 
     report = population_proficiency_check(pop, params)
     if not report.proficient:
@@ -331,8 +318,7 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
         raise EpsilonRangeError(f"epsilon range: divergence trace needs epsilon in (0, 1/4), got {eps!r}")
     if params.m != 2 or (params.D is not None and params.D != 0.0):
         raise SuperviseError("divergence trace is defined for two-answer tasks (m=2, D=0)")
-    if not (isinstance(max_depth, int) and max_depth >= 1):
-        raise SuperviseError(f"max_depth must be an integer >= 1, got {max_depth!r}")
+    require_int(max_depth, "max_depth", 1)
     C = params.require_C()
     k = params.k
 
@@ -389,12 +375,9 @@ class DefectionAnalysis:
 
 
 def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
-    if not (isinstance(N, int) and N >= 1):
-        raise SuperviseError(f"N must be an integer >= 1, got {N!r}")
-    if not (isinstance(k, int) and k >= 1):
-        raise SuperviseError(f"k must be an integer >= 1, got {k!r}")
-    if not (isinstance(C, (int, float)) and math.isfinite(C) and C > 0):
-        raise SuperviseError(f"C must be a positive finite real, got {C!r}")
+    require_int(N, "N", 1)
+    require_int(k, "k", 1)
+    C = require_real(C, "C", 0.0, lo_open=True)
     defect_cost = k * C / N
     deviate_cost = (N - k) * C / N
     if N > 2 * k:
@@ -403,7 +386,7 @@ def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
         verdict = "indifferent"
     else:
         verdict = "truthful-compatible"
-    return DefectionAnalysis(N=N, k=k, C=float(C), defect_cost=defect_cost, deviate_cost=deviate_cost, verdict=verdict)
+    return DefectionAnalysis(N=N, k=k, C=C, defect_cost=defect_cost, deviate_cost=deviate_cost, verdict=verdict)
 
 
 def level_info_bits(N: int, k: int) -> int:
@@ -413,10 +396,8 @@ def level_info_bits(N: int, k: int) -> int:
     ceiling of log2 of that (and 0 bits when there is at most one level).
     Computed with exact integer arithmetic; no float logs.
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise SuperviseError(f"N must be an integer >= 1, got {N!r}")
-    if not (isinstance(k, int) and k >= 2):
-        raise SuperviseError(f"k must be an integer >= 2, got {k!r}")
+    require_int(N, "N", 1)
+    require_int(k, "k", 2)
     levels = 0
     reach = 1
     while reach < N:
@@ -428,30 +409,22 @@ def level_info_bits(N: int, k: int) -> int:
 
 def profile_to_csv(profile: EquilibriumProfile) -> str:
     """Serialize a single profile as ``level,error,truthful`` rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["level", "error", "truthful"])
-    for s in profile.levels:
-        w.writerow([s.level, repr(s.error), "true" if s.truthful else "false"])
-    return buf.getvalue()
+    return write_csv(
+        ["level", "error", "truthful"], ((s.level, s.error, bool_word(s.truthful)) for s in profile.levels)
+    )
 
 
 def heterogeneous_to_csv(eq: HeterogeneousEquilibrium) -> str:
     """Per-type profiles as ``type,level,error,truthful`` rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["type", "level", "error", "truthful"])
-    for te in eq.types:
-        for s in te.levels:
-            w.writerow([te.worker.id, s.level, repr(s.error), "true" if s.truthful else "false"])
-    return buf.getvalue()
+    return write_csv(
+        ["type", "level", "error", "truthful"],
+        ((te.worker.id, s.level, s.error, bool_word(s.truthful)) for te in eq.types for s in te.levels),
+    )
 
 
 def trace_to_csv(trace: CounterexampleTrace) -> str:
     """Divergence trace as ``level,error,truthful`` rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["level", "error", "truthful"])
-    for level, e in enumerate(trace.errors):
-        w.writerow([level, repr(e), "true" if e < trace.epsilon else "false"])
-    return buf.getvalue()
+    return write_csv(
+        ["level", "error", "truthful"],
+        ((level, e, bool_word(e < trace.epsilon)) for level, e in enumerate(trace.errors)),
+    )

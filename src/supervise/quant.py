@@ -14,14 +14,13 @@ profiles are exactly constant across levels.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from ._csv import bool_word, write_csv
 from .effort import EffortFunction, Root, solve_deriv_equals
-from .errors import AssumptionError, SuperviseError
+from .errors import AssumptionError, require_int, require_real, require_weights
 
 __all__ = [
     "QuantWorkerType",
@@ -74,11 +73,9 @@ class QuantEquilibrium:
 
 def expected_penalty_quant(sigma_u: float, b_u: float, sigma_w: float, b_w: float, c: float) -> float:
     """Expected quadratic penalty between two independent biased answers."""
-    for name, v in (("sigma_u", sigma_u), ("sigma_w", sigma_w)):
-        if v < 0:
-            raise SuperviseError(f"{name} must be nonnegative, got {v!r}")
-    if c <= 0:
-        raise SuperviseError(f"penalty weight c must be positive, got {c!r}")
+    require_real(sigma_u, "sigma_u", 0.0)
+    require_real(sigma_w, "sigma_w", 0.0)
+    require_real(c, "penalty weight c", 0.0, lo_open=True)
     return c * (sigma_u**2 + b_u**2 - 2.0 * b_u * b_w + sigma_w**2 + b_w**2)
 
 
@@ -89,10 +86,8 @@ def best_response_quant(f: EffortFunction, k: int, c: float) -> Root:
     they are not arguments.  With the inverse-power cost the root is
     ``sqrt(alpha k / c)``.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise SuperviseError(f"k must be an integer >= 1, got {k!r}")
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise SuperviseError(f"penalty weight c must be positive, got {c!r}")
+    require_int(k, "k", 1)
+    require_real(c, "penalty weight c", 0.0, lo_open=True)
     return solve_deriv_equals(f, -c / k)
 
 
@@ -107,18 +102,9 @@ def quant_equilibrium(
     profile is constant in the level by construction — the same root is
     reported at every depth, exactly.
     """
-    pop = tuple((wt, float(w)) for wt, w in pop)
-    if not pop:
-        raise SuperviseError("population must contain at least one type")
-    if any(w < 0 for _, w in pop):
-        raise SuperviseError("population weights must be nonnegative")
-    total = math.fsum(w for _, w in pop)
-    if abs(total - 1.0) > 1e-12:
-        raise SuperviseError(f"population weights must sum to 1 (got {total!r})")
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
-        raise SuperviseError(f"variance threshold must be positive, got {epsilon!r}")
-    if not (isinstance(depth, int) and depth >= 1):
-        raise SuperviseError(f"depth must be an integer >= 1, got {depth!r}")
+    pop = require_weights(pop)
+    epsilon = require_real(epsilon, "variance threshold", 0.0, lo_open=True)
+    require_int(depth, "depth", 1)
 
     mean_bias = math.fsum(w * wt.bias for wt, w in pop)
     if abs(mean_bias) > BIAS_TOLERANCE:
@@ -136,15 +122,12 @@ def quant_equilibrium(
                 worker=wt, weight=w, vstar=root.value, clamped=root.clamped, truthful=truthful, levels=levels
             )
         )
-    return QuantEquilibrium(types=tuple(types), threshold=float(epsilon))
+    return QuantEquilibrium(types=tuple(types), threshold=epsilon)
 
 
 def quant_to_csv(eq: QuantEquilibrium) -> str:
     """Profiles as ``type,level,vstar,truthful`` rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["type", "level", "vstar", "truthful"])
-    for tp in eq.types:
-        for s in tp.levels:
-            w.writerow([tp.worker.id, s.level, repr(s.vstar), "true" if s.truthful else "false"])
-    return buf.getvalue()
+    return write_csv(
+        ["type", "level", "vstar", "truthful"],
+        ((tp.worker.id, s.level, s.vstar, bool_word(s.truthful)) for tp in eq.types for s in tp.levels),
+    )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SizingError, SuperviseError
+from .errors import SizingError, SuperviseError, require_int
 
 __all__ = [
     "AssignmentGraph",
@@ -62,8 +62,7 @@ class AssignmentGraph:
         for w, t in self.edges:
             if w not in wset or t not in tset:
                 raise SuperviseError(f"edge ({w!r}, {t!r}) references unknown endpoint")
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise SuperviseError(f"k must be an integer >= 1, got {self.k!r}")
+        require_int(self.k, "k", 1)
         for w in self.workers:
             d = len(self.worker_tasks.get(w, ()))
             if d == 0:
@@ -160,12 +159,6 @@ class SupervisionTree:
     def shared_task(self) -> dict[tuple[str, str], str]:
         return {(p, c): t for p, c, t in self.shared}
 
-    def level_of(self, node: str) -> int:
-        for i, lv in enumerate(self.levels):
-            if node in lv:
-                return i
-        raise SuperviseError(f"unknown node {node!r}")
-
     def validate(self) -> None:
         if len(self.levels) < 3:
             raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
@@ -257,8 +250,7 @@ class SupervisionTree:
 
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
     """Build a tree over freshly named tasks ``t0..t{n-1}``."""
-    if not (isinstance(n_tasks, int) and n_tasks >= 1):
-        raise SizingError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
+    require_int(n_tasks, "n_tasks", 1, SizingError)
     return build_supervision_tree_over([f"t{i}" for i in range(n_tasks)], k, seed)
 
 
@@ -281,8 +273,7 @@ def build_supervision_tree_over(
     tasks = [str(t) for t in task_ids]
     if len(set(tasks)) != len(tasks) or not tasks:
         raise SuperviseError("task ids must be nonempty and unique")
-    if not (isinstance(k, int) and k >= 2):
-        raise SizingError(f"branching factor k must be an integer >= 2, got {k!r}")
+    require_int(k, "branching factor k", 2, SizingError)
     forbidden = set(tasks) | {supervisor_id}
     rng = random.Random(seed)
 
@@ -383,8 +374,7 @@ def build_peg_assignment(
     tasks.  Fill edges never touch pegs — that keeps the peg groups disjoint.
     """
     for name, v in (("n_workers", n_workers), ("n_tasks", n_tasks), ("k", k), ("redundancy", redundancy)):
-        if not (isinstance(v, int) and v >= 1):
-            raise SizingError(f"{name} must be an integer >= 1, got {v!r}")
+        require_int(v, name, 1, SizingError)
     n_pegs = math.ceil(n_workers / k)
     if n_tasks < n_pegs:
         raise SizingError(f"sizing: need at least {n_pegs} tasks to peg {n_workers} workers at k={k}, got {n_tasks}")
@@ -522,8 +512,7 @@ def build_supervision_hierarchy(
     task by the bottom tree worker performing it, so graph workers form one
     extra layer under the tree.
     """
-    if not (isinstance(k, int) and k >= 2):
-        raise SizingError(f"branching factor k must be an integer >= 2, got {k!r}")
+    require_int(k, "branching factor k", 2, SizingError)
     for t in graph.tasks:
         if not graph.task_workers.get(t):
             raise SuperviseError(f"input error: task {t!r} has no workers, hierarchy would be disconnected")

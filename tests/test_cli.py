@@ -235,6 +235,35 @@ class TestStructurePipeline:
         assert abs(float(row[5])) <= 4.0
 
 
+class TestStructureFilesValidated:
+    def simulate(self, capsys, tmp_path, structure):
+        tree = structure.get("tree", structure)
+        workers = {n: 0.1 for lv in tree["levels"][:-1] for n in lv}
+        workers.update({w: 0.1 for w in structure.get("graph", {}).get("workers", ())})
+        sf = tmp_path / "structure.json"
+        sf.write_text(json.dumps(structure))
+        strat = tmp_path / "strat.json"
+        strat.write_text(json.dumps({"model": "uniform-wrong", "C": 16, "workers": workers}))
+        return run_cli(capsys, "simulate", "--structure", str(sf), "--strategies", str(strat), "--episodes", "100")
+
+    def test_tree_missing_a_shared_task(self, capsys, tmp_path):
+        obj = json.loads(run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--seed", "7")[1])
+        obj["shared"] = [s for s in obj["shared"] if s[1] != "w1"]
+        code, out, err = self.simulate(capsys, tmp_path, obj)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_coverage_naming_an_unknown_task(self, capsys, tmp_path):
+        peg_file = tmp_path / "peg.json"
+        run_cli(capsys, "peg", "build", "--n-workers", "6", "--n-tasks", "5", "--k", "3", "--seed", "1",
+                "--out", str(peg_file))
+        obj = json.loads(run_cli(capsys, "hierarchy", "build", "--graph", str(peg_file), "--k", "2", "--seed", "5")[1])
+        obj["coverage"][0][1] = "zz"
+        code, out, err = self.simulate(capsys, tmp_path, obj)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSeedsAndReruns:
     def test_byte_identical_reruns(self, capsys):
         args = ("tree", "build", "--n-tasks", "13", "--k", "3", "--seed", "21")
@@ -250,6 +279,17 @@ class TestSeedsAndReruns:
         _, out_default, _ = run_cli(capsys, "tree", "build", "--n-tasks", "13", "--k", "3")
         assert out_env == out_flag
         assert out_default != ""  # seed 0 default still works
+
+    def test_negative_seed_is_exit_one(self, capsys, tmp_path):
+        tree_file = tmp_path / "tree.json"
+        run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--out", str(tree_file))
+        sf = tmp_path / "strat.json"
+        sf.write_text(json.dumps({"model": "uniform-wrong", "workers": {"w0": 0.1, "w1": 0.1}}))
+        code, _, err = run_cli(
+            capsys, "simulate", "--structure", str(tree_file), "--strategies", str(sf), "--episodes", "10",
+            "--seed", "-1",
+        )
+        assert code == 1 and err.startswith("error:") and "seed" in err
 
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERVISE_SEED", "not-a-number")

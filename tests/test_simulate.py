@@ -1,11 +1,13 @@
 """Monte Carlo engine: sampled penalties against the analytic expectations."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from supervise import (
+    EffortDomainError,
     EffortFunction,
     Gaussian,
     ModelMismatchError,
@@ -203,9 +205,62 @@ class TestSweeps:
             sweep_flat(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=10.0), 0.5, [0.4], 100, 0)
         with pytest.raises(SuperviseError):
             sweep_pair(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=10.0), 1.5, [0.3, 0.4], 100, 0)
+        with pytest.raises(EffortDomainError):
+            sweep_quant(IP(1.0), k=4, c=1.0, grid=[-1.0, 1.0], episodes=100, seed=0)
 
     def test_episode_floor(self):
         cfg = tree_config(episodes=2)
         assert cfg.episodes == 2
         with pytest.raises(SuperviseError):
             tree_config(episodes=1)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pinned_outputs():
+    """The outputs pinned below, at fixed seeds: CSV reports and sweep losses."""
+    binary_tree = tree_config(episodes=3_000, seed=7, n_tasks=27, k=3, e=0.1, m=3, C=4.0)
+    tree = build_supervision_tree(27, 3, seed=2)
+    workers = sorted(n for lv in tree.levels[:-1] for n in lv)
+    gaussian = {w: (0.5 + 0.1 * i, 0.2 * (i % 3 - 1)) for i, w in enumerate(workers)}
+    peg = build_peg_assignment(6, 5, 3, seed=3)
+    h = build_supervision_hierarchy(peg.graph, k=2, seed=3)
+    hier = {n: 0.05 for lv in h.tree.levels[:-1] for n in lv}
+    hier.update({w: 0.2 for w in h.graph.workers})
+    grid = [0.1 + 0.05 * i for i in range(8)]
+    return {
+        "binary_tree": simulate_binary(binary_tree).to_csv(),
+        "quant_tree": simulate_quant(SimConfig(3_000, 8, Gaussian(c=1.5), tree, gaussian)).to_csv(),
+        "binary_hierarchy": simulate_binary(SimConfig(3_000, 9, UniformWrong(m=2, C=16.0), h, hier)).to_csv(),
+        "sweep_flat": repr(
+            sweep_flat(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=10.0), 0.5, grid, 5_000, 4).mean_losses
+        ),
+        "sweep_pair": repr(
+            sweep_pair(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0, m=3), 0.1, grid, 5_000, 5).mean_losses
+        ),
+        "sweep_quant": repr(sweep_quant(IP(1.0), 4, 1.0, grid, 5_000, 6, sigma_w=0.7, bias_w=0.3).mean_losses),
+    }
+
+
+# sha256 of each output, taken before the two simulators and the three sweep loops became one;
+# a change to the RNG stream must update these on purpose
+PINNED_SHA256 = {
+    "binary_hierarchy": "c527a506f145197a6b674042dd8a3d4c33c0efaceceab5e351c0a9f3d148036b",
+    "binary_tree": "f43738bec162575af266c8fdaaf79937ee6e1d189be1b54184fa3a10c598546e",
+    "quant_tree": "60d1cbc152635c4e48fd2ea7ca3c38f17f1e4343c93c46782cba2315ec13b24d",
+    "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
+    "sweep_pair": "4faefb93422115799f0bdd724281006713b0fc176ba44d8d89d8d71c1020e3f4",
+    "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs():
+    return _pinned_outputs()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_pinned_bytes(pinned_outputs, name):
+    assert _sha(pinned_outputs[name]) == PINNED_SHA256[name]
