@@ -217,13 +217,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 def _parse_structure(obj) -> SupervisionTree | SupervisionHierarchy:
     if isinstance(obj, Mapping) and "levels" in obj:
-        structure: SupervisionTree | SupervisionHierarchy = SupervisionTree.from_json_dict(obj)
-    elif isinstance(obj, Mapping) and "graph" in obj and "tree" in obj:
-        structure = SupervisionHierarchy.from_json_dict(obj)
-    else:
-        raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
-    structure.validate()
-    return structure
+        return SupervisionTree.from_json_dict(obj)
+    if isinstance(obj, Mapping) and "graph" in obj and "tree" in obj:
+        return SupervisionHierarchy.from_json_dict(obj)
+    raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
 
 
 def _parse_strategies(obj) -> tuple[UniformWrong | Gaussian, dict]:

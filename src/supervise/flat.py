@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, require_int, require_prob
+from .errors import NoIncentiveError, require_int, require_prob, require_real
 
 __all__ = [
     "FlatBound",
@@ -78,14 +78,25 @@ def min_verification_probability_quant(f: EffortFunction, params: SchemeParams) 
     return _bound(f, params.epsilon, params.k, params.require_c())
 
 
+def _loss(f: EffortFunction, x: float, p: float, k: int, penalty: float) -> float:
+    return k * effort_eval(f, x) + x * require_real(p, "verification probability") * penalty
+
+
+def _best_response(f: EffortFunction, p: float, k: int, penalty: float) -> Root:
+    # p is a finite real but not capped at 1: callers probe just above a bound that may exceed 1
+    if require_real(p, "verification probability") <= 0.0:
+        raise NoIncentiveError("no incentive: verification probability must be positive")
+    return solve_deriv_equals(f, -p * penalty / k)
+
+
 def expected_loss_flat(f: EffortFunction, e: float, p: float, params: SchemeParams) -> float:
     """Expected loss ``k f(e) + e p C`` of a worker holding error e."""
-    return params.k * effort_eval(f, e) + e * p * params.require_C()
+    return _loss(f, e, p, params.k, params.require_C())
 
 
 def expected_loss_flat_quant(f: EffortFunction, v: float, p: float, params: SchemeParams) -> float:
     """Expected loss ``k f(v) + v p c`` of a worker holding variance v."""
-    return params.k * effort_eval(f, v) + v * p * params.require_c()
+    return _loss(f, v, p, params.k, params.require_c())
 
 
 def best_response_flat(f: EffortFunction, p: float, params: SchemeParams) -> Root:
@@ -95,13 +106,9 @@ def best_response_flat(f: EffortFunction, p: float, params: SchemeParams) -> Roo
     incentive entirely (the loss is minimized at maximal error) and is
     rejected.
     """
-    if p <= 0.0:
-        raise NoIncentiveError("no incentive: verification probability must be positive")
-    return solve_deriv_equals(f, -p * params.require_C() / params.k)
+    return _best_response(f, p, params.k, params.require_C())
 
 
 def best_response_flat_quant(f: EffortFunction, p: float, params: SchemeParams) -> Root:
     """Variance minimizing the quantitative flat loss: root of ``f'(v) = -pc/k``."""
-    if p <= 0.0:
-        raise NoIncentiveError("no incentive: verification probability must be positive")
-    return solve_deriv_equals(f, -p * params.require_c() / params.k)
+    return _best_response(f, p, params.k, params.require_c())

@@ -11,7 +11,8 @@
   built over a covering task subset, connecting every worker to the root.
 
 All construction is seeded and deterministic: the same seed reproduces the
-same structure byte for byte.
+same structure byte for byte.  A structure is validated once, when it is
+constructed, so one that exists is valid and a composite trusts its parts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ __all__ = [
     "build_peg_assignment",
     "build_supervision_hierarchy",
 ]
+
+
+def _json_ids(obj: Mapping, key: str, width: int | None = None) -> tuple:
+    """``obj[key]`` as a tuple of string ids, or with ``width`` as rows of that many ids (0: any number).
+
+    Ids are JSON strings, as ``to_json_dict`` writes them; anything else raises a SuperviseError naming the key.
+    """
+    items = obj.get(key) if isinstance(obj, Mapping) else None
+    rows = items if width is not None and isinstance(items, list) else [items]
+    for row in rows:
+        if not isinstance(row, list) or (width and len(row) != width) or not all(isinstance(x, str) for x in row):
+            shape = "string ids" if width is None else f"arrays of {width or 'any number of'} string ids"
+            raise SuperviseError(f"structure JSON needs {key!r} as an array of {shape}")
+    return tuple(items) if width is None else tuple(map(tuple, items))
 
 
 @dataclass(frozen=True)
@@ -93,12 +108,7 @@ class AssignmentGraph:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping, k: int | None = None) -> "AssignmentGraph":
-        try:
-            workers = tuple(obj["workers"])
-            tasks = tuple(obj["tasks"])
-            edges = tuple((w, t) for w, t in obj["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SuperviseError(f"assignment graph JSON needs workers/tasks/edges: {exc}") from exc
+        workers, tasks, edges = _json_ids(obj, "workers"), _json_ids(obj, "tasks"), _json_ids(obj, "edges", 2)
         if k is None:
             degs: dict[str, int] = {}
             for w, _ in edges:
@@ -121,6 +131,9 @@ class SupervisionTree:
     shared: tuple[tuple[str, str, str], ...]
     worker_tasks: dict[str, tuple[str, ...]] = field(compare=False)
     k: int
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def depth(self) -> int:
@@ -205,9 +218,6 @@ class SupervisionTree:
                         raise SuperviseError(f"node {n!r} shares one task with two children")
                     if tuple(sorted(self.worker_tasks[n])) != tuple(sorted(picks)):
                         raise SuperviseError(f"node {n!r} tasks != its shared picks")
-        for w, ts in self.worker_tasks.items():
-            if len(ts) > self.k:
-                raise SuperviseError(f"worker {w!r} performs {len(ts)} > k={self.k} tasks")
 
     def worker_views(self) -> list[dict]:
         """What each worker may know: its level and its tasks.  No parents."""
@@ -226,12 +236,7 @@ class SupervisionTree:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupervisionTree":
-        try:
-            levels = tuple(tuple(lv) for lv in obj["levels"])
-            edges = tuple((p, c) for p, c in obj["edges"])
-            shared = tuple((p, c, t) for p, c, t in obj["shared"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SuperviseError(f"tree JSON needs levels/edges/shared: {exc}") from exc
+        levels, edges, shared = _json_ids(obj, "levels", 0), _json_ids(obj, "edges", 2), _json_ids(obj, "shared", 3)
         children: dict[str, list[str]] = {}
         for p, c in edges:
             children.setdefault(p, []).append(c)
@@ -244,8 +249,7 @@ class SupervisionTree:
             for i in range(len(levels) - 3, -1, -1):
                 for w in levels[i]:
                     worker_tasks[w] = tuple(shared_map[(w, c)] for c in children.get(w, ()) if (w, c) in shared_map)
-        tree = cls(levels=levels, edges=edges, shared=shared, worker_tasks=worker_tasks, k=k)
-        return tree
+        return cls(levels=levels, edges=edges, shared=shared, worker_tasks=worker_tasks, k=k)
 
 
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
@@ -326,15 +330,13 @@ def build_supervision_tree_over(
     worker_tasks[sup] = tuple(picks)
     levels_rev.append((sup,))
 
-    tree = SupervisionTree(
+    return SupervisionTree(
         levels=tuple(reversed(levels_rev)),
         edges=tuple(edges),
         shared=tuple(shared),
         worker_tasks=worker_tasks,
         k=k,
     )
-    tree.validate()
-    return tree
 
 
 @dataclass(frozen=True)
@@ -344,14 +346,14 @@ class PegAssignment:
     graph: AssignmentGraph
     peg_tasks: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        self.graph.validate()
         tw = self.graph.task_workers
         for w, ts in self.graph.worker_tasks.items():
             if len(ts) != self.graph.k:
                 raise SuperviseError(f"worker {w!r} degree {len(ts)} != k")
-            if len(set(ts)) != len(ts):
-                raise SuperviseError(f"worker {w!r} has duplicate tasks")
         covered: set[str] = set()
         for t in self.peg_tasks:
             ws = set(tw.get(t, ()))
@@ -415,7 +417,6 @@ def build_peg_assignment(
 
     graph = AssignmentGraph(workers=tuple(workers), tasks=tuple(tasks), edges=tuple(edges), k=k)
     peg = PegAssignment(graph=graph, peg_tasks=tuple(pegs))
-    peg.validate()
     if min(load.values(), default=redundancy) < redundancy:
         raise SizingError("sizing: fill could not reach the requested redundancy")
     return peg
@@ -430,23 +431,24 @@ class SupervisionHierarchy:
     tree_tasks: tuple[str, ...]
     coverage: dict[str, str] = field(compare=False)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def equilibrium_depth(self) -> int:
         """Graph workers sit one level below the tree's bottom workers."""
         return self.tree.equilibrium_depth + 1
 
     def validate(self) -> None:
-        self.graph.validate()
-        self.tree.validate()
-        tset = set(self.graph.tasks)
-        if not set(self.tree_tasks) <= tset:
+        tree_tasks = set(self.tree_tasks)
+        if not tree_tasks <= set(self.graph.tasks):
             raise SuperviseError("tree tasks must be a subset of the graph's tasks")
-        if set(self.tree.task_ids) != set(self.tree_tasks):
+        if set(self.tree.task_ids) != tree_tasks:
             raise SuperviseError("tree leaves disagree with the covering task set")
         edge_set = set(self.graph.edges)
         for w in self.graph.workers:
             t = self.coverage.get(w)
-            if t is None or t not in set(self.tree_tasks) or (w, t) not in edge_set:
+            if t is None or t not in tree_tasks or (w, t) not in edge_set:
                 raise SuperviseError(f"worker {w!r} lacks a valid covering task")
         # connectivity of the union graph
         adj: dict[str, set[str]] = {}
@@ -483,15 +485,14 @@ class SupervisionHierarchy:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupervisionHierarchy":
-        try:
-            graph = AssignmentGraph.from_json_dict(obj["graph"])
-            tree = SupervisionTree.from_json_dict(obj["tree"])
-            tree_tasks = tuple(obj["tree_tasks"])
-            coverage = {w: t for w, t in obj["coverage"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SuperviseError(f"hierarchy JSON needs graph/tree/tree_tasks/coverage: {exc}") from exc
-        h = cls(graph=graph, tree=tree, tree_tasks=tree_tasks, coverage=coverage)
-        return h
+        if not isinstance(obj, Mapping):
+            raise SuperviseError("hierarchy JSON must be an object with graph/tree/tree_tasks/coverage")
+        return cls(
+            graph=AssignmentGraph.from_json_dict(obj.get("graph")),
+            tree=SupervisionTree.from_json_dict(obj.get("tree")),
+            tree_tasks=_json_ids(obj, "tree_tasks"),
+            coverage=dict(_json_ids(obj, "coverage", 2)),
+        )
 
 
 def _clash_free_prefix(base: str, forbidden: Iterable[str]) -> str:
@@ -533,6 +534,4 @@ def build_supervision_hierarchy(
     while sup in forbidden:
         sup += "_"
     tree = build_supervision_tree_over(cover, k, seed, worker_prefix=prefix, supervisor_id=sup)
-    h = SupervisionHierarchy(graph=graph, tree=tree, tree_tasks=tuple(cover), coverage=dict(sol.cover_witness))
-    h.validate()
-    return h
+    return SupervisionHierarchy(graph=graph, tree=tree, tree_tasks=tuple(cover), coverage=dict(sol.cover_witness))

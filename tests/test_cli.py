@@ -263,6 +263,13 @@ class TestStructureFilesValidated:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_tree_level_holding_a_nested_list(self, capsys, tmp_path):
+        obj = json.loads(run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--seed", "7")[1])
+        obj["levels"][-1][0] = [obj["levels"][-1][0]]
+        code, out, err = self.simulate(capsys, tmp_path, obj)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestSeedsAndReruns:
     def test_byte_identical_reruns(self, capsys):

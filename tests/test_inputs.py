@@ -1,8 +1,15 @@
-"""Malformed scalar inputs: every one is refused with a SuperviseError."""
+"""Malformed inputs: every one is refused with a SuperviseError."""
+
+import copy
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supervise import (
+    AssignmentGraph,
     EffortFunction,
     FlatParams,
     Gaussian,
@@ -11,11 +18,18 @@ from supervise import (
     SchemeParams,
     SimConfig,
     SuperviseError,
+    SupervisionHierarchy,
+    SupervisionTree,
     UniformWrong,
     WorkerType,
+    best_response_flat,
+    best_response_flat_quant,
+    build_peg_assignment,
+    build_supervision_hierarchy,
     build_supervision_tree,
     defection_analysis,
     equilibrium_homogeneous,
+    expected_loss_flat,
     expected_penalty_quant,
     quant_equilibrium,
     simulate_binary,
@@ -27,7 +41,21 @@ NAN = float("nan")
 SL = EffortFunction.simple_log(1.0)
 IP = EffortFunction.inverse_power(1.0)
 PARAMS = SchemeParams(k=2, epsilon=0.25, C=16.0)
+QPARAMS = SchemeParams(k=4, epsilon=2.0, c=1.0)
 GRID = [0.3, 0.4]
+
+_PEG = build_peg_assignment(6, 5, 3, seed=1)
+GRAPH = _PEG.graph.to_json_dict()
+TREE = build_supervision_tree(4, 2, seed=7).to_json_dict()
+HIERARCHY = build_supervision_hierarchy(_PEG.graph, k=2, seed=5).to_json_dict()
+
+
+def _with(obj, path, value):
+    """A deep copy of JSON ``obj`` with the node at ``path`` set to ``value``."""
+    obj = copy.deepcopy(obj)
+    *parents, last = path
+    reduce(getitem, parents, obj)[last] = value
+    return obj
 
 
 def _binary_strategy_true():
@@ -51,6 +79,24 @@ BAD_INPUTS = {
     "expected_penalty_quant c NaN": lambda: expected_penalty_quant(1.0, 0.0, 1.0, 0.0, c=NAN),
     "binary strategy a bool": _binary_strategy_true,
     "sweep seed negative": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 10, -1),
+    "tree JSON missing w1's shared task": lambda: SupervisionTree.from_json_dict(
+        {**TREE, "shared": [s for s in TREE["shared"] if s[1] != "w1"]}
+    ),
+    "hierarchy JSON coverage naming task zz": lambda: SupervisionHierarchy.from_json_dict(
+        _with(HIERARCHY, ("coverage", 0, 1), "zz")
+    ),
+    "graph JSON edge a two-character string": lambda: AssignmentGraph.from_json_dict(
+        {"workers": ["a"], "tasks": ["b"], "edges": ["ab"]}
+    ),
+    "tree JSON level holding a nested list": lambda: SupervisionTree.from_json_dict(
+        _with(TREE, ("levels", -2, 0), [TREE["levels"][-2][0]])
+    ),
+    "hierarchy JSON tree_tasks holding a nested list": lambda: SupervisionHierarchy.from_json_dict(
+        _with(HIERARCHY, ("tree_tasks", 0), [HIERARCHY["tree_tasks"][0]])
+    ),
+    "best_response_flat p a string": lambda: best_response_flat(SL, "x", PARAMS),
+    "expected_loss_flat p NaN": lambda: expected_loss_flat(SL, 0.2, NAN, PARAMS),
+    "best_response_flat_quant p a bool": lambda: best_response_flat_quant(IP, True, QPARAMS),
 }
 
 
@@ -58,3 +104,50 @@ BAD_INPUTS = {
 def test_malformed_input_is_refused(case):
     with pytest.raises(SuperviseError):
         BAD_INPUTS[case]()
+
+
+# Values that do not belong where an id or an id pair is expected.
+ODD_VALUES = (NAN, True, False, 0, 7, 2.5, "zz", "", None, [], ["t0"], [["t0", "u0"]], {})
+
+
+def _nodes(node, path=()):
+    """Every ``(path, node)`` in a JSON value, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "cls,valid",
+    [(AssignmentGraph, GRAPH), (SupervisionTree, TREE), (SupervisionHierarchy, HIERARCHY)],
+    ids=["graph", "tree", "hierarchy"],
+)
+def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
+    """Dropped, duplicated, renamed and mistyped entries: a valid structure or a SuperviseError."""
+    obj = copy.deepcopy(valid)
+    ids = sorted({node for _, node in _nodes(valid) if isinstance(node, str)})
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = [path for path, _ in _nodes(obj)][1:]
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths), label="path")
+        parent = reduce(getitem, parents, obj)
+        ops = ["drop", "rename", "substitute"] + (["duplicate"] if isinstance(parent, list) else [])
+        op = data.draw(st.sampled_from(ops), label="op")
+        if op == "drop":
+            del parent[key]
+        elif op == "duplicate":
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "rename":
+            parent[key] = data.draw(st.sampled_from(ids + ["zz"]), label="id")
+        else:
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES), label="value"))
+    try:
+        structure = cls.from_json_dict(obj)
+    except SuperviseError:
+        return
+    structure.validate()
+    structure.to_json_dict()

@@ -7,6 +7,7 @@ import pytest
 
 from supervise import (
     AssignmentGraph,
+    PegAssignment,
     SizingError,
     SuperviseError,
     SupervisionHierarchy,
@@ -123,13 +124,11 @@ class TestTreeConstruction:
         # shared pick pointing at a task the child does not perform
         (p, c, _t), *rest = tree.shared
         other = next(t for t in tree.task_ids if t not in tree.worker_tasks[c])
-        bad = dataclasses.replace(tree, shared=((p, c, other), *rest))
         with pytest.raises(SuperviseError):
-            bad.validate()
+            dataclasses.replace(tree, shared=((p, c, other), *rest))
         # an edge skipping a level
-        bad2 = dataclasses.replace(tree, edges=tree.edges + ((tree.supervisor, tree.task_ids[0]),))
         with pytest.raises(SuperviseError):
-            bad2.validate()
+            dataclasses.replace(tree, edges=tree.edges + ((tree.supervisor, tree.task_ids[0]),))
 
 
 class TestPegAssignment:
@@ -233,3 +232,32 @@ class TestHierarchy:
         peg = build_peg_assignment(6, 5, 3, seed=3)
         with pytest.raises(SuperviseError):
             build_supervision_hierarchy(peg.graph, k=2, seed=0, mode="bogus")
+
+
+class TestValidatedOnce:
+    """A structure validates itself once, when constructed; nothing validates it again."""
+
+    def counts(self, monkeypatch, build):
+        counts = {}
+        for cls in (AssignmentGraph, SupervisionTree, PegAssignment, SupervisionHierarchy):
+            def counted(structure, _validate=cls.validate, _name=cls.__name__):
+                counts[_name] = counts.get(_name, 0) + 1
+                _validate(structure)
+
+            monkeypatch.setattr(cls, "validate", counted)
+        build()
+        return counts
+
+    def test_peg_build(self, monkeypatch):
+        counts = self.counts(monkeypatch, lambda: build_peg_assignment(6, 5, 3, seed=0))
+        assert counts == {"AssignmentGraph": 1, "PegAssignment": 1}
+
+    def test_hierarchy_build(self, monkeypatch):
+        graph = build_peg_assignment(6, 5, 3, seed=3).graph
+        counts = self.counts(monkeypatch, lambda: build_supervision_hierarchy(graph, k=2, seed=3))
+        assert counts == {"SupervisionTree": 1, "SupervisionHierarchy": 1}
+
+    def test_hierarchy_load(self, monkeypatch):
+        obj = build_supervision_hierarchy(build_peg_assignment(6, 5, 3, seed=3).graph, k=2, seed=3).to_json_dict()
+        counts = self.counts(monkeypatch, lambda: SupervisionHierarchy.from_json_dict(obj))
+        assert counts == {"AssignmentGraph": 1, "SupervisionTree": 1, "SupervisionHierarchy": 1}
