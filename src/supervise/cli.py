@@ -22,7 +22,7 @@ from typing import Mapping
 from ._csv import bool_word
 from .allocation import EXACT_TASK_CAP, SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
 from .effort import EffortFunction, Family, SchemeParams
-from .errors import SuperviseError
+from .errors import SuperviseError, require_int, require_real
 from .flat import min_verification_probability_binary, min_verification_probability_quant
 from .hierarchy import (
     PopulationModel,
@@ -103,6 +103,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         params = SchemeParams(k=args.k, epsilon=args.epsilon)
         print(fmt_decimal(min_penalty_hierarchical(f, params)))
     elif args.kind == "quant":
+        if args.epsilon is not None:
+            require_real(args.epsilon, "variance threshold", 0.0, lo_open=True)
         root = best_response_quant(f, args.k, args.c)
         print(fmt_decimal(root.value))
         if args.epsilon is not None:
@@ -111,6 +113,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         if (args.C is None) == (args.c is None):
             raise SuperviseError("flat threshold needs exactly one of --C (binary) or --c (quantitative)")
         params = SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C, c=args.c)
+        if args.n_workers is not None:
+            require_int(args.n_workers, "n_workers", 0)
         if args.C is not None:
             fb = min_verification_probability_binary(f, params)
         else:
@@ -126,17 +130,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _population_from_file(path: str) -> PopulationModel:
     obj = _read_json(path)
     try:
-        entries = obj["types"]
-        typed = tuple(
-            (
-                WorkerType(effort=EffortFunction.from_config(t["effort"]), id=str(t["id"])),
-                float(t["weight"]),
-            )
-            for t in entries
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in obj["types"])
+    except (KeyError, TypeError) as exc:
         raise SuperviseError(f"population file needs types[].id/effort/weight: {exc}") from exc
-    return PopulationModel(types=typed)
+    return PopulationModel(types)
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
@@ -223,22 +220,22 @@ def _parse_structure(obj) -> SupervisionTree | SupervisionHierarchy:
     raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
 
 
-def _parse_strategies(obj) -> tuple[UniformWrong | Gaussian, dict]:
-    if not isinstance(obj, Mapping) or not isinstance(obj.get("workers"), Mapping):
+_MODELS = {"uniform-wrong": UniformWrong, "gaussian": Gaussian}
+
+
+def _parse_strategies(obj) -> tuple[UniformWrong | Gaussian, object]:
+    """The answer model built from every key but ``model``/``workers``, and the workers' strategies as given."""
+    if not isinstance(obj, Mapping) or "workers" not in obj:
         raise SuperviseError("strategies file needs a model name and a workers mapping")
     name = obj.get("model")
+    if not isinstance(name, str) or name not in _MODELS:
+        raise SuperviseError(f"unknown answer model {name!r}; use 'uniform-wrong' or 'gaussian'")
+    settings = {key: v for key, v in obj.items() if key not in ("model", "workers")}
     try:
-        if name == "uniform-wrong":
-            model: UniformWrong | Gaussian = UniformWrong(m=int(obj.get("m", 2)), C=float(obj.get("C", 1.0)))
-            strategies = {str(w): float(e) for w, e in obj["workers"].items()}
-        elif name == "gaussian":
-            model = Gaussian(c=float(obj.get("c", 1.0)))
-            strategies = {str(w): (float(sv[0]), float(sv[1])) for w, sv in obj["workers"].items()}
-        else:
-            raise SuperviseError(f"unknown answer model {name!r}; use 'uniform-wrong' or 'gaussian'")
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        model = _MODELS[name](**settings)
+    except TypeError as exc:  # a key that is not one of the model's fields
         raise SuperviseError(f"malformed strategies file: {exc}") from exc
-    return model, strategies
+    return model, obj["workers"]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

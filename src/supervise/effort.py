@@ -44,13 +44,13 @@ class EffortFunction:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            raise SuperviseError(
+                f"effort family must be one of {', '.join(f.value for f in Family)}, got {self.family!r}"
+            ) from None
         object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
-
-    @property
-    def domain_lo(self) -> float:
-        # open lower endpoint for every family
-        return 0.0
 
     @property
     def domain_hi(self) -> float:
@@ -72,37 +72,20 @@ class EffortFunction:
     def inverse_power(cls, alpha: float = 1.0) -> "EffortFunction":
         return cls(Family.INVERSE_POWER, alpha)
 
-    def to_config(self) -> dict:
-        """JSON-friendly form used inside CLI config files."""
-        return {"family": self.family.value, "alpha": self.alpha}
-
-    @classmethod
-    def from_config(cls, obj: dict) -> "EffortFunction":
-        try:
-            return cls(Family(str(obj["family"]).lower()), float(obj["alpha"]))
-        except (KeyError, TypeError) as exc:
-            raise SuperviseError(f"effort config needs 'family' and 'alpha': {obj!r}") from exc
-        except ValueError as exc:
-            raise SuperviseError(str(exc)) from exc
-
 
 @dataclass(frozen=True)
 class Root:
-    """Solver output: the root value plus clamp markers.
+    """Solver output: the root value plus a clamp marker.
 
-    ``clamped_lo``/``clamped_hi`` are set when the target lies outside the
-    range of the derivative and the result was pinned to a domain corner; a
-    clamped value is a boundary report, not a stationary point, and the
-    analytic guarantees downstream do not apply to it.
+    ``clamped`` is set when the target lies above the range of the derivative
+    and the result was pinned to the upper domain corner (f' is unbounded
+    below, so no target is ever too low); a clamped value is a boundary
+    report, not a stationary point, and the analytic guarantees downstream do
+    not apply to it.
     """
 
     value: float
-    clamped_lo: bool = False
-    clamped_hi: bool = False
-
-    @property
-    def clamped(self) -> bool:
-        return self.clamped_lo or self.clamped_hi
+    clamped: bool = False
 
     def __float__(self) -> float:
         return self.value
@@ -112,10 +95,10 @@ def _check_domain(f: EffortFunction, e: float, what: str = "effort") -> float:
     if not (isinstance(e, (int, float)) and math.isfinite(e)):
         raise EffortDomainError(f"effort domain: {what} must be a finite real, got {e!r}")
     e = float(e)
-    # lower endpoint open, upper endpoint closed (never reached when infinite)
-    if not (f.domain_lo < e <= f.domain_hi):
+    # lower endpoint 0 open, upper endpoint closed (never reached when infinite)
+    if not (0.0 < e <= f.domain_hi):
         raise EffortDomainError(
-            f"effort domain: {what}={e!r} outside ({f.domain_lo}, {f.domain_hi}] for {f.family.value}"
+            f"effort domain: {what}={e!r} outside (0.0, {f.domain_hi}] for {f.family.value}"
         )
     return e
 
@@ -183,7 +166,7 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
         if target == -f.alpha:
             return Root(1.0)
         if target > -f.alpha:
-            return Root(1.0, clamped_hi=True)
+            return Root(1.0, clamped=True)
         return Root(-f.alpha / target)
 
     if f.family is Family.BOUNDARY_LOG:
@@ -191,7 +174,7 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
         if target == 0.0:
             return Root(0.5)
         if target > 0.0:
-            return Root(0.5, clamped_hi=True)
+            return Root(0.5, clamped=True)
         # substitute u = 1/(2e):  u ln u = -target/(4 alpha)  =>  ln u = W(y)
         y = -target / (4.0 * f.alpha)
         w = _lambertw_nonneg(y)
@@ -199,7 +182,7 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
 
     # inverse power: f'(v) = -alpha/v^2, range (-inf, 0) on (0, inf)
     if target >= 0.0:
-        return Root(math.inf, clamped_hi=True)
+        return Root(math.inf, clamped=True)
     return Root(math.sqrt(f.alpha / -target))
 
 

@@ -65,6 +65,12 @@ class WorkerType:
     effort: EffortFunction
     id: str = "worker"
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.effort, EffortFunction):
+            raise SuperviseError(f"worker type effort must be an EffortFunction, got {self.effort!r}")
+        if not isinstance(self.id, str):
+            raise SuperviseError(f"worker type id must be a string, got {self.id!r}")
+
 
 @dataclass(frozen=True)
 class PopulationModel:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from ._csv import bool_word, write_csv
 from .effort import EffortFunction, Root, solve_deriv_equals
-from .errors import AssumptionError, require_int, require_real, require_weights
+from .errors import AssumptionError, SuperviseError, require_int, require_real, require_weights
 
 __all__ = [
     "QuantWorkerType",
@@ -43,6 +43,13 @@ class QuantWorkerType:
     effort: EffortFunction
     bias: float = 0.0
     id: str = "worker"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.effort, EffortFunction):
+            raise SuperviseError(f"worker type effort must be an EffortFunction, got {self.effort!r}")
+        object.__setattr__(self, "bias", require_real(self.bias, "bias"))
+        if not isinstance(self.id, str):
+            raise SuperviseError(f"worker type id must be a string, got {self.id!r}")
 
 
 class QuantLevel(NamedTuple):

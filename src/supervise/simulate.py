@@ -67,7 +67,7 @@ class UniformWrong:
 
     def __post_init__(self) -> None:
         require_int(self.m, "m", 2)
-        require_real(self.C, "C", 0.0, lo_open=True)
+        object.__setattr__(self, "C", require_real(self.C, "C", 0.0, lo_open=True))
 
     @property
     def both_wrong_penalty(self) -> float:
@@ -101,7 +101,7 @@ class Gaussian:
     exact = (0.0, 0.0)  # the strategy of a supervisor the strategies leave out
 
     def __post_init__(self) -> None:
-        require_real(self.c, "c", 0.0, lo_open=True)
+        object.__setattr__(self, "c", require_real(self.c, "c", 0.0, lo_open=True))
 
     def strategy(self, worker: str, sv: object) -> tuple[float, float]:
         try:
@@ -145,6 +145,8 @@ class SimConfig:
         require_int(self.seed, "seed", 0)  # numpy generators take no negative seed
         if not isinstance(self.answer_model, (UniformWrong, Gaussian)):
             raise ModelMismatchError(f"unsupported answer model {type(self.answer_model).__name__}")
+        if not isinstance(self.strategies, Mapping):
+            raise ModelMismatchError(f"strategies must map worker ids to strategies, got {self.strategies!r}")
 
 
 class WorkerStats(NamedTuple):

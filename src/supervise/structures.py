@@ -299,10 +299,10 @@ def build_supervision_tree_over(
         return name
 
     current = tasks
-    bottom = True
-    while bottom or len(current) > k:
-        n_parents = math.ceil(len(current) / k)
-        parents = [fresh_worker() for _ in range(n_parents)]
+    bottom, top = True, False
+    while not top:
+        top = not bottom and len(current) <= k  # at most k workers left: the supervisor's level
+        parents = [supervisor_id] if top else [fresh_worker() for _ in range(math.ceil(len(current) / k))]
         for j, p in enumerate(parents):
             chunk = current[j * k : (j + 1) * k]
             for c in chunk:
@@ -319,16 +319,6 @@ def build_supervision_tree_over(
         levels_rev.append(tuple(parents))
         current = parents
         bottom = False
-
-    sup = supervisor_id
-    picks = []
-    for c in current:
-        edges.append((sup, c))
-        t = rng.choice(worker_tasks[c])
-        shared.append((sup, c, t))
-        picks.append(t)
-    worker_tasks[sup] = tuple(picks)
-    levels_rev.append((sup,))
 
     return SupervisionTree(
         levels=tuple(reversed(levels_rev)),

@@ -124,7 +124,7 @@ def test_criterion_4_best_responses_match_grid_search():
             xs = np.linspace(lo, hi, n_grid)
             got = float(xs[int(np.argmin(loss_vec(xs)))])
             step = (hi - lo) / (n_grid - 1)
-            if r.clamped_hi:
+            if r.clamped:
                 assert got >= hi - step
             else:
                 assert abs(r.value - got) <= step

@@ -76,6 +76,20 @@ class TestThreshold:
         assert code == 1
         assert err.startswith("error:") and err.strip().endswith("0.7")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quant", "--effort", "inversepower", "--k", "4", "--c", "1", "--epsilon", "nan"),
+            ("quant", "--effort", "inversepower", "--k", "4", "--c", "1", "--epsilon", "-1"),
+            ("flat", "--effort", "simplelog", "--epsilon", "0.1", "--k", "3", "--C", "100", "--n-workers", "-3"),
+        ],
+        ids=["quant epsilon nan", "quant epsilon negative", "flat n-workers negative"],
+    )
+    def test_flags_the_library_refuses(self, capsys, argv):
+        code, out, err = run_cli(capsys, "threshold", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestEquilibrium:
     def test_homogeneous_csv(self, capsys):
@@ -269,6 +283,80 @@ class TestStructureFilesValidated:
         code, out, err = self.simulate(capsys, tmp_path, obj)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+BINARY = {"model": "uniform-wrong", "m": 3, "C": 16, "workers": {"w0": 0.1, "supervisor": 0.0}}
+GAUSSIAN = {"model": "gaussian", "c": 2.0, "workers": {"w0": [1.0, 0.5], "supervisor": [0.8, -0.5]}}
+
+
+def _population(effort=None, **entry):
+    """A two-type population file whose type ``a`` has ``entry`` and ``effort`` keys set (None drops one)."""
+    a = {"id": "a", "weight": 0.8, "effort": {"family": "simplelog", "alpha": 0.8, **(effort or {})}, **entry}
+    a["effort"] = {key: v for key, v in a["effort"].items() if v is not None}
+    b = {"id": "b", "weight": 0.2, "effort": {"family": "simplelog", "alpha": 1.0}}
+    return {"types": [a, b]}
+
+
+class TestInputFilesPassedUnchanged:
+    """File values reach the library's constructors as parsed, so the CLI refuses what the library refuses."""
+
+    def run_file(self, capsys, tmp_path, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        if "types" in obj:
+            argv = ["equilibrium", "--population", str(path), "--k", "2", "--epsilon", "0.25", "--C", "16",
+                    "--depth", "4"]
+        else:
+            tree_file = tmp_path / "tree.json"
+            run_cli(capsys, "tree", "build", "--n-tasks", "2", "--k", "2", "--out", str(tree_file))
+            argv = ["simulate", "--structure", str(tree_file), "--strategies", str(path), "--episodes", "100"]
+        return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {**BINARY, "workers": {"w0": True, "supervisor": 0.0}},
+            {**BINARY, "workers": {"w0": "0.1", "supervisor": 0.0}},
+            {**BINARY, "m": 2.7},
+            {**BINARY, "C": "5"},
+            {**GAUSSIAN, "workers": {"w0": [1.0, 0.5, 9.0], "supervisor": [0.8, -0.5]}},
+            {**BINARY, "c": 1.0},
+            _population(weight="0.8"),
+            _population(effort={"alpha": "0.8"}),
+            _population(effort={"alpha": True}),
+            _population(effort={"family": "SimpleLog"}),
+            _population(id=5),
+            _population(effort={"beta": 2.0}),
+        ],
+        ids=[
+            "binary strategy a bool",
+            "binary strategy a string",
+            "m fractional",
+            "C a string",
+            "gaussian strategy of three numbers",
+            "uniform-wrong with a c key",
+            "weight a string",
+            "alpha a string",
+            "alpha a bool",
+            "family capitalized",
+            "id a number",
+            "effort with an extra key",
+        ],
+    )
+    def test_refused(self, capsys, tmp_path, obj):
+        code, out, err = self.run_file(capsys, tmp_path, obj)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_effort_without_alpha_takes_the_default(self, capsys, tmp_path):
+        got = self.run_file(capsys, tmp_path, _population(effort={"alpha": None}))
+        assert got[0] == 0 and got == self.run_file(capsys, tmp_path, _population(effort={"alpha": 1.0}))
+
+    def test_strategy_for_an_absent_worker_is_ignored(self, capsys, tmp_path):
+        junk = {**BINARY, "workers": {**BINARY["workers"], "nobody": "junk"}}
+        code, out, err = self.run_file(capsys, tmp_path, junk)
+        assert (code, err) == (0, "")
+        assert out == self.run_file(capsys, tmp_path, BINARY)[1]
 
 
 class TestSeedsAndReruns:

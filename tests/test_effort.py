@@ -80,7 +80,7 @@ class TestSolveWorkedValues:
         # weaker marginal incentive than even zero effort costs: stay at the corner
         f = EffortFunction.simple_log(1.0)
         r = solve_deriv_equals(f, -0.5)
-        assert r.value == 1.0 and r.clamped_hi and r.clamped
+        assert r.value == 1.0 and r.clamped
 
     def test_exact_supremum_is_a_true_root(self):
         f = EffortFunction.simple_log(2.0)
@@ -92,12 +92,12 @@ class TestSolveWorkedValues:
         assert solve_deriv_equals(f, 0.0).value == 0.5
         assert not solve_deriv_equals(f, 0.0).clamped
         r = solve_deriv_equals(f, 0.25)
-        assert r.value == 0.5 and r.clamped_hi
+        assert r.value == 0.5 and r.clamped
 
     def test_inverse_power_nonnegative_target_clamps_to_inf(self):
         f = EffortFunction.inverse_power(1.0)
         r = solve_deriv_equals(f, 0.0)
-        assert math.isinf(r.value) and r.clamped_hi
+        assert math.isinf(r.value) and r.clamped
 
     def test_invalid_targets(self):
         f = EffortFunction.simple_log(1.0)
@@ -133,13 +133,6 @@ class TestDomains:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(SuperviseError):
                 EffortFunction.simple_log(bad)
-
-    def test_config_round_trip(self):
-        for fam in FAMILIES:
-            f = EffortFunction(family=fam, alpha=2.5)
-            assert EffortFunction.from_config(f.to_config()) == f
-        with pytest.raises(SuperviseError):
-            EffortFunction.from_config({"family": "nope", "alpha": 1.0})
 
 
 class TestCurveProperties:
@@ -182,7 +175,7 @@ class TestCurveProperties:
         f = EffortFunction(family=fam, alpha=alpha)
         e = interior(f, u)
         r = solve_deriv_equals(f, effort_deriv(f, e))
-        assert not r.clamped_lo
+        assert not r.clamped
         assert r.value == pytest.approx(e, rel=1e-9)
 
     @settings(max_examples=60)

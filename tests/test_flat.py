@@ -82,7 +82,7 @@ class TestLossAndBestResponse:
     def test_weak_incentive_clamps_to_max_error(self):
         f = EffortFunction.simple_log(1.0)
         r = best_response_flat(f, p=0.01, params=SchemeParams(k=2, epsilon=0.25, C=10.0))
-        assert r.value == 1.0 and r.clamped_hi
+        assert r.value == 1.0 and r.clamped
 
     @given(
         st.floats(min_value=0.2, max_value=5.0),
@@ -116,7 +116,7 @@ class TestLossAndBestResponse:
                 return k * effort_vec(f, xs) + xs * p * C
 
             got, step = grid_argmin(loss, 1e-6, 1.0, 10_001)
-            if r.clamped_hi:
+            if r.clamped:
                 assert got >= 1.0 - step
             else:
                 assert abs(r.value - got) <= step

@@ -90,7 +90,7 @@ class TestPairLoss:
     def test_wrong_majority_superior_clamps(self):
         # a superior wrong most of the time pushes the target nonnegative
         r = best_response_under_superior(SL(1.0), e_w=0.9, params=params(D=0.0))
-        assert r.value == 1.0 and r.clamped_hi
+        assert r.value == 1.0 and r.clamped
 
     def test_best_response_matches_grid(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,9 @@
 """Malformed inputs: every one is refused with a SuperviseError."""
 
+import contextlib
 import copy
+import io
+import json
 from functools import reduce
 from operator import getitem
 
@@ -28,14 +31,17 @@ from supervise import (
     build_supervision_hierarchy,
     build_supervision_tree,
     defection_analysis,
+    equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
     expected_penalty_quant,
     quant_equilibrium,
+    simulate,
     simulate_binary,
     sweep_flat,
     sweep_quant,
 )
+from supervise.cli import main
 
 NAN = float("nan")
 SL = EffortFunction.simple_log(1.0)
@@ -97,6 +103,14 @@ BAD_INPUTS = {
     "best_response_flat p a string": lambda: best_response_flat(SL, "x", PARAMS),
     "expected_loss_flat p NaN": lambda: expected_loss_flat(SL, 0.2, NAN, PARAMS),
     "best_response_flat_quant p a bool": lambda: best_response_flat_quant(IP, True, QPARAMS),
+    "effort family nope": lambda: EffortFunction("nope"),
+    "quant worker bias a string": lambda: QuantWorkerType(IP, bias="x"),
+    "quant worker bias NaN": lambda: quant_equilibrium([(QuantWorkerType(IP, bias=NAN), 1.0)], 2, 1.0, 3.0, 2),
+    "worker type effort a family name": lambda: WorkerType("simplelog"),
+    "worker type id an integer": lambda: WorkerType(SL, id=5),
+    "strategies a list of worker ids": lambda: SimConfig(
+        10, 0, UniformWrong(), build_supervision_tree(2, 2, seed=0), ["w0"]
+    ),
 }
 
 
@@ -118,15 +132,8 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
-@settings(max_examples=150, derandomize=True)
-@given(data=st.data())
-@pytest.mark.parametrize(
-    "cls,valid",
-    [(AssignmentGraph, GRAPH), (SupervisionTree, TREE), (SupervisionHierarchy, HIERARCHY)],
-    ids=["graph", "tree", "hierarchy"],
-)
-def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
-    """Dropped, duplicated, renamed and mistyped entries: a valid structure or a SuperviseError."""
+def _mutate(data, valid):
+    """``valid`` with 1-3 entries dropped, duplicated, renamed to another of its ids, or mistyped."""
     obj = copy.deepcopy(valid)
     ids = sorted({node for _, node in _nodes(valid) if isinstance(node, str)})
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
@@ -145,9 +152,90 @@ def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
             parent[key] = data.draw(st.sampled_from(ids + ["zz"]), label="id")
         else:
             parent[key] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES), label="value"))
+    return obj
+
+
+@settings(max_examples=150, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "cls,valid",
+    [(AssignmentGraph, GRAPH), (SupervisionTree, TREE), (SupervisionHierarchy, HIERARCHY)],
+    ids=["graph", "tree", "hierarchy"],
+)
+def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
+    """Dropped, duplicated, renamed and mistyped entries: a valid structure or a SuperviseError."""
     try:
-        structure = cls.from_json_dict(obj)
+        structure = cls.from_json_dict(_mutate(data, valid))
     except SuperviseError:
         return
     structure.validate()
     structure.to_json_dict()
+
+
+BINARY_STRATEGIES = {"model": "uniform-wrong", "m": 3, "C": 16.0, "workers": {"w0": 0.1, "w1": 0.2, "supervisor": 0.0}}
+GAUSSIAN_STRATEGIES = {
+    "model": "gaussian",
+    "c": 2.0,
+    "workers": {"w0": [1.0, 0.5], "w1": [0.6, -0.5], "supervisor": [0.8, 0]},
+}
+POPULATION = {
+    "types": [
+        {"id": "a", "weight": 0.8, "effort": {"family": "simplelog", "alpha": 0.8}},
+        {"id": "b", "weight": 0.2, "effort": {"family": "simplelog", "alpha": 1.0}},
+    ]
+}
+MODELS = {"uniform-wrong": UniformWrong, "gaussian": Gaussian}
+
+
+def _library_accepts(kind, obj):
+    """Whether the library builds and runs what the parsed file holds, with no conversion of its values."""
+    try:
+        if kind == "population":
+            try:
+                types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in obj["types"])
+            except (KeyError, TypeError):  # not a list of objects with these keys, or an effort key with no field
+                return False
+            equilibrium_heterogeneous(PopulationModel(types), PARAMS, depth=3)
+        else:
+            try:
+                settings = {key: v for key, v in obj.items() if key not in ("model", "workers")}
+                model, workers = MODELS[obj["model"]](**settings), obj["workers"]
+            except (KeyError, TypeError):  # no such model, no workers, or a key the model has no field for
+                return False
+            simulate(SimConfig(10, 0, model, SupervisionTree.from_json_dict(TREE), workers))
+    except SuperviseError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def tree_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "tree.json"
+    path.write_text(json.dumps(TREE))
+    return path
+
+
+@settings(max_examples=150, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "kind,valid",
+    [("strategies", BINARY_STRATEGIES), ("strategies", GAUSSIAN_STRATEGIES), ("population", POPULATION)],
+    ids=["binary", "gaussian", "population"],
+)
+def test_cli_agrees_with_the_library_on_mutated_files(tree_file, kind, valid, data):
+    """The CLI exits 0 exactly when the library accepts the same parsed JSON, else 1 with one error line."""
+    obj = _mutate(data, valid)
+    path = tree_file.parent / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    if kind == "population":
+        argv = ["equilibrium", "--population", str(path), "--k", "2", "--epsilon", "0.25", "--C", "16", "--depth", "3"]
+    else:
+        argv = ["simulate", "--structure", str(tree_file), "--strategies", str(path), "--episodes", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if _library_accepts(kind, json.loads(path.read_text())):
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
