@@ -130,6 +130,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _population_from_file(path: str) -> PopulationModel:
     obj = _read_json(path)
     try:
+        type_keys = ("id", "effort", "weight")
+        unknown = set(obj) - {"types"} | {key for t in obj["types"] for key in t if key not in type_keys}
+        if unknown:
+            raise SuperviseError(f"population file has unknown keys {sorted(unknown)}; use types[].id/effort/weight")
         types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in obj["types"])
     except (KeyError, TypeError) as exc:
         raise SuperviseError(f"population file needs types[].id/effort/weight: {exc}") from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -107,30 +108,24 @@ class AssignmentGraph:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: Mapping, k: int | None = None) -> "AssignmentGraph":
+    def from_json_dict(cls, obj: Mapping) -> "AssignmentGraph":
+        """The graph a JSON object describes; ``k`` is its largest worker degree."""
         workers, tasks, edges = _json_ids(obj, "workers"), _json_ids(obj, "tasks"), _json_ids(obj, "edges", 2)
-        if k is None:
-            degs: dict[str, int] = {}
-            for w, _ in edges:
-                degs[w] = degs.get(w, 0) + 1
-            k = max(degs.values(), default=1)
-        return cls(workers=workers, tasks=tasks, edges=edges, k=k)
+        return cls(workers=workers, tasks=tasks, edges=edges, k=max(Counter(w for w, _ in edges).values(), default=1))
 
 
 @dataclass(frozen=True)
 class SupervisionTree:
     """Level lists (root first, tasks last), parent->child edges, shared tasks.
 
-    ``shared`` maps worker->worker edges to the one task both perform;
-    ``worker_tasks`` lists what each worker actually performs.  Both are
-    derivable from the construction and recomputed when loading JSON.
+    ``shared`` holds one ``(parent, child, task)`` triple per worker->worker
+    edge: the one task both perform, on which the parent judges the child.
+    What each worker performs, ``worker_tasks``, follows from these.
     """
 
     levels: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[str, str], ...]
     shared: tuple[tuple[str, str, str], ...]
-    worker_tasks: dict[str, tuple[str, ...]] = field(compare=False)
-    k: int
 
     def __post_init__(self) -> None:
         self.validate()
@@ -172,52 +167,50 @@ class SupervisionTree:
     def shared_task(self) -> dict[tuple[str, str], str]:
         return {(p, c): t for p, c, t in self.shared}
 
+    @cached_property
+    def worker_tasks(self) -> dict[str, tuple[str, ...]]:
+        """A bottom worker performs its children; a higher worker its shared pick for each child, in child order."""
+        bottom, shared = set(self.levels[-2]), self.shared_task
+        return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
+
     def validate(self) -> None:
         if len(self.levels) < 3:
             raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
         if len(self.levels[0]) != 1:
             raise SuperviseError("level 0 must hold exactly the supervisor")
-        seen: set[str] = set()
-        for lv in self.levels:
+        node_level: dict[str, int] = {}
+        for i, lv in enumerate(self.levels):
             for n in lv:
-                if n in seen:
+                if n in node_level:
                     raise SuperviseError(f"node {n!r} appears twice")
-                seen.add(n)
-        node_level = {n: i for i, lv in enumerate(self.levels) for n in lv}
+                node_level[n] = i
         for p, c in self.edges:
             if node_level.get(c) != node_level.get(p, -2) + 1:
                 raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
-        parent = self.parent
-        for i, lv in enumerate(self.levels):
-            if i == 0:
-                continue
+        parent, children = self.parent, self.children
+        for lv in self.levels[1:]:
             for n in lv:
                 if n not in parent:
                     raise SuperviseError(f"node {n!r} has no parent")
-        children = self.children
-        last_worker_level = len(self.levels) - 2
-        for i in range(last_worker_level + 1):
-            for n in self.levels[i]:
-                cs = children.get(n, ())
-                if not (1 <= len(cs) <= self.k):
-                    raise SuperviseError(f"node {n!r} has {len(cs)} children; need 1..{self.k}")
-                if i == last_worker_level:
-                    # bottom workers perform exactly their leaf tasks
-                    if tuple(sorted(self.worker_tasks[n])) != tuple(sorted(cs)):
-                        raise SuperviseError(f"bottom worker {n!r} tasks != leaf children")
-                else:
-                    picks = []
-                    for c in cs:
-                        t = self.shared_task.get((n, c))
-                        if t is None:
-                            raise SuperviseError(f"missing shared task for edge ({n!r}, {c!r})")
-                        if t not in self.worker_tasks[c]:
-                            raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
-                        picks.append(t)
-                    if len(set(picks)) != len(picks):
-                        raise SuperviseError(f"node {n!r} shares one task with two children")
-                    if tuple(sorted(self.worker_tasks[n])) != tuple(sorted(picks)):
-                        raise SuperviseError(f"node {n!r} tasks != its shared picks")
+        for lv in self.levels[:-1]:
+            for n in lv:
+                if n not in children:
+                    raise SuperviseError(f"node {n!r} has no children")
+        # each worker is judged by its parent on exactly one task, and nothing else is shared
+        leaf_level = len(self.levels) - 1
+        worker_edges = {(p, c) for p, c in self.edges if node_level[c] != leaf_level}
+        pairs = [(p, c) for p, c, _ in self.shared]
+        missing = worker_edges.difference(pairs)
+        if missing:
+            p, c = min(missing)
+            raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
+        if len(pairs) != len(worker_edges):
+            raise SuperviseError("shared holds a triple that is not the one task of a worker->worker edge")
+        # a pick is one of the child's tasks, which lie in its own subtree, so siblings' picks differ
+        worker_tasks = self.worker_tasks
+        for p, c, t in self.shared:
+            if t not in worker_tasks[c]:
+                raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
 
     def worker_views(self) -> list[dict]:
         """What each worker may know: its level and its tasks.  No parents."""
@@ -237,19 +230,7 @@ class SupervisionTree:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupervisionTree":
         levels, edges, shared = _json_ids(obj, "levels", 0), _json_ids(obj, "edges", 2), _json_ids(obj, "shared", 3)
-        children: dict[str, list[str]] = {}
-        for p, c in edges:
-            children.setdefault(p, []).append(c)
-        k = max((len(cs) for cs in children.values()), default=1)
-        shared_map = {(p, c): t for p, c, t in shared}
-        worker_tasks: dict[str, tuple[str, ...]] = {}
-        if len(levels) >= 2:
-            for w in levels[-2]:
-                worker_tasks[w] = tuple(children.get(w, ()))
-            for i in range(len(levels) - 3, -1, -1):
-                for w in levels[i]:
-                    worker_tasks[w] = tuple(shared_map[(w, c)] for c in children.get(w, ()) if (w, c) in shared_map)
-        return cls(levels=levels, edges=edges, shared=shared, worker_tasks=worker_tasks, k=k)
+        return cls(levels=levels, edges=edges, shared=shared)
 
 
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
@@ -320,13 +301,7 @@ def build_supervision_tree_over(
         current = parents
         bottom = False
 
-    return SupervisionTree(
-        levels=tuple(reversed(levels_rev)),
-        edges=tuple(edges),
-        shared=tuple(shared),
-        worker_tasks=worker_tasks,
-        k=k,
-    )
+    return SupervisionTree(levels=tuple(reversed(levels_rev)), edges=tuple(edges), shared=tuple(shared))
 
 
 @dataclass(frozen=True)
@@ -414,15 +389,23 @@ def build_peg_assignment(
 
 @dataclass(frozen=True)
 class SupervisionHierarchy:
-    """Assignment graph + a supervision tree over a covering task subset."""
+    """Assignment graph + a supervision tree over a covering task subset.
+
+    ``coverage`` maps every graph worker to the one tree task on which it is
+    judged, by the bottom tree worker performing that task.
+    """
 
     graph: AssignmentGraph
     tree: SupervisionTree
-    tree_tasks: tuple[str, ...]
     coverage: dict[str, str] = field(compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
+
+    @property
+    def tree_tasks(self) -> tuple[str, ...]:
+        """The covering task subset: the tree's leaves."""
+        return self.tree.task_ids
 
     @property
     def equilibrium_depth(self) -> int:
@@ -430,40 +413,26 @@ class SupervisionHierarchy:
         return self.tree.equilibrium_depth + 1
 
     def validate(self) -> None:
-        tree_tasks = set(self.tree_tasks)
-        if not tree_tasks <= set(self.graph.tasks):
+        graph, tree = self.graph, self.tree
+        tree_tasks = set(tree.task_ids)
+        if not tree_tasks <= set(graph.tasks):
             raise SuperviseError("tree tasks must be a subset of the graph's tasks")
-        if set(self.tree.task_ids) != tree_tasks:
-            raise SuperviseError("tree leaves disagree with the covering task set")
-        edge_set = set(self.graph.edges)
-        for w in self.graph.workers:
-            t = self.coverage.get(w)
-            if t is None or t not in tree_tasks or (w, t) not in edge_set:
+        graph_ids = set(graph.workers).union(graph.tasks)
+        clash = sorted(n for lv in tree.levels[:-1] for n in lv if n in graph_ids)
+        if clash:
+            raise SuperviseError(f"tree worker ids must not reuse graph ids: {clash[:5]}")
+        if self.coverage.keys() != set(graph.workers):
+            odd = sorted(self.coverage.keys() ^ set(graph.workers))[:5]
+            raise SuperviseError(f"coverage must name exactly the graph's workers; differs on {odd}")
+        edge_set = set(graph.edges)
+        for w, t in self.coverage.items():
+            if t not in tree_tasks or (w, t) not in edge_set:
                 raise SuperviseError(f"worker {w!r} lacks a valid covering task")
-        # connectivity of the union graph
-        adj: dict[str, set[str]] = {}
-
-        def link(a: str, b: str) -> None:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-
-        for w, t in self.graph.edges:
-            link(w, t)
-        for p, c in self.tree.edges:
-            link(p, c)
-        nodes = set(self.graph.workers) | set(self.graph.tasks)
-        for lv in self.tree.levels:
-            nodes |= set(lv)
-        seen = {self.tree.supervisor}
-        stack = [self.tree.supervisor]
-        while stack:
-            n = stack.pop()
-            for nb in adj.get(n, ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != nodes:
-            raise SuperviseError(f"hierarchy is not connected; unreachable: {sorted(nodes - seen)[:5]}")
+        # the tree is connected and every graph worker reaches it through coverage,
+        # so only a task outside the tree with no workers can be cut off
+        for t in graph.tasks:
+            if not graph.task_workers[t] and t not in tree_tasks:
+                raise SuperviseError(f"input error: task {t!r} has no workers, hierarchy would be disconnected")
 
     def to_json_dict(self) -> dict:
         return {
@@ -477,12 +446,14 @@ class SupervisionHierarchy:
     def from_json_dict(cls, obj: Mapping) -> "SupervisionHierarchy":
         if not isinstance(obj, Mapping):
             raise SuperviseError("hierarchy JSON must be an object with graph/tree/tree_tasks/coverage")
-        return cls(
-            graph=AssignmentGraph.from_json_dict(obj.get("graph")),
-            tree=SupervisionTree.from_json_dict(obj.get("tree")),
-            tree_tasks=_json_ids(obj, "tree_tasks"),
-            coverage=dict(_json_ids(obj, "coverage", 2)),
-        )
+        graph, tree = AssignmentGraph.from_json_dict(obj.get("graph")), SupervisionTree.from_json_dict(obj.get("tree"))
+        if sorted(_json_ids(obj, "tree_tasks")) != sorted(tree.task_ids):
+            raise SuperviseError("tree_tasks must list the tree's leaves, once each")
+        rows = _json_ids(obj, "coverage", 2)
+        coverage = dict(rows)
+        if len(coverage) != len(rows):
+            raise SuperviseError("coverage names a worker twice")
+        return cls(graph=graph, tree=tree, coverage=coverage)
 
 
 def _clash_free_prefix(base: str, forbidden: Iterable[str]) -> str:
@@ -504,9 +475,6 @@ def build_supervision_hierarchy(
     extra layer under the tree.
     """
     require_int(k, "branching factor k", 2, SizingError)
-    for t in graph.tasks:
-        if not graph.task_workers.get(t):
-            raise SuperviseError(f"input error: task {t!r} has no workers, hierarchy would be disconnected")
     from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types
 
     inst = SAInstance(graph=graph, k=max(k, graph.k))
@@ -524,4 +492,4 @@ def build_supervision_hierarchy(
     while sup in forbidden:
         sup += "_"
     tree = build_supervision_tree_over(cover, k, seed, worker_prefix=prefix, supervisor_id=sup)
-    return SupervisionHierarchy(graph=graph, tree=tree, tree_tasks=tuple(cover), coverage=dict(sol.cover_witness))
+    return SupervisionHierarchy(graph=graph, tree=tree, coverage=dict(sol.cover_witness))

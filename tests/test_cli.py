@@ -327,6 +327,8 @@ class TestInputFilesPassedUnchanged:
             _population(effort={"family": "SimpleLog"}),
             _population(id=5),
             _population(effort={"beta": 2.0}),
+            _population(bias=3),
+            {**_population(), "extra": 1},
         ],
         ids=[
             "binary strategy a bool",
@@ -341,6 +343,8 @@ class TestInputFilesPassedUnchanged:
             "family capitalized",
             "id a number",
             "effort with an extra key",
+            "type with a bias key",
+            "population with an extra top-level key",
         ],
     )
     def test_refused(self, capsys, tmp_path, obj):

@@ -64,6 +64,11 @@ def _with(obj, path, value):
     return obj
 
 
+def _renamed(obj, old, new):
+    """A copy of JSON ``obj`` with every id ``old`` renamed to ``new``."""
+    return json.loads(json.dumps(obj).replace(json.dumps(old), json.dumps(new)))
+
+
 def _binary_strategy_true():
     tree = build_supervision_tree(2, 2, seed=0)
     simulate_binary(SimConfig(10, 0, UniformWrong(), tree, {"w0": True}))
@@ -111,6 +116,30 @@ BAD_INPUTS = {
     "strategies a list of worker ids": lambda: SimConfig(
         10, 0, UniformWrong(), build_supervision_tree(2, 2, seed=0), ["w0"]
     ),
+    "tree JSON sharing a task on a worker->task edge": lambda: SupervisionTree.from_json_dict(
+        {**TREE, "shared": TREE["shared"] + [["w0", "t0", "t0"]]}
+    ),
+    "tree JSON sharing a task on a pair that is not an edge": lambda: SupervisionTree.from_json_dict(
+        {**TREE, "shared": TREE["shared"] + [["w0", "w1", "t2"]]}
+    ),
+    "tree JSON with two shared tasks for one edge": lambda: SupervisionTree.from_json_dict(
+        {**TREE, "shared": TREE["shared"] + [["supervisor", "w0", "t0"]]}
+    ),
+    "hierarchy JSON tree worker renamed to graph worker u0": lambda: SupervisionHierarchy.from_json_dict(
+        {**HIERARCHY, "tree": _renamed(HIERARCHY["tree"], "h0", "u0")}
+    ),
+    "hierarchy JSON coverage row for tree worker h0": lambda: SupervisionHierarchy.from_json_dict(
+        {**HIERARCHY, "coverage": HIERARCHY["coverage"] + [["h0", "t2"]]}
+    ),
+    "hierarchy JSON coverage row for unknown worker zz": lambda: SupervisionHierarchy.from_json_dict(
+        {**HIERARCHY, "coverage": HIERARCHY["coverage"] + [["zz", "t1"]]}
+    ),
+    "hierarchy JSON tree_tasks entry listed twice": lambda: SupervisionHierarchy.from_json_dict(
+        {**HIERARCHY, "tree_tasks": HIERARCHY["tree_tasks"] + [HIERARCHY["tree_tasks"][0]]}
+    ),
+    "hierarchy JSON coverage row listed twice": lambda: SupervisionHierarchy.from_json_dict(
+        {**HIERARCHY, "coverage": HIERARCHY["coverage"] + [HIERARCHY["coverage"][0]]}
+    ),
 }
 
 
@@ -155,7 +184,7 @@ def _mutate(data, valid):
     return obj
 
 
-@settings(max_examples=150, derandomize=True)
+@settings(max_examples=400, derandomize=True)
 @given(data=st.data())
 @pytest.mark.parametrize(
     "cls,valid",
@@ -163,13 +192,34 @@ def _mutate(data, valid):
     ids=["graph", "tree", "hierarchy"],
 )
 def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
-    """Dropped, duplicated, renamed and mistyped entries: a valid structure or a SuperviseError."""
+    """Dropped, duplicated, renamed and mistyped entries: a SuperviseError, or a valid structure that writes
+    back what it read and, for a tree or hierarchy, simulates to one row per judged worker."""
+    obj = _mutate(data, valid)
     try:
-        structure = cls.from_json_dict(_mutate(data, valid))
+        structure = cls.from_json_dict(obj)
     except SuperviseError:
         return
     structure.validate()
-    structure.to_json_dict()
+    assert structure.to_json_dict() == _canonical(cls, obj)
+    if cls is not AssignmentGraph:
+        tree = obj.get("tree", obj)
+        judged = {n for lv in tree["levels"][1:-1] for n in lv} | set(obj.get("graph", {}).get("workers", ()))
+        report = simulate(SimConfig(10, 0, UniformWrong(), structure, {n: 0.1 for n in judged}))
+        assert sorted(r.worker for r in report.rows) == sorted(judged)
+
+
+def _canonical(cls, obj):
+    """What ``to_json_dict`` writes for ``obj``: its known keys, with lists sorted as it sorts them."""
+    if cls is AssignmentGraph:
+        return {key: sorted(obj[key]) for key in ("workers", "tasks", "edges")}
+    if cls is SupervisionTree:
+        return {"levels": obj["levels"], "edges": sorted(obj["edges"]), "shared": sorted(obj["shared"])}
+    return {
+        "coverage": sorted(obj["coverage"]),
+        "graph": _canonical(AssignmentGraph, obj["graph"]),
+        "tree": _canonical(SupervisionTree, obj["tree"]),
+        "tree_tasks": sorted(obj["tree_tasks"]),
+    }
 
 
 BINARY_STRATEGIES = {"model": "uniform-wrong", "m": 3, "C": 16.0, "workers": {"w0": 0.1, "w1": 0.2, "supervisor": 0.0}}
@@ -185,13 +235,24 @@ POPULATION = {
     ]
 }
 MODELS = {"uniform-wrong": UniformWrong, "gaussian": Gaussian}
+# a strategy for every id of the valid tree and hierarchy, and for the id mutations rename to
+STRUCTURE_STRATEGIES = {
+    "model": "uniform-wrong",
+    "C": 16.0,
+    "workers": {n: 0.1 for valid in (TREE, HIERARCHY) for _, n in _nodes(valid) if isinstance(n, str)} | {"zz": 0.1},
+}
 
 
 def _library_accepts(kind, obj):
     """Whether the library builds and runs what the parsed file holds, with no conversion of its values."""
     try:
-        if kind == "population":
+        if kind in ("tree", "hierarchy"):
+            cls = SupervisionTree if kind == "tree" else SupervisionHierarchy
+            simulate(SimConfig(10, 0, UniformWrong(C=16.0), cls.from_json_dict(obj), STRUCTURE_STRATEGIES["workers"]))
+        elif kind == "population":
             try:
+                if set(obj) - {"types"} or any(set(t) - {"id", "effort", "weight"} for t in obj["types"]):
+                    return False  # a key the file format does not have
                 types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in obj["types"])
             except (KeyError, TypeError):  # not a list of objects with these keys, or an effort key with no field
                 return False
@@ -209,9 +270,11 @@ def _library_accepts(kind, obj):
 
 
 @pytest.fixture(scope="module")
-def tree_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "tree.json"
-    path.write_text(json.dumps(TREE))
+def cli_dir(tmp_path_factory):
+    """A directory holding the valid tree and the strategies that mutated structures are simulated with."""
+    path = tmp_path_factory.mktemp("cli")
+    (path / "tree.json").write_text(json.dumps(TREE))
+    (path / "structure-strategies.json").write_text(json.dumps(STRUCTURE_STRATEGIES))
     return path
 
 
@@ -219,18 +282,27 @@ def tree_file(tmp_path_factory):
 @given(data=st.data())
 @pytest.mark.parametrize(
     "kind,valid",
-    [("strategies", BINARY_STRATEGIES), ("strategies", GAUSSIAN_STRATEGIES), ("population", POPULATION)],
-    ids=["binary", "gaussian", "population"],
+    [
+        ("strategies", BINARY_STRATEGIES),
+        ("strategies", GAUSSIAN_STRATEGIES),
+        ("population", POPULATION),
+        ("tree", TREE),
+        ("hierarchy", HIERARCHY),
+    ],
+    ids=["binary", "gaussian", "population", "tree", "hierarchy"],
 )
-def test_cli_agrees_with_the_library_on_mutated_files(tree_file, kind, valid, data):
+def test_cli_agrees_with_the_library_on_mutated_files(cli_dir, kind, valid, data):
     """The CLI exits 0 exactly when the library accepts the same parsed JSON, else 1 with one error line."""
     obj = _mutate(data, valid)
-    path = tree_file.parent / f"{kind}.json"
+    path = cli_dir / f"mutated-{kind}.json"
     path.write_text(json.dumps(obj))
     if kind == "population":
         argv = ["equilibrium", "--population", str(path), "--k", "2", "--epsilon", "0.25", "--C", "16", "--depth", "3"]
+    elif kind == "strategies":
+        argv = ["simulate", "--structure", str(cli_dir / "tree.json"), "--strategies", str(path), "--episodes", "10"]
     else:
-        argv = ["simulate", "--structure", str(tree_file), "--strategies", str(path), "--episodes", "10"]
+        strategies = cli_dir / "structure-strategies.json"
+        argv = ["simulate", "--structure", str(path), "--strategies", str(strategies), "--episodes", "10"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -94,7 +94,6 @@ class TestTreeConstruction:
         assert {w: set(ts) for w, ts in back.worker_tasks.items()} == {
             w: set(ts) for w, ts in a.worker_tasks.items()
         }
-        assert back.k <= a.k
 
     def test_worker_views_hide_structure(self):
         tree = build_supervision_tree(9, 3, seed=1)
