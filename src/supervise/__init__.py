@@ -12,191 +12,22 @@ allocations) that make the schemes cheap to run.  A Monte Carlo engine
 cross-checks every analytic expectation.
 """
 
-from .allocation import (
-    EXACT_TASK_CAP,
-    SAInstance,
-    SASolution,
-    sa_exact,
-    sa_greedy,
-    sa_greedy_edge_deletion,
-    vc_to_sa,
-)
-from .effort import (
-    EffortFunction,
-    Family,
-    Root,
-    SchemeParams,
-    effort_deriv,
-    effort_eval,
-    solve_deriv_equals,
-)
-from .errors import (
-    AssumptionError,
-    EffortDomainError,
-    EpsilonRangeError,
-    InstanceTooLargeError,
-    InvalidTargetError,
-    ModelMismatchError,
-    NoIncentiveError,
-    SizingError,
-    SuperviseError,
-)
-from .flat import (
-    FlatBound,
-    FlatParams,
-    best_response_flat,
-    best_response_flat_quant,
-    expected_loss_flat,
-    expected_loss_flat_quant,
-    min_verification_probability_binary,
-    min_verification_probability_quant,
-)
-from .hierarchy import (
-    CounterexampleTrace,
-    DefectionAnalysis,
-    EquilibriumProfile,
-    HeterogeneousEquilibrium,
-    LevelState,
-    PopulationModel,
-    ProficiencyReport,
-    TypeEquilibrium,
-    WorkerType,
-    best_response_under_superior,
-    counterexample_trace,
-    defection_analysis,
-    equilibrium_heterogeneous,
-    equilibrium_homogeneous,
-    expected_loss_pair,
-    expected_penalty_pair,
-    heterogeneous_to_csv,
-    level_info_bits,
-    min_penalty_hierarchical,
-    population_proficiency_check,
-    proficiency_sigma,
-    profile_to_csv,
-    trace_to_csv,
-)
-from .quant import (
-    QuantEquilibrium,
-    QuantLevel,
-    QuantWorkerType,
-    TypeQuantProfile,
-    best_response_quant,
-    expected_penalty_quant,
-    quant_equilibrium,
-    quant_to_csv,
-)
-from .simulate import (
-    Gaussian,
-    SimConfig,
-    SimReport,
-    SweepResult,
-    UniformWrong,
-    WorkerStats,
-    sample_binary_answers,
-    simulate,
-    simulate_binary,
-    simulate_quant,
-    sweep_flat,
-    sweep_pair,
-    sweep_quant,
-)
-from .structures import (
-    AssignmentGraph,
-    PegAssignment,
-    SupervisionHierarchy,
-    SupervisionTree,
-    build_peg_assignment,
-    build_supervision_hierarchy,
-    build_supervision_tree,
-    build_supervision_tree_over,
-)
+from . import allocation, effort, errors, flat, hierarchy, quant, simulate, structures
 
 __version__ = "0.1.0"
 
+# built before the star imports: ``from .simulate import *`` rebinds ``simulate`` from the module to the function
 __all__ = [
-    "AssignmentGraph",
-    "AssumptionError",
-    "CounterexampleTrace",
-    "DefectionAnalysis",
-    "EXACT_TASK_CAP",
-    "EffortDomainError",
-    "EffortFunction",
-    "EpsilonRangeError",
-    "EquilibriumProfile",
-    "Family",
-    "FlatBound",
-    "FlatParams",
-    "Gaussian",
-    "HeterogeneousEquilibrium",
-    "InstanceTooLargeError",
-    "InvalidTargetError",
-    "LevelState",
-    "ModelMismatchError",
-    "NoIncentiveError",
-    "PegAssignment",
-    "PopulationModel",
-    "ProficiencyReport",
-    "QuantEquilibrium",
-    "QuantLevel",
-    "QuantWorkerType",
-    "Root",
-    "SAInstance",
-    "SASolution",
-    "SchemeParams",
-    "SimConfig",
-    "SimReport",
-    "SizingError",
-    "SuperviseError",
-    "SupervisionHierarchy",
-    "SupervisionTree",
-    "SweepResult",
-    "TypeEquilibrium",
-    "TypeQuantProfile",
-    "UniformWrong",
-    "WorkerStats",
-    "WorkerType",
-    "best_response_flat",
-    "best_response_flat_quant",
-    "best_response_quant",
-    "best_response_under_superior",
-    "build_peg_assignment",
-    "build_supervision_hierarchy",
-    "build_supervision_tree",
-    "build_supervision_tree_over",
-    "counterexample_trace",
-    "defection_analysis",
-    "effort_deriv",
-    "effort_eval",
-    "equilibrium_heterogeneous",
-    "equilibrium_homogeneous",
-    "expected_loss_flat",
-    "expected_loss_flat_quant",
-    "expected_loss_pair",
-    "expected_penalty_pair",
-    "expected_penalty_quant",
-    "heterogeneous_to_csv",
-    "level_info_bits",
-    "min_penalty_hierarchical",
-    "min_verification_probability_binary",
-    "min_verification_probability_quant",
-    "population_proficiency_check",
-    "proficiency_sigma",
-    "profile_to_csv",
-    "quant_equilibrium",
-    "quant_to_csv",
-    "sa_exact",
-    "sa_greedy",
-    "sa_greedy_edge_deletion",
-    "sample_binary_answers",
-    "simulate",
-    "simulate_binary",
-    "simulate_quant",
-    "solve_deriv_equals",
-    "sweep_flat",
-    "sweep_pair",
-    "sweep_quant",
-    "trace_to_csv",
-    "vc_to_sa",
-    "__version__",
-]
+    name
+    for module in (allocation, effort, errors, flat, hierarchy, quant, simulate, structures)
+    for name in module.__all__
+] + ["__version__"]
+
+from .allocation import *  # noqa: E402,F403
+from .effort import *  # noqa: E402,F403
+from .errors import *  # noqa: E402,F403
+from .flat import *  # noqa: E402,F403
+from .hierarchy import *  # noqa: E402,F403
+from .quant import *  # noqa: E402,F403
+from .simulate import *  # noqa: E402,F403
+from .structures import *  # noqa: E402,F403

@@ -26,6 +26,7 @@ from .errors import InstanceTooLargeError, SuperviseError, require_int
 from .structures import AssignmentGraph
 
 __all__ = [
+    "EXACT_TASK_CAP",
     "SAInstance",
     "SASolution",
     "sa_exact",

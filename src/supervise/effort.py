@@ -176,7 +176,9 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
         if target > 0.0:
             return Root(0.5, clamped=True)
         # substitute u = 1/(2e):  u ln u = -target/(4 alpha)  =>  ln u = W(y)
-        y = -target / (4.0 * f.alpha)
+        y = -target / 4.0 / f.alpha  # 4 alpha itself would overflow for alpha near the float maximum
+        if y == 0.0:  # the quotient underflowed; W(y)/y -> 1 as y -> 0
+            return Root(0.5)
         w = _lambertw_nonneg(y)
         return Root(w / (2.0 * y))
 

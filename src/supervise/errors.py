@@ -8,6 +8,18 @@ bools, NaN, infinities and non-numbers, and raise the class the caller names.
 
 import math
 
+__all__ = [
+    "SuperviseError",
+    "EffortDomainError",
+    "InvalidTargetError",
+    "NoIncentiveError",
+    "EpsilonRangeError",
+    "SizingError",
+    "AssumptionError",
+    "InstanceTooLargeError",
+    "ModelMismatchError",
+]
+
 
 class SuperviseError(ValueError):
     """Base class for domain and feasibility errors."""

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, require_int, require_prob, require_real
+from .errors import NoIncentiveError, require_real
 
 __all__ = [
     "FlatBound",
-    "FlatParams",
     "min_verification_probability_binary",
     "min_verification_probability_quant",
     "expected_loss_flat",
@@ -43,24 +42,6 @@ class FlatBound:
 
     def __float__(self) -> float:
         return self.bound
-
-
-@dataclass(frozen=True)
-class FlatParams:
-    """A concrete flat-scheme configuration over ``n_workers`` workers."""
-
-    params: SchemeParams
-    p: float
-    n_workers: int
-
-    def __post_init__(self) -> None:
-        require_prob(self.p, "verification probability")
-        require_int(self.n_workers, "n_workers", 0)
-
-    @property
-    def supervisor_workload(self) -> float:
-        # expected number of checks per round; reported, never hidden
-        return self.p * self.n_workers
 
 
 def _bound(f: EffortFunction, eps: float, k: int, penalty: float) -> FlatBound:

@@ -38,7 +38,6 @@ __all__ = [
     "EquilibriumProfile",
     "TypeEquilibrium",
     "HeterogeneousEquilibrium",
-    "ProficiencyReport",
     "CounterexampleTrace",
     "DefectionAnalysis",
     "min_penalty_hierarchical",
@@ -48,7 +47,6 @@ __all__ = [
     "equilibrium_homogeneous",
     "equilibrium_heterogeneous",
     "proficiency_sigma",
-    "population_proficiency_check",
     "counterexample_trace",
     "defection_analysis",
     "level_info_bits",
@@ -137,13 +135,6 @@ class HeterogeneousEquilibrium:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProficiencyReport:
-    proficient: bool
-    mean_sigma: float
-    sigmas: tuple[float, ...]
-
-
 def _require_hierarchical_epsilon(params: SchemeParams) -> float:
     if not (0.0 < params.epsilon < 0.5):
         raise EpsilonRangeError(f"epsilon range: hierarchical scheme needs epsilon in (0, 1/2), got {params.epsilon!r}")
@@ -223,13 +214,6 @@ def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
     return solve_deriv_equals(f, params.require_C() * (2.0 * eps - 1.0) / params.k)
 
 
-def population_proficiency_check(pop: PopulationModel, params: SchemeParams) -> ProficiencyReport:
-    """Weighted-mean proficiency gate for mixed populations."""
-    sigmas = tuple(proficiency_sigma(wt.effort, params).value for wt, _ in pop.types)
-    mean_sigma = math.fsum(w * s for (_, w), s in zip(pop.types, sigmas))
-    return ProficiencyReport(proficient=mean_sigma <= params.epsilon, mean_sigma=mean_sigma, sigmas=sigmas)
-
-
 def equilibrium_heterogeneous(
     pop: PopulationModel, params: SchemeParams, depth: int, e0: float = 0.0
 ) -> HeterogeneousEquilibrium:
@@ -246,13 +230,13 @@ def equilibrium_heterogeneous(
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
 
-    report = population_proficiency_check(pop, params)
-    if not report.proficient:
+    sigma_roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
+    mean_sigma = math.fsum(w * root.value for (_, w), root in zip(pop.types, sigma_roots))
+    if not mean_sigma <= eps:
         raise AssumptionError(
             "population proficiency assumption violated: "
-            f"weighted mean sigma {report.mean_sigma!r} exceeds epsilon {eps!r}"
+            f"weighted mean sigma {mean_sigma!r} exceeds epsilon {eps!r}"
         )
-    sigma_roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
 
     per_type: list[list[LevelState]] = [[LevelState(0, e0, e0 < eps, False)] for _ in pop.types]
     mean_prev = e0
@@ -281,7 +265,7 @@ def equilibrium_heterogeneous(
                 f"internal consistency failure: proficient type {te.worker.id!r} "
                 "produced an untruthful level"
             )
-    return HeterogeneousEquilibrium(types=types, mean_sigma=report.mean_sigma, threshold=eps)
+    return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)
 
 
 @dataclass(frozen=True)
@@ -290,11 +274,11 @@ class CounterexampleTrace:
 
     With cost ``f(x) = -ln x``, two answers, an exact supervisor, and C below
     the hierarchical bound, the recursion ``e_t = k / ((1 - 2 e_{t-1}) C)``
-    gains more than ``delta = a^2 d / (k - a d)`` per step while below eps
+    gains more than ``delta = a d / C`` per step while below eps
     (a = eps (1 - 2 eps), d = k/a - C), so it must cross eps by level
-    ``ceil(eps / delta)``.  When C is at or above the bound the gap d is not
-    positive: delta and the guaranteed depth are None and the trace simply
-    documents that no crossing occurs.
+    ``ceil(eps / delta)``, and at the earliest at level 1.  When C is at or
+    above the bound the gap d is not positive: delta and the guaranteed depth
+    are None and the trace simply documents that no crossing occurs.
     """
 
     k: int
@@ -329,10 +313,14 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     k = params.k
 
     a = eps * (1.0 - 2.0 * eps)
-    d = k / a - C  # positive exactly when C is below the hierarchical bound
+    bound = k / a
+    if not math.isfinite(bound):
+        raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound k/(eps (1 - 2 eps))")
+    d = bound - C  # positive exactly when C is below the hierarchical bound
     if d > 0.0:
-        delta: float | None = a * a * d / (k - a * d)
-        guaranteed_depth: int | None = math.ceil(eps / delta)
+        # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
+        delta: float | None = a * d / C
+        guaranteed_depth: int | None = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
     else:
         delta = None
         guaranteed_depth = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._csv import bool_word, write_csv
 from .effort import EffortFunction, Root, solve_deriv_equals
@@ -24,7 +24,6 @@ from .errors import AssumptionError, SuperviseError, require_int, require_real, 
 
 __all__ = [
     "QuantWorkerType",
-    "QuantLevel",
     "TypeQuantProfile",
     "QuantEquilibrium",
     "expected_penalty_quant",
@@ -52,12 +51,6 @@ class QuantWorkerType:
             raise SuperviseError(f"worker type id must be a string, got {self.id!r}")
 
 
-class QuantLevel(NamedTuple):
-    level: int
-    vstar: float
-    truthful: bool
-
-
 @dataclass(frozen=True)
 class TypeQuantProfile:
     worker: QuantWorkerType
@@ -65,13 +58,15 @@ class TypeQuantProfile:
     vstar: float
     clamped: bool
     truthful: bool
-    levels: tuple[QuantLevel, ...]
 
 
 @dataclass(frozen=True)
 class QuantEquilibrium:
+    """Per-type profiles; each type holds its one variance at every level 1..depth."""
+
     types: tuple[TypeQuantProfile, ...]
     threshold: float
+    depth: int
 
     @property
     def all_truthful(self) -> bool:
@@ -122,19 +117,17 @@ def quant_equilibrium(
     types = []
     for wt, w in pop:
         root = best_response_quant(wt.effort, k, c)
-        truthful = root.value < epsilon
-        levels = tuple(QuantLevel(t, root.value, truthful) for t in range(1, depth + 1))
         types.append(
             TypeQuantProfile(
-                worker=wt, weight=w, vstar=root.value, clamped=root.clamped, truthful=truthful, levels=levels
+                worker=wt, weight=w, vstar=root.value, clamped=root.clamped, truthful=root.value < epsilon
             )
         )
-    return QuantEquilibrium(types=tuple(types), threshold=epsilon)
+    return QuantEquilibrium(types=tuple(types), threshold=epsilon, depth=depth)
 
 
 def quant_to_csv(eq: QuantEquilibrium) -> str:
     """Profiles as ``type,level,vstar,truthful`` rows."""
     return write_csv(
         ["type", "level", "vstar", "truthful"],
-        ((tp.worker.id, s.level, s.vstar, bool_word(s.truthful)) for tp in eq.types for s in tp.levels),
+        ((tp.worker.id, t, tp.vstar, bool_word(tp.truthful)) for tp in eq.types for t in range(1, eq.depth + 1)),
     )

@@ -168,16 +168,6 @@ class SimReport:
     def max_abs_z(self) -> float:
         return max((abs(r.z) for r in self.rows), default=0.0)
 
-    def per_level(self) -> dict[int, tuple[float, float]]:
-        """level -> (mean empirical, mean analytic) over its workers."""
-        acc: dict[int, list[tuple[float, float]]] = {}
-        for r in self.rows:
-            acc.setdefault(r.level, []).append((r.empirical, r.analytic))
-        return {
-            lv: (float(np.mean([e for e, _ in pairs])), float(np.mean([a for _, a in pairs])))
-            for lv, pairs in acc.items()
-        }
-
     def to_csv(self) -> str:
         return write_csv(WorkerStats._fields, self.rows)
 

@@ -2,8 +2,7 @@
 
 * A supervision tree: tasks at the bottom, workers above them with at most k
   tasks each, each higher node sharing exactly one task with each of its at
-  most k children, and a single supervisor at the root.  Workers never learn
-  who judges them — the exported worker view carries level and tasks only.
+  most k children, and a single supervisor at the root.
 * A peg assignment: a k-regular bipartite worker/task graph whose first
   ``ceil(n_workers / k)`` tasks ("pegs") are covered by pairwise-disjoint
   worker groups, so a small task subset touches every worker.
@@ -22,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import SizingError, SuperviseError, require_int
 
@@ -212,14 +211,6 @@ class SupervisionTree:
             if t not in worker_tasks[c]:
                 raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
 
-    def worker_views(self) -> list[dict]:
-        """What each worker may know: its level and its tasks.  No parents."""
-        views = []
-        for i in range(len(self.levels) - 1):
-            for w in self.levels[i]:
-                views.append({"worker": w, "level": i, "tasks": sorted(self.worker_tasks[w])})
-        return views
-
     def to_json_dict(self) -> dict:
         return {
             "levels": [list(lv) for lv in self.levels],
@@ -387,6 +378,13 @@ def build_peg_assignment(
     return peg
 
 
+def _refuse_idle_tasks(graph: AssignmentGraph, tree_tasks: Collection[str] = ()) -> None:
+    """Refuse a graph task that no worker performs and the tree does not hold: nothing would connect it."""
+    for t in graph.tasks:
+        if not graph.task_workers[t] and t not in tree_tasks:
+            raise SuperviseError(f"input error: task {t!r} has no workers, hierarchy would be disconnected")
+
+
 @dataclass(frozen=True)
 class SupervisionHierarchy:
     """Assignment graph + a supervision tree over a covering task subset.
@@ -430,9 +428,7 @@ class SupervisionHierarchy:
                 raise SuperviseError(f"worker {w!r} lacks a valid covering task")
         # the tree is connected and every graph worker reaches it through coverage,
         # so only a task outside the tree with no workers can be cut off
-        for t in graph.tasks:
-            if not graph.task_workers[t] and t not in tree_tasks:
-                raise SuperviseError(f"input error: task {t!r} has no workers, hierarchy would be disconnected")
+        _refuse_idle_tasks(graph, tree_tasks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -475,6 +471,7 @@ def build_supervision_hierarchy(
     extra layer under the tree.
     """
     require_int(k, "branching factor k", 2, SizingError)
+    _refuse_idle_tasks(graph)  # before the cover solver, whose own limits would otherwise be reported first
     from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types
 
     inst = SAInstance(graph=graph, k=max(k, graph.k))

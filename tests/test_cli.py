@@ -412,3 +412,70 @@ class TestUsageErrors:
     def test_missing_file_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "allocate", "--mode", "exact", "--graph", "/nonexistent.json")
         assert code == 1 and err.startswith("error:")
+
+
+# The analytic subcommands on valid arguments, with their float and integer flags.
+ANALYTIC_RUNS = {
+    "threshold binary": (
+        ["threshold", "binary", "--effort", "simplelog", "--alpha", "1", "--epsilon", "0.2", "--k", "2"],
+        ("alpha", "epsilon"), ("k",),
+    ),
+    "threshold quant": (
+        ["threshold", "quant", "--effort", "inversepower", "--alpha", "1", "--k", "4", "--c", "1", "--epsilon", "2.5"],
+        ("alpha", "c", "epsilon"), ("k",),
+    ),
+    "threshold flat": (
+        ["threshold", "flat", "--effort", "simplelog", "--alpha", "1", "--epsilon", "0.1", "--k", "3", "--C", "100",
+         "--n-workers", "50"],
+        ("alpha", "epsilon", "C"), ("k", "n-workers"),
+    ),
+    "threshold flat quantitative": (
+        ["threshold", "flat", "--effort", "inversepower", "--alpha", "1", "--epsilon", "2", "--k", "2", "--c", "1"],
+        ("c",), (),
+    ),
+    "equilibrium simplelog": (
+        ["equilibrium", "--effort", "simplelog", "--alpha", "1", "--epsilon", "0.2", "--k", "2", "--C", "40",
+         "--depth", "3", "--m", "3"],
+        ("alpha", "epsilon", "C", "e0", "D"), ("k", "depth", "m"),
+    ),
+    "equilibrium boundarylog": (
+        ["equilibrium", "--effort", "boundarylog", "--alpha", "1", "--epsilon", "0.2", "--k", "2", "--C", "40",
+         "--depth", "3", "--m", "3"],
+        ("alpha", "epsilon", "C", "e0", "D"), ("k", "depth", "m"),
+    ),
+    "counterexample": (
+        ["counterexample", "--k", "2", "--C", "10", "--epsilon", "0.2", "--max-depth", "8"],
+        ("C", "epsilon"), ("k", "max-depth"),
+    ),
+    "defection": (["defection", "--N", "10", "--k", "2", "--C", "5"], ("C",), ("N", "k")),
+}
+BOUNDARY_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-17", "1e-300", "5e-324", "1e308")
+BOUNDARY_INTS = ("0", "-1")  # no size flag is made huge: the run would take as long as the size
+FLAG_CASES = [
+    (run, flag, value)
+    for run, (_, floats, ints) in ANALYTIC_RUNS.items()
+    for flags, values in ((floats, BOUNDARY_FLOATS), (ints, BOUNDARY_INTS))
+    for flag in flags
+    for value in values
+]
+
+
+@pytest.mark.parametrize("run,flag,value", FLAG_CASES, ids=[f"{r} --{f}={v}" for r, f, v in FLAG_CASES])
+def test_boundary_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
+    """One flag at a boundary value: exit 0, 1 with one ``error:`` line, or 2; never a traceback."""
+    argv = ANALYTIC_RUNS[run][0]
+    if f"--{flag}" in argv:
+        at = argv.index(f"--{flag}")
+        argv = argv[:at] + argv[at + 2:]
+    try:
+        code = main([*argv, f"--{flag}={value}"])
+    except SystemExit as exc:  # argparse refusing the value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    if code == 0 and run == "counterexample":
+        footer = dict(line[2:].split(" ", 1) for line in out.splitlines() if line.startswith("# "))
+        if footer["crossing_level"] != "none":
+            assert int(footer["crossing_level"]) <= int(footer["guaranteed_depth"])

@@ -94,6 +94,12 @@ class TestSolveWorkedValues:
         r = solve_deriv_equals(f, 0.25)
         assert r.value == 0.5 and r.clamped
 
+    @pytest.mark.parametrize("alpha,target", [(1e308, -20.0), (1.0, -5e-324)])
+    def test_boundary_log_at_float_limits(self, alpha, target):
+        # 4 alpha overflows, or -target/(4 alpha) underflows to 0: the root rounds to the corner, unclamped
+        r = solve_deriv_equals(EffortFunction.boundary_log(alpha), target)
+        assert r.value == 0.5 and not r.clamped
+
     def test_inverse_power_nonnegative_target_clamps_to_inf(self):
         f = EffortFunction.inverse_power(1.0)
         r = solve_deriv_equals(f, 0.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from supervise import (
     EffortFunction,
-    FlatParams,
     NoIncentiveError,
     SchemeParams,
     best_response_flat,
@@ -48,10 +47,6 @@ class TestBound:
         b = min_verification_probability_quant(f, SchemeParams(k=2, epsilon=2.0, c=1.0))
         # -f'(2) = 1/4, times k/c = 2
         assert b.bound == pytest.approx(0.5)
-
-    def test_workload(self):
-        fp = FlatParams(params=SchemeParams(k=3, epsilon=0.1, C=100.0), p=0.3, n_workers=50)
-        assert fp.supervisor_workload == pytest.approx(15.0)
 
 
 class TestLossAndBestResponse:
@@ -120,13 +115,3 @@ class TestLossAndBestResponse:
                 assert got >= 1.0 - step
             else:
                 assert abs(r.value - got) <= step
-
-
-class TestFlatParamsValidation:
-    def test_probability_range(self):
-        with pytest.raises(Exception):
-            FlatParams(params=SchemeParams(k=1, epsilon=0.1, C=1.0), p=1.5, n_workers=3)
-
-    def test_worker_count(self):
-        with pytest.raises(Exception):
-            FlatParams(params=SchemeParams(k=1, epsilon=0.1, C=1.0), p=0.5, n_workers=-1)

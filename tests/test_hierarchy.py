@@ -25,7 +25,6 @@ from supervise import (
     heterogeneous_to_csv,
     level_info_bits,
     min_penalty_hierarchical,
-    population_proficiency_check,
     proficiency_sigma,
     profile_to_csv,
     trace_to_csv,
@@ -171,15 +170,13 @@ class TestProficiency:
 
     def test_population_mean_gate(self):
         pop_ok = PopulationModel(((WorkerType(SL(0.8), "a"), 0.8), (WorkerType(SL(1.4), "b"), 0.2)))
-        rep = population_proficiency_check(pop_ok, params())
-        assert rep.sigmas == pytest.approx((0.2, 0.35), rel=1e-12)
-        assert rep.mean_sigma == pytest.approx(0.23, rel=1e-12)
-        assert rep.proficient
+        eq = equilibrium_heterogeneous(pop_ok, params(), depth=1)
+        assert [te.sigma for te in eq.types] == pytest.approx([0.2, 0.35], rel=1e-12)
+        assert eq.mean_sigma == pytest.approx(0.23, rel=1e-12)
 
         pop_bad = PopulationModel(((WorkerType(SL(0.8), "a"), 0.3), (WorkerType(SL(1.4), "b"), 0.7)))
-        rep2 = population_proficiency_check(pop_bad, params())
-        assert rep2.mean_sigma == pytest.approx(0.305, rel=1e-12)
-        assert not rep2.proficient
+        with pytest.raises(AssumptionError, match=r"weighted mean sigma 0\.30499999"):
+            equilibrium_heterogeneous(pop_bad, params(), depth=1)
 
 
 class TestHeterogeneous:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from supervise import (
     AssignmentGraph,
     EffortFunction,
-    FlatParams,
     Gaussian,
     PopulationModel,
     QuantWorkerType,
@@ -69,13 +68,19 @@ def _renamed(obj, old, new):
     return json.loads(json.dumps(obj).replace(json.dumps(old), json.dumps(new)))
 
 
+def _exact_hierarchy_over_a_worker_less_task():
+    # 31 tasks, so the exact solver's task cap would be reported first if it ran before the check
+    workers, tasks = [f"u{i}" for i in range(30)], [f"t{i}" for i in range(31)]
+    graph = AssignmentGraph(workers=workers, tasks=tasks, edges=list(zip(workers, tasks)), k=1)
+    build_supervision_hierarchy(graph, 2, 0, mode="exact")
+
+
 def _binary_strategy_true():
     tree = build_supervision_tree(2, 2, seed=0)
     simulate_binary(SimConfig(10, 0, UniformWrong(), tree, {"w0": True}))
 
 
 BAD_INPUTS = {
-    "flat p as a string": lambda: FlatParams(PARAMS, p="0.5", n_workers=3),
     "uniform-wrong C as a string": lambda: UniformWrong(C="1"),
     "gaussian c of None": lambda: Gaussian(c=None),
     "sweep_flat p as a string": lambda: sweep_flat(SL, PARAMS, p="x", grid=GRID, episodes=10, seed=0),
@@ -140,12 +145,18 @@ BAD_INPUTS = {
     "hierarchy JSON coverage row listed twice": lambda: SupervisionHierarchy.from_json_dict(
         {**HIERARCHY, "coverage": HIERARCHY["coverage"] + [HIERARCHY["coverage"][0]]}
     ),
+    "exact hierarchy over a graph whose task t30 has no worker": _exact_hierarchy_over_a_worker_less_task,
+}
+
+# The message a case must raise, where another refusal could come first.
+BAD_INPUT_MESSAGES = {
+    "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_malformed_input_is_refused(case):
-    with pytest.raises(SuperviseError):
+    with pytest.raises(SuperviseError, match=BAD_INPUT_MESSAGES.get(case)):
         BAD_INPUTS[case]()
 
 

@@ -101,17 +101,18 @@ class TestEquilibrium:
 
     def test_constant_across_levels(self):
         eq = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=2.5, depth=6)
+        rows = [line.split(",") for line in quant_to_csv(eq).splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [(tp.worker.id, str(t)) for tp in eq.types for t in range(1, 7)]
         for tp in eq.types:
-            vs = {lv.vstar for lv in tp.levels}
-            assert len(vs) == 1  # exact equality, not approximate
-            assert tp.levels[0].vstar == 2.0
+            vs = {float(r[2]) for r in rows if r[0] == tp.worker.id}
+            assert vs == {tp.vstar} == {2.0}  # exact equality, not approximate
 
     def test_truthful_iff_below_threshold(self):
         eq = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=2.5, depth=3)
         assert eq.all_truthful
         eq2 = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=1.5, depth=3)
         assert not eq2.all_truthful
-        assert all(not lv.truthful for tp in eq2.types for lv in tp.levels)
+        assert all(line.endswith(",false") for line in quant_to_csv(eq2).splitlines()[1:])
 
     def test_mixed_proficiency(self):
         eq = quant_equilibrium(self.pop(alphas=(1.0, 9.0)), k=1, c=1.0, epsilon=2.0, depth=2)

@@ -77,14 +77,6 @@ class TestBinary:
         assert rep.max_abs_z <= 3.5
         assert len({r.level for r in rep.rows}) >= 2
 
-    def test_per_level_aggregation(self):
-        rep = simulate_binary(tree_config(episodes=5_000, seed=2, n_tasks=9, k=3))
-        agg = rep.per_level()
-        for lv, (emp, ana) in agg.items():
-            rows = [r for r in rep.rows if r.level == lv]
-            assert emp == pytest.approx(float(np.mean([r.empirical for r in rows])))
-            assert ana == pytest.approx(float(np.mean([r.analytic for r in rows])))
-
     def test_csv_header_and_determinism(self):
         a = simulate_binary(tree_config(episodes=3_000, seed=9)).to_csv()
         b = simulate_binary(tree_config(episodes=3_000, seed=9)).to_csv()

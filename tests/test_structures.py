@@ -95,14 +95,6 @@ class TestTreeConstruction:
             w: set(ts) for w, ts in a.worker_tasks.items()
         }
 
-    def test_worker_views_hide_structure(self):
-        tree = build_supervision_tree(9, 3, seed=1)
-        views = tree.worker_views()
-        assert {v["worker"] for v in views} == {n for lv in tree.levels[:-1] for n in lv}
-        for v in views:
-            assert set(v) == {"worker", "level", "tasks"}
-            assert v["tasks"] == sorted(v["tasks"])
-
     def test_custom_ids_and_clashes(self):
         tree = build_supervision_tree_over(["a", "b", "w0"], 2, seed=0)
         tree.validate()
