@@ -38,7 +38,7 @@ print()
 h = build_supervision_hierarchy(peg.graph, k=2, seed=3)
 h.validate()
 print("hierarchy equilibrium depth:", h.equilibrium_depth, "( tree", h.tree.equilibrium_depth, "+ 1 )")
-print("coverage (graph worker -> tree task):", dict(sorted(h.coverage.items())))
+print("coverage (graph worker -> tree task):", dict(h.coverage))
 print()
 
 # the cover itself: exact search vs the factor-k greedy
@@ -46,7 +46,7 @@ rng = random.Random(7)
 all_tasks = [f"t{j}" for j in range(12)]
 edges = [(f"u{i}", t) for i in range(9) for t in rng.sample(all_tasks, 3)]
 used = sorted({t for _, t in edges})
-graph = AssignmentGraph(workers=tuple(f"u{i}" for i in range(9)), tasks=tuple(used), edges=tuple(edges), k=3)
+graph = AssignmentGraph(workers=tuple(f"u{i}" for i in range(9)), tasks=tuple(used), edges=tuple(edges))
 inst = SAInstance(graph=graph, k=3)
 exact = sa_exact(inst)
 greedy = sa_greedy(inst, seed=0)

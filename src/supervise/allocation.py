@@ -46,33 +46,31 @@ class SAInstance:
     k: int
 
     def __post_init__(self) -> None:
-        require_int(self.k, "k", 1)
-        for w, ts in self.graph.worker_tasks.items():
-            if len(ts) > self.k:
-                raise SuperviseError(f"worker {w!r} has {len(ts)} tasks > k={self.k}")
+        if self.graph.k > require_int(self.k, "k", 1):
+            raise SuperviseError(f"the largest worker degree {self.graph.k} exceeds k={self.k}")
 
 
 @dataclass(frozen=True)
 class SASolution:
-    """A covering task set and, per worker, one chosen covering task."""
+    """A covering task set and, sorted, one ``(worker, covering task)`` row per worker."""
 
     tasks: tuple[str, ...]
-    cover_witness: dict[str, str]
+    cover_witness: tuple[tuple[str, str], ...]
 
     @property
     def size(self) -> int:
         return len(self.tasks)
 
 
-def _check_cover(inst: SAInstance, tasks: Iterable[str]) -> dict[str, str]:
+def _check_cover(inst: SAInstance, tasks: Iterable[str]) -> tuple[tuple[str, str], ...]:
     chosen = set(tasks)
-    witness = {}
-    for w, ts in inst.graph.worker_tasks.items():
+    witness = []
+    for w, ts in sorted(inst.graph.worker_tasks.items()):
         hit = sorted(chosen.intersection(ts))
         if not hit:
             raise SuperviseError(f"worker {w!r} not covered")
-        witness[w] = hit[0]
-    return witness
+        witness.append((w, hit[0]))
+    return tuple(witness)
 
 
 def sa_exact(inst: SAInstance) -> SASolution:
@@ -90,7 +88,7 @@ def sa_exact(inst: SAInstance) -> SASolution:
         )
     workers = sorted(inst.graph.workers)
     if not workers:
-        return SASolution(tasks=(), cover_witness={})
+        return SASolution(tasks=(), cover_witness=())
     widx = {w: i for i, w in enumerate(workers)}
     full = (1 << len(workers)) - 1
     covers = []
@@ -134,7 +132,7 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     the second was already covered — so an optimal cover spends at least one
     distinct task per picked worker, giving |S| <= k * |OPT|.
     """
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed", 0))
     uncovered = set(inst.graph.workers)
     chosen: set[str] = set()
     while uncovered:
@@ -153,7 +151,7 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     single task is gained per round, so no factor-k ratio argument applies.
     Provided for comparison; measure, don't rely on it.
     """
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed", 0))
     edges = sorted(inst.graph.edges)
     chosen: set[str] = set()
     while edges:
@@ -195,5 +193,5 @@ def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAIns
         warnings.warn(f"dropping isolated vertices (they constrain nothing): {isolated}", stacklevel=2)
     workers = tuple(f"{u}|{v}" for u, v in norm)
     g_edges = tuple((f"{u}|{v}", x) for u, v in norm for x in (u, v))
-    graph = AssignmentGraph(workers=workers, tasks=tuple(sorted(touched)), edges=g_edges, k=2)
+    graph = AssignmentGraph(workers=workers, tasks=tuple(sorted(touched)), edges=g_edges)
     return SAInstance(graph=graph, k=2)

@@ -1,10 +1,10 @@
 """Command line front end: ``supervise <subcommand>``.
 
 Every calculator, builder, solver, and simulation is reachable here with
-file-based I/O.  Output is deterministic: all randomness flows from --seed
-(default: the SUPERVISE_SEED environment variable, else 0), JSON is written
-with sorted keys and two-space indents, CSV with plain decimal points, so
-identical invocations give byte-identical bytes.
+file-based I/O.  Output is deterministic: all randomness flows from --seed, an
+integer >= 0 (default: the SUPERVISE_SEED environment variable, else 0), JSON
+is written with sorted keys and two-space indents, CSV with plain decimal
+points, so identical invocations give byte-identical bytes.
 
 Exit codes: 0 on success, 1 on a domain or feasibility error (one
 machine-parsable ``error: <reason>`` line on stderr), 2 on usage errors.
@@ -59,13 +59,13 @@ def fmt_decimal(x: float) -> str:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("SUPERVISE_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SuperviseError(f"SUPERVISE_SEED must be an integer, got {raw!r}") from exc
+    if value is None:
+        raw = os.environ.get("SUPERVISE_SEED", "0")
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise SuperviseError(f"SUPERVISE_SEED must be an integer, got {raw!r}") from exc
+    return require_int(value, "seed", 0)
 
 
 def _read_json(path: str):
@@ -178,13 +178,13 @@ def _cmd_defection(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    tree = build_supervision_tree(args.n_tasks, args.k, _resolve_seed(args.seed))
+    tree = build_supervision_tree(args.n_tasks, args.k, args.seed)
     _emit_json(tree.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_peg(args: argparse.Namespace) -> int:
-    peg = build_peg_assignment(args.n_workers, args.n_tasks, args.k, _resolve_seed(args.seed), args.redundancy)
+    peg = build_peg_assignment(args.n_workers, args.n_tasks, args.k, args.seed, args.redundancy)
     payload = peg.graph.to_json_dict()
     payload["pegs"] = list(peg.peg_tasks)
     _emit_json(payload, args.out)
@@ -193,20 +193,20 @@ def _cmd_peg(args: argparse.Namespace) -> int:
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
     graph = AssignmentGraph.from_json_dict(_read_json(args.graph))
-    h = build_supervision_hierarchy(graph, args.k, _resolve_seed(args.seed), mode=args.mode)
+    h = build_supervision_hierarchy(graph, args.k, args.seed, mode=args.mode)
     _emit_json(h.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     graph = AssignmentGraph.from_json_dict(_read_json(args.graph))
-    inst = SAInstance(graph=graph, k=args.k if args.k is not None else graph.k)
+    inst = SAInstance(graph=graph, k=graph.k)
     if args.mode == "exact":
         sol = sa_exact(inst)
     elif args.mode == "greedy":
-        sol = sa_greedy(inst, _resolve_seed(args.seed))
+        sol = sa_greedy(inst, args.seed)
     else:
-        sol = sa_greedy_edge_deletion(inst, _resolve_seed(args.seed))
+        sol = sa_greedy_edge_deletion(inst, args.seed)
     payload: dict = {"cover": sorted(sol.tasks), "size": sol.size}
     if len(graph.tasks) <= EXACT_TASK_CAP:
         best = sol if args.mode == "exact" else sa_exact(inst)
@@ -247,7 +247,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model, strategies = _parse_strategies(_read_json(args.strategies))
     config = SimConfig(
         episodes=args.episodes,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         answer_model=model,
         structure=structure,
         strategies=strategies,
@@ -264,7 +264,7 @@ def _add_effort_flags(p: argparse.ArgumentParser, required: bool = True) -> None
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: SUPERVISE_SEED env var, else 0)")
+                   help="random seed, an integer >= 0 (default: SUPERVISE_SEED env var, else 0)")
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     al = sub.add_parser("allocate", help="small covering task sets")
     al.add_argument("--mode", choices=["exact", "greedy", "paper-greedy"], required=True)
     al.add_argument("--graph", required=True, help="assignment graph JSON file")
-    al.add_argument("--k", type=int, default=None, help="tasks per worker cap (default: inferred)")
     _add_seed(al)
     _add_out(al)
     al.set_defaults(func=_cmd_allocate)
@@ -377,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except SuperviseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -320,6 +320,8 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     if d > 0.0:
         # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
         delta: float | None = a * d / C
+        if not math.isfinite(delta):
+            raise SuperviseError(f"C {C!r} is too small for a finite per-level gain a d / C")
         guaranteed_depth: int | None = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
     else:
         delta = None

@@ -181,18 +181,11 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
         tree = structure.tree
         leaf_owner = {t: tree.parent[t] for t in tree.task_ids}
         graph_level = tree.depth - 1
-        extra = [
-            (leaf_owner[t], w, t, graph_level)
-            for w, t in sorted(structure.coverage.items())
-        ]
+        extra = [(leaf_owner[t], w, t, graph_level) for w, t in structure.coverage]
     else:
         raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
     level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
-    pairs = [
-        (p, c, tree.shared_task[(p, c)], level_of[c])
-        for p, c in sorted(tree.edges)
-        if (p, c) in tree.shared_task
-    ]
+    pairs = [(p, c, t, level_of[c]) for p, c, t in sorted(tree.shared)]
     return tree.supervisor, pairs + extra
 
 

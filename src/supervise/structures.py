@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -53,20 +52,22 @@ def _json_ids(obj: Mapping, key: str, width: int | None = None) -> tuple:
 
 @dataclass(frozen=True)
 class AssignmentGraph:
-    """Bipartite worker/task graph; ``k`` bounds every worker's degree."""
+    """Bipartite worker/task graph; ``k``, its degree bound, is the largest worker degree."""
 
     workers: tuple[str, ...]
     tasks: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", tuple(str(w) for w in self.workers))
-        object.__setattr__(self, "tasks", tuple(str(t) for t in self.tasks))
-        object.__setattr__(self, "edges", tuple((str(w), str(t)) for w, t in self.edges))
+        object.__setattr__(self, "workers", tuple(self.workers))
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "edges", tuple((w, t) for w, t in self.edges))
         self.validate()
 
     def validate(self) -> None:
+        odd = [x for x in (*self.workers, *self.tasks, *(x for e in self.edges for x in e)) if not isinstance(x, str)]
+        if odd:
+            raise SuperviseError(f"worker and task ids must be strings, got {odd[0]!r}")
         wset, tset = set(self.workers), set(self.tasks)
         if len(wset) != len(self.workers) or len(tset) != len(self.tasks):
             raise SuperviseError("duplicate worker or task ids")
@@ -77,13 +78,14 @@ class AssignmentGraph:
         for w, t in self.edges:
             if w not in wset or t not in tset:
                 raise SuperviseError(f"edge ({w!r}, {t!r}) references unknown endpoint")
-        require_int(self.k, "k", 1)
-        for w in self.workers:
-            d = len(self.worker_tasks.get(w, ()))
-            if d == 0:
+        for w, ts in self.worker_tasks.items():
+            if not ts:
                 raise SuperviseError(f"input error: worker {w!r} has no tasks")
-            if d > self.k:
-                raise SuperviseError(f"worker {w!r} has degree {d} > k={self.k}")
+
+    @cached_property
+    def k(self) -> int:
+        """The largest worker degree (1 for a graph without workers)."""
+        return max(map(len, self.worker_tasks.values()), default=1)
 
     @cached_property
     def worker_tasks(self) -> dict[str, tuple[str, ...]]:
@@ -108,9 +110,7 @@ class AssignmentGraph:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "AssignmentGraph":
-        """The graph a JSON object describes; ``k`` is its largest worker degree."""
-        workers, tasks, edges = _json_ids(obj, "workers"), _json_ids(obj, "tasks"), _json_ids(obj, "edges", 2)
-        return cls(workers=workers, tasks=tasks, edges=edges, k=max(Counter(w for w, _ in edges).values(), default=1))
+        return cls(workers=_json_ids(obj, "workers"), tasks=_json_ids(obj, "tasks"), edges=_json_ids(obj, "edges", 2))
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def build_supervision_tree_over(
         raise SuperviseError("task ids must be nonempty and unique")
     require_int(k, "branching factor k", 2, SizingError)
     forbidden = set(tasks) | {supervisor_id}
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed", 0))
 
     levels_rev: list[tuple[str, ...]] = [tuple(tasks)]
     edges: list[tuple[str, str]] = []
@@ -351,7 +351,7 @@ def build_peg_assignment(
             f"sizing: {n_workers * (k - 1)} fill edges cannot give {n_fill_tasks} tasks redundancy {redundancy}"
         )
 
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed", 0))
     workers = [f"u{i}" for i in range(n_workers)]
     tasks = [f"t{j}" for j in range(n_tasks)]
     pegs = tasks[:n_pegs]
@@ -371,7 +371,7 @@ def build_peg_assignment(
             edges.append((w, t))
             load[t] += 1
 
-    graph = AssignmentGraph(workers=tuple(workers), tasks=tuple(tasks), edges=tuple(edges), k=k)
+    graph = AssignmentGraph(workers=tuple(workers), tasks=tuple(tasks), edges=tuple(edges))
     peg = PegAssignment(graph=graph, peg_tasks=tuple(pegs))
     if min(load.values(), default=redundancy) < redundancy:
         raise SizingError("sizing: fill could not reach the requested redundancy")
@@ -389,15 +389,17 @@ def _refuse_idle_tasks(graph: AssignmentGraph, tree_tasks: Collection[str] = ())
 class SupervisionHierarchy:
     """Assignment graph + a supervision tree over a covering task subset.
 
-    ``coverage`` maps every graph worker to the one tree task on which it is
-    judged, by the bottom tree worker performing that task.
+    ``coverage`` holds one ``(graph worker, tree task)`` row per graph worker,
+    sorted: the task on which the bottom tree worker performing it judges the
+    graph worker.
     """
 
     graph: AssignmentGraph
     tree: SupervisionTree
-    coverage: dict[str, str] = field(compare=False)
+    coverage: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "coverage", tuple(sorted(self.coverage)))
         self.validate()
 
     @property
@@ -419,11 +421,14 @@ class SupervisionHierarchy:
         clash = sorted(n for lv in tree.levels[:-1] for n in lv if n in graph_ids)
         if clash:
             raise SuperviseError(f"tree worker ids must not reuse graph ids: {clash[:5]}")
-        if self.coverage.keys() != set(graph.workers):
-            odd = sorted(self.coverage.keys() ^ set(graph.workers))[:5]
+        covered = [w for w, _ in self.coverage]
+        if len(set(covered)) != len(covered):
+            raise SuperviseError("coverage names a worker twice")
+        if set(covered) != set(graph.workers):
+            odd = sorted(set(covered) ^ set(graph.workers))[:5]
             raise SuperviseError(f"coverage must name exactly the graph's workers; differs on {odd}")
         edge_set = set(graph.edges)
-        for w, t in self.coverage.items():
+        for w, t in self.coverage:
             if t not in tree_tasks or (w, t) not in edge_set:
                 raise SuperviseError(f"worker {w!r} lacks a valid covering task")
         # the tree is connected and every graph worker reaches it through coverage,
@@ -432,7 +437,7 @@ class SupervisionHierarchy:
 
     def to_json_dict(self) -> dict:
         return {
-            "coverage": sorted([w, t] for w, t in self.coverage.items()),
+            "coverage": [list(row) for row in self.coverage],
             "graph": self.graph.to_json_dict(),
             "tree": self.tree.to_json_dict(),
             "tree_tasks": sorted(self.tree_tasks),
@@ -445,11 +450,7 @@ class SupervisionHierarchy:
         graph, tree = AssignmentGraph.from_json_dict(obj.get("graph")), SupervisionTree.from_json_dict(obj.get("tree"))
         if sorted(_json_ids(obj, "tree_tasks")) != sorted(tree.task_ids):
             raise SuperviseError("tree_tasks must list the tree's leaves, once each")
-        rows = _json_ids(obj, "coverage", 2)
-        coverage = dict(rows)
-        if len(coverage) != len(rows):
-            raise SuperviseError("coverage names a worker twice")
-        return cls(graph=graph, tree=tree, coverage=coverage)
+        return cls(graph=graph, tree=tree, coverage=_json_ids(obj, "coverage", 2))
 
 
 def _clash_free_prefix(base: str, forbidden: Iterable[str]) -> str:
@@ -474,7 +475,7 @@ def build_supervision_hierarchy(
     _refuse_idle_tasks(graph)  # before the cover solver, whose own limits would otherwise be reported first
     from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types
 
-    inst = SAInstance(graph=graph, k=max(k, graph.k))
+    inst = SAInstance(graph=graph, k=graph.k)
     if mode == "greedy":
         sol = sa_greedy(inst, seed)
     elif mode == "exact":
@@ -489,4 +490,4 @@ def build_supervision_hierarchy(
     while sup in forbidden:
         sup += "_"
     tree = build_supervision_tree_over(cover, k, seed, worker_prefix=prefix, supervisor_id=sup)
-    return SupervisionHierarchy(graph=graph, tree=tree, coverage=dict(sol.cover_witness))
+    return SupervisionHierarchy(graph=graph, tree=tree, coverage=sol.cover_witness)

@@ -1,6 +1,8 @@
 """Command line behavior: outputs, exit codes, file round trips, seeding."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +392,10 @@ class TestSeedsAndReruns:
         )
         assert code == 1 and err.startswith("error:") and "seed" in err
 
+    def test_negative_seed_in_a_builder_is_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "tree", "build", "--n-tasks", "7", "--k", "2", "--seed", "-1")
+        assert (code, out) == (1, "") and err.startswith("error:") and "seed" in err
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERVISE_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "tree", "build", "--n-tasks", "3", "--k", "2")
@@ -460,10 +466,8 @@ FLAG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("run,flag,value", FLAG_CASES, ids=[f"{r} --{f}={v}" for r, f, v in FLAG_CASES])
-def test_boundary_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
-    """One flag at a boundary value: exit 0, 1 with one ``error:`` line, or 2; never a traceback."""
-    argv = ANALYTIC_RUNS[run][0]
+def _run_with_flag(capsys, argv, flag, value):
+    """``argv`` with ``--flag`` set to ``value``: exit 0, 1 with one ``error:`` line, or 2; never a traceback."""
     if f"--{flag}" in argv:
         at = argv.index(f"--{flag}")
         argv = argv[:at] + argv[at + 2:]
@@ -475,7 +479,52 @@ def test_boundary_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
     assert code in (0, 1, 2)
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+    return code, out
+
+
+@pytest.mark.parametrize("run,flag,value", FLAG_CASES, ids=[f"{r} --{f}={v}" for r, f, v in FLAG_CASES])
+def test_boundary_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
+    code, out = _run_with_flag(capsys, ANALYTIC_RUNS[run][0], flag, value)
     if code == 0 and run == "counterexample":
         footer = dict(line[2:].split(" ", 1) for line in out.splitlines() if line.startswith("# "))
+        assert footer["delta"] == "none" or math.isfinite(float(footer["delta"]))
         if footer["crossing_level"] != "none":
             assert int(footer["crossing_level"]) <= int(footer["guaranteed_depth"])
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+GRAPH_FILE, TREE_FILE, HIERARCHY_FILE = (str(GOLDEN_INPUTS / f"{n}.json") for n in ("graph", "tree", "hierarchy"))
+# The structure subcommands on the golden inputs, with their integer flags.
+STRUCTURE_RUNS = {
+    "tree build": (["tree", "build", "--n-tasks", "10", "--k", "3", "--seed", "1"], ("n-tasks", "k", "seed")),
+    "peg build": (
+        ["peg", "build", "--n-workers", "8", "--n-tasks", "7", "--k", "3", "--redundancy", "2", "--seed", "2"],
+        ("n-workers", "n-tasks", "k", "redundancy", "seed"),
+    ),
+    "hierarchy build": (["hierarchy", "build", "--graph", GRAPH_FILE, "--k", "2", "--seed", "5"], ("k", "seed")),
+    "allocate exact": (["allocate", "--mode", "exact", "--graph", GRAPH_FILE], ("seed",)),
+    "allocate greedy": (["allocate", "--mode", "greedy", "--graph", GRAPH_FILE, "--seed", "3"], ("seed",)),
+    "allocate paper-greedy": (["allocate", "--mode", "paper-greedy", "--graph", GRAPH_FILE, "--seed", "3"], ("seed",)),
+    "simulate tree": (
+        ["simulate", "--structure", TREE_FILE, "--strategies", str(GOLDEN_INPUTS / "binary.json"),
+         "--episodes", "200", "--seed", "11"],
+        ("episodes", "seed"),
+    ),
+    "simulate hierarchy": (
+        ["simulate", "--structure", HIERARCHY_FILE, "--strategies", str(GOLDEN_INPUTS / "gaussian.json"),
+         "--episodes", "200", "--seed", "2"],
+        ("episodes", "seed"),
+    ),
+}
+STRUCTURE_FLAG_CASES = [
+    (run, flag, value) for run, (_, ints) in STRUCTURE_RUNS.items() for flag in ints for value in BOUNDARY_INTS
+]
+
+
+@pytest.mark.parametrize(
+    "run,flag,value", STRUCTURE_FLAG_CASES, ids=[f"{r} --{f}={v}" for r, f, v in STRUCTURE_FLAG_CASES]
+)
+def test_structure_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
+    code, _ = _run_with_flag(capsys, STRUCTURE_RUNS[run][0], flag, value)
+    if flag == "seed" and value.startswith("-"):
+        assert code == 1

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 from functools import reduce
 from operator import getitem
 
@@ -17,6 +18,7 @@ from supervise import (
     Gaussian,
     PopulationModel,
     QuantWorkerType,
+    SAInstance,
     SchemeParams,
     SimConfig,
     SuperviseError,
@@ -29,12 +31,15 @@ from supervise import (
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
+    counterexample_trace,
     defection_analysis,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
     expected_penalty_quant,
     quant_equilibrium,
+    sa_greedy,
+    sa_greedy_edge_deletion,
     simulate,
     simulate_binary,
     sweep_flat,
@@ -52,7 +57,8 @@ GRID = [0.3, 0.4]
 _PEG = build_peg_assignment(6, 5, 3, seed=1)
 GRAPH = _PEG.graph.to_json_dict()
 TREE = build_supervision_tree(4, 2, seed=7).to_json_dict()
-HIERARCHY = build_supervision_hierarchy(_PEG.graph, k=2, seed=5).to_json_dict()
+_HIER = build_supervision_hierarchy(_PEG.graph, k=2, seed=5)
+HIERARCHY = _HIER.to_json_dict()
 
 
 def _with(obj, path, value):
@@ -71,7 +77,7 @@ def _renamed(obj, old, new):
 def _exact_hierarchy_over_a_worker_less_task():
     # 31 tasks, so the exact solver's task cap would be reported first if it ran before the check
     workers, tasks = [f"u{i}" for i in range(30)], [f"t{i}" for i in range(31)]
-    graph = AssignmentGraph(workers=workers, tasks=tasks, edges=list(zip(workers, tasks)), k=1)
+    graph = AssignmentGraph(workers=workers, tasks=tasks, edges=list(zip(workers, tasks)))
     build_supervision_hierarchy(graph, 2, 0, mode="exact")
 
 
@@ -146,11 +152,27 @@ BAD_INPUTS = {
         {**HIERARCHY, "coverage": HIERARCHY["coverage"] + [HIERARCHY["coverage"][0]]}
     ),
     "exact hierarchy over a graph whose task t30 has no worker": _exact_hierarchy_over_a_worker_less_task,
+    "tree seed negative": lambda: build_supervision_tree(7, 2, seed=-1),
+    "peg seed negative": lambda: build_peg_assignment(6, 5, 3, seed=-1),
+    "hierarchy seed negative": lambda: build_supervision_hierarchy(_PEG.graph, k=2, seed=-1),
+    "greedy cover seed negative": lambda: sa_greedy(SAInstance(_PEG.graph, 3), seed=-1),
+    "edge-deletion cover seed negative": lambda: sa_greedy_edge_deletion(SAInstance(_PEG.graph, 3), seed=-1),
+    "graph with integer worker ids": lambda: AssignmentGraph(
+        workers=(1, 2), tasks=("t0",), edges=((1, "t0"), (2, "t0"))
+    ),
+    "hierarchy constructed with a coverage row twice": lambda: SupervisionHierarchy(
+        _HIER.graph, _HIER.tree, _HIER.coverage + _HIER.coverage[:1]
+    ),
+    "counterexample C too small for a finite delta": lambda: counterexample_trace(
+        SchemeParams(k=2, epsilon=0.2, C=5e-324), 5
+    ),
 }
 
 # The message a case must raise, where another refusal could come first.
 BAD_INPUT_MESSAGES = {
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
+    "hierarchy constructed with a coverage row twice": "names a worker twice",
+    "counterexample C too small for a finite delta": "C 5e-324",
 }
 
 
@@ -205,11 +227,16 @@ def _mutate(data, valid):
 def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
     """Dropped, duplicated, renamed and mistyped entries: a SuperviseError, or a valid structure that writes
     back what it read and, for a tree or hierarchy, simulates to one row per judged worker."""
-    obj = _mutate(data, valid)
+    _loads_or_is_refused(cls, _mutate(data, valid))
+
+
+def _loads_or_is_refused(cls, obj) -> bool:
+    """Whether ``obj`` loads; one that does is valid, writes back what it read and, for a tree or hierarchy,
+    simulates to one row per judged worker."""
     try:
         structure = cls.from_json_dict(obj)
     except SuperviseError:
-        return
+        return False
     structure.validate()
     assert structure.to_json_dict() == _canonical(cls, obj)
     if cls is not AssignmentGraph:
@@ -217,6 +244,74 @@ def test_mutated_structure_json_loads_or_is_refused(cls, valid, data):
         judged = {n for lv in tree["levels"][1:-1] for n in lv} | set(obj.get("graph", {}).get("workers", ()))
         report = simulate(SimConfig(10, 0, UniformWrong(), structure, {n: 0.1 for n in judged}))
         assert sorted(r.worker for r in report.rows) == sorted(judged)
+    return True
+
+
+def _performs(obj) -> dict:
+    """What each worker of a graph or tree JSON performs: its edges' tasks, or its bottom tasks and shared picks."""
+    if "levels" not in obj:
+        return {w: [t for w2, t in obj["edges"] if w2 == w] for w in obj["workers"]}
+    leaves, out = set(obj["levels"][-1]), {}
+    for p, c in obj["edges"]:
+        if c in leaves:
+            out.setdefault(p, []).append(c)
+    for p, _, t in obj["shared"]:
+        out.setdefault(p, []).append(t)
+    return out
+
+
+def _swap_shared_pick(rng, obj):
+    """Change one shared pick to another task its child performs; it stays valid unless the old pick was the
+    parent's own pick for its parent."""
+    tree = obj.get("tree", obj)
+    performs = _performs(tree)
+    rows = [(i, t) for i, (_, c, old) in enumerate(tree["shared"]) for t in performs[c] if t != old]
+    if rows:
+        i, t = rng.choice(rows)
+        tree["shared"][i][2] = t
+    return obj
+
+
+def _move_coverage_row(rng, obj):
+    """Judge one graph worker on another tree task it performs."""
+    performs, leaves = _performs(obj["graph"]), set(obj["tree"]["levels"][-1])
+    rows = [(i, t) for i, (w, old) in enumerate(obj["coverage"]) for t in performs[w] if t in leaves and t != old]
+    if rows:
+        i, t = rng.choice(rows)
+        obj["coverage"][i][1] = t
+    return obj
+
+
+def _rename_id(rng, obj):
+    """Rename one id, everywhere it occurs, to a fresh one."""
+    ids = sorted({node for _, node in _nodes(obj) if isinstance(node, str)})
+    return _renamed(obj, rng.choice(ids), f"n{rng.randrange(10**6)}")
+
+
+DEEP_TREE = build_supervision_tree(9, 2, seed=7).to_json_dict()
+VALID_MUTATIONS = {
+    "graph rename": (AssignmentGraph, GRAPH, _rename_id),
+    "tree rename": (SupervisionTree, DEEP_TREE, _rename_id),
+    "tree shared pick": (SupervisionTree, DEEP_TREE, _swap_shared_pick),
+    "hierarchy rename": (SupervisionHierarchy, HIERARCHY, _rename_id),
+    "hierarchy shared pick": (SupervisionHierarchy, HIERARCHY, _swap_shared_pick),
+    "hierarchy coverage row": (SupervisionHierarchy, HIERARCHY, _move_coverage_row),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_MUTATIONS))
+def test_mostly_valid_mutations_load_and_write_back(kind):
+    """1-3 mutations of one kind that keep most structures valid: each loads as in the gate above, or is
+    refused, and at least half of 200 examples load, so the write-back and simulate checks run on many."""
+    cls, valid, mutation = VALID_MUTATIONS[kind]
+    rng = random.Random(kind)
+    accepted = 0
+    for _ in range(200):
+        obj = copy.deepcopy(valid)
+        for _ in range(rng.randint(1, 3)):
+            obj = mutation(rng, obj)
+        accepted += _loads_or_is_refused(cls, obj)
+    assert accepted >= 100, f"{kind}: {accepted} of 200 accepted"
 
 
 def _canonical(cls, obj):

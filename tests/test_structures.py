@@ -7,6 +7,8 @@ import pytest
 
 from supervise import (
     AssignmentGraph,
+    SAInstance,
+    SASolution,
     PegAssignment,
     SizingError,
     SuperviseError,
@@ -27,7 +29,6 @@ class TestAssignmentGraph:
             workers=("u0", "u1"),
             tasks=("t0", "t1"),
             edges=(("u0", "t0"), ("u1", "t0"), ("u1", "t1")),
-            k=2,
         )
         base.update(kw)
         return AssignmentGraph(**base)
@@ -51,7 +52,12 @@ class TestAssignmentGraph:
         with pytest.raises(SuperviseError, match="input error"):
             self.g(edges=(("u1", "t0"),))  # u0 performs nothing
         with pytest.raises(SuperviseError):
-            self.g(k=1)  # u1 has two tasks
+            SAInstance(self.g(), k=1)  # u1 has two tasks
+
+    def test_fields_are_the_json_rows_and_k_is_derived(self):
+        assert [f.name for f in dataclasses.fields(AssignmentGraph)] == ["workers", "tasks", "edges"]
+        assert self.g().k == 2
+        assert self.g(edges=(("u0", "t0"), ("u1", "t1"))).k == 1
 
     def test_json_round_trip_infers_k(self):
         g = self.g()
@@ -182,10 +188,21 @@ class TestHierarchy:
     def test_coverage_points_into_the_tree(self):
         h = self.build()
         edge_set = set(h.graph.edges)
-        for w in h.graph.workers:
-            t = h.coverage[w]
+        assert [w for w, _ in h.coverage] == sorted(h.graph.workers)
+        for w, t in h.coverage:
             assert t in set(h.tree_tasks)
             assert (w, t) in edge_set
+
+    def test_one_coverage_row_apart_compares_unequal(self):
+        h = self.build()
+        tree_tasks = set(h.tree_tasks)
+        i, row = next(
+            (i, (w, t2)) for i, (w, t) in enumerate(h.coverage)
+            for t2 in h.graph.worker_tasks[w] if t2 in tree_tasks and t2 != t
+        )
+        moved = h.coverage[:i] + (row,) + h.coverage[i + 1:]
+        assert SupervisionHierarchy(h.graph, h.tree, moved) != h
+        assert SupervisionHierarchy(h.graph, h.tree, tuple(reversed(h.coverage))) == h
 
     def test_exact_mode_matches_brute_force(self):
         peg = build_peg_assignment(6, 5, 3, seed=3)
@@ -205,7 +222,6 @@ class TestHierarchy:
             workers=("supervisor", "h0"),
             tasks=("x", "y"),
             edges=(("supervisor", "x"), ("h0", "x"), ("h0", "y")),
-            k=2,
         )
         h = build_supervision_hierarchy(g, k=2, seed=0)
         h.validate()
@@ -214,7 +230,7 @@ class TestHierarchy:
 
     def test_orphan_task_rejected(self):
         g = AssignmentGraph(
-            workers=("u0",), tasks=("t0", "t1"), edges=(("u0", "t0"),), k=1
+            workers=("u0",), tasks=("t0", "t1"), edges=(("u0", "t0"),)
         )
         with pytest.raises(SuperviseError, match="input error"):
             build_supervision_hierarchy(g, k=2, seed=0)
@@ -223,6 +239,11 @@ class TestHierarchy:
         peg = build_peg_assignment(6, 5, 3, seed=3)
         with pytest.raises(SuperviseError):
             build_supervision_hierarchy(peg.graph, k=2, seed=0, mode="bogus")
+
+
+def test_every_structure_field_takes_part_in_equality():
+    for cls in (AssignmentGraph, SupervisionTree, PegAssignment, SupervisionHierarchy, SASolution):
+        assert all(f.compare for f in dataclasses.fields(cls)), cls.__name__
 
 
 class TestValidatedOnce:
