@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InstanceTooLargeError, SuperviseError, require_int
-from .structures import AssignmentGraph
+from .structures import AssignmentGraph, _id_rows
 
 __all__ = [
     "EXACT_TASK_CAP",
@@ -150,14 +150,42 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     worker loses its edges only once some chosen task covers it), but a
     single task is gained per round, so no factor-k ratio argument applies.
     Provided for comparison; measure, don't rely on it.
+
+    O(E log E) for E edges: a Fenwick tree counts the live edges in sorted
+    order, so each round finds the drawn live edge by one descent, and each
+    edge is deleted once, through its worker's and its task's index lists.
     """
     rng = random.Random(require_int(seed, "seed", 0))
     edges = sorted(inst.graph.edges)
+    n = live = len(edges)
+    of_worker: dict[str, list[int]] = {}
+    of_task: dict[str, list[int]] = {}
+    for i, (w, t) in enumerate(edges):
+        of_worker.setdefault(w, []).append(i)
+        of_task.setdefault(t, []).append(i)
+    # fenwick[j] counts the live edges among positions (j - lowbit(j), j], 1-based; all start live
+    fenwick = [j & -j for j in range(n + 1)]
+    alive = [True] * n
+    top = 1 << n.bit_length() >> 1  # the largest power of two <= n
     chosen: set[str] = set()
-    while edges:
-        w, t = edges[rng.randrange(len(edges))]
+    while live:
+        # the r-th live edge (0-based) sits after the longest prefix holding at most r live edges
+        r, pos, step = rng.randrange(live), 0, top
+        while step:
+            if pos + step <= n and fenwick[pos + step] <= r:
+                pos += step
+                r -= fenwick[pos]
+            step >>= 1
+        w, t = edges[pos]
         chosen.add(t)
-        edges = [(w2, t2) for (w2, t2) in edges if w2 != w and t2 != t]
+        for i in (*of_worker[w], *of_task[t]):
+            if alive[i]:
+                alive[i] = False
+                live -= 1
+                j = i + 1
+                while j <= n:
+                    fenwick[j] -= 1
+                    j += j & -j
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
 
@@ -168,16 +196,15 @@ def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAIns
     A task set touching every worker is exactly a vertex set touching every
     edge, so optima coincide and the exact solver doubles as a vertex-cover
     solver (k = 2).  Isolated vertices constrain nothing and are dropped with
-    a warning.
+    a warning.  Vertex ids are strings, as graph ids are.
     """
-    vs = [str(v) for v in vertices]
+    vs = _id_rows(vertices, "vertices")
     if len(set(vs)) != len(vs):
         raise SuperviseError("duplicate vertex ids")
     seen = set()
     norm: list[tuple[str, str]] = []
     vset = set(vs)
-    for u, v in edges:
-        u, v = str(u), str(v)
+    for u, v in _id_rows(edges, "edges", 2):
         if u == v:
             raise SuperviseError(f"self-loop at {u!r} cannot be covered meaningfully")
         if u not in vset or v not in vset:

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, cycle, islice, repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import SizingError, SuperviseError, require_int
@@ -36,18 +37,27 @@ __all__ = [
 ]
 
 
-def _json_ids(obj: Mapping, key: str, width: int | None = None) -> tuple:
-    """``obj[key]`` as a tuple of string ids, or with ``width`` as rows of that many ids (0: any number).
+def _id_rows(items, key: str, width: int | None = None) -> tuple:
+    """``items`` as a tuple of string ids, or with ``width`` as rows of that many ids (0: any number).
 
-    Ids are JSON strings, as ``to_json_dict`` writes them; anything else raises a SuperviseError naming the key.
+    Every array, the outer one and each row, is a list or a tuple; anything else raises a SuperviseError naming
+    ``key``.  Constructors apply this to their id fields, so ``from_json_dict`` hands JSON values straight over.
     """
-    items = obj.get(key) if isinstance(obj, Mapping) else None
-    rows = items if width is not None and isinstance(items, list) else [items]
-    for row in rows:
-        if not isinstance(row, list) or (width and len(row) != width) or not all(isinstance(x, str) for x in row):
-            shape = "string ids" if width is None else f"arrays of {width or 'any number of'} string ids"
-            raise SuperviseError(f"structure JSON needs {key!r} as an array of {shape}")
+    rows = items if width is not None and isinstance(items, (list, tuple)) else [items]
+    # map and chain keep the per-id checks in C: a 100k-task tree has 300k rows
+    if not (
+        all(map(isinstance, rows, repeat((list, tuple))))
+        and (not width or set(map(len, rows)) <= {width})
+        and all(map(isinstance, chain.from_iterable(rows), repeat(str)))
+    ):
+        shape = "string ids" if width is None else f"arrays of {width or 'any number of'} string ids"
+        raise SuperviseError(f"{key!r} must be an array of {shape}")
     return tuple(items) if width is None else tuple(map(tuple, items))
+
+
+def _json_fields(obj: Mapping, *keys: str) -> dict:
+    """The named fields of structure JSON ``obj``; a missing one reads None, which the constructor refuses."""
+    return {key: obj.get(key) if isinstance(obj, Mapping) else None for key in keys}
 
 
 @dataclass(frozen=True)
@@ -59,15 +69,11 @@ class AssignmentGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", tuple(self.workers))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "edges", tuple((w, t) for w, t in self.edges))
+        for key, width in (("workers", None), ("tasks", None), ("edges", 2)):
+            object.__setattr__(self, key, _id_rows(getattr(self, key), key, width))
         self.validate()
 
     def validate(self) -> None:
-        odd = [x for x in (*self.workers, *self.tasks, *(x for e in self.edges for x in e)) if not isinstance(x, str)]
-        if odd:
-            raise SuperviseError(f"worker and task ids must be strings, got {odd[0]!r}")
         wset, tset = set(self.workers), set(self.tasks)
         if len(wset) != len(self.workers) or len(tset) != len(self.tasks):
             raise SuperviseError("duplicate worker or task ids")
@@ -110,7 +116,7 @@ class AssignmentGraph:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "AssignmentGraph":
-        return cls(workers=_json_ids(obj, "workers"), tasks=_json_ids(obj, "tasks"), edges=_json_ids(obj, "edges", 2))
+        return cls(**_json_fields(obj, "workers", "tasks", "edges"))
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,8 @@ class SupervisionTree:
     shared: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
+        for key, width in (("levels", 0), ("edges", 2), ("shared", 3)):
+            object.__setattr__(self, key, _id_rows(getattr(self, key), key, width))
         self.validate()
 
     @property
@@ -177,24 +185,24 @@ class SupervisionTree:
             raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
         if len(self.levels[0]) != 1:
             raise SuperviseError("level 0 must hold exactly the supervisor")
-        node_level: dict[str, int] = {}
-        for i, lv in enumerate(self.levels):
-            for n in lv:
-                if n in node_level:
+        node_level = {n: i for i, lv in enumerate(self.levels) for n in lv}
+        if len(node_level) != sum(map(len, self.levels)):
+            seen: set[str] = set()
+            for n in chain.from_iterable(self.levels):
+                if n in seen:
                     raise SuperviseError(f"node {n!r} appears twice")
-                node_level[n] = i
+                seen.add(n)
         for p, c in self.edges:
             if node_level.get(c) != node_level.get(p, -2) + 1:
                 raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
+        # every edge joins adjacent levels, so counting the keys is enough; the loops only name the first culprit
         parent, children = self.parent, self.children
-        for lv in self.levels[1:]:
-            for n in lv:
-                if n not in parent:
-                    raise SuperviseError(f"node {n!r} has no parent")
-        for lv in self.levels[:-1]:
-            for n in lv:
-                if n not in children:
-                    raise SuperviseError(f"node {n!r} has no children")
+        if len(parent) != len(node_level) - 1:
+            n = next(n for lv in self.levels[1:] for n in lv if n not in parent)
+            raise SuperviseError(f"node {n!r} has no parent")
+        if len(children) != len(node_level) - len(self.levels[-1]):
+            n = next(n for lv in self.levels[:-1] for n in lv if n not in children)
+            raise SuperviseError(f"node {n!r} has no children")
         # each worker is judged by its parent on exactly one task, and nothing else is shared
         leaf_level = len(self.levels) - 1
         worker_edges = {(p, c) for p, c in self.edges if node_level[c] != leaf_level}
@@ -220,8 +228,7 @@ class SupervisionTree:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupervisionTree":
-        levels, edges, shared = _json_ids(obj, "levels", 0), _json_ids(obj, "edges", 2), _json_ids(obj, "shared", 3)
-        return cls(levels=levels, edges=edges, shared=shared)
+        return cls(**_json_fields(obj, "levels", "edges", "shared"))
 
 
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
@@ -330,6 +337,7 @@ def build_peg_assignment(
     dealt round-robin to the least-loaded non-peg tasks so every task reaches
     the requested redundancy and every worker ends at exactly k distinct
     tasks.  Fill edges never touch pegs — that keeps the peg groups disjoint.
+    No heap or per-worker sort is needed: one sort of the T fill tasks, then O(1) per edge.
     """
     for name, v in (("n_workers", n_workers), ("n_tasks", n_tasks), ("k", k), ("redundancy", redundancy)):
         require_int(v, name, 1, SizingError)
@@ -362,20 +370,16 @@ def build_peg_assignment(
         for w in workers[i * k : (i + 1) * k]:
             edges.append((w, t))
 
-    # stable least-loaded selection; the seeded jitter only breaks ties
-    jitter = {t: rng.random() for t in fill_tasks}
-    load = {t: 0 for t in fill_tasks}
+    # Each worker takes the k-1 least-loaded fill tasks, ties broken by seeded jitter, then id.  Loads never
+    # differ by more than one, so the picks walk the fill tasks cyclically in (jitter, id) order, and every
+    # task ends with at least n_workers * (k - 1) // n_fill_tasks edges, which the check above keeps >= redundancy.
+    jitter = [rng.random() for _ in fill_tasks]
+    picks = cycle([t for _, t in sorted(zip(jitter, fill_tasks))])
     for w in workers:
-        chosen = sorted(fill_tasks, key=lambda t: (load[t], jitter[t], t))[: k - 1]
-        for t in chosen:
-            edges.append((w, t))
-            load[t] += 1
+        edges.extend((w, t) for t in islice(picks, k - 1))
 
     graph = AssignmentGraph(workers=tuple(workers), tasks=tuple(tasks), edges=tuple(edges))
-    peg = PegAssignment(graph=graph, peg_tasks=tuple(pegs))
-    if min(load.values(), default=redundancy) < redundancy:
-        raise SizingError("sizing: fill could not reach the requested redundancy")
-    return peg
+    return PegAssignment(graph=graph, peg_tasks=tuple(pegs))
 
 
 def _refuse_idle_tasks(graph: AssignmentGraph, tree_tasks: Collection[str] = ()) -> None:
@@ -399,7 +403,7 @@ class SupervisionHierarchy:
     coverage: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coverage", tuple(sorted(self.coverage)))
+        object.__setattr__(self, "coverage", tuple(sorted(_id_rows(self.coverage, "coverage", 2))))
         self.validate()
 
     @property
@@ -448,9 +452,9 @@ class SupervisionHierarchy:
         if not isinstance(obj, Mapping):
             raise SuperviseError("hierarchy JSON must be an object with graph/tree/tree_tasks/coverage")
         graph, tree = AssignmentGraph.from_json_dict(obj.get("graph")), SupervisionTree.from_json_dict(obj.get("tree"))
-        if sorted(_json_ids(obj, "tree_tasks")) != sorted(tree.task_ids):
+        if sorted(_id_rows(obj.get("tree_tasks"), "tree_tasks")) != sorted(tree.task_ids):
             raise SuperviseError("tree_tasks must list the tree's leaves, once each")
-        return cls(graph=graph, tree=tree, coverage=_json_ids(obj, "coverage", 2))
+        return cls(graph=graph, tree=tree, coverage=obj.get("coverage"))
 
 
 def _clash_free_prefix(base: str, forbidden: Iterable[str]) -> str:

@@ -1,8 +1,9 @@
 """Independent reference implementations the analytic code is checked against.
 
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
-the loss itself, exhaustive search over covers.  Written straight from the
-defining formulas and frozen before the fast paths existed; the tests compare
+the loss itself, exhaustive search over covers, and the quadratic originals of
+the peg builder and the edge-deletion cover.  Written straight from the
+defining formulas, or frozen before the fast paths existed; the tests compare
 the two and neither side imports the other's algorithm.
 """
 
@@ -10,10 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
-from supervise import EffortFunction, effort_deriv
+from supervise import AssignmentGraph, EffortFunction, PegAssignment, SAInstance, SASolution, SizingError, effort_deriv
+from supervise.allocation import _check_cover
+from supervise.errors import require_int
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -76,3 +80,84 @@ def brute_force_cover(worker_tasks: dict) -> set:
             if all(s.intersection(ts) for ts in worker_tasks.values()):
                 return s
     raise AssertionError("the full task set always covers")
+
+
+# The peg builder and the edge-deletion cover as they were before the library replaced their quadratic loops
+# with a heap and a Fenwick tree, frozen verbatim: the fast versions must give equal structures, covers and errors.
+
+
+def build_peg_assignment(
+    n_workers: int, n_tasks: int, k: int, seed: int, redundancy: int = 1
+) -> PegAssignment:
+    """Peg construction: disjoint worker groups on the first tasks, then fill.
+
+    The first ``ceil(n_workers / k)`` tasks each take one group of (at most)
+    k workers, giving a small set that touches everyone.  Remaining edges are
+    dealt round-robin to the least-loaded non-peg tasks so every task reaches
+    the requested redundancy and every worker ends at exactly k distinct
+    tasks.  Fill edges never touch pegs — that keeps the peg groups disjoint.
+    """
+    for name, v in (("n_workers", n_workers), ("n_tasks", n_tasks), ("k", k), ("redundancy", redundancy)):
+        require_int(v, name, 1, SizingError)
+    n_pegs = math.ceil(n_workers / k)
+    if n_tasks < n_pegs:
+        raise SizingError(f"sizing: need at least {n_pegs} tasks to peg {n_workers} workers at k={k}, got {n_tasks}")
+    n_fill_tasks = n_tasks - n_pegs
+    if k >= 2 and n_fill_tasks < k - 1:
+        raise SizingError(
+            f"sizing: need at least {n_pegs + k - 1} tasks so each worker finds {k - 1} distinct non-peg tasks"
+        )
+    last_group = n_workers - k * (n_pegs - 1)
+    if redundancy > min(k, last_group):
+        raise SizingError(
+            f"sizing: peg multiplicity is only {min(k, last_group)}; redundancy {redundancy} unreachable"
+        )
+    if n_workers * (k - 1) < redundancy * n_fill_tasks:
+        raise SizingError(
+            f"sizing: {n_workers * (k - 1)} fill edges cannot give {n_fill_tasks} tasks redundancy {redundancy}"
+        )
+
+    rng = random.Random(require_int(seed, "seed", 0))
+    workers = [f"u{i}" for i in range(n_workers)]
+    tasks = [f"t{j}" for j in range(n_tasks)]
+    pegs = tasks[:n_pegs]
+    fill_tasks = tasks[n_pegs:]
+
+    edges: list[tuple[str, str]] = []
+    for i, t in enumerate(pegs):
+        for w in workers[i * k : (i + 1) * k]:
+            edges.append((w, t))
+
+    # stable least-loaded selection; the seeded jitter only breaks ties
+    jitter = {t: rng.random() for t in fill_tasks}
+    load = {t: 0 for t in fill_tasks}
+    for w in workers:
+        chosen = sorted(fill_tasks, key=lambda t: (load[t], jitter[t], t))[: k - 1]
+        for t in chosen:
+            edges.append((w, t))
+            load[t] += 1
+
+    graph = AssignmentGraph(workers=tuple(workers), tasks=tuple(tasks), edges=tuple(edges))
+    peg = PegAssignment(graph=graph, peg_tasks=tuple(pegs))
+    if min(load.values(), default=redundancy) < redundancy:
+        raise SizingError("sizing: fill could not reach the requested redundancy")
+    return peg
+
+
+def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
+    """Edge-deletion greedy: take the task of one random live edge at a time.
+
+    Deleting all edges at either endpoint keeps every worker covered (a
+    worker loses its edges only once some chosen task covers it), but a
+    single task is gained per round, so no factor-k ratio argument applies.
+    Provided for comparison; measure, don't rely on it.
+    """
+    rng = random.Random(require_int(seed, "seed", 0))
+    edges = sorted(inst.graph.edges)
+    chosen: set[str] = set()
+    while edges:
+        w, t = edges[rng.randrange(len(edges))]
+        chosen.add(t)
+        edges = [(w2, t2) for (w2, t2) in edges if w2 != w and t2 != t]
+    picked = tuple(sorted(chosen))
+    return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))

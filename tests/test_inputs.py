@@ -44,6 +44,7 @@ from supervise import (
     simulate_binary,
     sweep_flat,
     sweep_quant,
+    vc_to_sa,
 )
 from supervise.cli import main
 
@@ -56,7 +57,8 @@ GRID = [0.3, 0.4]
 
 _PEG = build_peg_assignment(6, 5, 3, seed=1)
 GRAPH = _PEG.graph.to_json_dict()
-TREE = build_supervision_tree(4, 2, seed=7).to_json_dict()
+_TREE = build_supervision_tree(4, 2, seed=7)
+TREE = _TREE.to_json_dict()
 _HIER = build_supervision_hierarchy(_PEG.graph, k=2, seed=5)
 HIERARCHY = _HIER.to_json_dict()
 
@@ -166,6 +168,16 @@ BAD_INPUTS = {
     "counterexample C too small for a finite delta": lambda: counterexample_trace(
         SchemeParams(k=2, epsilon=0.2, C=5e-324), 5
     ),
+    "graph constructed with a three-id edge row": lambda: AssignmentGraph(
+        workers=("u0",), tasks=("t0",), edges=(("u0", "t0", "x"),)
+    ),
+    "tree constructed with a shared pair": lambda: SupervisionTree(
+        _TREE.levels, _TREE.edges, _TREE.shared[1:] + (_TREE.shared[0][:2],)
+    ),
+    "hierarchy constructed with a one-id coverage row": lambda: SupervisionHierarchy(
+        _HIER.graph, _HIER.tree, _HIER.coverage[1:] + (_HIER.coverage[0][:1],)
+    ),
+    "vertex cover over integer vertex ids": lambda: vc_to_sa([1, 2], [(1, 2)]),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -173,6 +185,10 @@ BAD_INPUT_MESSAGES = {
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
     "hierarchy constructed with a coverage row twice": "names a worker twice",
     "counterexample C too small for a finite delta": "C 5e-324",
+    "graph constructed with a three-id edge row": "'edges' must be an array of arrays of 2 string ids",
+    "tree constructed with a shared pair": "'shared' must be an array of arrays of 3 string ids",
+    "hierarchy constructed with a one-id coverage row": "'coverage' must be an array of arrays of 2 string ids",
+    "vertex cover over integer vertex ids": "'vertices' must be an array of string ids",
 }
 
 
