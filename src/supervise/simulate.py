@@ -20,15 +20,17 @@ explicitly and add it analytically, in one loop over the strategy grid.
 
 Determinism: one seeded generator, structures iterated in sorted order, and
 numpy's fixed-order reductions — identical configs produce identical reports.
+
+numpy is imported where a generator is made, in :func:`simulate` and the
+sweeps, so importing the package, and every subcommand but ``simulate``, runs
+without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._csv import write_csv
 from .effort import EffortFunction, SchemeParams, effort_eval
@@ -36,6 +38,9 @@ from .errors import ModelMismatchError, SuperviseError, require_int, require_pro
 from .hierarchy import expected_penalty_pair
 from .quant import expected_penalty_quant
 from .structures import SupervisionHierarchy, SupervisionTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UniformWrong",
@@ -191,7 +196,7 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
 
 def _offset_answers(truth: np.ndarray, wrong: np.ndarray, offset: np.ndarray, m: int) -> np.ndarray:
     """The truth where ``wrong`` is false, else the truth shifted by ``offset`` (in 1..m-1) mod m."""
-    return (truth + np.where(wrong, offset, 0)) % m
+    return (truth + offset * wrong) % m
 
 
 def sample_binary_answers(
@@ -205,7 +210,7 @@ def sample_binary_answers(
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     n = x.shape[0]
-    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
 
 
 def _z(emp: float, analytic: float, stderr: float) -> float:
@@ -227,6 +232,8 @@ def simulate(config: SimConfig) -> SimReport:
         else:
             raise SuperviseError(f"strategies must cover worker {w!r}")
         strategy[w] = model.strategy(w, s)
+
+    import numpy as np
 
     rng = np.random.default_rng(config.seed)
     truth = {t: model.truth(rng, config.episodes) for t in sorted({t for _, _, t, _ in pairs})}
@@ -288,6 +295,8 @@ def _sweep(
         raise SuperviseError(f"strategy grid must hold reals: {exc}") from exc
     if len(vals) < 2:
         raise SuperviseError("strategy grid needs at least two points")
+    import numpy as np
+
     penalty = draw(np.random.default_rng(require_int(seed, "seed", 0)), require_int(episodes, "episodes", 1))
     # the effort term first: a point outside f's domain raises a domain error, not the penalty's
     losses = [k * effort_eval(f, v) + float(penalty(v)) for v in vals]
@@ -310,7 +319,7 @@ def sweep_flat(
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         checked = rng.random(n) < p
         u_wrong = rng.random(n)
-        return lambda e: C * np.mean(checked & (u_wrong < e))
+        return lambda e: C * (checked & (u_wrong < e)).mean()
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
@@ -327,7 +336,7 @@ def sweep_pair(
         a_sup = sample_binary_answers(rng, truth, e_w, m)
         u_wrong = rng.random(n)
         offset = rng.integers(1, m, size=n)
-        return lambda e: C * np.mean(_offset_answers(truth, u_wrong < e, offset, m) != a_sup)
+        return lambda e: C * (_offset_answers(truth, u_wrong < e, offset, m) != a_sup).mean()
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
@@ -352,6 +361,6 @@ def sweep_quant(
         z_u = rng.standard_normal(n)
         z_w = rng.standard_normal(n)
         diff_base = bias_w + sigma_w * z_w  # truth cancels in x - y
-        return lambda v: c * np.mean((math.sqrt(v) * z_u - diff_base) ** 2)
+        return lambda v: c * ((math.sqrt(v) * z_u - diff_base) ** 2).mean()
 
     return _sweep(f, k, grid, episodes, seed, draw)

@@ -253,7 +253,7 @@ def build_supervision_tree_over(
     child's tasks; sibling subtrees are task-disjoint so the picks are
     automatically distinct.
     """
-    tasks = [str(t) for t in task_ids]
+    tasks = _id_rows(task_ids, "task ids")
     if len(set(tasks)) != len(tasks) or not tasks:
         raise SuperviseError("task ids must be nonempty and unique")
     require_int(k, "branching factor k", 2, SizingError)

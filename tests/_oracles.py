@@ -1,8 +1,9 @@
 """Independent reference implementations the analytic code is checked against.
 
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
-the loss itself, exhaustive search over covers, and the quadratic originals of
-the peg builder and the edge-deletion cover.  Written straight from the
+the loss itself, exhaustive search over covers, the quadratic originals of
+the peg builder and the edge-deletion cover, and the simulator's helpers as
+they were before they left numpy's module functions for array methods.  Written straight from the
 defining formulas, or frozen before the fast paths existed; the tests compare
 the two and neither side imports the other's algorithm.
 """
@@ -161,3 +162,17 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
         edges = [(w2, t2) for (w2, t2) in edges if w2 != w and t2 != t]
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
+
+
+# The simulator's answer and summary helpers as they were before numpy became a lazy import and their module
+# functions became array methods, frozen verbatim: the rewrites must give the same bits.
+
+
+def _offset_answers(truth: np.ndarray, wrong: np.ndarray, offset: np.ndarray, m: int) -> np.ndarray:
+    """The truth where ``wrong`` is false, else the truth shifted by ``offset`` (in 1..m-1) mod m."""
+    return (truth + np.where(wrong, offset, 0)) % m
+
+
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    n = x.shape[0]
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))

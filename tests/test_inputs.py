@@ -31,6 +31,7 @@ from supervise import (
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
+    build_supervision_tree_over,
     counterexample_trace,
     defection_analysis,
     equilibrium_heterogeneous,
@@ -178,6 +179,7 @@ BAD_INPUTS = {
         _HIER.graph, _HIER.tree, _HIER.coverage[1:] + (_HIER.coverage[0][:1],)
     ),
     "vertex cover over integer vertex ids": lambda: vc_to_sa([1, 2], [(1, 2)]),
+    "tree over integer task ids": lambda: build_supervision_tree_over([1, 2, 3], 2, 0),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -189,6 +191,7 @@ BAD_INPUT_MESSAGES = {
     "tree constructed with a shared pair": "'shared' must be an array of arrays of 3 string ids",
     "hierarchy constructed with a one-id coverage row": "'coverage' must be an array of arrays of 2 string ids",
     "vertex cover over integer vertex ids": "'vertices' must be an array of string ids",
+    "tree over integer task ids": "'task ids' must be an array of string ids",
 }
 
 

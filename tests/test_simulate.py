@@ -2,9 +2,13 @@
 
 import hashlib
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supervise import (
     EffortDomainError,
@@ -26,6 +30,9 @@ from supervise import (
     sweep_pair,
     sweep_quant,
 )
+from supervise.simulate import _mean_stderr, _offset_answers
+
+import _oracles
 
 SL = EffortFunction.simple_log
 IP = EffortFunction.inverse_power
@@ -256,3 +263,34 @@ def pinned_outputs():
 @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
 def test_pinned_bytes(pinned_outputs, name):
     assert _sha(pinned_outputs[name]) == PINNED_SHA256[name]
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Equal bit patterns, any NaN matching any NaN (one episode's ddof=1 stderr is NaN)."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    m=st.integers(2, 6),
+    n=st.integers(1, 500),
+    mask=st.sampled_from(["all wrong", "none wrong", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, m, size=n)
+    offset = rng.integers(1, m, size=n)
+    if mask == "random":
+        wrong = rng.random(n) < rng.random()
+    else:
+        wrong = np.full(n, mask == "all wrong")
+    answers = _offset_answers(truth, wrong, offset, m)
+    want = _oracles._offset_answers(truth, wrong, offset, m)
+    assert answers.dtype == want.dtype and np.array_equal(answers, want)
+    # the two penalty kinds simulate summarises: scaled disagreements and squared differences
+    for penalty in (1.5 * (answers != truth), (answers - truth + rng.standard_normal(n)) ** 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, ref = _mean_stderr(penalty), _oracles._mean_stderr(penalty)
+        assert all(map(_same_bits, got, ref)), (got, ref)
