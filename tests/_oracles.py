@@ -3,9 +3,10 @@
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
 the loss itself, exhaustive search over covers, the quadratic originals of
 the peg builder and the edge-deletion cover, and the simulator's helpers as
-they were before they left numpy's module functions for array methods.  Written straight from the
-defining formulas, or frozen before the fast paths existed; the tests compare
-the two and neither side imports the other's algorithm.
+they were before they left numpy's module functions for array methods.
+Written straight from the defining formulas, or frozen before the fast paths
+existed; the tests compare the two and neither side imports the other's
+algorithm.
 """
 
 from __future__ import annotations
