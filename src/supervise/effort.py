@@ -238,4 +238,5 @@ class SchemeParams:
         """The both-wrong penalty in force: explicit D, else C*(m-2)/(m-1)."""
         if self.D is not None:
             return self.D
-        return self.require_C() * (self.m - 2) / (self.m - 1)
+        C = self.require_C()
+        return min(C, C * (self.m - 2) / (self.m - 1))  # can round past C for m above 2**52, or overflow

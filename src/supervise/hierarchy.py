@@ -152,7 +152,11 @@ def min_penalty_hierarchical(f: EffortFunction, params: SchemeParams) -> float:
 
 
 def expected_penalty_pair(e_u: float, e_w: float, C: float, D: float) -> float:
-    """Expected disagreement penalty between error levels e_u and e_w."""
+    """Expected disagreement penalty between error levels e_u and e_w; needs C > 0 and D in [0, C]."""
+    require_prob(e_u, "worker error")
+    require_prob(e_w, "superior error")
+    C = require_real(C, "C", 0.0, lo_open=True)
+    require_real(D, "D", 0.0, C)
     return e_u * (1.0 - e_w) * C + (1.0 - e_u) * e_w * C + e_u * e_w * D
 
 
@@ -165,10 +169,10 @@ def expected_loss_pair(f: EffortFunction, e_u: float, e_w: float, params: Scheme
 def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemeParams) -> Root:
     """Loss-minimizing error against a superior playing error e_w.
 
-    Solves ``f'(e) = ((2 e_w - 1) C - e_w D) / k``.  A nonnegative target
-    (possible when the superior is wrong more often than not and D is small)
-    admits no interior stationary point; the result is then the maximal-error
-    corner, flagged as clamped.
+    Solves ``f'(e) = ((2 e_w - 1) C - e_w D) / k``.  A target at or above the
+    supremum of f' (-alpha for SimpleLog, 0 for BoundaryLog and the inverse
+    power) admits no interior stationary point; the result is then the
+    maximal-error corner, flagged as clamped unless f' attains the target there.
     """
     require_prob(e_w, "superior error")
     C = params.require_C()
@@ -190,17 +194,24 @@ def equilibrium_homogeneous(
 
     Level t best-responds to level t-1, starting from the supervisor's error
     e0 at level 0.  A single pass is exact because a worker's loss depends on
-    the levels below it only through its own effort term.
+    the levels below it only through its own effort term.  Each level depends
+    only on the error above it, so once an error repeats an earlier level's,
+    the levels in between repeat to the requested depth and are copied, not
+    solved again.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
     levels = [LevelState(0, e0, e0 < eps, False)]
-    e_prev = e0
+    seen = {e0: 0}  # superior error -> its level
     for t in range(1, depth + 1):
-        r = best_response_under_superior(f, e_prev, params)
+        r = best_response_under_superior(f, levels[-1].error, params)
         levels.append(LevelState(t, r.value, r.value < eps, r.clamped))
-        e_prev = r.value
+        p = t - seen.setdefault(r.value, t)
+        if p:
+            for u in range(t + 1, depth + 1):
+                levels.append(LevelState(u, *levels[u - p][1:]))
+            break
     return EquilibriumProfile(levels=tuple(levels), threshold=eps)
 
 
@@ -224,7 +235,9 @@ def equilibrium_heterogeneous(
     population must be proficient on average (weighted mean sigma <= eps);
     otherwise no truthfulness claim holds and the request is rejected.
     Proficient types are guaranteed truthful at every level — the result is
-    re-checked and a violation (impossible for valid inputs) raises.
+    re-checked and a violation (impossible for valid inputs) raises.  Once the
+    population-mean error repeats an earlier level's, every type's levels in
+    between repeat to the requested depth and are copied, not solved again.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
@@ -240,6 +253,7 @@ def equilibrium_heterogeneous(
 
     per_type: list[list[LevelState]] = [[LevelState(0, e0, e0 < eps, False)] for _ in pop.types]
     mean_prev = e0
+    seen = {e0: 0}  # population-mean error -> its level
     for t in range(1, depth + 1):
         errs = []
         for i, (wt, w) in enumerate(pop.types):
@@ -247,6 +261,12 @@ def equilibrium_heterogeneous(
             per_type[i].append(LevelState(t, r.value, r.value < eps, r.clamped))
             errs.append(r.value)
         mean_prev = math.fsum(w * e for (_, w), e in zip(pop.types, errs))
+        p = t - seen.setdefault(mean_prev, t)
+        if p:
+            for states in per_type:
+                for u in range(t + 1, depth + 1):
+                    states.append(LevelState(u, *states[u - p][1:]))
+            break
 
     types = tuple(
         TypeEquilibrium(

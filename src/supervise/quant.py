@@ -76,7 +76,9 @@ class QuantEquilibrium:
 def expected_penalty_quant(sigma_u: float, b_u: float, sigma_w: float, b_w: float, c: float) -> float:
     """Expected quadratic penalty between two independent biased answers."""
     require_real(sigma_u, "sigma_u", 0.0)
+    require_real(b_u, "b_u")
     require_real(sigma_w, "sigma_w", 0.0)
+    require_real(b_w, "b_w")
     require_real(c, "penalty weight c", 0.0, lo_open=True)
     return c * (sigma_u**2 + b_u**2 - 2.0 * b_u * b_w + sigma_w**2 + b_w**2)
 

@@ -76,8 +76,9 @@ class UniformWrong:
 
     @property
     def both_wrong_penalty(self) -> float:
-        # independent uniform wrong answers disagree with probability (m-2)/(m-1)
-        return self.C * (self.m - 2) / (self.m - 1)
+        # independent uniform wrong answers disagree with probability (m-2)/(m-1); the quotient can round
+        # past C for m above 2**52, or overflow
+        return min(self.C, self.C * (self.m - 2) / (self.m - 1))
 
     def strategy(self, worker: str, e: object) -> float:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)

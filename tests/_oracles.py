@@ -2,8 +2,9 @@
 
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
 the loss itself, exhaustive search over covers, the quadratic originals of
-the peg builder and the edge-deletion cover, and the simulator's helpers as
-they were before they left numpy's module functions for array methods.
+the peg builder and the edge-deletion cover, the simulator's helpers as
+they were before they left numpy's module functions for array methods, and
+the equilibrium cascades as they were before they stopped at a repeat.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -17,9 +18,28 @@ import random
 
 import numpy as np
 
-from supervise import AssignmentGraph, EffortFunction, PegAssignment, SAInstance, SASolution, SizingError, effort_deriv
+from supervise import (
+    AssignmentGraph,
+    AssumptionError,
+    EffortFunction,
+    EquilibriumProfile,
+    HeterogeneousEquilibrium,
+    LevelState,
+    PegAssignment,
+    PopulationModel,
+    SAInstance,
+    SASolution,
+    SchemeParams,
+    SizingError,
+    SuperviseError,
+    TypeEquilibrium,
+    best_response_under_superior,
+    effort_deriv,
+    proficiency_sigma,
+)
 from supervise.allocation import _check_cover
 from supervise.errors import require_int
+from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -177,3 +197,82 @@ def _offset_answers(truth: np.ndarray, wrong: np.ndarray, offset: np.ndarray, m:
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     n = x.shape[0]
     return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))
+
+
+# The equilibrium cascades as they were before they stopped at the first repeated error, frozen verbatim: every
+# level, computed or copied, must have the same bits, and every refusal the same class and message.
+
+
+def equilibrium_homogeneous(
+    f: EffortFunction, params: SchemeParams, depth: int, e0: float = 0.0
+) -> EquilibriumProfile:
+    """Top-down equilibrium of a uniform population.
+
+    Level t best-responds to level t-1, starting from the supervisor's error
+    e0 at level 0.  A single pass is exact because a worker's loss depends on
+    the levels below it only through its own effort term.
+    """
+    eps = _require_hierarchical_epsilon(params)
+    e0 = _validate_e0(e0, eps)
+    require_int(depth, "depth", 1)
+    levels = [LevelState(0, e0, e0 < eps, False)]
+    e_prev = e0
+    for t in range(1, depth + 1):
+        r = best_response_under_superior(f, e_prev, params)
+        levels.append(LevelState(t, r.value, r.value < eps, r.clamped))
+        e_prev = r.value
+    return EquilibriumProfile(levels=tuple(levels), threshold=eps)
+
+
+def equilibrium_heterogeneous(
+    pop: PopulationModel, params: SchemeParams, depth: int, e0: float = 0.0
+) -> HeterogeneousEquilibrium:
+    """Per-type equilibrium when workers are drawn i.i.d. from a mixture.
+
+    Each worker knows only the distribution of its superior, so at level t
+    every type best-responds to the population-mean error of level t-1.  The
+    population must be proficient on average (weighted mean sigma <= eps);
+    otherwise no truthfulness claim holds and the request is rejected.
+    Proficient types are guaranteed truthful at every level — the result is
+    re-checked and a violation (impossible for valid inputs) raises.
+    """
+    eps = _require_hierarchical_epsilon(params)
+    e0 = _validate_e0(e0, eps)
+    require_int(depth, "depth", 1)
+
+    sigma_roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
+    mean_sigma = math.fsum(w * root.value for (_, w), root in zip(pop.types, sigma_roots))
+    if not mean_sigma <= eps:
+        raise AssumptionError(
+            "population proficiency assumption violated: "
+            f"weighted mean sigma {mean_sigma!r} exceeds epsilon {eps!r}"
+        )
+
+    per_type: list[list[LevelState]] = [[LevelState(0, e0, e0 < eps, False)] for _ in pop.types]
+    mean_prev = e0
+    for t in range(1, depth + 1):
+        errs = []
+        for i, (wt, w) in enumerate(pop.types):
+            r = best_response_under_superior(wt.effort, mean_prev, params)
+            per_type[i].append(LevelState(t, r.value, r.value < eps, r.clamped))
+            errs.append(r.value)
+        mean_prev = math.fsum(w * e for (_, w), e in zip(pop.types, errs))
+
+    types = tuple(
+        TypeEquilibrium(
+            worker=wt,
+            weight=w,
+            sigma=root.value,
+            sigma_clamped=root.clamped,
+            proficient=root.value <= eps,
+            levels=tuple(states),
+        )
+        for (wt, w), root, states in zip(pop.types, sigma_roots, per_type)
+    )
+    for te in types:
+        if te.proficient and not all(s.truthful for s in te.levels):
+            raise SuperviseError(
+                f"internal consistency failure: proficient type {te.worker.id!r} "
+                "produced an untruthful level"
+            )
+    return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)

@@ -14,6 +14,7 @@ from supervise import (
     PopulationModel,
     SchemeParams,
     SuperviseError,
+    UniformWrong,
     WorkerType,
     best_response_under_superior,
     counterexample_trace,
@@ -75,6 +76,17 @@ class TestPairLoss:
         assert expected_penalty_pair(0.0, 1.0, C=16.0, D=5.0) == 16.0
         assert expected_penalty_pair(1.0, 1.0, C=16.0, D=5.0) == 5.0
         assert expected_penalty_pair(0.0, 0.0, C=16.0, D=5.0) == 0.0
+
+    def test_implied_d_stays_within_c(self):
+        """C (m-2)/(m-1) rounds one ulp past C at this m and overflows at C = 1e308, m = 4; pinned to C, it passes
+        the pair penalty's D <= C check in the pair loss and in the simulator's expectation."""
+        C, m = 694.6600510747157, 1004657366796102059
+        assert C * (m - 2) / (m - 1) > C
+        assert SchemeParams(k=1, epsilon=0.2, C=C, m=m).effective_D() == C
+        assert SchemeParams(k=1, epsilon=0.2, C=1e308, m=4).effective_D() == 1e308
+        assert UniformWrong(m=m, C=C).expected(0.1, 0.2) == expected_penalty_pair(0.1, 0.2, C, C)
+        want = math.log(10.0) + expected_penalty_pair(0.1, 0.2, C, C)
+        assert expected_loss_pair(SL(1.0), 0.1, 0.2, SchemeParams(k=1, epsilon=0.2, C=C, m=m)) == want
 
     def test_best_response_worked_value(self):
         r = best_response_under_superior(SL(1.0), e_w=0.0, params=params(D=0.0))

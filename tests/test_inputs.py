@@ -37,6 +37,7 @@ from supervise import (
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
+    expected_penalty_pair,
     expected_penalty_quant,
     quant_equilibrium,
     sa_greedy,
@@ -102,6 +103,15 @@ BAD_INPUTS = {
     "tree n_tasks a bool": lambda: build_supervision_tree(True, 2, seed=0),
     "sweep_quant sigma_w NaN": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 10, 0, sigma_w=NAN),
     "expected_penalty_quant c NaN": lambda: expected_penalty_quant(1.0, 0.0, 1.0, 0.0, c=NAN),
+    "expected_penalty_quant bias a string": lambda: expected_penalty_quant(1.0, "x", 1.0, 0.0, c=1.0),
+    "expected_penalty_quant bias NaN": lambda: expected_penalty_quant(1.0, NAN, 1.0, 0.0, c=1.0),
+    "expected_penalty_quant superior bias inf": lambda: expected_penalty_quant(1.0, 0.0, 1.0, float("inf"), c=1.0),
+    "expected_penalty_pair error a string": lambda: expected_penalty_pair("a", 0.1, 1.0, 0.0),
+    "expected_penalty_pair error NaN": lambda: expected_penalty_pair(NAN, 0.1, 1.0, 0.0),
+    "expected_penalty_pair superior error 1.5": lambda: expected_penalty_pair(0.1, 1.5, 1.0, 0.0),
+    "expected_penalty_pair C negative": lambda: expected_penalty_pair(0.1, 0.1, -5.0, 9.0),
+    "expected_penalty_pair D above C": lambda: expected_penalty_pair(0.1, 0.1, 5.0, 9.0),
+    "expected_penalty_pair D negative": lambda: expected_penalty_pair(0.1, 0.1, 5.0, -1.0),
     "binary strategy a bool": _binary_strategy_true,
     "sweep seed negative": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 10, -1),
     "tree JSON missing w1's shared task": lambda: SupervisionTree.from_json_dict(
@@ -192,6 +202,15 @@ BAD_INPUT_MESSAGES = {
     "hierarchy constructed with a one-id coverage row": "'coverage' must be an array of arrays of 2 string ids",
     "vertex cover over integer vertex ids": "'vertices' must be an array of string ids",
     "tree over integer task ids": "'task ids' must be an array of string ids",
+    "expected_penalty_quant bias a string": "b_u must be",
+    "expected_penalty_quant bias NaN": "b_u must be",
+    "expected_penalty_quant superior bias inf": "b_w must be",
+    "expected_penalty_pair error a string": "worker error must",
+    "expected_penalty_pair error NaN": "worker error must",
+    "expected_penalty_pair superior error 1.5": "superior error must",
+    "expected_penalty_pair C negative": "C must be",
+    "expected_penalty_pair D above C": r"D must be a finite real in \[0.0, 5.0\]",
+    "expected_penalty_pair D negative": r"D must be a finite real in \[0.0, 5.0\]",
 }
 
 
