@@ -18,10 +18,17 @@ from supervise import (
 
 import _oracles
 
-UNIT = st.floats(0.0, 1.0)
 BINARY_FAMILIES = ("simplelog", "boundarylog")
+
+
+def _above_bound(f, k, eps, factor):
+    """The scheme whose C is ``factor`` times the hierarchical bound."""
+    return SchemeParams(k=k, epsilon=eps, C=min_penalty_hierarchical(f, SchemeParams(k=k, epsilon=eps)) * factor)
+
+
 # a scheme at the bound whose profile alternates between two errors one ulp apart from level 150 on
-PERIOD_2 = (EffortFunction.boundary_log(1.4221666759590161), 5, 0.42712130234109225)
+PERIOD_2_F = EffortFunction.boundary_log(1.4221666759590161)
+PERIOD_2 = _above_bound(PERIOD_2_F, 5, 0.42712130234109225, 1 + 1e-6)
 
 
 def _rows(levels):
@@ -57,7 +64,7 @@ def schemes(draw, f):
     C = min_penalty_hierarchical(f, SchemeParams(k=k, epsilon=eps)) * draw(st.floats(0.2, 3.0))
     if draw(st.booleans()):
         return SchemeParams(k=k, epsilon=eps, C=C, m=draw(st.integers(2, 4)))
-    return SchemeParams(k=k, epsilon=eps, C=C, D=C * draw(UNIT))
+    return SchemeParams(k=k, epsilon=eps, C=C, D=C * draw(st.floats(0.0, 1.0)))
 
 
 @st.composite
@@ -96,12 +103,10 @@ def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn):
 
 
 def test_period_two_profile_matches_the_frozen_original():
-    f, k, eps = PERIOD_2
-    params = SchemeParams(k=k, epsilon=eps, C=min_penalty_hierarchical(f, SchemeParams(k=k, epsilon=eps)) * (1 + 1e-6))
-    profile = equilibrium_homogeneous(f, params, 400)
+    profile = equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 400)
     errors = [s.error for s in profile.levels]
     assert errors[398] == errors[400] != errors[399]
-    assert _rows(profile.levels) == _rows(_oracles.equilibrium_homogeneous(f, params, 400).levels)
+    assert _rows(profile.levels) == _rows(_oracles.equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 400).levels)
 
 
 def test_clamped_fixed_point_matches_the_frozen_original():
@@ -115,7 +120,7 @@ def test_clamped_fixed_point_matches_the_frozen_original():
 @pytest.mark.parametrize("family", ["simplelog", "boundarylog"])
 def test_depth_at_the_first_repeat_matches_the_frozen_original(family):
     f = EffortFunction(family, 0.7)
-    params = SchemeParams(k=3, epsilon=0.1, C=min_penalty_hierarchical(f, SchemeParams(k=3, epsilon=0.1)) * 1.5)
+    params = _above_bound(f, 3, 0.1, 1.5)
     repeat = _first_repeat([s.error for s in _oracles.equilibrium_homogeneous(f, params, 2000).levels])
     assert repeat is not None and repeat > 2
     for depth in (repeat - 1, repeat, repeat + 1):
@@ -126,15 +131,13 @@ def test_depth_at_the_first_repeat_matches_the_frozen_original(family):
 
 def test_cascades_stop_solving_at_the_first_repeat(monkeypatch):
     """The solver runs once per level up to the first repeat, and once per type for sigma; deeper levels are copies."""
-    f, k, eps = PERIOD_2
-    params = SchemeParams(k=k, epsilon=eps, C=min_penalty_hierarchical(f, SchemeParams(k=k, epsilon=eps)) * (1 + 1e-6))
-    pop = PopulationModel(((WorkerType(f, "a"), 0.5), (WorkerType(EffortFunction.boundary_log(0.5), "b"), 0.5)))
+    pop = PopulationModel(((WorkerType(PERIOD_2_F, "a"), 0.5), (WorkerType(EffortFunction.boundary_log(0.5)), 0.5)))
     calls = []
     solve = supervise.hierarchy.solve_deriv_equals
-    monkeypatch.setattr(supervise.hierarchy, "solve_deriv_equals", lambda f, target: calls.append(1) or solve(f, target))
+    monkeypatch.setattr(supervise.hierarchy, "solve_deriv_equals", lambda f, t: calls.append(1) or solve(f, t))
 
-    profile = equilibrium_homogeneous(f, params, 2000)
+    profile = equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 2000)
     assert len(calls) == _first_repeat([s.error for s in profile.levels]) < 200
     calls.clear()
-    eq = equilibrium_heterogeneous(pop, params, 2000)
+    eq = equilibrium_heterogeneous(pop, PERIOD_2, 2000)
     assert len(calls) == 2 * (1 + _first_repeat(eq.mean_errors)) < 200
