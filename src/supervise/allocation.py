@@ -52,7 +52,7 @@ class SAInstance:
 
 @dataclass(frozen=True)
 class SASolution:
-    """A covering task set and, sorted, one ``(worker, covering task)`` row per worker."""
+    """A covering task set and one ``(worker, covering task)`` row per worker, both sorted, as graph rows are."""
 
     tasks: tuple[str, ...]
     cover_witness: tuple[tuple[str, str], ...]
@@ -65,11 +65,11 @@ class SASolution:
 def _check_cover(inst: SAInstance, tasks: Iterable[str]) -> tuple[tuple[str, str], ...]:
     chosen = set(tasks)
     witness = []
-    for w, ts in sorted(inst.graph.worker_tasks.items()):
-        hit = sorted(chosen.intersection(ts))
-        if not hit:
+    for w, ts in inst.graph.worker_tasks.items():
+        hit = next((t for t in ts if t in chosen), None)  # a worker's tasks are sorted: the smallest covering one
+        if hit is None:
             raise SuperviseError(f"worker {w!r} not covered")
-        witness.append((w, hit[0]))
+        witness.append((w, hit))
     return tuple(witness)
 
 
@@ -81,12 +81,12 @@ def sa_exact(inst: SAInstance) -> SASolution:
     returned optimum is the lexicographically smallest one.  Instances over
     24 tasks are refused.
     """
-    tasks = sorted(inst.graph.tasks)
+    tasks = inst.graph.tasks
     if len(tasks) > EXACT_TASK_CAP:
         raise InstanceTooLargeError(
             f"exact solver caps at {EXACT_TASK_CAP} tasks, got {len(tasks)}; use sa_greedy"
         )
-    workers = sorted(inst.graph.workers)
+    workers = inst.graph.workers
     if not workers:
         return SASolution(tasks=(), cover_witness=())
     widx = {w: i for i, w in enumerate(workers)}
@@ -133,12 +133,12 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     distinct task per picked worker, giving |S| <= k * |OPT|.
     """
     rng = random.Random(require_int(seed, "seed", 0))
-    uncovered = set(inst.graph.workers)
+    worker_tasks = inst.graph.worker_tasks
+    uncovered = list(inst.graph.workers)  # filtered in graph order, so it stays sorted
     chosen: set[str] = set()
     while uncovered:
-        u = rng.choice(sorted(uncovered))
-        chosen.update(inst.graph.worker_tasks[u])
-        uncovered = {w for w in uncovered if not chosen.intersection(inst.graph.worker_tasks[w])}
+        chosen.update(worker_tasks[rng.choice(uncovered)])
+        uncovered = [w for w in uncovered if chosen.isdisjoint(worker_tasks[w])]
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
 
@@ -156,7 +156,7 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     edge is deleted once, through its worker's and its task's index lists.
     """
     rng = random.Random(require_int(seed, "seed", 0))
-    edges = sorted(inst.graph.edges)
+    edges = inst.graph.edges
     n = live = len(edges)
     of_worker: dict[str, list[int]] = {}
     of_task: dict[str, list[int]] = {}
@@ -220,5 +220,5 @@ def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAIns
         warnings.warn(f"dropping isolated vertices (they constrain nothing): {isolated}", stacklevel=2)
     workers = tuple(f"{u}|{v}" for u, v in norm)
     g_edges = tuple((f"{u}|{v}", x) for u, v in norm for x in (u, v))
-    graph = AssignmentGraph(workers=workers, tasks=tuple(sorted(touched)), edges=g_edges)
+    graph = AssignmentGraph(workers=workers, tasks=tuple(touched), edges=g_edges)
     return SAInstance(graph=graph, k=2)

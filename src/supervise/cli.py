@@ -22,7 +22,7 @@ from typing import Mapping
 from ._csv import bool_word
 from .allocation import EXACT_TASK_CAP, SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
 from .effort import EffortFunction, Family, SchemeParams
-from .errors import SuperviseError, require_int, require_real
+from .errors import FLOAT_MAX, SuperviseError, require_int, require_real
 from .flat import min_verification_probability_binary, min_verification_probability_quant
 from .hierarchy import (
     PopulationModel,
@@ -114,7 +114,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             raise SuperviseError("flat threshold needs exactly one of --C (binary) or --c (quantitative)")
         params = SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C, c=args.c)
         if args.n_workers is not None:
-            require_int(args.n_workers, "n_workers", 0)
+            require_int(args.n_workers, "n_workers", 0, hi=FLOAT_MAX)
         if args.C is not None:
             fb = min_verification_probability_binary(f, params)
         else:
@@ -207,7 +207,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         sol = sa_greedy(inst, args.seed)
     else:
         sol = sa_greedy_edge_deletion(inst, args.seed)
-    payload: dict = {"cover": sorted(sol.tasks), "size": sol.size}
+    payload: dict = {"cover": list(sol.tasks), "size": sol.size}
     if len(graph.tasks) <= EXACT_TASK_CAP:
         best = sol if args.mode == "exact" else sa_exact(inst)
         if best.size > 0:

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError, require_int, require_real
+from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError
+from .errors import FLOAT_MAX, require_int, require_real
 
 __all__ = [
     "Family",
@@ -211,14 +212,14 @@ class SchemeParams:
     D: float | None = None
 
     def __post_init__(self) -> None:
-        require_int(self.k, "k", 1)
+        require_int(self.k, "k", 1, hi=FLOAT_MAX)
         eps = require_real(self.epsilon, "epsilon range: epsilon", 0.0, lo_open=True, error=EpsilonRangeError)
         object.__setattr__(self, "epsilon", eps)
         for name in ("C", "c"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, require_real(v, name, 0.0, lo_open=True))
-        require_int(self.m, "m", 2)
+        require_int(self.m, "m", 2, hi=FLOAT_MAX)
         if self.D is not None:
             if self.C is None:
                 raise SuperviseError("D is only meaningful alongside C")

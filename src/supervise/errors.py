@@ -7,6 +7,7 @@ bools, NaN, infinities and non-numbers, and raise the class the caller names.
 """
 
 import math
+import sys
 
 __all__ = [
     "SuperviseError",
@@ -57,10 +58,15 @@ class ModelMismatchError(SuperviseError):
     """An answer model was paired with an incompatible structure or strategy."""
 
 
-def require_int(x, name: str, lo: int, error: type = SuperviseError) -> int:
-    """``x`` if it is an integer >= ``lo``."""
-    if isinstance(x, bool) or not isinstance(x, int) or x < lo:
-        raise error(f"{name} must be an integer >= {lo}, got {x!r}")
+# The largest integer a count may be when it enters float arithmetic: a larger one raises OverflowError there.
+FLOAT_MAX = sys.float_info.max
+
+
+def require_int(x, name: str, lo: int, error: type = SuperviseError, hi: float = math.inf) -> int:
+    """``x`` if it is an integer in [lo, hi]."""
+    if isinstance(x, bool) or not isinstance(x, int) or not lo <= x <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be an integer {bounds}, got {x!r}")
     return x
 
 

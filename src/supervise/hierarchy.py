@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from ._csv import bool_word, write_csv
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import AssumptionError, EpsilonRangeError, SuperviseError
+from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
 from .errors import require_int, require_prob, require_real, require_weights
 
 __all__ = [
@@ -390,12 +390,20 @@ class DefectionAnalysis:
     verdict: str  # "defect" | "indifferent" | "truthful-compatible"
 
 
+def _share_of(count: int, C: float, N: int) -> float:
+    """``count * C / N`` rounded once, so a product above the float range cannot turn a finite cost into inf."""
+    num, den = C.as_integer_ratio()
+    try:
+        return count * num / (N * den)  # integers are exact, and their true quotient is rounded once
+    except OverflowError:
+        raise SuperviseError(f"the cost {count} * C / {N} exceeds the float range at C={C!r}") from None
+
+
 def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
-    require_int(N, "N", 1)
-    require_int(k, "k", 1)
+    require_int(N, "N", 1, hi=FLOAT_MAX)
+    require_int(k, "k", 1, hi=FLOAT_MAX)
     C = require_real(C, "C", 0.0, lo_open=True)
-    defect_cost = k * C / N
-    deviate_cost = (N - k) * C / N
+    defect_cost, deviate_cost = _share_of(k, C, N), _share_of(N - k, C, N)
     if N > 2 * k:
         verdict = "defect"
     elif N == 2 * k:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ._csv import bool_word, write_csv
 from .effort import EffortFunction, Root, solve_deriv_equals
-from .errors import AssumptionError, SuperviseError, require_int, require_real, require_weights
+from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_int, require_real, require_weights
 
 __all__ = [
     "QuantWorkerType",
@@ -90,7 +90,7 @@ def best_response_quant(f: EffortFunction, k: int, c: float) -> Root:
     they are not arguments.  With the inverse-power cost the root is
     ``sqrt(alpha k / c)``.
     """
-    require_int(k, "k", 1)
+    require_int(k, "k", 1, hi=FLOAT_MAX)
     require_real(c, "penalty weight c", 0.0, lo_open=True)
     return solve_deriv_equals(f, -c / k)
 

@@ -18,8 +18,10 @@ rows therefore compare the penalty component.  The parameter sweeps, which do
 need the effort term to have an interior optimum, take the effort function
 explicitly and add it analytically, in one loop over the strategy grid.
 
-Determinism: one seeded generator, structures iterated in sorted order, and
-numpy's fixed-order reductions — identical configs produce identical reports.
+Determinism: one seeded generator, draws in sorted worker and task order
+(structures store their rows sorted, so equal structures give equal reports
+however their JSON rows were ordered), and numpy's fixed-order reductions —
+identical configs produce identical reports.
 
 numpy is imported where a generator is made, in :func:`simulate` and the
 sweeps, so importing the package, and every subcommand but ``simulate``, runs
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._csv import write_csv
 from .effort import EffortFunction, SchemeParams, effort_eval
-from .errors import ModelMismatchError, SuperviseError, require_int, require_prob, require_real
+from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_int, require_prob, require_real
 from .hierarchy import expected_penalty_pair
 from .quant import expected_penalty_quant
 from .structures import SupervisionHierarchy, SupervisionTree
@@ -59,6 +61,10 @@ __all__ = [
 ]
 
 
+# The largest answer-set size numpy's int64 answers hold: a wrong answer, truth + offset, stays below 2 m.
+_M_MAX = 2**62
+
+
 @dataclass(frozen=True)
 class UniformWrong:
     """Binary-verifiable answers over m alternatives; disagreement costs C.
@@ -71,7 +77,7 @@ class UniformWrong:
     exact = 0.0  # the strategy of a supervisor the strategies leave out
 
     def __post_init__(self) -> None:
-        require_int(self.m, "m", 2)
+        require_int(self.m, "m", 2, hi=_M_MAX)
         object.__setattr__(self, "C", require_real(self.C, "C", 0.0, lo_open=True))
 
     @property
@@ -191,7 +197,7 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
     else:
         raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
     level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
-    pairs = [(p, c, t, level_of[c]) for p, c, t in sorted(tree.shared)]
+    pairs = [(p, c, t, level_of[c]) for p, c, t in tree.shared]
     return tree.supervisor, pairs + extra
 
 
@@ -221,7 +227,10 @@ def _z(emp: float, analytic: float, stderr: float) -> float:
 
 
 def simulate(config: SimConfig) -> SimReport:
-    """Sample the answer model's penalty on every supervision pair of the structure."""
+    """Sample the answer model's penalty on every supervision pair of the structure.
+
+    Pairs are read in the structure's stored row order, which is sorted, and rows are reported by level and worker.
+    """
     model = config.answer_model
     supervisor, pairs = _supervision_pairs(config.structure)
     strategy = {}
@@ -330,7 +339,7 @@ def sweep_pair(
 ) -> SweepResult:
     """Empirical pair loss against a superior playing error e_w."""
     e_w = require_prob(e_w, "superior error")
-    C, m = params.require_C(), params.m
+    C, m = params.require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         truth = rng.integers(0, m, size=n)
@@ -353,7 +362,7 @@ def sweep_quant(
     bias_w: float = 0.0,
 ) -> SweepResult:
     """Empirical quadratic loss k f(v) + c (x - y)^2 over a variance grid."""
-    require_int(k, "k", 1)
+    require_int(k, "k", 1, hi=FLOAT_MAX)
     require_real(c, "c", 0.0, lo_open=True)
     require_real(sigma_w, "sigma_w", 0.0)
     require_real(bias_w, "bias_w")

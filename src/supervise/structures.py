@@ -16,7 +16,6 @@ constructed, so one that exists is valid and a composite trusts its parts.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +54,11 @@ def _id_rows(items, key: str, width: int | None = None) -> tuple:
     return tuple(items) if width is None else tuple(map(tuple, items))
 
 
+def _sorted_rows(items, key: str, width: int | None = None) -> tuple:
+    """``_id_rows``, sorted: the one order in which a structure stores its rows, and so its JSON lists them."""
+    return tuple(sorted(_id_rows(items, key, width)))
+
+
 def _json_fields(obj: Mapping, *keys: str) -> dict:
     """The named fields of structure JSON ``obj``; a missing one reads None, which the constructor refuses."""
     return {key: obj.get(key) if isinstance(obj, Mapping) else None for key in keys}
@@ -62,7 +66,7 @@ def _json_fields(obj: Mapping, *keys: str) -> dict:
 
 @dataclass(frozen=True)
 class AssignmentGraph:
-    """Bipartite worker/task graph; ``k``, its degree bound, is the largest worker degree."""
+    """Bipartite worker/task graph, its rows stored sorted; ``k``, its degree bound, is the largest worker degree."""
 
     workers: tuple[str, ...]
     tasks: tuple[str, ...]
@@ -70,7 +74,7 @@ class AssignmentGraph:
 
     def __post_init__(self) -> None:
         for key, width in (("workers", None), ("tasks", None), ("edges", 2)):
-            object.__setattr__(self, key, _id_rows(getattr(self, key), key, width))
+            object.__setattr__(self, key, _sorted_rows(getattr(self, key), key, width))
         self.validate()
 
     def validate(self) -> None:
@@ -109,9 +113,9 @@ class AssignmentGraph:
 
     def to_json_dict(self) -> dict:
         return {
-            "workers": sorted(self.workers),
-            "tasks": sorted(self.tasks),
-            "edges": sorted([w, t] for w, t in self.edges),
+            "workers": list(self.workers),
+            "tasks": list(self.tasks),
+            "edges": [list(e) for e in self.edges],
         }
 
     @classmethod
@@ -123,6 +127,7 @@ class AssignmentGraph:
 class SupervisionTree:
     """Level lists (root first, tasks last), parent->child edges, shared tasks.
 
+    ``levels`` keep their order; ``edges`` and ``shared`` are stored sorted.
     ``shared`` holds one ``(parent, child, task)`` triple per worker->worker
     edge: the one task both perform, on which the parent judges the child.
     What each worker performs, ``worker_tasks``, follows from these.
@@ -133,8 +138,9 @@ class SupervisionTree:
     shared: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
-        for key, width in (("levels", 0), ("edges", 2), ("shared", 3)):
-            object.__setattr__(self, key, _id_rows(getattr(self, key), key, width))
+        object.__setattr__(self, "levels", _id_rows(self.levels, "levels", 0))
+        for key, width in (("edges", 2), ("shared", 3)):
+            object.__setattr__(self, key, _sorted_rows(getattr(self, key), key, width))
         self.validate()
 
     @property
@@ -222,8 +228,8 @@ class SupervisionTree:
     def to_json_dict(self) -> dict:
         return {
             "levels": [list(lv) for lv in self.levels],
-            "edges": sorted([p, c] for p, c in self.edges),
-            "shared": sorted([p, c, t] for p, c, t in self.shared),
+            "edges": [list(e) for e in self.edges],
+            "shared": [list(s) for s in self.shared],
         }
 
     @classmethod
@@ -281,7 +287,7 @@ def build_supervision_tree_over(
     bottom, top = True, False
     while not top:
         top = not bottom and len(current) <= k  # at most k workers left: the supervisor's level
-        parents = [supervisor_id] if top else [fresh_worker() for _ in range(math.ceil(len(current) / k))]
+        parents = [supervisor_id] if top else [fresh_worker() for _ in range(-(-len(current) // k))]
         for j, p in enumerate(parents):
             chunk = current[j * k : (j + 1) * k]
             for c in chunk:
@@ -341,7 +347,7 @@ def build_peg_assignment(
     """
     for name, v in (("n_workers", n_workers), ("n_tasks", n_tasks), ("k", k), ("redundancy", redundancy)):
         require_int(v, name, 1, SizingError)
-    n_pegs = math.ceil(n_workers / k)
+    n_pegs = -(-n_workers // k)
     if n_tasks < n_pegs:
         raise SizingError(f"sizing: need at least {n_pegs} tasks to peg {n_workers} workers at k={k}, got {n_tasks}")
     n_fill_tasks = n_tasks - n_pegs
@@ -403,7 +409,7 @@ class SupervisionHierarchy:
     coverage: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coverage", tuple(sorted(_id_rows(self.coverage, "coverage", 2))))
+        object.__setattr__(self, "coverage", _sorted_rows(self.coverage, "coverage", 2))
         self.validate()
 
     @property
@@ -487,11 +493,10 @@ def build_supervision_hierarchy(
     else:
         raise SuperviseError(f"unknown cover mode {mode!r}; use 'greedy' or 'exact'")
 
-    cover = sorted(sol.tasks)
     forbidden = set(graph.workers) | set(graph.tasks)
     prefix = _clash_free_prefix("h", forbidden)
     sup = "supervisor"
     while sup in forbidden:
         sup += "_"
-    tree = build_supervision_tree_over(cover, k, seed, worker_prefix=prefix, supervisor_id=sup)
+    tree = build_supervision_tree_over(sol.tasks, k, seed, worker_prefix=prefix, supervisor_id=sup)
     return SupervisionHierarchy(graph=graph, tree=tree, coverage=sol.cover_witness)

@@ -2,7 +2,8 @@
 
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
 the loss itself, exhaustive search over covers, the quadratic originals of
-the peg builder and the edge-deletion cover, the simulator's helpers as
+the peg builder and the edge-deletion cover, the disjoint-worker greedy as
+it was before graphs stored their rows sorted, the simulator's helpers as
 they were before they left numpy's module functions for array methods, and
 the equilibrium cascades as they were before they stopped at a repeat.
 Written straight from the defining formulas, or frozen before the fast paths
@@ -181,6 +182,29 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
         w, t = edges[rng.randrange(len(edges))]
         chosen.add(t)
         edges = [(w2, t2) for (w2, t2) in edges if w2 != w and t2 != t]
+    picked = tuple(sorted(chosen))
+    return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
+
+
+# The disjoint-worker greedy as it was before graphs stored their rows sorted, frozen verbatim: it sorted the
+# uncovered workers before every pick, and the library now draws from a list that stays sorted.
+
+
+def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
+    """Disjoint-worker greedy: within factor k of the optimum.
+
+    Repeatedly pick a seeded-random still-uncovered worker and take all of
+    its (at most k) tasks.  Any two picked workers share no task — otherwise
+    the second was already covered — so an optimal cover spends at least one
+    distinct task per picked worker, giving |S| <= k * |OPT|.
+    """
+    rng = random.Random(require_int(seed, "seed", 0))
+    uncovered = set(inst.graph.workers)
+    chosen: set[str] = set()
+    while uncovered:
+        u = rng.choice(sorted(uncovered))
+        chosen.update(inst.graph.worker_tasks[u])
+        uncovered = {w for w in uncovered if not chosen.intersection(inst.graph.worker_tasks[w])}
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,10 @@ class TestCounterexampleAndDefection:
         assert run_cli(capsys, "defection", "--N", "4", "--k", "2", "--C", "10")[1] == "indifferent (5 = 5)\n"
         out3 = run_cli(capsys, "defection", "--N", "3", "--k", "2", "--C", "10")[1]
         assert out3.startswith("truthful-compatible (")
+
+    def test_defection_cost_beyond_floats_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "defection", "--N", "1", "--k", str(10**20), "--C", "1e308")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestStructurePipeline:
@@ -457,11 +462,13 @@ ANALYTIC_RUNS = {
 }
 BOUNDARY_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e-17", "1e-300", "5e-324", "1e308")
 BOUNDARY_INTS = ("0", "-1")  # no size flag is made huge: the run would take as long as the size
+SIZE_FLAGS = ("depth", "max-depth")
+HUGE_INT = str(10**400)  # too large to convert to a float: every count that enters float arithmetic refuses it
 FLAG_CASES = [
     (run, flag, value)
     for run, (_, floats, ints) in ANALYTIC_RUNS.items()
-    for flags, values in ((floats, BOUNDARY_FLOATS), (ints, BOUNDARY_INTS))
-    for flag in flags
+    for flag, values in [(f, BOUNDARY_FLOATS) for f in floats]
+    + [(f, BOUNDARY_INTS + ((HUGE_INT,) if f not in SIZE_FLAGS else ())) for f in ints]
     for value in values
 ]
 
@@ -482,9 +489,16 @@ def _run_with_flag(capsys, argv, flag, value):
     return code, out
 
 
-@pytest.mark.parametrize("run,flag,value", FLAG_CASES, ids=[f"{r} --{f}={v}" for r, f, v in FLAG_CASES])
+@pytest.mark.parametrize(
+    "run,flag,value", FLAG_CASES, ids=[f"{r} --{f}={'1e400' if v == HUGE_INT else v}" for r, f, v in FLAG_CASES]
+)
 def test_boundary_flag_value_ends_in_an_exit_code(capsys, run, flag, value):
     code, out = _run_with_flag(capsys, ANALYTIC_RUNS[run][0], flag, value)
+    if value == HUGE_INT:
+        assert code == 1
+    if code == 0 and run == "defection":
+        costs = re.fullmatch(r"[a-z-]+ \((\S+) [<=>] (\S+)\)\n", out).groups()
+        assert all(math.isfinite(float(cost)) for cost in costs), out
     if code == 0 and run == "counterexample":
         footer = dict(line[2:].split(" ", 1) for line in out.splitlines() if line.startswith("# "))
         assert footer["delta"] == "none" or math.isfinite(float(footer["delta"]))

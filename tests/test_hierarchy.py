@@ -275,6 +275,13 @@ class TestDefection:
         d3 = defection_analysis(3, 2, 10.0)
         assert d3.verdict == "truthful-compatible" and d3.defect_cost > d3.deviate_cost
 
+    def test_costs_are_rounded_once(self):
+        """k C overflows at C = 1e308, yet both costs are finite: 2e307 and 8e307, each rounded once."""
+        d = defection_analysis(10, 2, 1e308)
+        assert (d.defect_cost, d.deviate_cost) == (2e307, 8e307)
+        with pytest.raises(SuperviseError, match="exceeds the float range"):
+            defection_analysis(1, 10**20, 1e308)  # the cost itself, 1e328, is beyond a float
+
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=50), st.floats(min_value=0.1, max_value=100.0))
     def test_verdict_matches_costs(self, N, k, C):
         d = defection_analysis(N, k, C)

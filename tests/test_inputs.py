@@ -92,6 +92,7 @@ def _binary_strategy_true():
 
 BAD_INPUTS = {
     "uniform-wrong C as a string": lambda: UniformWrong(C="1"),
+    "uniform-wrong m beyond int64 answers": lambda: UniformWrong(m=2**64),
     "gaussian c of None": lambda: Gaussian(c=None),
     "sweep_flat p as a string": lambda: sweep_flat(SL, PARAMS, p="x", grid=GRID, episodes=10, seed=0),
     "quant weight as a string": lambda: quant_equilibrium([(QuantWorkerType(IP), "a")], 2, 1.0, 3.0, 2),
@@ -197,6 +198,7 @@ BAD_INPUT_MESSAGES = {
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
     "hierarchy constructed with a coverage row twice": "names a worker twice",
     "counterexample C too small for a finite delta": "C 5e-324",
+    "uniform-wrong m beyond int64 answers": r"m must be an integer in \[2, 4611686018427387904\]",
     "graph constructed with a three-id edge row": "'edges' must be an array of arrays of 2 string ids",
     "tree constructed with a shared pair": "'shared' must be an array of arrays of 3 string ids",
     "hierarchy constructed with a one-id coverage row": "'coverage' must be an array of arrays of 2 string ids",

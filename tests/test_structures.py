@@ -4,23 +4,32 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supervise import (
     AssignmentGraph,
     SAInstance,
     SASolution,
     PegAssignment,
+    SimConfig,
     SizingError,
     SuperviseError,
     SupervisionHierarchy,
     SupervisionTree,
+    UniformWrong,
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
     build_supervision_tree_over,
+    sa_greedy,
+    simulate,
 )
 
+import _oracles
 from _oracles import brute_force_cover
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestAssignmentGraph:
@@ -60,11 +69,12 @@ class TestAssignmentGraph:
         assert self.g(edges=(("u0", "t0"), ("u1", "t1"))).k == 1
 
     def test_json_round_trip_infers_k(self):
-        g = self.g()
+        g = self.g(workers=("u1", "u0"), edges=(("u1", "t1"), ("u0", "t0"), ("u1", "t0")))
         obj = g.to_json_dict()
         assert set(obj) == {"workers", "tasks", "edges"}
         g2 = AssignmentGraph.from_json_dict(obj)
         assert g2.k == 2  # max degree
+        assert g2 == g
         assert g2.to_json_dict() == obj
 
 
@@ -96,6 +106,7 @@ class TestTreeConstruction:
         assert a.to_json_dict() == b.to_json_dict()
         back = SupervisionTree.from_json_dict(a.to_json_dict())
         back.validate()
+        assert back == a
         assert back.to_json_dict() == a.to_json_dict()
         assert {w: set(ts) for w, ts in back.worker_tasks.items()} == {
             w: set(ts) for w, ts in a.worker_tasks.items()
@@ -115,6 +126,9 @@ class TestTreeConstruction:
             build_supervision_tree(0, 2, seed=0)
         with pytest.raises(SuperviseError):
             build_supervision_tree_over(["a", "a"], 2, seed=0)
+
+    def test_branching_factor_beyond_floats_builds_the_one_worker_tree(self):
+        assert build_supervision_tree(3, 10**400, 0) == build_supervision_tree(3, 3, 0)
 
     def test_validate_catches_tampering(self):
         tree = build_supervision_tree(4, 2, seed=0)
@@ -167,6 +181,8 @@ class TestPegAssignment:
             build_peg_assignment(6, 5, 3, seed=0, redundancy=4)  # pegs cap at k workers
         with pytest.raises(SizingError):
             build_peg_assignment(3, 9, 3, seed=0, redundancy=3)  # not enough fill edges
+        with pytest.raises(SizingError):
+            build_peg_assignment(10**400, 7, 3, seed=0)  # a peg count beyond floats, refused before anything is built
 
     def test_determinism(self):
         a = build_peg_assignment(10, 9, 4, seed=77)
@@ -215,6 +231,7 @@ class TestHierarchy:
         obj = h.to_json_dict()
         back = SupervisionHierarchy.from_json_dict(obj)
         back.validate()
+        assert back == h
         assert back.to_json_dict() == obj
 
     def test_tree_names_avoid_graph_names(self):
@@ -273,3 +290,61 @@ class TestValidatedOnce:
         obj = build_supervision_hierarchy(build_peg_assignment(6, 5, 3, seed=3).graph, k=2, seed=3).to_json_dict()
         counts = self.counts(monkeypatch, lambda: SupervisionHierarchy.from_json_dict(obj))
         assert counts == {"AssignmentGraph": 1, "SupervisionTree": 1, "SupervisionHierarchy": 1}
+
+
+def _shuffled(obj: dict, rng: random.Random) -> dict:
+    """Structure JSON ``obj`` with every row list shuffled, a hierarchy's graph and tree too; levels keep their order."""
+    out = dict(obj)
+    for key in ("workers", "tasks", "edges", "shared", "coverage", "tree_tasks"):
+        if key in out:
+            out[key] = rng.sample(out[key], len(out[key]))
+    for key in ("graph", "tree"):
+        if key in out:
+            out[key] = _shuffled(out[key], rng)
+    return out
+
+
+def _report(structure, seed: int) -> str:
+    """A short Monte Carlo report on a tree or hierarchy, every judged worker at its own seeded error."""
+    if isinstance(structure, SupervisionHierarchy):
+        tree, graph_workers = structure.tree, structure.graph.workers
+    else:
+        tree, graph_workers = structure, ()
+    workers = set(tree.worker_tasks).union(graph_workers) - {tree.supervisor}
+    rng = random.Random(seed)
+    strategies = {w: rng.uniform(0.05, 0.3) for w in sorted(workers)}
+    return simulate(SimConfig(20, seed, UniformWrong(m=3), structure, strategies)).to_csv()
+
+
+@settings(max_examples=60, derandomize=True)
+@given(n_workers=st.integers(1, 30), k=st.integers(2, 4), seed=SEEDS, data=st.data())
+def test_shuffled_json_rows_load_to_the_same_structure(n_workers, k, seed, data):
+    """Trees, peg graphs and the hierarchies over them; the task count is drawn among the peg sizes that build."""
+    n_tasks = -(-n_workers // k) + k - 1 + data.draw(st.integers(0, (n_workers - 1) * (k - 1)), label="extra tasks")
+    tree = build_supervision_tree(n_tasks, k, seed)
+    graph = build_peg_assignment(n_workers, n_tasks, k, seed).graph
+    hierarchy = build_supervision_hierarchy(graph, k, seed)
+    rng = random.Random(seed)
+    for structure in (tree, graph, hierarchy):
+        obj = structure.to_json_dict()
+        assert type(structure).from_json_dict(obj) == structure
+        assert type(structure).from_json_dict(_shuffled(obj, rng)) == structure
+    for structure in (tree, hierarchy):
+        shuffled = type(structure).from_json_dict(_shuffled(structure.to_json_dict(), rng))
+        assert _report(shuffled, seed) == _report(structure, seed)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(n_workers=st.integers(1, 40), n_tasks=st.integers(1, 30), k=st.integers(1, 5), graph_seed=SEEDS, seed=SEEDS)
+def test_greedy_matches_the_frozen_original_on_graphs_from_shuffled_rows(n_workers, n_tasks, k, graph_seed, seed):
+    """Workers with 1..k tasks each; ids such as u10 and u2 sort apart from their build order."""
+    rng = random.Random(graph_seed)
+    tasks = [f"t{j}" for j in range(n_tasks)]
+    workers = [f"u{i}" for i in range(n_workers)]
+    edges = [(w, t) for w in workers for t in rng.sample(tasks, rng.randint(1, min(k, n_tasks)))]
+    graph = AssignmentGraph(workers=workers, tasks=tasks, edges=edges)
+    shuffled = AssignmentGraph(*(rng.sample(rows, len(rows)) for rows in (workers, tasks, edges)))
+    assert shuffled == graph
+    for g in (graph, shuffled):
+        inst = SAInstance(g, k)
+        assert sa_greedy(inst, seed) == _oracles.sa_greedy(inst, seed)
