@@ -467,10 +467,10 @@ HUGE_INT = str(10**400)  # too large to convert to a float: every count that ent
 FLAG_CASES = [
     (run, flag, value)
     for run, (_, floats, ints) in ANALYTIC_RUNS.items()
-    for flag, values in [(f, BOUNDARY_FLOATS) for f in floats]
-    + [(f, BOUNDARY_INTS + ((HUGE_INT,) if f not in SIZE_FLAGS else ())) for f in ints]
+    for flags, values in ((floats, BOUNDARY_FLOATS), (ints, BOUNDARY_INTS))
+    for flag in flags
     for value in values
-]
+] + [(run, flag, HUGE_INT) for run, (_, _, ints) in ANALYTIC_RUNS.items() for flag in ints if flag not in SIZE_FLAGS]
 
 
 def _run_with_flag(capsys, argv, flag, value):
