@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ._csv import bool_word
 from .allocation import EXACT_TASK_CAP, SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
@@ -27,13 +27,12 @@ from .flat import min_verification_probability_binary, min_verification_probabil
 from .hierarchy import (
     PopulationModel,
     WorkerType,
+    _csv_chunks,
     counterexample_trace,
     defection_analysis,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
-    heterogeneous_to_csv,
     min_penalty_hierarchical,
-    profile_to_csv,
     trace_to_csv,
 )
 from .quant import best_response_quant
@@ -51,9 +50,9 @@ __all__ = ["fmt_decimal", "build_parser", "main", "run"]
 
 
 def fmt_decimal(x: float) -> str:
-    """16.0 -> '16', 0.3 -> '0.3'; repr keeps full precision otherwise."""
+    """16.0 -> '16', 0.3 -> '0.3', 1e+300 -> '1e+300': integral floats below 2**53 print bare, the rest as repr."""
     fx = float(x)
-    if math.isfinite(fx) and fx == int(fx):
+    if fx.is_integer() and abs(fx) < 2**53:
         return str(int(fx))
     return repr(fx)
 
@@ -78,19 +77,20 @@ def _read_json(path: str):
         raise SuperviseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the strings of ``chunks`` in turn to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise SuperviseError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit((json.dumps(payload, sort_keys=True, indent=2), "\n"), out)
 
 
 def _effort_from_args(args: argparse.Namespace) -> EffortFunction:
@@ -122,7 +122,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         lines = [fmt_decimal(fb.bound), f"feasible {bool_word(fb.feasible)}"]
         if args.n_workers is not None:
             # workload at the cheapest inducing probability, namely the bound itself
-            lines.append(f"workload {fmt_decimal(fb.bound * args.n_workers)}")
+            workload = fb.bound * args.n_workers
+            if not math.isfinite(workload):
+                raise SuperviseError(f"the workload bound * n_workers is not a finite float at n_workers="
+                                     f"{args.n_workers}")
+            lines.append(f"workload {fmt_decimal(workload)}")
         print("\n".join(lines))
     return 0
 
@@ -146,13 +150,11 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
         if args.effort is not None:
             raise SuperviseError("give either --population or --effort, not both")
         eq = equilibrium_heterogeneous(_population_from_file(args.population), params, depth=args.depth, e0=args.e0)
-        text = heterogeneous_to_csv(eq)
     else:
         if args.effort is None:
             raise SuperviseError("equilibrium needs --effort (with --alpha) or --population FILE")
-        prof = equilibrium_homogeneous(_effort_from_args(args), params, depth=args.depth, e0=args.e0)
-        text = profile_to_csv(prof)
-    _emit(text, args.out)
+        eq = equilibrium_homogeneous(_effort_from_args(args), params, depth=args.depth, e0=args.e0)
+    _emit(_csv_chunks(eq), args.out)
     return 0
 
 
@@ -166,7 +168,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     )
     if trace.diverged_at is not None:
         lines.append(f"# diverged_at {trace.diverged_at}\n")
-    _emit("".join(lines), args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -252,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         structure=structure,
         strategies=strategies,
     )
-    _emit(simulate(config).to_csv(), args.out)
+    _emit((simulate(config).to_csv(),), args.out)
     return 0
 
 

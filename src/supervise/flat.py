@@ -12,10 +12,11 @@ crowd, which is exactly what the hierarchical schemes exist to avoid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, require_real
+from .errors import NoIncentiveError, SuperviseError, require_real
 
 __all__ = [
     "FlatBound",
@@ -46,6 +47,9 @@ class FlatBound:
 
 def _bound(f: EffortFunction, eps: float, k: int, penalty: float) -> FlatBound:
     b = (-effort_deriv(f, eps)) * k / penalty
+    if not math.isfinite(b):
+        raise SuperviseError(f"the verification probability bound -f'(eps) k / penalty is not a finite float at k={k}, "
+                             f"penalty={penalty!r}")
     return FlatBound(bound=b, feasible=b <= 1.0)
 
 

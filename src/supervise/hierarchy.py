@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from ._csv import bool_word, write_csv
+from ._csv import bool_word, cyclic_csv_chunks, write_csv
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
 from .errors import require_int, require_prob, require_real, require_weights
@@ -91,30 +91,90 @@ class LevelState(NamedTuple):
     clamped: bool = False
 
 
-@dataclass(frozen=True)
-class EquilibriumProfile:
-    """Per-level equilibrium errors; level 0 is the supervisor."""
+def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
+    """Items n..depth of the sequence that starts with ``prefix`` (n items) and then repeats with ``period``."""
+    n = len(prefix)
+    return (prefix[n - period + (u - n) % period] for u in range(n, depth + 1))
 
-    levels: tuple[LevelState, ...]
+
+@dataclass(frozen=True)
+class _CyclicLevels:
+    """Levels 0..depth stored as the prefix that defines them.
+
+    Stored: ``prefix``, the levels 0..n-1; ``period``; and ``depth``.  Every level u from n to depth repeats the
+    level ``period`` above it, so ``period`` is 0 only when the prefix already ends at ``depth``.  Derived, and
+    built anew on each access: ``levels``, all depth + 1 levels.
+    """
+
+    prefix: tuple[LevelState, ...]
+    period: int
+    depth: int
+
+    def __post_init__(self) -> None:
+        if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(s, LevelState) for s in self.prefix)):
+            raise SuperviseError(f"prefix must be a nonempty tuple of LevelState rows, got {self.prefix!r}")
+        n = len(self.prefix)
+        if any(s.level != i for i, s in enumerate(self.prefix)):
+            raise SuperviseError(f"prefix levels must be numbered 0 to {n - 1}, got {[s.level for s in self.prefix]}")
+        require_int(self.period, "period", 0, hi=n - 1)
+        require_int(self.depth, "depth", n - 1)
+        if self.period == 0 and self.depth != n - 1:
+            raise SuperviseError(f"period 0 needs depth {n - 1}, the prefix's last level, got depth {self.depth}")
+
+    @property
+    def levels(self) -> tuple[LevelState, ...]:
+        rest = _unrolled(self.prefix, self.period, self.depth)
+        return self.prefix + tuple(LevelState(u, *s[1:]) for u, s in enumerate(rest, len(self.prefix)))
+
+
+@dataclass(frozen=True)
+class EquilibriumProfile(_CyclicLevels):
+    """Per-level equilibrium errors; level 0 is the supervisor.
+
+    Stored: the levels up to the first one whose error repeats an earlier level's (all levels to ``depth`` if
+    none does), the ``period`` between the two (0 if none), the ``depth`` and the ``threshold``.  Derived:
+    ``levels`` and the summaries, which read only the prefix.  As the prefix must stop at the first repeat,
+    profiles with equal levels compare equal.
+    """
+
     threshold: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        *head, last = (s.error for s in self.prefix)
+        first_level = {}
+        for i, e in enumerate(head):
+            if first_level.setdefault(e, i) != i:
+                raise SuperviseError(f"prefix must stop at its first repeated error, at level {i}")
+        n = len(self.prefix)
+        if first_level.get(last, n - 1) != n - 1 - self.period:
+            raise SuperviseError(
+                f"period {self.period} does not match the prefix, whose last level {n - 1} repeats level "
+                f"{first_level.get(last, 'none')}"
+            )
 
     @property
     def all_truthful(self) -> bool:
-        return all(s.truthful for s in self.levels)
+        return all(s.truthful for s in self.prefix)
 
     @property
     def max_error(self) -> float:
-        return max(s.error for s in self.levels)
+        return max(s.error for s in self.prefix)
 
 
 @dataclass(frozen=True)
-class TypeEquilibrium:
+class TypeEquilibrium(_CyclicLevels):
+    """One type's levels in a mixed population.
+
+    Stored: the levels up to the first one whose population-mean error repeats an earlier level's, the period
+    of that repeat, the depth, and the type's proficiency.  Derived: ``levels``.
+    """
+
     worker: WorkerType
     weight: float
     sigma: float
     sigma_clamped: bool
     proficient: bool
-    levels: tuple[LevelState, ...]
 
 
 @dataclass(frozen=True)
@@ -125,14 +185,21 @@ class HeterogeneousEquilibrium:
     mean_sigma: float
     threshold: float
 
+    def __post_init__(self) -> None:
+        if not all(isinstance(t, TypeEquilibrium) for t in self.types):
+            raise SuperviseError(f"types must be TypeEquilibrium rows, got {self.types!r}")
+        if len({(len(t.prefix), t.period, t.depth) for t in self.types}) != 1:
+            raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period "
+                                 "and depth")
+
     @property
     def mean_errors(self) -> tuple[float, ...]:
         """Population-mean error at each level (level 0 = supervisor)."""
-        depth = len(self.types[0].levels)
-        out = []
-        for i in range(depth):
-            out.append(math.fsum(t.weight * t.levels[i].error for t in self.types))
-        return tuple(out)
+        first = self.types[0]
+        means = tuple(
+            math.fsum(t.weight * t.prefix[i].error for t in self.types) for i in range(len(first.prefix))
+        )
+        return means + tuple(_unrolled(means, first.period, first.depth))
 
 
 def _require_hierarchical_epsilon(params: SchemeParams) -> float:
@@ -148,7 +215,11 @@ def min_penalty_hierarchical(f: EffortFunction, params: SchemeParams) -> float:
     bound is positive and grows as eps shrinks or the task load k grows.
     """
     eps = _require_hierarchical_epsilon(params)
-    return effort_deriv(f, eps) * params.k / (2.0 * eps - 1.0)
+    bound = effort_deriv(f, eps) * params.k / (2.0 * eps - 1.0)
+    if not math.isfinite(bound):
+        raise SuperviseError(f"the penalty bound f'(eps) k / (2 eps - 1) is not a finite float at k={params.k}, "
+                             f"epsilon={eps!r}")
+    return bound
 
 
 def expected_penalty_pair(e_u: float, e_w: float, C: float, D: float) -> float:
@@ -196,23 +267,22 @@ def equilibrium_homogeneous(
     e0 at level 0.  A single pass is exact because a worker's loss depends on
     the levels below it only through its own effort term.  Each level depends
     only on the error above it, so once an error repeats an earlier level's,
-    the levels in between repeat to the requested depth and are copied, not
-    solved again.
+    the levels in between repeat to the requested depth: the profile stores
+    the levels up to that first repeat and its period, and solves no more.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
     levels = [LevelState(0, e0, e0 < eps, False)]
     seen = {e0: 0}  # superior error -> its level
+    period = 0
     for t in range(1, depth + 1):
         r = best_response_under_superior(f, levels[-1].error, params)
         levels.append(LevelState(t, r.value, r.value < eps, r.clamped))
-        p = t - seen.setdefault(r.value, t)
-        if p:
-            for u in range(t + 1, depth + 1):
-                levels.append(LevelState(u, *levels[u - p][1:]))
+        period = t - seen.setdefault(r.value, t)
+        if period:
             break
-    return EquilibriumProfile(levels=tuple(levels), threshold=eps)
+    return EquilibriumProfile(prefix=tuple(levels), period=period, depth=depth, threshold=eps)
 
 
 def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
@@ -237,7 +307,8 @@ def equilibrium_heterogeneous(
     Proficient types are guaranteed truthful at every level — the result is
     re-checked and a violation (impossible for valid inputs) raises.  Once the
     population-mean error repeats an earlier level's, every type's levels in
-    between repeat to the requested depth and are copied, not solved again.
+    between repeat to the requested depth: each type stores its levels up to
+    that first repeat and its period, and no more are solved.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
@@ -254,6 +325,7 @@ def equilibrium_heterogeneous(
     per_type: list[list[LevelState]] = [[LevelState(0, e0, e0 < eps, False)] for _ in pop.types]
     mean_prev = e0
     seen = {e0: 0}  # population-mean error -> its level
+    period = 0
     for t in range(1, depth + 1):
         errs = []
         for i, (wt, w) in enumerate(pop.types):
@@ -261,11 +333,8 @@ def equilibrium_heterogeneous(
             per_type[i].append(LevelState(t, r.value, r.value < eps, r.clamped))
             errs.append(r.value)
         mean_prev = math.fsum(w * e for (_, w), e in zip(pop.types, errs))
-        p = t - seen.setdefault(mean_prev, t)
-        if p:
-            for states in per_type:
-                for u in range(t + 1, depth + 1):
-                    states.append(LevelState(u, *states[u - p][1:]))
+        period = t - seen.setdefault(mean_prev, t)
+        if period:
             break
 
     types = tuple(
@@ -275,12 +344,14 @@ def equilibrium_heterogeneous(
             sigma=root.value,
             sigma_clamped=root.clamped,
             proficient=root.value <= eps,
-            levels=tuple(states),
+            prefix=tuple(states),
+            period=period,
+            depth=depth,
         )
         for (wt, w), root, states in zip(pop.types, sigma_roots, per_type)
     )
     for te in types:
-        if te.proficient and not all(s.truthful for s in te.levels):
+        if te.proficient and not all(s.truthful for s in te.prefix):
             raise SuperviseError(
                 f"internal consistency failure: proficient type {te.worker.id!r} "
                 "produced an untruthful level"
@@ -431,19 +502,25 @@ def level_info_bits(N: int, k: int) -> int:
     return (levels - 1).bit_length()
 
 
+def _csv_chunks(eq: EquilibriumProfile | HeterogeneousEquilibrium) -> Iterator[str]:
+    """The CSV text of a homogeneous or a heterogeneous equilibrium, in chunks of rows; see ``cyclic_csv_chunks``."""
+    if isinstance(eq, EquilibriumProfile):
+        header, keyed = ["level", "error", "truthful"], (((), eq),)
+    else:
+        header, keyed = ["type", "level", "error", "truthful"], (((te.worker.id,), te) for te in eq.types)
+    return cyclic_csv_chunks(header, (
+        (key, [(s.level, s.error, bool_word(s.truthful)) for s in p.prefix], p.period, p.depth) for key, p in keyed
+    ))
+
+
 def profile_to_csv(profile: EquilibriumProfile) -> str:
     """Serialize a single profile as ``level,error,truthful`` rows."""
-    return write_csv(
-        ["level", "error", "truthful"], ((s.level, s.error, bool_word(s.truthful)) for s in profile.levels)
-    )
+    return "".join(_csv_chunks(profile))
 
 
 def heterogeneous_to_csv(eq: HeterogeneousEquilibrium) -> str:
     """Per-type profiles as ``type,level,error,truthful`` rows."""
-    return write_csv(
-        ["type", "level", "error", "truthful"],
-        ((te.worker.id, s.level, s.error, bool_word(s.truthful)) for te in eq.types for s in te.levels),
-    )
+    return "".join(_csv_chunks(eq))
 
 
 def trace_to_csv(trace: CounterexampleTrace) -> str:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._csv import bool_word, write_csv
+from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_int, require_real, require_weights
 
@@ -92,7 +92,11 @@ def best_response_quant(f: EffortFunction, k: int, c: float) -> Root:
     """
     require_int(k, "k", 1, hi=FLOAT_MAX)
     require_real(c, "penalty weight c", 0.0, lo_open=True)
-    return solve_deriv_equals(f, -c / k)
+    root = solve_deriv_equals(f, -c / k)  # -c / k may underflow to 0, where the inverse power's root is inf
+    if not math.isfinite(root.value):
+        raise SuperviseError(f"the best-response variance, the root of f'(v) = -c / k, is not a finite float at "
+                             f"c={c!r}, k={k}")
+    return root
 
 
 def quant_equilibrium(
@@ -128,8 +132,8 @@ def quant_equilibrium(
 
 
 def quant_to_csv(eq: QuantEquilibrium) -> str:
-    """Profiles as ``type,level,vstar,truthful`` rows."""
-    return write_csv(
+    """Profiles as ``type,level,vstar,truthful`` rows; each type's is a period-1 cycle from level 1."""
+    return "".join(cyclic_csv_chunks(
         ["type", "level", "vstar", "truthful"],
-        ((tp.worker.id, t, tp.vstar, bool_word(tp.truthful)) for tp in eq.types for t in range(1, eq.depth + 1)),
-    )
+        (((tp.worker.id,), [(1, tp.vstar, bool_word(tp.truthful))], 1, eq.depth) for tp in eq.types),
+    ))

@@ -5,7 +5,10 @@ the loss itself, exhaustive search over covers, the quadratic originals of
 the peg builder and the edge-deletion cover, the disjoint-worker greedy as
 it was before graphs stored their rows sorted, the simulator's helpers as
 they were before they left numpy's module functions for array methods, and
-the equilibrium cascades as they were before they stopped at a repeat.
+the equilibrium cascades as they were before they stopped at a repeat,
+with result types of their own that store every level, and the CSV writers
+for those profiles as they were before they wrote repeated rows from a
+cached tail.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -13,9 +16,12 @@ algorithm.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +29,6 @@ from supervise import (
     AssignmentGraph,
     AssumptionError,
     EffortFunction,
-    EquilibriumProfile,
-    HeterogeneousEquilibrium,
     LevelState,
     PegAssignment,
     PopulationModel,
@@ -33,7 +37,7 @@ from supervise import (
     SchemeParams,
     SizingError,
     SuperviseError,
-    TypeEquilibrium,
+    WorkerType,
     best_response_under_superior,
     effort_deriv,
     proficiency_sigma,
@@ -224,7 +228,52 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 
 
 # The equilibrium cascades as they were before they stopped at the first repeated error, frozen verbatim: every
-# level, computed or copied, must have the same bits, and every refusal the same class and message.
+# level, computed or copied, must have the same bits, and every refusal the same class and message.  Their results
+# are the profile types of that time, which store every level.
+
+
+@dataclass(frozen=True)
+class EquilibriumProfile:
+    """Per-level equilibrium errors; level 0 is the supervisor."""
+
+    levels: tuple[LevelState, ...]
+    threshold: float
+
+    @property
+    def all_truthful(self) -> bool:
+        return all(s.truthful for s in self.levels)
+
+    @property
+    def max_error(self) -> float:
+        return max(s.error for s in self.levels)
+
+
+@dataclass(frozen=True)
+class TypeEquilibrium:
+    worker: WorkerType
+    weight: float
+    sigma: float
+    sigma_clamped: bool
+    proficient: bool
+    levels: tuple[LevelState, ...]
+
+
+@dataclass(frozen=True)
+class HeterogeneousEquilibrium:
+    """Per-type equilibrium profiles plus the population proficiency summary."""
+
+    types: tuple[TypeEquilibrium, ...]
+    mean_sigma: float
+    threshold: float
+
+    @property
+    def mean_errors(self) -> tuple[float, ...]:
+        """Population-mean error at each level (level 0 = supervisor)."""
+        depth = len(self.types[0].levels)
+        out = []
+        for i in range(depth):
+            out.append(math.fsum(t.weight * t.levels[i].error for t in self.types))
+        return tuple(out)
 
 
 def equilibrium_homogeneous(
@@ -300,3 +349,41 @@ def equilibrium_heterogeneous(
                 "produced an untruthful level"
             )
     return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)
+
+
+# The CSV writers as they were before they wrote the rows past a profile's first repeat from a cached tail, frozen
+# verbatim over every level, with the one writer and the boolean spelling they called.
+
+
+def write_csv(header, rows) -> str:
+    """A header line plus one line per row; floats keep full precision."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def bool_word(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def profile_to_csv(levels: tuple[LevelState, ...]) -> str:
+    """Serialize a single profile as ``level,error,truthful`` rows."""
+    return write_csv(["level", "error", "truthful"], ((s.level, s.error, bool_word(s.truthful)) for s in levels))
+
+
+def heterogeneous_to_csv(types) -> str:
+    """Per-type profiles, given as ``(type id, levels)`` pairs, as ``type,level,error,truthful`` rows."""
+    return write_csv(
+        ["type", "level", "error", "truthful"],
+        ((tid, s.level, s.error, bool_word(s.truthful)) for tid, levels in types for s in levels),
+    )
+
+
+def quant_to_csv(eq) -> str:
+    """Profiles as ``type,level,vstar,truthful`` rows."""
+    return write_csv(
+        ["type", "level", "vstar", "truthful"],
+        ((tp.worker.id, t, tp.vstar, bool_word(tp.truthful)) for tp in eq.types for t in range(1, eq.depth + 1)),
+    )

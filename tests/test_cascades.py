@@ -1,4 +1,7 @@
-"""The equilibrium cascades that stop at the first repeated error against their frozen level-by-level originals."""
+"""The equilibrium cascades that stop at the first repeated error, and the writers that write the rows past it
+from a cached tail, against their frozen level-by-level originals."""
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,15 @@ from supervise import (
     PopulationModel,
     SchemeParams,
     SuperviseError,
+    QuantWorkerType,
     WorkerType,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
+    heterogeneous_to_csv,
     min_penalty_hierarchical,
+    profile_to_csv,
+    quant_equilibrium,
+    quant_to_csv,
 )
 
 import _oracles
@@ -84,22 +92,136 @@ def test_homogeneous_cascade_matches_the_frozen_original(inputs):
     assert _outcome(equilibrium_homogeneous, *inputs) == _outcome(_oracles.equilibrium_homogeneous, *inputs)
 
 
-@settings(max_examples=300, derandomize=True)
-@given(cascade_inputs(BINARY_FAMILIES), st.lists(
+# Type ids, some of which the csv module must quote.
+TYPE_IDS = st.sampled_from(("t0", "t1", "", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\r"))
+
+
+def _population(f, drawn, ids=None):
+    """Types of ``f``'s family or the inverse power, each ``(family, scale, weight)``, with weights normalized."""
+    total = sum(w for _, _, w in drawn)
+    ids = ids or [f"t{j}" for j in range(len(drawn))]
+    return PopulationModel(tuple(
+        (WorkerType(EffortFunction(f.family if family == "same" else family, f.alpha * scale), tid), w / total)
+        for tid, (family, scale, w) in zip(ids, drawn)
+    ))
+
+
+TYPE_DRAWS = st.lists(
     st.tuples(st.sampled_from(("same", "inversepower")), st.floats(0.1, 2.0), st.floats(0.05, 1.0)),
     min_size=1, max_size=3,
-))
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS)
 def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn):
     """1-3 types of the scheme's family or the inverse power, scaled; an improficient population is refused before
     the cascade."""
     f, params, depth, e0 = inputs
-    total = sum(w for _, _, w in drawn)
-    pop = PopulationModel(tuple(
-        (WorkerType(EffortFunction(f.family if family == "same" else family, f.alpha * scale), f"t{j}"), w / total)
-        for j, (family, scale, w) in enumerate(drawn)
-    ))
-    args = (pop, params, depth, e0)
+    args = (_population(f, drawn), params, depth, e0)
     assert _outcome(equilibrium_heterogeneous, *args) == _outcome(_oracles.equilibrium_heterogeneous, *args)
+
+
+def _homogeneous_csvs(f, params, depth, e0=0.0):
+    """The profile's CSV, and the frozen writer's over the frozen cascade's levels."""
+    new = profile_to_csv(equilibrium_homogeneous(f, params, depth, e0))
+    return new, _oracles.profile_to_csv(_oracles.equilibrium_homogeneous(f, params, depth, e0).levels)
+
+
+def _heterogeneous_csvs(pop, params, depth, e0=0.0):
+    """The equilibrium's CSV and mean errors, and the frozen writer's and the frozen cascade's."""
+    new = equilibrium_heterogeneous(pop, params, depth, e0)
+    old = _oracles.equilibrium_heterogeneous(pop, params, depth, e0)
+    frozen_csv = _oracles.heterogeneous_to_csv((te.worker.id, te.levels) for te in old.types)
+    return (heterogeneous_to_csv(new), [e.hex() for e in new.mean_errors]), (
+        frozen_csv, [e.hex() for e in old.mean_errors]
+    )
+
+
+@settings(max_examples=200, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES))
+def test_profile_csv_matches_the_frozen_writer(inputs):
+    new, frozen = _homogeneous_csvs(*inputs)
+    assert new == frozen
+
+
+@settings(max_examples=200, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS, st.lists(TYPE_IDS, min_size=3, max_size=3))
+def test_heterogeneous_csv_and_mean_errors_match_the_frozen_writer(inputs, drawn, ids):
+    f, params, depth, e0 = inputs
+    pop = _population(f, drawn, ids)
+    try:
+        new, frozen = _heterogeneous_csvs(pop, params, depth, e0)
+    except SuperviseError:  # an improficient population; the cascade gate compares the refusals
+        return
+    assert new == frozen
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    st.lists(st.tuples(TYPE_IDS, st.floats(0.1, 3.0)), min_size=1, max_size=3),
+    st.integers(1, 4), st.floats(0.1, 10.0), st.floats(0.1, 3.0), st.integers(1, 3000),
+)
+def test_quant_csv_matches_the_frozen_writer(types, k, c, eps, depth):
+    """Unbiased types, so the population is accepted; each profile is one variance from level 1 to depth."""
+    pop = [(QuantWorkerType(EffortFunction.inverse_power(a), 0.0, tid), 1 / len(types)) for tid, a in types]
+    eq = quant_equilibrium(pop, k, c, eps, depth)
+    assert quant_to_csv(eq) == _oracles.quant_to_csv(eq)
+
+
+def _named_cases():
+    """The schemes and depths named in the cascade gates: a period of 2, a clamp at 1.0, and depths one below, at
+    and one above the first repeat, where the one below repeats nothing within the depth.  Each comes with
+    populations of types given as ``(alpha scale, weight)`` pairs: one type alone, whose mean errors keep the
+    profile's period, and two types; the clamped type needs a cheap second one to be proficient on average."""
+    populations = (((1.0, 1.0),), ((1.0, 0.6), (0.5, 0.4)))
+    clamped = (EffortFunction.simple_log(1.0), SchemeParams(k=2, epsilon=0.2, C=0.5))
+    cases = {
+        "period 2": (PERIOD_2_F, PERIOD_2, 400, populations),
+        "clamped at 1.0": (*clamped, 50, (((1.0, 0.1), (0.01, 0.9)),)),
+    }
+    for family in BINARY_FAMILIES:
+        f = EffortFunction(family, 0.7)
+        params = _above_bound(f, 3, 0.1, 1.5)
+        repeat = _first_repeat([s.error for s in _oracles.equilibrium_homogeneous(f, params, 2000).levels])
+        for name, depth in (("below", repeat - 1), ("at", repeat), ("above", repeat + 1)):
+            cases[f"{family} one {name} the first repeat"] = (f, params, depth, populations)
+    return cases
+
+
+NAMED_CASES = _named_cases()
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_CASES))
+def test_named_profiles_write_the_frozen_bytes(case):
+    f, params, depth, populations = NAMED_CASES[case]
+    new, frozen = _homogeneous_csvs(f, params, depth)
+    assert new == frozen
+    for types in populations:
+        pop = PopulationModel(tuple(
+            (WorkerType(EffortFunction(f.family, f.alpha * scale), tid), w)
+            for tid, (scale, w) in zip(('a,"b"', ""), types)
+        ))
+        new, frozen = _heterogeneous_csvs(pop, params, depth)
+        assert new == frozen
+
+
+def test_below_the_first_repeat_nothing_repeats():
+    """The profile one level short of the first repeat stores every level and no period."""
+    f, params, depth, _ = NAMED_CASES["simplelog one below the first repeat"]
+    profile = equilibrium_homogeneous(f, params, depth)
+    assert (profile.period, len(profile.prefix)) == (0, depth + 1)
+
+
+def test_a_profile_a_billion_levels_deep_is_its_prefix():
+    """Returned at once, with the period, depth and maximum error of the same scheme's profile 400 levels deep."""
+    t0 = time.perf_counter()
+    profile = equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    frozen = _oracles.equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 400)
+    assert (profile.period, profile.depth) == (2, 10**9)
+    assert profile.max_error == frozen.max_error and profile.all_truthful == frozen.all_truthful
+    assert _rows(profile.prefix) == _rows(frozen.levels[:len(profile.prefix)])
 
 
 def test_period_two_profile_matches_the_frozen_original():

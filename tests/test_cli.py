@@ -1,8 +1,12 @@
 """Command line behavior: outputs, exit codes, file round trips, seeding."""
 
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,18 @@ class TestFormatting:
         assert fmt_decimal(2.0) == "2"
         assert fmt_decimal(0.3) == "0.3"
         assert fmt_decimal(50.0 / 3.0) == "16.666666666666668"
+
+    def test_integral_floats_from_2_to_the_53_print_as_repr(self):
+        assert fmt_decimal(2.0**53 - 1) == "9007199254740991"
+        assert fmt_decimal(-(2.0**53) + 1) == "-9007199254740991"
+        assert fmt_decimal(2.0**53) == "9007199254740992.0"
+        assert fmt_decimal(1e308) == "1e+308"
+
+    def test_defection_at_c_1e308_prints_short_costs(self, capsys):
+        """k C overflows, yet both costs are finite: 2e307 and 8e307, no longer printed with all 308 digits."""
+        assert run_cli(capsys, "defection", "--N", "10", "--k", "2", "--C", "1e308") == (
+            0, "defect (2e+307 < 8e+307)\n", ""
+        )
 
 
 class TestThreshold:
@@ -94,6 +110,33 @@ class TestThreshold:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+# Results past the float range, each refused with one error line naming the quantity.
+NOT_FINITE_RESULTS = {
+    "binary bound at k 10**308": (
+        ["binary", "--effort", "simplelog", "--epsilon", "0.2", "--k", str(10**308)], "the penalty bound"
+    ),
+    "flat workload at 10**308 workers": (
+        ["flat", "--effort", "simplelog", "--epsilon", "0.01", "--k", "50", "--C", "1", "--n-workers", str(10**308)],
+        "the workload",
+    ),
+    "quant root where c / k underflows": (
+        ["quant", "--effort", "inversepower", "--k", "4", "--c", "5e-324"], "the best-response variance"
+    ),
+    "flat bound where k / C overflows": (
+        ["flat", "--effort", "simplelog", "--epsilon", "0.1", "--k", "3", "--C", "5e-324"],
+        "the verification probability bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE_RESULTS))
+def test_a_result_that_is_not_finite_is_one_error_line(capsys, case):
+    argv, quantity = NOT_FINITE_RESULTS[case]
+    code, out, err = run_cli(capsys, "threshold", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {quantity}") and "not a finite float" in err and err.count("\n") == 1
+
+
 class TestEquilibrium:
     def test_homogeneous_csv(self, capsys):
         code, out, _ = run_cli(
@@ -141,6 +184,36 @@ class TestEquilibrium:
         )
         assert code == 1
         assert "assumption" in err
+
+
+# Runs the CLI on its arguments and prints the process's own peak RSS in kB: getrusage(RUSAGE_SELF), as
+# RUSAGE_CHILDREN would report the largest child the test process has waited for, whichever test started it.
+_PEAK_RSS_PROBE = """
+import resource, sys
+from supervise.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+# Linux keeps ru_maxrss across exec, so a child started by the test process would report at least the test
+# process's own peak; started by a bare interpreter instead, it reports at least that interpreter's, about 14 MB.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)"
+
+
+def test_a_million_level_equilibrium_streams_in_bounded_memory(tmp_path):
+    """The CSV of a profile whose cycle starts within 30 levels: the bytes written before rows came from a cached
+    tail, and well under the 209 MB peak that storing and formatting every level took."""
+    out = tmp_path / "eq.csv"
+    argv = ["equilibrium", "--effort", "simplelog", "--alpha", "1.3", "--epsilon", "0.12", "--k", "3", "--C", "40",
+            "--depth", "1000000", "--out", str(out)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, _PEAK_RSS_PROBE, *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fce4914a760437390cc20c1eefd04232cb7486ce8296eb11b537ca109dc1ae14"
+    )
+    assert int(proc.stdout) < 50 * 1024
 
 
 class TestCounterexampleAndDefection:
@@ -474,7 +547,8 @@ FLAG_CASES = [
 
 
 def _run_with_flag(capsys, argv, flag, value):
-    """``argv`` with ``--flag`` set to ``value``: exit 0, 1 with one ``error:`` line, or 2; never a traceback."""
+    """``argv`` with ``--flag`` set to ``value``: exit 0 with no ``inf`` or ``nan`` printed, 1 with one ``error:``
+    line, or 2; never a traceback."""
     if f"--{flag}" in argv:
         at = argv.index(f"--{flag}")
         argv = argv[:at] + argv[at + 2:]
@@ -486,6 +560,8 @@ def _run_with_flag(capsys, argv, flag, value):
     assert code in (0, 1, 2)
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out), out
     return code, out
 
 

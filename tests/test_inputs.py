@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 from supervise import (
     AssignmentGraph,
     EffortFunction,
+    EquilibriumProfile,
     Gaussian,
+    HeterogeneousEquilibrium,
+    LevelState,
     PopulationModel,
     QuantWorkerType,
     SAInstance,
@@ -24,6 +27,7 @@ from supervise import (
     SuperviseError,
     SupervisionHierarchy,
     SupervisionTree,
+    TypeEquilibrium,
     UniformWrong,
     WorkerType,
     best_response_flat,
@@ -83,6 +87,22 @@ def _exact_hierarchy_over_a_worker_less_task():
     workers, tasks = [f"u{i}" for i in range(30)], [f"t{i}" for i in range(31)]
     graph = AssignmentGraph(workers=workers, tasks=tasks, edges=list(zip(workers, tasks)))
     build_supervision_hierarchy(graph, 2, 0, mode="exact")
+
+
+def _levels(*errors):
+    """Hand-built levels 0, 1, ... holding these errors."""
+    return tuple(LevelState(i, e, e < 0.25) for i, e in enumerate(errors))
+
+
+def _profile(prefix, period, depth):
+    return EquilibriumProfile(prefix=prefix, period=period, depth=depth, threshold=0.25)
+
+
+def _type_levels(prefix, period, depth):
+    return TypeEquilibrium(
+        prefix=prefix, period=period, depth=depth, worker=WorkerType(SL), weight=0.5, sigma=0.1, sigma_clamped=False,
+        proficient=True,
+    )
 
 
 def _binary_strategy_true():
@@ -191,6 +211,30 @@ BAD_INPUTS = {
     ),
     "vertex cover over integer vertex ids": lambda: vc_to_sa([1, 2], [(1, 2)]),
     "tree over integer task ids": lambda: build_supervision_tree_over([1, 2, 3], 2, 0),
+    "profile with no levels": lambda: _profile((), 0, 0),
+    "profile of plain tuples": lambda: _profile(((0, 0.0, True, False),), 0, 0),
+    "profile levels as a list": lambda: _profile(list(_levels(0.0)), 0, 0),
+    "profile levels numbered from 1": lambda: _profile((LevelState(1, 0.0, True),), 0, 1),
+    "profile levels with a gap": lambda: _profile((LevelState(0, 0.0, True), LevelState(2, 0.1, True)), 0, 2),
+    "profile period as long as its prefix": lambda: _profile(_levels(0.0, 0.1, 0.0), 3, 5),
+    "profile period negative": lambda: _profile(_levels(0.0, 0.1, 0.0), -1, 5),
+    "profile depth short of its prefix": lambda: _profile(_levels(0.0, 0.1), 0, 0),
+    "profile without a period deeper than its prefix": lambda: _profile(_levels(0.0, 0.1), 0, 5),
+    "profile prefix past its first repeat": lambda: _profile(_levels(0.0, 0.1, 0.1, 0.1), 1, 5),
+    "profile period other than its repeat's": lambda: _profile(_levels(0.0, 0.1, 0.2, 0.1), 1, 5),
+    "profile period without a repeat": lambda: _profile(_levels(0.0, 0.1, 0.2), 1, 5),
+    "profile ending on a repeat without a period": lambda: _profile(_levels(0.0, 0.1, 0.0), 0, 2),
+    "type levels numbered from 1": lambda: _type_levels((LevelState(1, 0.0, True),), 0, 1),
+    "type period as long as its prefix": lambda: _type_levels(_levels(0.0, 0.1), 2, 5),
+    "type without a period deeper than its prefix": lambda: _type_levels(_levels(0.0, 0.1), 0, 5),
+    "heterogeneous equilibrium of no types": lambda: HeterogeneousEquilibrium((), 0.1, 0.25),
+    "heterogeneous equilibrium of plain tuples": lambda: HeterogeneousEquilibrium(((0, 0.0),), 0.1, 0.25),
+    "heterogeneous types of different periods": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 2, 5)), 0.1, 0.25
+    ),
+    "heterogeneous types of different depths": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 1, 6)), 0.1, 0.25
+    ),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -213,6 +257,27 @@ BAD_INPUT_MESSAGES = {
     "expected_penalty_pair C negative": "C must be",
     "expected_penalty_pair D above C": r"D must be a finite real in \[0.0, 5.0\]",
     "expected_penalty_pair D negative": r"D must be a finite real in \[0.0, 5.0\]",
+    "profile with no levels": "prefix must be a nonempty tuple of LevelState rows",
+    "profile of plain tuples": "prefix must be a nonempty tuple of LevelState rows",
+    "profile levels as a list": "prefix must be a nonempty tuple of LevelState rows",
+    "profile levels numbered from 1": r"prefix levels must be numbered 0 to 0, got \[1\]",
+    "profile levels with a gap": r"prefix levels must be numbered 0 to 1, got \[0, 2\]",
+    "profile period as long as its prefix": r"period must be an integer in \[0, 2\], got 3",
+    "profile period negative": r"period must be an integer in \[0, 2\], got -1",
+    "profile depth short of its prefix": "depth must be an integer >= 1, got 0",
+    "profile without a period deeper than its prefix": "period 0 needs depth 1, the prefix's last level, got depth 5",
+    "profile prefix past its first repeat": "prefix must stop at its first repeated error, at level 2",
+    "profile period other than its repeat's": "period 1 does not match the prefix, whose last level 3 repeats level 1",
+    "profile period without a repeat": "period 1 does not match the prefix, whose last level 2 repeats level none",
+    "profile ending on a repeat without a period": "period 0 does not match the prefix, whose last level 2 repeats "
+    "level 0",
+    "type levels numbered from 1": r"prefix levels must be numbered 0 to 0, got \[1\]",
+    "type period as long as its prefix": r"period must be an integer in \[0, 1\], got 2",
+    "type without a period deeper than its prefix": "period 0 needs depth 1",
+    "heterogeneous equilibrium of no types": "at least one type",
+    "heterogeneous equilibrium of plain tuples": "types must be TypeEquilibrium rows",
+    "heterogeneous types of different periods": "one prefix length, period and depth",
+    "heterogeneous types of different depths": "one prefix length, period and depth",
 }
 
 
