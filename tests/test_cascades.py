@@ -184,8 +184,8 @@ def _named_cases():
         f = EffortFunction(family, 0.7)
         params = _above_bound(f, 3, 0.1, 1.5)
         repeat = _first_repeat([s.error for s in _oracles.equilibrium_homogeneous(f, params, 2000).levels])
-        for name, depth in (("below", repeat - 1), ("at", repeat), ("above", repeat + 1)):
-            cases[f"{family} one {name} the first repeat"] = (f, params, depth, populations)
+        for name, depth in (("one below", repeat - 1), ("at", repeat), ("one above", repeat + 1)):
+            cases[f"{family} {name} the first repeat"] = (f, params, depth, populations)
     return cases
 
 
