@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 from itertools import chain, cycle, islice
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 _CHUNK_ROWS = 4096
@@ -29,19 +28,19 @@ def cyclic_csv_chunks(header: Sequence[str], profiles: Iterable[tuple]) -> Itera
     as ``(level, value, truthful)`` with consecutive levels, and every level u past the prefix up to ``depth``
     repeats the row ``period`` levels above it.  The csv writer writes the prefix rows; each later row is
     ``lead + str(u) + tail``, where ``lead`` (the key columns) and the ``tail`` of each cycle position (the
-    ``,value,truthful`` columns) are formatted once by the csv writer, so quoting stays the csv module's.
+    ``,value,truthful`` columns) are formatted once by the csv writer, so quoting stays the csv module's.  A
+    chunk of those rows is one ``%`` format over a template of ``lead + "%d" + tail`` per row; ``%`` in the
+    ids is doubled in the template, so it comes out as written.
     """
     yield _lines((header,))
     for key, prefix, period, depth in profiles:
         yield _lines((*key, *row) for row in prefix)
-        first = prefix[-1][0] + 1  # the level after the prefix
-        if first > depth:
-            continue
-        lead = _lines(((*key, 0),))[:-2]  # the key columns and their comma, without the "0\n"
-        tails = [_lines(((0, *row[1:]),))[1:] for row in prefix[len(prefix) - period:]]
-        rows = map(add, map(str, range(first, depth + 1)), cycle(tails))
-        while chunk := lead.join(islice(rows, _CHUNK_ROWS)):
-            yield lead + chunk  # the join puts lead between rows; this puts it before the first
+        lead = _lines(((*key, 0),))[:-2].replace("%", "%%")  # the key columns and their comma, without "0\n"
+        rows = cycle([lead + "%d" + _lines(((0, *row[1:]),))[1:].replace("%", "%%")
+                      for row in prefix[len(prefix) - period:]])
+        for start in range(prefix[-1][0] + 1, depth + 1, _CHUNK_ROWS):  # from the level after the prefix
+            stop = min(start + _CHUNK_ROWS, depth + 1)
+            yield "".join(islice(rows, stop - start)) % tuple(range(start, stop))
 
 
 def bool_word(b: bool) -> str:

@@ -8,11 +8,14 @@ set, which drives both solvers below: exact enumeration for small instances
 and a factor-k greedy built on disjoint picked hyperedges.
 
 The exact solver enumerates task subsets in increasing cardinality with
-bitmask pruning (capped at 24 tasks); vertex-cover instances embed by making
-each graph edge a two-task worker, which is why nothing faster should be
-expected.  The literal edge-deletion variant `sa_greedy_edge_deletion` picks one
-random worker/task edge at a time and keeps only the task; it produces valid
-covers but carries no approximation-ratio claim here.
+bitmask pruning (capped at 24 tasks), exponential in the task count;
+vertex-cover instances embed by making each graph edge a two-task worker,
+which is why nothing faster should be expected.  The literal edge-deletion
+variant `sa_greedy_edge_deletion` picks one random worker/task edge at a time
+and keeps only the task; it produces valid covers but carries no
+approximation-ratio claim here.  Both greedies draw each pick from a Fenwick
+tree over the still-live rows, so for u workers and E edges `sa_greedy` costs
+O(E log u) and `sa_greedy_edge_deletion` O(E log E).
 """
 
 from __future__ import annotations
@@ -124,6 +127,22 @@ def sa_exact(inst: SAInstance) -> SASolution:
     raise SuperviseError("unreachable: a validated graph gives every worker a task")  # pragma: no cover
 
 
+def _nth_live(fenwick: list[int], r: int) -> int:
+    """The 0-based position of the r-th (0-based) live entry among the n counted by ``fenwick``.
+
+    ``fenwick[j]`` counts the live positions in (j - lowbit(j), j], 1-based; the r-th live position sits after
+    the longest prefix holding at most r live ones, found by one descent from the largest power of two <= n.
+    """
+    n, pos = len(fenwick) - 1, 0
+    step = 1 << n.bit_length() >> 1
+    while step:
+        if pos + step <= n and fenwick[pos + step] <= r:
+            pos += step
+            r -= fenwick[pos]
+        step >>= 1
+    return pos
+
+
 def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     """Disjoint-worker greedy: within factor k of the optimum.
 
@@ -131,14 +150,36 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     its (at most k) tasks.  Any two picked workers share no task — otherwise
     the second was already covered — so an optimal cover spends at least one
     distinct task per picked worker, giving |S| <= k * |OPT|.
+
+    O(E log u) for u workers and E edges: a Fenwick tree counts the uncovered
+    workers in sorted order, each pick is the ``rng.randrange(live)``-th of
+    them, found by one descent, and each worker is dropped once, when the
+    first task it performs is chosen.  ``rng.choice(seq)`` and
+    ``rng.randrange(len(seq))`` both return ``seq[rng._randbelow(len(seq))]``,
+    so the picks, and the cover, are those of drawing ``rng.choice`` from the
+    sorted list of uncovered workers rebuilt after every pick.
     """
     rng = random.Random(require_int(seed, "seed", 0))
-    worker_tasks = inst.graph.worker_tasks
-    uncovered = list(inst.graph.workers)  # filtered in graph order, so it stays sorted
+    workers = inst.graph.workers
+    worker_tasks, task_workers = inst.graph.worker_tasks, inst.graph.task_workers
+    index = {w: i for i, w in enumerate(workers)}
+    n = live = len(workers)
+    fenwick = [j & -j for j in range(n + 1)]  # all workers start uncovered
+    alive = [True] * n
     chosen: set[str] = set()
-    while uncovered:
-        chosen.update(worker_tasks[rng.choice(uncovered)])
-        uncovered = [w for w in uncovered if chosen.isdisjoint(worker_tasks[w])]
+    while live:
+        ts = worker_tasks[workers[_nth_live(fenwick, rng.randrange(live))]]
+        chosen.update(ts)  # an uncovered worker performs no chosen task yet
+        for t in ts:
+            for w in task_workers[t]:
+                i = index[w]
+                if alive[i]:
+                    alive[i] = False
+                    live -= 1
+                    j = i + 1
+                    while j <= n:
+                        fenwick[j] -= 1
+                        j += j & -j
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
 
@@ -163,20 +204,11 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     for i, (w, t) in enumerate(edges):
         of_worker.setdefault(w, []).append(i)
         of_task.setdefault(t, []).append(i)
-    # fenwick[j] counts the live edges among positions (j - lowbit(j), j], 1-based; all start live
-    fenwick = [j & -j for j in range(n + 1)]
+    fenwick = [j & -j for j in range(n + 1)]  # all edges start live
     alive = [True] * n
-    top = 1 << n.bit_length() >> 1  # the largest power of two <= n
     chosen: set[str] = set()
     while live:
-        # the r-th live edge (0-based) sits after the longest prefix holding at most r live edges
-        r, pos, step = rng.randrange(live), 0, top
-        while step:
-            if pos + step <= n and fenwick[pos + step] <= r:
-                pos += step
-                r -= fenwick[pos]
-            step >>= 1
-        w, t = edges[pos]
+        w, t = edges[_nth_live(fenwick, rng.randrange(live))]
         chosen.add(t)
         for i in (*of_worker[w], *of_task[t]):
             if alive[i]:

@@ -92,8 +92,10 @@ def test_homogeneous_cascade_matches_the_frozen_original(inputs):
     assert _outcome(equilibrium_homogeneous, *inputs) == _outcome(_oracles.equilibrium_homogeneous, *inputs)
 
 
-# Type ids, some of which the csv module must quote.
-TYPE_IDS = st.sampled_from(("t0", "t1", "", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\r"))
+# Type ids, some of which the csv module must quote, and some holding the ``%`` the row templates escape.
+TYPE_IDS = st.sampled_from(
+    ("t0", "t1", "", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\r", "100%", "%d", "%%s")
+)
 
 
 def _population(f, drawn, ids=None):
@@ -204,6 +206,18 @@ def test_named_profiles_write_the_frozen_bytes(case):
         ))
         new, frozen = _heterogeneous_csvs(pop, params, depth)
         assert new == frozen
+
+
+def test_a_deep_heterogeneous_csv_crosses_chunk_boundaries_in_the_frozen_bytes():
+    """Three types, each more than two chunks of 4096 rows past its prefix, so rows of a quoted id and of ids
+    holding ``%`` are written on both sides of the chunk boundaries."""
+    pop = PopulationModel(tuple(
+        (WorkerType(EffortFunction(PERIOD_2_F.family, PERIOD_2_F.alpha * scale), tid), w)
+        for tid, scale, w in (('a,"b"', 1.0, 0.5), ("100%", 0.5, 0.3), ("%d", 0.8, 0.2))
+    ))
+    new, frozen = _heterogeneous_csvs(pop, PERIOD_2, 3 * 4096)
+    assert new[0].count("\n100%,") > 2 * 4096 and new[0].count("\n%d,") > 2 * 4096
+    assert new == frozen
 
 
 def test_below_the_first_repeat_nothing_repeats():

@@ -1,4 +1,5 @@
-"""The heap peg builder and the Fenwick-tree edge-deletion cover against their frozen quadratic originals."""
+"""The cyclic-walk peg builder and the Fenwick-tree covers, ``sa_greedy`` and ``sa_greedy_edge_deletion``, against
+their frozen quadratic originals."""
 
 import random
 import time
@@ -6,7 +7,15 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supervise import AssignmentGraph, SAInstance, SuperviseError, build_peg_assignment, sa_greedy_edge_deletion
+from supervise import (
+    AssignmentGraph,
+    SAInstance,
+    SuperviseError,
+    build_peg_assignment,
+    build_supervision_hierarchy,
+    sa_greedy,
+    sa_greedy_edge_deletion,
+)
 
 import _oracles
 
@@ -36,6 +45,7 @@ def test_peg_builder_and_edge_deletion_match_the_frozen_originals(n_workers, ext
     assert peg.graph.to_json_dict() == want.graph.to_json_dict()
     inst = SAInstance(peg.graph, k)
     assert sa_greedy_edge_deletion(inst, seed) == _oracles.sa_greedy_edge_deletion(inst, seed)
+    assert sa_greedy(inst, seed) == _oracles.sa_greedy(inst, seed)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -51,10 +61,15 @@ def test_edge_deletion_matches_the_frozen_original_on_random_graphs(n_workers, n
 
 
 def test_peg_builder_and_edge_deletion_stay_near_linear():
-    """20k workers and tasks: about 0.3 s near-linear, minutes for the quadratic originals."""
+    """20k workers and tasks: the peg build, both greedy covers and a hierarchy over the disjoint-worker one take
+    about 0.6 s near-linear, minutes for the quadratic originals."""
     start = time.process_time()
     peg = build_peg_assignment(20_000, 20_000, 3, 1)
-    cover = sa_greedy_edge_deletion(SAInstance(peg.graph, 3), 1)
+    inst = SAInstance(peg.graph, 3)
+    cover = sa_greedy_edge_deletion(inst, 1)
+    greedy = sa_greedy(inst, 1)
+    hierarchy = build_supervision_hierarchy(peg.graph, 3, 1)
     elapsed = time.process_time() - start
-    assert len(peg.graph.edges) == 60_000 and len(cover.cover_witness) == 20_000
-    assert elapsed < 10.0, f"peg build plus edge-deletion cover at u = 20k took {elapsed:.1f} s of CPU"
+    assert len(peg.graph.edges) == 60_000 and len(cover.cover_witness) == len(greedy.cover_witness) == 20_000
+    assert hierarchy.coverage == greedy.cover_witness
+    assert elapsed < 10.0, f"peg build, both covers and a hierarchy at u = 20k took {elapsed:.1f} s of CPU"
