@@ -154,10 +154,11 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     O(E log u) for u workers and E edges: a Fenwick tree counts the uncovered
     workers in sorted order, each pick is the ``rng.randrange(live)``-th of
     them, found by one descent, and each worker is dropped once, when the
-    first task it performs is chosen.  ``rng.choice(seq)`` and
-    ``rng.randrange(len(seq))`` both return ``seq[rng._randbelow(len(seq))]``,
-    so the picks, and the cover, are those of drawing ``rng.choice`` from the
-    sorted list of uncovered workers rebuilt after every pick.
+    first task it performs is chosen.  ``rng.choice(seq)`` is
+    ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` is
+    ``rng._randbelow(n)``, so the picks, and the cover, are those of drawing
+    ``rng.choice`` from the sorted list of uncovered workers rebuilt after
+    every pick.
     """
     rng = random.Random(require_int(seed, "seed", 0))
     workers = inst.graph.workers
