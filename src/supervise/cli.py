@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Mapping
 
 from ._csv import bool_word
@@ -33,7 +34,6 @@ from .hierarchy import (
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     min_penalty_hierarchical,
-    trace_to_csv,
 )
 from .quant import best_response_quant
 from .simulate import Gaussian, SimConfig, UniformWrong, simulate
@@ -160,15 +160,14 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     trace = counterexample_trace(SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C), args.max_depth)
-    lines = [trace_to_csv(trace)]
-    lines.append(f"# crossing_level {trace.crossing_level if trace.crossing_level is not None else 'none'}\n")
-    lines.append(f"# delta {fmt_decimal(trace.delta) if trace.delta is not None else 'none'}\n")
-    lines.append(
-        f"# guaranteed_depth {trace.guaranteed_depth if trace.guaranteed_depth is not None else 'none'}\n"
-    )
+    footers = [
+        f"# crossing_level {trace.crossing_level if trace.crossing_level is not None else 'none'}\n",
+        f"# delta {fmt_decimal(trace.delta) if trace.delta is not None else 'none'}\n",
+        f"# guaranteed_depth {trace.guaranteed_depth if trace.guaranteed_depth is not None else 'none'}\n",
+    ]
     if trace.diverged_at is not None:
-        lines.append(f"# diverged_at {trace.diverged_at}\n")
-    _emit(lines, args.out)
+        footers.append(f"# diverged_at {trace.diverged_at}\n")
+    _emit(chain(_csv_chunks(trace), footers), args.out)
     return 0
 
 

@@ -237,7 +237,11 @@ class SchemeParams:
 
     def effective_D(self) -> float:
         """The both-wrong penalty in force: explicit D, else C*(m-2)/(m-1)."""
-        if self.D is not None:
-            return self.D
-        C = self.require_C()
-        return min(C, C * (self.m - 2) / (self.m - 1))  # can round past C for m above 2**52, or overflow
+        return self.D if self.D is not None else implied_D(self.require_C(), self.m)
+
+
+def implied_D(C: float, m: int) -> float:
+    """The both-wrong penalty ``min(C, C (m-2)/(m-1))``: independent uniformly-wrong answers over m alternatives
+    disagree with probability (m-2)/(m-1).  The min holds it at C, which the quotient can round past for m above
+    2**52, or overflow."""
+    return min(C, C * (m - 2) / (m - 1))

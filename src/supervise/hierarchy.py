@@ -17,16 +17,18 @@ play propagates down the hierarchy from an accurate supervisor — at any
 depth.  This module computes that penalty bound, the per-pair losses and best
 responses, equilibrium profiles for homogeneous and mixed populations, the
 divergence trace showing the bound is needed, the collusion (defection)
-analysis, and the bits of level information a worker needs.
+analysis, and the bits of level information a worker needs.  The profiles and
+the trace share one loop over e_t = g(e_{t-1}), which stores the levels up to
+the first repeated error and its period, whatever the depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from ._csv import bool_word, cyclic_csv_chunks, write_csv
+from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
 from .errors import require_int, require_prob, require_real, require_weights
@@ -246,9 +248,12 @@ def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemePa
     maximal-error corner, flagged as clamped unless f' attains the target there.
     """
     require_prob(e_w, "superior error")
-    C = params.require_C()
-    target = ((2.0 * e_w - 1.0) * C - e_w * params.effective_D()) / params.k
-    return solve_deriv_equals(f, target)
+    return solve_deriv_equals(f, _response_target(e_w, params.require_C(), params.effective_D(), params.k))
+
+
+def _response_target(e_w: float, C: float, D: float, k: int) -> float:
+    """f' at the best response to a superior at e_w, whatever the worker's f."""
+    return ((2.0 * e_w - 1.0) * C - e_w * D) / k
 
 
 def _validate_e0(e0: float, eps: float) -> float:
@@ -258,6 +263,45 @@ def _validate_e0(e0: float, eps: float) -> float:
     return e0
 
 
+def _cascade(step: Callable, e0: float, depth: int, stop: Callable | None = None) -> tuple[list[tuple], int]:
+    """Levels 1..depth of e_t = step(e_{t-1})[0] from e0, as ``(e_t, record)`` pairs, up to the first repeat.
+
+    Each level depends only on the error above it, so once an error repeats an earlier level's (e0's included),
+    the levels in between repeat to ``depth``: the loop stops there and returns the period between the two.  It
+    stops with period 0 at the first error for which ``stop`` holds, and at ``depth``.
+    """
+    seen = {e0: 0}  # error -> its level
+    solved = []
+    e = e0
+    for t in range(1, depth + 1):
+        e, record = step(e)
+        solved.append((e, record))
+        period = t - seen.setdefault(e, t)
+        if period or (stop is not None and stop(e)):
+            return solved, period
+    return solved, 0
+
+
+def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: int, e0: float) -> tuple[list, int]:
+    """Each type's levels up to the first repeated mean error, and the period, when at every level each type (an
+    effort curve with a weight) best-responds to the weighted mean error of the level above."""
+    C, D = params.require_C(), params.effective_D()
+
+    def step(e_prev: float) -> tuple[float, list[Root]]:
+        require_prob(e_prev, "superior error")
+        target = _response_target(e_prev, C, D, params.k)  # the same for every type
+        roots = [solve_deriv_equals(f, target) for f in efforts]
+        return math.fsum([w * r.value for w, r in zip(weights, roots)]), roots
+
+    solved, period = _cascade(step, e0, depth)
+    eps = params.epsilon
+    head = LevelState(0, e0, e0 < eps, False)
+    return [
+        (head, *(LevelState(t, r.value, r.value < eps, r.clamped) for t, r in enumerate(column, 1)))
+        for column in zip(*(roots for _, roots in solved))
+    ], period
+
+
 def equilibrium_homogeneous(
     f: EffortFunction, params: SchemeParams, depth: int, e0: float = 0.0
 ) -> EquilibriumProfile:
@@ -265,24 +309,15 @@ def equilibrium_homogeneous(
 
     Level t best-responds to level t-1, starting from the supervisor's error
     e0 at level 0.  A single pass is exact because a worker's loss depends on
-    the levels below it only through its own effort term.  Each level depends
-    only on the error above it, so once an error repeats an earlier level's,
-    the levels in between repeat to the requested depth: the profile stores
-    the levels up to that first repeat and its period, and solves no more.
+    the levels below it only through its own effort term.  This is the
+    one-type case of ``equilibrium_heterogeneous``'s cascade, whose mean
+    error is the type's own error.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
-    levels = [LevelState(0, e0, e0 < eps, False)]
-    seen = {e0: 0}  # superior error -> its level
-    period = 0
-    for t in range(1, depth + 1):
-        r = best_response_under_superior(f, levels[-1].error, params)
-        levels.append(LevelState(t, r.value, r.value < eps, r.clamped))
-        period = t - seen.setdefault(r.value, t)
-        if period:
-            break
-    return EquilibriumProfile(prefix=tuple(levels), period=period, depth=depth, threshold=eps)
+    (prefix,), period = _mixture_levels([f], [1.0], params, depth, e0)
+    return EquilibriumProfile(prefix=prefix, period=period, depth=depth, threshold=eps)
 
 
 def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
@@ -303,12 +338,9 @@ def equilibrium_heterogeneous(
     Each worker knows only the distribution of its superior, so at level t
     every type best-responds to the population-mean error of level t-1.  The
     population must be proficient on average (weighted mean sigma <= eps);
-    otherwise no truthfulness claim holds and the request is rejected.
-    Proficient types are guaranteed truthful at every level — the result is
-    re-checked and a violation (impossible for valid inputs) raises.  Once the
-    population-mean error repeats an earlier level's, every type's levels in
-    between repeat to the requested depth: each type stores its levels up to
-    that first repeat and its period, and no more are solved.
+    otherwise no truthfulness claim holds and the request is rejected.  Each
+    level's ``truthful`` flag reports whether a type stays below eps; with C
+    at the bound a proficient type can land exactly on eps.
     """
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
@@ -322,45 +354,17 @@ def equilibrium_heterogeneous(
             f"weighted mean sigma {mean_sigma!r} exceeds epsilon {eps!r}"
         )
 
-    per_type: list[list[LevelState]] = [[LevelState(0, e0, e0 < eps, False)] for _ in pop.types]
-    mean_prev = e0
-    seen = {e0: 0}  # population-mean error -> its level
-    period = 0
-    for t in range(1, depth + 1):
-        errs = []
-        for i, (wt, w) in enumerate(pop.types):
-            r = best_response_under_superior(wt.effort, mean_prev, params)
-            per_type[i].append(LevelState(t, r.value, r.value < eps, r.clamped))
-            errs.append(r.value)
-        mean_prev = math.fsum(w * e for (_, w), e in zip(pop.types, errs))
-        period = t - seen.setdefault(mean_prev, t)
-        if period:
-            break
-
+    prefixes, period = _mixture_levels([wt.effort for wt, _ in pop.types], [w for _, w in pop.types], params, depth, e0)
     types = tuple(
-        TypeEquilibrium(
-            worker=wt,
-            weight=w,
-            sigma=root.value,
-            sigma_clamped=root.clamped,
-            proficient=root.value <= eps,
-            prefix=tuple(states),
-            period=period,
-            depth=depth,
-        )
-        for (wt, w), root, states in zip(pop.types, sigma_roots, per_type)
+        TypeEquilibrium(prefix=prefix, period=period, depth=depth, worker=wt, weight=w, sigma=root.value,
+                        sigma_clamped=root.clamped, proficient=root.value <= eps)
+        for (wt, w), root, prefix in zip(pop.types, sigma_roots, prefixes)
     )
-    for te in types:
-        if te.proficient and not all(s.truthful for s in te.prefix):
-            raise SuperviseError(
-                f"internal consistency failure: proficient type {te.worker.id!r} "
-                "produced an untruthful level"
-            )
     return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)
 
 
 @dataclass(frozen=True)
-class CounterexampleTrace:
+class CounterexampleTrace(_CyclicLevels):
     """Divergence trace with an undersized penalty.
 
     With cost ``f(x) = -ln x``, two answers, an exact supervisor, and C below
@@ -370,16 +374,25 @@ class CounterexampleTrace:
     ``ceil(eps / delta)``, and at the earliest at level 1.  When C is at or
     above the bound the gap d is not positive: delta and the guaranteed depth
     are None and the trace simply documents that no crossing occurs.
+
+    Stored: the levels up to the crossing or the first repeated error, the
+    period of that repeat (0 if none), and ``depth``, the crossing level or
+    else the requested maximum depth; a level is truthful when its error is
+    below eps.  Derived: ``levels`` and ``errors``.
     """
 
     k: int
     C: float
     epsilon: float
-    errors: tuple[float, ...]
     crossing_level: int | None
     delta: float | None
     guaranteed_depth: int | None
     diverged_at: int | None
+
+    @property
+    def errors(self) -> tuple[float, ...]:
+        errors = tuple(s.error for s in self.prefix)
+        return errors + tuple(_unrolled(errors, self.period, self.depth))
 
     @property
     def crossed(self) -> bool:
@@ -391,8 +404,9 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
 
     Fixed to the unit SimpleLog cost and two-answer tasks (D = 0), where the
     recursion has the closed form above.  Stops at the first level whose
-    error exceeds epsilon, at a divergence (error leaving [0, 1/2)), or at
-    max_depth.
+    error exceeds epsilon, which is a divergence when that error is 1/2 or
+    more, at the first repeated error, or at max_depth.  Every error before
+    the crossing is at most eps < 1/4, so no denominator is below C/2.
     """
     eps = params.epsilon
     if not (0.0 < eps < 0.25):
@@ -418,28 +432,14 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
         delta = None
         guaranteed_depth = None
 
-    errors = [0.0]
-    crossing_level: int | None = None
-    diverged_at: int | None = None
-    for t in range(1, max_depth + 1):
-        e_prev = errors[-1]
-        denom = (1.0 - 2.0 * e_prev) * C
-        e_t = k / denom if denom != 0.0 else math.inf
-        errors.append(e_t)
-        if not (0.0 <= e_t < 0.5):
-            diverged_at = t
-        if e_t > eps:
-            crossing_level = t
-            break
+    solved, period = _cascade(lambda e: (k / ((1.0 - 2.0 * e) * C), None), 0.0, max_depth, lambda e: e > eps)
+    prefix = (LevelState(0, 0.0, True), *(LevelState(t, e, e < eps) for t, (e, _) in enumerate(solved, 1)))
+    last = prefix[-1]
+    crossing_level = last.level if last.error > eps else None
     return CounterexampleTrace(
-        k=k,
-        C=C,
-        epsilon=eps,
-        errors=tuple(errors),
-        crossing_level=crossing_level,
-        delta=delta,
-        guaranteed_depth=guaranteed_depth,
-        diverged_at=diverged_at,
+        prefix=prefix, period=period, depth=max_depth if crossing_level is None else crossing_level, k=k, C=C,
+        epsilon=eps, crossing_level=crossing_level, delta=delta, guaranteed_depth=guaranteed_depth,
+        diverged_at=crossing_level if last.error >= 0.5 else None,
     )
 
 
@@ -502,9 +502,10 @@ def level_info_bits(N: int, k: int) -> int:
     return (levels - 1).bit_length()
 
 
-def _csv_chunks(eq: EquilibriumProfile | HeterogeneousEquilibrium) -> Iterator[str]:
-    """The CSV text of a homogeneous or a heterogeneous equilibrium, in chunks of rows; see ``cyclic_csv_chunks``."""
-    if isinstance(eq, EquilibriumProfile):
+def _csv_chunks(eq: _CyclicLevels | HeterogeneousEquilibrium) -> Iterator[str]:
+    """The CSV text of one profile or trace, or of a heterogeneous equilibrium, in chunks of rows; see
+    ``cyclic_csv_chunks``."""
+    if isinstance(eq, _CyclicLevels):
         header, keyed = ["level", "error", "truthful"], (((), eq),)
     else:
         header, keyed = ["type", "level", "error", "truthful"], (((te.worker.id,), te) for te in eq.types)
@@ -525,7 +526,4 @@ def heterogeneous_to_csv(eq: HeterogeneousEquilibrium) -> str:
 
 def trace_to_csv(trace: CounterexampleTrace) -> str:
     """Divergence trace as ``level,error,truthful`` rows."""
-    return write_csv(
-        ["level", "error", "truthful"],
-        ((level, e, bool_word(e < trace.epsilon)) for level, e in enumerate(trace.errors)),
-    )
+    return "".join(_csv_chunks(trace))

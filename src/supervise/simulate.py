@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._csv import write_csv
-from .effort import EffortFunction, SchemeParams, effort_eval
+from .effort import EffortFunction, SchemeParams, effort_eval, implied_D
 from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_int, require_prob, require_real
 from .hierarchy import expected_penalty_pair
 from .quant import expected_penalty_quant
@@ -82,9 +82,7 @@ class UniformWrong:
 
     @property
     def both_wrong_penalty(self) -> float:
-        # independent uniform wrong answers disagree with probability (m-2)/(m-1); the quotient can round
-        # past C for m above 2**52, or overflow
-        return min(self.C, self.C * (self.m - 2) / (self.m - 1))
+        return implied_D(self.C, self.m)
 
     def strategy(self, worker: str, e: object) -> float:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)

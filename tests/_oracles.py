@@ -6,9 +6,10 @@ the peg builder and the edge-deletion cover, the disjoint-worker greedy as
 it was before graphs stored their rows sorted, the simulator's helpers as
 they were before they left numpy's module functions for array methods, and
 the equilibrium cascades as they were before they stopped at a repeat,
-with result types of their own that store every level, and the CSV writers
+with result types of their own that store every level, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
-cached tail.
+cached tail, and the divergence trace and its writer as they were before
+the trace stopped at its first repeated error.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -29,6 +30,7 @@ from supervise import (
     AssignmentGraph,
     AssumptionError,
     EffortFunction,
+    EpsilonRangeError,
     LevelState,
     PegAssignment,
     PopulationModel,
@@ -386,4 +388,85 @@ def quant_to_csv(eq) -> str:
     return write_csv(
         ["type", "level", "vstar", "truthful"],
         ((tp.worker.id, t, tp.vstar, bool_word(tp.truthful)) for tp in eq.types for t in range(1, eq.depth + 1)),
+    )
+
+
+# The divergence trace and its CSV writer as they were before the trace stopped at its first repeated error, frozen
+# verbatim with the result type of that time, which stores every error.
+
+
+@dataclass(frozen=True)
+class CounterexampleTrace:
+    k: int
+    C: float
+    epsilon: float
+    errors: tuple[float, ...]
+    crossing_level: int | None
+    delta: float | None
+    guaranteed_depth: int | None
+    diverged_at: int | None
+
+
+def counterexample_trace(params: SchemeParams, max_depth: int) -> CounterexampleTrace:
+    """Iterate the undersized-penalty recursion until it crosses epsilon.
+
+    Fixed to the unit SimpleLog cost and two-answer tasks (D = 0), where the
+    recursion has the closed form e_t = k / ((1 - 2 e_{t-1}) C).  Stops at the first level whose
+    error exceeds epsilon, at a divergence (error leaving [0, 1/2)), or at
+    max_depth.
+    """
+    eps = params.epsilon
+    if not (0.0 < eps < 0.25):
+        raise EpsilonRangeError(f"epsilon range: divergence trace needs epsilon in (0, 1/4), got {eps!r}")
+    if params.m != 2 or (params.D is not None and params.D != 0.0):
+        raise SuperviseError("divergence trace is defined for two-answer tasks (m=2, D=0)")
+    require_int(max_depth, "max_depth", 1)
+    C = params.require_C()
+    k = params.k
+
+    a = eps * (1.0 - 2.0 * eps)
+    bound = k / a
+    if not math.isfinite(bound):
+        raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound k/(eps (1 - 2 eps))")
+    d = bound - C  # positive exactly when C is below the hierarchical bound
+    if d > 0.0:
+        # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
+        delta: float | None = a * d / C
+        if not math.isfinite(delta):
+            raise SuperviseError(f"C {C!r} is too small for a finite per-level gain a d / C")
+        guaranteed_depth: int | None = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
+    else:
+        delta = None
+        guaranteed_depth = None
+
+    errors = [0.0]
+    crossing_level: int | None = None
+    diverged_at: int | None = None
+    for t in range(1, max_depth + 1):
+        e_prev = errors[-1]
+        denom = (1.0 - 2.0 * e_prev) * C
+        e_t = k / denom if denom != 0.0 else math.inf
+        errors.append(e_t)
+        if not (0.0 <= e_t < 0.5):
+            diverged_at = t
+        if e_t > eps:
+            crossing_level = t
+            break
+    return CounterexampleTrace(
+        k=k,
+        C=C,
+        epsilon=eps,
+        errors=tuple(errors),
+        crossing_level=crossing_level,
+        delta=delta,
+        guaranteed_depth=guaranteed_depth,
+        diverged_at=diverged_at,
+    )
+
+
+def trace_to_csv(trace: CounterexampleTrace) -> str:
+    """Divergence trace as ``level,error,truthful`` rows."""
+    return write_csv(
+        ["level", "error", "truthful"],
+        ((level, e, bool_word(e < trace.epsilon)) for level, e in enumerate(trace.errors)),
     )

@@ -1,5 +1,5 @@
-"""The equilibrium cascades that stop at the first repeated error, and the writers that write the rows past it
-from a cached tail, against their frozen level-by-level originals."""
+"""The equilibrium cascades and the divergence trace that stop at the first repeated error, and the writers that
+write the rows past it from a cached tail, against their frozen level-by-level originals."""
 
 import time
 
@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 import supervise.hierarchy
 from supervise import (
+    AssumptionError,
     EffortFunction,
     PopulationModel,
     SchemeParams,
     SuperviseError,
     QuantWorkerType,
     WorkerType,
+    counterexample_trace,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     heterogeneous_to_csv,
@@ -22,6 +24,7 @@ from supervise import (
     profile_to_csv,
     quant_equilibrium,
     quant_to_csv,
+    trace_to_csv,
 )
 
 import _oracles
@@ -277,3 +280,104 @@ def test_cascades_stop_solving_at_the_first_repeat(monkeypatch):
     calls.clear()
     eq = equilibrium_heterogeneous(pop, PERIOD_2, 2000)
     assert len(calls) == 2 * (1 + _first_repeat(eq.mean_errors)) < 200
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES + ("inversepower",)), st.booleans())
+def test_a_one_type_population_is_the_homogeneous_profile(inputs, at_bound):
+    """With C as drawn or at the printed bound itself, where levels can land on epsilon and are reported untruthful;
+    a type improficient by itself is refused."""
+    f, params, depth, e0 = inputs
+    if at_bound:
+        params = SchemeParams(k=params.k, epsilon=params.epsilon, C=min_penalty_hierarchical(f, params), m=params.m)
+    try:
+        (te,) = equilibrium_heterogeneous(PopulationModel.single(f), params, depth, e0).types
+    except AssumptionError:
+        return
+    profile = equilibrium_homogeneous(f, params, depth, e0)
+    assert (_rows(te.prefix), te.period, te.depth) == (_rows(profile.prefix), profile.period, profile.depth)
+
+
+def test_a_proficient_type_at_the_printed_bound_is_reported_not_refused():
+    """At the bound ``supervise threshold binary`` prints, the levels settle on epsilon itself: flagged untruthful in
+    the type's levels, exactly as in the homogeneous profile."""
+    f = EffortFunction.simple_log(1.662654510706954)
+    params = SchemeParams(k=3, epsilon=0.07707797678400585, C=76.50726314200946)
+    assert min_penalty_hierarchical(f, params) == params.C
+    (te,) = equilibrium_heterogeneous(PopulationModel.single(f), params, 2000).types
+    assert te.proficient and te.levels[22] == (22, params.epsilon, False, False)
+    assert _rows(te.levels) == _rows(equilibrium_homogeneous(f, params, 2000).levels)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS, st.floats(1 + 1e-9, 3.0))
+def test_types_above_their_own_bound_stay_truthful(inputs, drawn, factor):
+    """C is ``factor`` times the first type's bound; every type whose own bound times 1 + 1e-9 is at most C is
+    proficient and below epsilon at every level, in any population that is proficient on average."""
+    f, params, depth, e0 = inputs
+    C = min_penalty_hierarchical(f, params) * factor
+    params = SchemeParams(k=params.k, epsilon=params.epsilon, C=C, m=params.m)
+    try:
+        eq = equilibrium_heterogeneous(_population(f, drawn), params, depth, e0)
+    except AssumptionError:
+        return
+    above = [te for te in eq.types if min_penalty_hierarchical(te.worker.effort, params) * (1 + 1e-9) <= C]
+    assert all(te.proficient and all(s.truthful for s in te.prefix) for te in above)
+
+
+def _trace_outcome(trace, to_csv, params, max_depth):
+    """Every error's bits, the summaries and the CSV bytes, or the class and message of the SuperviseError."""
+    try:
+        t = trace(params, max_depth)
+    except SuperviseError as exc:
+        return type(exc), str(exc)
+    summaries = (t.crossing_level, t.delta, t.guaranteed_depth, t.diverged_at)
+    return [e.hex() for e in t.errors], [x.hex() if isinstance(x, float) else x for x in summaries], to_csv(t)
+
+
+def _traces_agree(params, max_depth):
+    return _trace_outcome(counterexample_trace, trace_to_csv, params, max_depth) == _trace_outcome(
+        _oracles.counterexample_trace, _oracles.trace_to_csv, params, max_depth
+    )
+
+
+@st.composite
+def trace_inputs(draw):
+    """k 1-6, epsilon in (0.005, 0.245), C from half to three times the bound k / (eps (1 - 2 eps)), and max_depth
+    1-40 or up to 3000: below the bound the trace crosses epsilon, above it the errors repeat."""
+    k = draw(st.integers(1, 6))
+    eps = draw(st.floats(0.005, 0.245, exclude_min=True, exclude_max=True))
+    C = k / (eps * (1.0 - 2.0 * eps)) * draw(st.floats(0.5, 3.0))
+    return SchemeParams(k=k, epsilon=eps, C=C), draw(st.one_of(st.integers(1, 40), st.integers(40, 3000)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(trace_inputs())
+def test_trace_matches_the_frozen_original(inputs):
+    assert _traces_agree(*inputs)
+
+
+@pytest.mark.parametrize("k, eps, C, max_depth", [
+    (2, 0.2, 3.0, 10),  # diverges at level 1, at 2/3
+    (1, 0.1, 0.5, 10),  # diverges at level 1, at 2
+    (1, 0.2, 2.0, 10),  # level 1's error is 1/2 exactly, which counts as a divergence
+    (2, 0.2, 10.0, 50),  # level 1 lands on epsilon itself, which is no crossing; level 2 crosses
+    (2, 0.2, 2 / (0.2 * 0.6), 5000),  # at the bound
+    (2, 0.2, 40.0, 1),  # stops at max_depth before the first repeat
+    (2, 0.2, 40.0, 19),  # max_depth at the first repeat
+    (2, 0.2, 40.0, 20000),
+    (2, 0.3, 10.0, 5),  # refused: epsilon out of range
+    (2, 0.2, 5e-324, 5),  # refused: no finite per-level gain
+])
+def test_named_traces_match_the_frozen_original(k, eps, C, max_depth):
+    assert _traces_agree(SchemeParams(k=k, epsilon=eps, C=C), max_depth)
+
+
+def test_a_trace_a_billion_levels_deep_is_its_prefix():
+    """Above the bound the errors repeat from level 19 on: the trace stores 20 levels and period 1, at once."""
+    t0 = time.perf_counter()
+    trace = counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=40.0), 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert (len(trace.prefix), trace.period, trace.depth, trace.crossing_level) == (20, 1, 10**9, None)
+    frozen = _oracles.counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=40.0), 100)
+    assert tuple(s.error for s in trace.prefix) == frozen.errors[:20]

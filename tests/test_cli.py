@@ -200,20 +200,42 @@ sys.exit(code)
 _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)"
 
 
-def test_a_million_level_equilibrium_streams_in_bounded_memory(tmp_path):
-    """The CSV of a profile whose cycle starts within 30 levels: the bytes written before rows came from a cached
-    tail, and well under the 209 MB peak that storing and formatting every level took."""
-    out = tmp_path / "eq.csv"
-    argv = ["equilibrium", "--effort", "simplelog", "--alpha", "1.3", "--epsilon", "0.12", "--k", "3", "--C", "40",
-            "--depth", "1000000", "--out", str(out)]
+def _peak_rss_kb(*argv):
+    """Runs the CLI on ``argv`` in a fresh process, which must succeed silently, and returns its peak RSS in kB."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", _LAUNCHER, _PEAK_RSS_PROBE, *argv],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+    return int(proc.stdout)
+
+
+def test_a_million_level_equilibrium_streams_in_bounded_memory(tmp_path):
+    """The CSV of a profile whose cycle starts within 30 levels: the bytes written before rows came from a cached
+    tail, and well under the 209 MB peak that storing and formatting every level took."""
+    out = tmp_path / "eq.csv"
+    peak = _peak_rss_kb("equilibrium", "--effort", "simplelog", "--alpha", "1.3", "--epsilon", "0.12", "--k", "3",
+                        "--C", "40", "--depth", "1000000", "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fce4914a760437390cc20c1eefd04232cb7486ce8296eb11b537ca109dc1ae14"
     )
-    assert int(proc.stdout) < 50 * 1024
+    assert peak < 50 * 1024
+
+
+def test_a_million_level_trace_writes_the_bytes_of_the_trace_that_stored_every_level(capsys, tmp_path):
+    """Above the bound the errors repeat from level 19 on; the rows past it come from the stored cycle."""
+    out = tmp_path / "trace.csv"
+    assert run_cli(capsys, "counterexample", "--k", "2", "--C", "40", "--epsilon", "0.2", "--max-depth", "1000000",
+                   "--out", str(out)) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "559bd1f4a22356a31f5d6e41539e3802ccd09de18e7775f831d457ed5b4c3250"
+    )
+
+
+def test_a_ten_million_level_trace_streams_in_bounded_memory():
+    """Well under the 1027 MB peak that storing every error took at this depth."""
+    peak = _peak_rss_kb("counterexample", "--k", "2", "--C", "40", "--epsilon", "0.2", "--max-depth", "10000000",
+                        "--out", os.devnull)
+    assert peak < 50 * 1024
 
 
 class TestCounterexampleAndDefection:
