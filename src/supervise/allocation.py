@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InstanceTooLargeError, SuperviseError, require_int
+from .errors import InstanceTooLargeError, SuperviseError, require_instance, require_int
 from .structures import AssignmentGraph, _id_rows
 
 __all__ = [
@@ -49,7 +49,7 @@ class SAInstance:
     k: int
 
     def __post_init__(self) -> None:
-        if self.graph.k > require_int(self.k, "k", 1):
+        if require_instance(self.graph, AssignmentGraph, "graph").k > require_int(self.k, "k", 1):
             raise SuperviseError(f"the largest worker degree {self.graph.k} exceeds k={self.k}")
 
 

@@ -92,14 +92,14 @@ class Root:
         return self.value
 
 
-def _check_domain(f: EffortFunction, e: float, what: str = "effort") -> float:
+def _check_domain(f: EffortFunction, e: float) -> float:
     if not (isinstance(e, (int, float)) and math.isfinite(e)):
-        raise EffortDomainError(f"effort domain: {what} must be a finite real, got {e!r}")
+        raise EffortDomainError(f"effort domain: effort must be a finite real, got {e!r}")
     e = float(e)
     # lower endpoint 0 open, upper endpoint closed (never reached when infinite)
     if not (0.0 < e <= f.domain_hi):
         raise EffortDomainError(
-            f"effort domain: {what}={e!r} outside (0.0, {f.domain_hi}] for {f.family.value}"
+            f"effort domain: effort={e!r} outside (0.0, {f.domain_hi}] for {f.family.value}"
         )
     return e
 

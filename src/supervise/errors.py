@@ -92,13 +92,21 @@ def require_prob(x, name: str, error: type = SuperviseError) -> float:
     return float(x)
 
 
-def require_weights(pairs) -> tuple:
-    """``(item, weight)`` pairs with float weights that are nonnegative and sum to 1."""
+def require_instance(x, cls: type, name: str):
+    """``x`` if it is an instance of ``cls``."""
+    if not isinstance(x, cls):
+        raise SuperviseError(f"{name} must be of type {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
+def require_weights(pairs, cls: type) -> tuple:
+    """``(item, weight)`` pairs of ``cls`` items with float weights that are nonnegative and sum to 1."""
     try:
         pairs = tuple((item, w) for item, w in pairs)
     except (TypeError, ValueError) as exc:
         raise SuperviseError(f"population must be (type, weight) pairs: {exc}") from exc
-    pairs = tuple((item, require_real(w, "population weight", 0.0)) for item, w in pairs)
+    pairs = tuple((require_instance(x, cls, "population type"), require_real(w, "population weight", 0.0))
+                  for x, w in pairs)
     if not pairs:
         raise SuperviseError("population must contain at least one type")
     total = math.fsum(w for _, w in pairs)

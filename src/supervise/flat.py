@@ -31,15 +31,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlatBound:
-    """Strict lower bound on the verification probability, with feasibility.
+    """Strict lower bound on the verification probability.
 
-    ``feasible`` means the bound fits inside [0, 1].  Callers still need a
-    strictly larger p; at a boundary-feasible bound of exactly 1 no margin is
-    left.
+    Stored: ``bound``.  Derived: ``feasible``, which means the bound fits
+    inside [0, 1].  Callers still need a strictly larger p; at a
+    boundary-feasible bound of exactly 1 no margin is left.
     """
 
     bound: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.bound <= 1.0
 
     def __float__(self) -> float:
         return self.bound
@@ -50,7 +53,7 @@ def _bound(f: EffortFunction, eps: float, k: int, penalty: float) -> FlatBound:
     if not math.isfinite(b):
         raise SuperviseError(f"the verification probability bound -f'(eps) k / penalty is not a finite float at k={k}, "
                              f"penalty={penalty!r}")
-    return FlatBound(bound=b, feasible=b <= 1.0)
+    return FlatBound(bound=b)
 
 
 def min_verification_probability_binary(f: EffortFunction, params: SchemeParams) -> FlatBound:

@@ -18,20 +18,21 @@ depth.  This module computes that penalty bound, the per-pair losses and best
 responses, equilibrium profiles for homogeneous and mixed populations, the
 divergence trace showing the bound is needed, the collusion (defection)
 analysis, and the bits of level information a worker needs.  The profiles and
-the trace share one loop over e_t = g(e_{t-1}), which stores the levels up to
-the first repeated error and its period, whatever the depth.
+the trace share one loop over e_t = g(e_{t-1}); each stores the solver's roots
+up to the first repeated error and its period, and derives every flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
-from .errors import require_int, require_prob, require_real, require_weights
+from .errors import require_instance, require_int, require_prob, require_real, require_weights
 
 __all__ = [
     "WorkerType",
@@ -66,10 +67,8 @@ class WorkerType:
     id: str = "worker"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.effort, EffortFunction):
-            raise SuperviseError(f"worker type effort must be an EffortFunction, got {self.effort!r}")
-        if not isinstance(self.id, str):
-            raise SuperviseError(f"worker type id must be a string, got {self.id!r}")
+        require_instance(self.effort, EffortFunction, "worker type effort")
+        require_instance(self.id, str, "worker type id")
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class PopulationModel:
     types: tuple[tuple[WorkerType, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "types", require_weights(self.types))
+        object.__setattr__(self, "types", require_weights(self.types, WorkerType))
 
     @classmethod
     def single(cls, effort: EffortFunction, id: str = "worker") -> "PopulationModel":
@@ -101,49 +100,48 @@ def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
 
 @dataclass(frozen=True)
 class _CyclicLevels:
-    """Levels 0..depth stored as the prefix that defines them.
+    """Levels 0..depth stored as the solver's roots that define them.
 
-    Stored: ``prefix``, the levels 0..n-1; ``period``; and ``depth``.  Every level u from n to depth repeats the
-    level ``period`` above it, so ``period`` is 0 only when the prefix already ends at ``depth``.  Derived, and
-    built anew on each access: ``levels``, all depth + 1 levels.
+    Stored: ``prefix``, the roots of levels 0..n-1 (level 0 is ``Root(e0)``); ``period``; ``depth``; ``threshold``.
+    Every level u from n to depth repeats the level ``period`` above it, so ``period`` is 0 only when the prefix
+    already ends at ``depth``.  Derived, and built anew on each access: ``levels``, all depth + 1 rows, numbered by
+    position and truthful when the error is below the threshold.
     """
 
-    prefix: tuple[LevelState, ...]
+    prefix: tuple[Root, ...]
     period: int
     depth: int
+    threshold: float
 
     def __post_init__(self) -> None:
-        if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(s, LevelState) for s in self.prefix)):
-            raise SuperviseError(f"prefix must be a nonempty tuple of LevelState rows, got {self.prefix!r}")
+        if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(r, Root) for r in self.prefix)):
+            raise SuperviseError(f"prefix must be a nonempty tuple of Root values, got {self.prefix!r}")
         n = len(self.prefix)
-        if any(s.level != i for i, s in enumerate(self.prefix)):
-            raise SuperviseError(f"prefix levels must be numbered 0 to {n - 1}, got {[s.level for s in self.prefix]}")
         require_int(self.period, "period", 0, hi=n - 1)
         require_int(self.depth, "depth", n - 1)
         if self.period == 0 and self.depth != n - 1:
             raise SuperviseError(f"period 0 needs depth {n - 1}, the prefix's last level, got depth {self.depth}")
+        require_real(self.threshold, "threshold")
 
     @property
     def levels(self) -> tuple[LevelState, ...]:
-        rest = _unrolled(self.prefix, self.period, self.depth)
-        return self.prefix + tuple(LevelState(u, *s[1:]) for u, s in enumerate(rest, len(self.prefix)))
+        eps, rows = self.threshold, enumerate(chain(self.prefix, _unrolled(self.prefix, self.period, self.depth)))
+        return tuple(LevelState(u, r.value, r.value < eps, r.clamped) for u, r in rows)
 
 
 @dataclass(frozen=True)
 class EquilibriumProfile(_CyclicLevels):
     """Per-level equilibrium errors; level 0 is the supervisor.
 
-    Stored: the levels up to the first one whose error repeats an earlier level's (all levels to ``depth`` if
-    none does), the ``period`` between the two (0 if none), the ``depth`` and the ``threshold``.  Derived:
-    ``levels`` and the summaries, which read only the prefix.  As the prefix must stop at the first repeat,
-    profiles with equal levels compare equal.
+    Stored: the roots of the levels up to the first one whose error repeats an earlier level's (all levels to
+    ``depth`` if none does), the ``period`` between the two (0 if none), the ``depth`` and the ``threshold``.
+    Derived: ``levels`` and the summaries, which read only the prefix.  As the prefix must stop at the first
+    repeat, profiles with equal levels compare equal.
     """
-
-    threshold: float
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        *head, last = (s.error for s in self.prefix)
+        *head, last = (r.value for r in self.prefix)
         first_level = {}
         for i, e in enumerate(head):
             if first_level.setdefault(e, i) != i:
@@ -157,50 +155,53 @@ class EquilibriumProfile(_CyclicLevels):
 
     @property
     def all_truthful(self) -> bool:
-        return all(s.truthful for s in self.prefix)
+        return all(r.value < self.threshold for r in self.prefix)
 
     @property
     def max_error(self) -> float:
-        return max(s.error for s in self.prefix)
+        return max(r.value for r in self.prefix)
 
 
 @dataclass(frozen=True)
 class TypeEquilibrium(_CyclicLevels):
     """One type's levels in a mixed population.
 
-    Stored: the levels up to the first one whose population-mean error repeats an earlier level's, the period
-    of that repeat, the depth, and the type's proficiency.  Derived: ``levels``.
+    Stored: the type's roots up to the first level whose population-mean error repeats an earlier level's, the
+    period of that repeat, the depth, the threshold and the type's ``sigma``.  Derived: ``levels`` and ``proficient``.
     """
 
     worker: WorkerType
     weight: float
     sigma: float
     sigma_clamped: bool
-    proficient: bool
+
+    @property
+    def proficient(self) -> bool:
+        return self.sigma <= self.threshold
 
 
 @dataclass(frozen=True)
 class HeterogeneousEquilibrium:
-    """Per-type equilibrium profiles plus the population proficiency summary."""
+    """Per-type equilibrium profiles; the population summaries are derived from them."""
 
     types: tuple[TypeEquilibrium, ...]
-    mean_sigma: float
-    threshold: float
 
     def __post_init__(self) -> None:
         if not all(isinstance(t, TypeEquilibrium) for t in self.types):
             raise SuperviseError(f"types must be TypeEquilibrium rows, got {self.types!r}")
-        if len({(len(t.prefix), t.period, t.depth) for t in self.types}) != 1:
-            raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period "
-                                 "and depth")
+        if len({(len(t.prefix), t.period, t.depth, t.threshold) for t in self.types}) != 1:
+            raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period, "
+                                 "depth and threshold")
+
+    @property
+    def mean_sigma(self) -> float:
+        return math.fsum(t.weight * t.sigma for t in self.types)
 
     @property
     def mean_errors(self) -> tuple[float, ...]:
         """Population-mean error at each level (level 0 = supervisor)."""
         first = self.types[0]
-        means = tuple(
-            math.fsum(t.weight * t.prefix[i].error for t in self.types) for i in range(len(first.prefix))
-        )
+        means = tuple(math.fsum(t.weight * t.prefix[i].value for t in self.types) for i in range(len(first.prefix)))
         return means + tuple(_unrolled(means, first.period, first.depth))
 
 
@@ -283,8 +284,8 @@ def _cascade(step: Callable, e0: float, depth: int, stop: Callable | None = None
 
 
 def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: int, e0: float) -> tuple[list, int]:
-    """Each type's levels up to the first repeated mean error, and the period, when at every level each type (an
-    effort curve with a weight) best-responds to the weighted mean error of the level above."""
+    """Each type's roots, ``Root(e0)`` first, up to the first repeated mean error, and the period, when at every
+    level each type (an effort curve with a weight) best-responds to the weighted mean error of the level above."""
     C, D = params.require_C(), params.effective_D()
 
     def step(e_prev: float) -> tuple[float, list[Root]]:
@@ -294,12 +295,8 @@ def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: i
         return math.fsum([w * r.value for w, r in zip(weights, roots)]), roots
 
     solved, period = _cascade(step, e0, depth)
-    eps = params.epsilon
-    head = LevelState(0, e0, e0 < eps, False)
-    return [
-        (head, *(LevelState(t, r.value, r.value < eps, r.clamped) for t, r in enumerate(column, 1)))
-        for column in zip(*(roots for _, roots in solved))
-    ], period
+    head = Root(e0)
+    return [(head, *column) for column in zip(*(roots for _, roots in solved))], period
 
 
 def equilibrium_homogeneous(
@@ -347,20 +344,18 @@ def equilibrium_heterogeneous(
     require_int(depth, "depth", 1)
 
     sigma_roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
-    mean_sigma = math.fsum(w * root.value for (_, w), root in zip(pop.types, sigma_roots))
+    mean_sigma = math.fsum(w * root.value for (_, w), root in zip(pop.types, sigma_roots))  # as in ``mean_sigma``
     if not mean_sigma <= eps:
-        raise AssumptionError(
-            "population proficiency assumption violated: "
-            f"weighted mean sigma {mean_sigma!r} exceeds epsilon {eps!r}"
-        )
+        raise AssumptionError(f"population proficiency assumption violated: weighted mean sigma {mean_sigma!r} exceeds "
+                              f"epsilon {eps!r}")
 
     prefixes, period = _mixture_levels([wt.effort for wt, _ in pop.types], [w for _, w in pop.types], params, depth, e0)
     types = tuple(
-        TypeEquilibrium(prefix=prefix, period=period, depth=depth, worker=wt, weight=w, sigma=root.value,
-                        sigma_clamped=root.clamped, proficient=root.value <= eps)
+        TypeEquilibrium(prefix=prefix, period=period, depth=depth, threshold=eps, worker=wt, weight=w,
+                        sigma=root.value, sigma_clamped=root.clamped)
         for (wt, w), root, prefix in zip(pop.types, sigma_roots, prefixes)
     )
-    return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)
+    return HeterogeneousEquilibrium(types=types)
 
 
 @dataclass(frozen=True)
@@ -375,24 +370,37 @@ class CounterexampleTrace(_CyclicLevels):
     above the bound the gap d is not positive: delta and the guaranteed depth
     are None and the trace simply documents that no crossing occurs.
 
-    Stored: the levels up to the crossing or the first repeated error, the
-    period of that repeat (0 if none), and ``depth``, the crossing level or
-    else the requested maximum depth; a level is truthful when its error is
-    below eps.  Derived: ``levels`` and ``errors``.
+    Stored: the roots of the levels up to the crossing (the only level above
+    eps, and then the period is 0) or the first repeated error, the period,
+    ``depth`` (the crossing level or else the maximum depth) and
+    ``threshold``, eps.  Derived: ``levels``, ``errors``, and from the last
+    root ``crossing_level`` and ``diverged_at`` (if its error is >= 1/2).
     """
 
     k: int
     C: float
-    epsilon: float
-    crossing_level: int | None
     delta: float | None
     guaranteed_depth: int | None
-    diverged_at: int | None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if any(r.value > self.threshold for r in self.prefix[:-1]):
+            raise SuperviseError("a trace stops at its first error above the threshold")
+        if self.period and self.crossed:
+            raise SuperviseError(f"a trace that crosses the threshold has no period, got period {self.period}")
 
     @property
     def errors(self) -> tuple[float, ...]:
-        errors = tuple(s.error for s in self.prefix)
+        errors = tuple(r.value for r in self.prefix)
         return errors + tuple(_unrolled(errors, self.period, self.depth))
+
+    @property
+    def crossing_level(self) -> int | None:
+        return len(self.prefix) - 1 if self.prefix[-1].value > self.threshold else None
+
+    @property
+    def diverged_at(self) -> int | None:
+        return self.crossing_level if self.prefix[-1].value >= 0.5 else None
 
     @property
     def crossed(self) -> bool:
@@ -414,33 +422,25 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     if params.m != 2 or (params.D is not None and params.D != 0.0):
         raise SuperviseError("divergence trace is defined for two-answer tasks (m=2, D=0)")
     require_int(max_depth, "max_depth", 1)
-    C = params.require_C()
-    k = params.k
+    C, k = params.require_C(), params.k
 
     a = eps * (1.0 - 2.0 * eps)
     bound = k / a
     if not math.isfinite(bound):
         raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound k/(eps (1 - 2 eps))")
     d = bound - C  # positive exactly when C is below the hierarchical bound
+    delta = guaranteed_depth = None
     if d > 0.0:
         # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
-        delta: float | None = a * d / C
+        delta = a * d / C
         if not math.isfinite(delta):
             raise SuperviseError(f"C {C!r} is too small for a finite per-level gain a d / C")
-        guaranteed_depth: int | None = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
-    else:
-        delta = None
-        guaranteed_depth = None
+        guaranteed_depth = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
 
     solved, period = _cascade(lambda e: (k / ((1.0 - 2.0 * e) * C), None), 0.0, max_depth, lambda e: e > eps)
-    prefix = (LevelState(0, 0.0, True), *(LevelState(t, e, e < eps) for t, (e, _) in enumerate(solved, 1)))
-    last = prefix[-1]
-    crossing_level = last.level if last.error > eps else None
-    return CounterexampleTrace(
-        prefix=prefix, period=period, depth=max_depth if crossing_level is None else crossing_level, k=k, C=C,
-        epsilon=eps, crossing_level=crossing_level, delta=delta, guaranteed_depth=guaranteed_depth,
-        diverged_at=crossing_level if last.error >= 0.5 else None,
-    )
+    prefix = (Root(0.0), *(Root(e) for e, _ in solved))
+    return CounterexampleTrace(prefix=prefix, period=period, depth=len(solved) if solved[-1][0] > eps else max_depth,
+                               threshold=eps, k=k, C=C, delta=delta, guaranteed_depth=guaranteed_depth)
 
 
 @dataclass(frozen=True)
@@ -458,7 +458,10 @@ class DefectionAnalysis:
     C: float
     defect_cost: float
     deviate_cost: float
-    verdict: str  # "defect" | "indifferent" | "truthful-compatible"
+
+    @property
+    def verdict(self) -> str:
+        return "defect" if self.N > 2 * self.k else "indifferent" if self.N == 2 * self.k else "truthful-compatible"
 
 
 def _share_of(count: int, C: float, N: int) -> float:
@@ -474,14 +477,7 @@ def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
     require_int(N, "N", 1, hi=FLOAT_MAX)
     require_int(k, "k", 1, hi=FLOAT_MAX)
     C = require_real(C, "C", 0.0, lo_open=True)
-    defect_cost, deviate_cost = _share_of(k, C, N), _share_of(N - k, C, N)
-    if N > 2 * k:
-        verdict = "defect"
-    elif N == 2 * k:
-        verdict = "indifferent"
-    else:
-        verdict = "truthful-compatible"
-    return DefectionAnalysis(N=N, k=k, C=C, defect_cost=defect_cost, deviate_cost=deviate_cost, verdict=verdict)
+    return DefectionAnalysis(N=N, k=k, C=C, defect_cost=_share_of(k, C, N), deviate_cost=_share_of(N - k, C, N))
 
 
 def level_info_bits(N: int, k: int) -> int:
@@ -510,7 +506,8 @@ def _csv_chunks(eq: _CyclicLevels | HeterogeneousEquilibrium) -> Iterator[str]:
     else:
         header, keyed = ["type", "level", "error", "truthful"], (((te.worker.id,), te) for te in eq.types)
     return cyclic_csv_chunks(header, (
-        (key, [(s.level, s.error, bool_word(s.truthful)) for s in p.prefix], p.period, p.depth) for key, p in keyed
+        (key, [(u, r.value, bool_word(r.value < p.threshold)) for u, r in enumerate(p.prefix)], p.period, p.depth)
+        for key, p in keyed
     ))
 
 

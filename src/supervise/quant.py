@@ -20,7 +20,8 @@ from typing import Sequence
 
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, solve_deriv_equals
-from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_int, require_real, require_weights
+from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_instance, require_int, require_real
+from .errors import require_weights
 
 __all__ = [
     "QuantWorkerType",
@@ -44,11 +45,9 @@ class QuantWorkerType:
     id: str = "worker"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.effort, EffortFunction):
-            raise SuperviseError(f"worker type effort must be an EffortFunction, got {self.effort!r}")
+        require_instance(self.effort, EffortFunction, "worker type effort")
         object.__setattr__(self, "bias", require_real(self.bias, "bias"))
-        if not isinstance(self.id, str):
-            raise SuperviseError(f"worker type id must be a string, got {self.id!r}")
+        require_instance(self.id, str, "worker type id")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,11 @@ class TypeQuantProfile:
     weight: float
     vstar: float
     clamped: bool
-    truthful: bool
+    threshold: float
+
+    @property
+    def truthful(self) -> bool:
+        return self.vstar < self.threshold
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,6 @@ class QuantEquilibrium:
     """Per-type profiles; each type holds its one variance at every level 1..depth."""
 
     types: tuple[TypeQuantProfile, ...]
-    threshold: float
     depth: int
 
     @property
@@ -110,7 +112,7 @@ def quant_equilibrium(
     profile is constant in the level by construction — the same root is
     reported at every depth, exactly.
     """
-    pop = require_weights(pop)
+    pop = require_weights(pop, QuantWorkerType)
     epsilon = require_real(epsilon, "variance threshold", 0.0, lo_open=True)
     require_int(depth, "depth", 1)
 
@@ -120,15 +122,9 @@ def quant_equilibrium(
             f"unbiased-population assumption violated: weighted mean bias {mean_bias!r}"
         )
 
-    types = []
-    for wt, w in pop:
-        root = best_response_quant(wt.effort, k, c)
-        types.append(
-            TypeQuantProfile(
-                worker=wt, weight=w, vstar=root.value, clamped=root.clamped, truthful=root.value < epsilon
-            )
-        )
-    return QuantEquilibrium(types=tuple(types), threshold=epsilon, depth=depth)
+    roots = [(wt, w, best_response_quant(wt.effort, k, c)) for wt, w in pop]
+    return QuantEquilibrium(types=tuple(TypeQuantProfile(wt, w, r.value, r.clamped, epsilon) for wt, w, r in roots),
+                            depth=depth)
 
 
 def quant_to_csv(eq: QuantEquilibrium) -> str:

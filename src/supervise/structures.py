@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import SizingError, SuperviseError, require_int
+from .errors import SizingError, SuperviseError, require_instance, require_int
 
 __all__ = [
     "AssignmentGraph",
@@ -316,6 +316,7 @@ class PegAssignment:
     peg_tasks: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        require_instance(self.graph, AssignmentGraph, "graph")
         self.validate()
 
     def validate(self) -> None:
@@ -409,6 +410,8 @@ class SupervisionHierarchy:
     coverage: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        require_instance(self.graph, AssignmentGraph, "graph")
+        require_instance(self.tree, SupervisionTree, "tree")
         object.__setattr__(self, "coverage", _sorted_rows(self.coverage, "coverage", 2))
         self.validate()
 

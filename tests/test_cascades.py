@@ -15,6 +15,7 @@ from supervise import (
     SchemeParams,
     SuperviseError,
     QuantWorkerType,
+    Root,
     WorkerType,
     counterexample_trace,
     equilibrium_heterogeneous,
@@ -44,6 +45,11 @@ PERIOD_2 = _above_bound(PERIOD_2_F, 5, 0.42712130234109225, 1 + 1e-6)
 
 def _rows(levels):
     return tuple((s.level, s.error.hex(), s.truthful, s.clamped) for s in levels)
+
+
+def _bits(roots):
+    """The stored roots' bits, read without unrolling the levels."""
+    return tuple((r.value.hex(), r.clamped) for r in roots)
 
 
 def _outcome(cascade, *args):
@@ -117,14 +123,39 @@ TYPE_DRAWS = st.lists(
 )
 
 
+def _heterogeneous_outcomes_agree(*args):
+    """The library's outcome is the frozen original's.  Where the original raised its "internal consistency
+    failure" for a proficient type with an untruthful level, the library must report exactly that: the first such
+    type is the one the original names."""
+    frozen = _outcome(_oracles.equilibrium_heterogeneous, *args)
+    if frozen[0] is SuperviseError and frozen[1].startswith("internal consistency failure"):
+        flagged = [te.worker.id for te in equilibrium_heterogeneous(*args).types
+                   if te.proficient and not all(s.truthful for s in te.levels)]
+        return bool(flagged) and frozen[1] == (
+            f"internal consistency failure: proficient type {flagged[0]!r} produced an untruthful level"
+        )
+    return _outcome(equilibrium_heterogeneous, *args) == frozen
+
+
 @settings(max_examples=300, derandomize=True)
-@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS)
-def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn):
-    """1-3 types of the scheme's family or the inverse power, scaled; an improficient population is refused before
-    the cascade."""
+@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS, st.booleans())
+def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn, at_bound):
+    """1-3 types of the scheme's family or the inverse power, scaled, with C as drawn or at the first type's printed
+    bound, where levels can land on epsilon; an improficient population is refused before the cascade."""
     f, params, depth, e0 = inputs
-    args = (_population(f, drawn), params, depth, e0)
-    assert _outcome(equilibrium_heterogeneous, *args) == _outcome(_oracles.equilibrium_heterogeneous, *args)
+    if at_bound:
+        params = SchemeParams(k=params.k, epsilon=params.epsilon, C=min_penalty_hierarchical(f, params), m=params.m)
+    assert _heterogeneous_outcomes_agree(_population(f, drawn), params, depth, e0)
+
+
+def test_the_frozen_originals_refusal_at_the_printed_bound_is_the_librarys_untruthful_flag():
+    """One type at the bound lands on epsilon from level 22: the frozen original raises, the library flags it."""
+    f = EffortFunction.simple_log(1.662654510706954)
+    params = SchemeParams(k=3, epsilon=0.07707797678400585, C=76.50726314200946)
+    args = (PopulationModel.single(f, "a"), params, 2000)
+    with pytest.raises(SuperviseError, match="internal consistency failure: proficient type 'a'"):
+        _oracles.equilibrium_heterogeneous(*args)
+    assert _heterogeneous_outcomes_agree(*args)
 
 
 def _homogeneous_csvs(f, params, depth, e0=0.0):
@@ -238,7 +269,7 @@ def test_a_profile_a_billion_levels_deep_is_its_prefix():
     frozen = _oracles.equilibrium_homogeneous(PERIOD_2_F, PERIOD_2, 400)
     assert (profile.period, profile.depth) == (2, 10**9)
     assert profile.max_error == frozen.max_error and profile.all_truthful == frozen.all_truthful
-    assert _rows(profile.prefix) == _rows(frozen.levels[:len(profile.prefix)])
+    assert _bits(profile.prefix) == _bits(Root(s.error, s.clamped) for s in frozen.levels[:len(profile.prefix)])
 
 
 def test_period_two_profile_matches_the_frozen_original():
@@ -295,7 +326,9 @@ def test_a_one_type_population_is_the_homogeneous_profile(inputs, at_bound):
     except AssumptionError:
         return
     profile = equilibrium_homogeneous(f, params, depth, e0)
-    assert (_rows(te.prefix), te.period, te.depth) == (_rows(profile.prefix), profile.period, profile.depth)
+    assert (_bits(te.prefix), te.period, te.depth, te.threshold) == (
+        _bits(profile.prefix), profile.period, profile.depth, profile.threshold
+    )
 
 
 def test_a_proficient_type_at_the_printed_bound_is_reported_not_refused():
@@ -322,7 +355,7 @@ def test_types_above_their_own_bound_stay_truthful(inputs, drawn, factor):
     except AssumptionError:
         return
     above = [te for te in eq.types if min_penalty_hierarchical(te.worker.effort, params) * (1 + 1e-9) <= C]
-    assert all(te.proficient and all(s.truthful for s in te.prefix) for te in above)
+    assert all(te.proficient and all(s.truthful for s in te.levels) for te in above)
 
 
 def _trace_outcome(trace, to_csv, params, max_depth):
@@ -380,4 +413,4 @@ def test_a_trace_a_billion_levels_deep_is_its_prefix():
     assert time.perf_counter() - t0 < 1.0
     assert (len(trace.prefix), trace.period, trace.depth, trace.crossing_level) == (20, 1, 10**9, None)
     frozen = _oracles.counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=40.0), 100)
-    assert tuple(s.error for s in trace.prefix) == frozen.errors[:20]
+    assert tuple(r.value for r in trace.prefix) == frozen.errors[:20]

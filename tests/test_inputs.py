@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from supervise import (
     AssignmentGraph,
     EffortFunction,
+    CounterexampleTrace,
     EquilibriumProfile,
     Gaussian,
     HeterogeneousEquilibrium,
-    LevelState,
+    PegAssignment,
     PopulationModel,
     QuantWorkerType,
+    Root,
     SAInstance,
     SchemeParams,
     SimConfig,
@@ -90,18 +92,24 @@ def _exact_hierarchy_over_a_worker_less_task():
 
 
 def _levels(*errors):
-    """Hand-built levels 0, 1, ... holding these errors."""
-    return tuple(LevelState(i, e, e < 0.25) for i, e in enumerate(errors))
+    """Hand-built roots of levels 0, 1, ... holding these errors."""
+    return tuple(Root(e) for e in errors)
 
 
 def _profile(prefix, period, depth):
     return EquilibriumProfile(prefix=prefix, period=period, depth=depth, threshold=0.25)
 
 
-def _type_levels(prefix, period, depth):
+def _type_levels(prefix, period, depth, threshold=0.25):
     return TypeEquilibrium(
-        prefix=prefix, period=period, depth=depth, worker=WorkerType(SL), weight=0.5, sigma=0.1, sigma_clamped=False,
-        proficient=True,
+        prefix=prefix, period=period, depth=depth, threshold=threshold, worker=WorkerType(SL), weight=0.5, sigma=0.1,
+        sigma_clamped=False,
+    )
+
+
+def _trace(prefix, period, depth):
+    return CounterexampleTrace(
+        prefix=prefix, period=period, depth=depth, threshold=0.2, k=2, C=10.0, delta=0.1, guaranteed_depth=2
     )
 
 
@@ -214,8 +222,6 @@ BAD_INPUTS = {
     "profile with no levels": lambda: _profile((), 0, 0),
     "profile of plain tuples": lambda: _profile(((0, 0.0, True, False),), 0, 0),
     "profile levels as a list": lambda: _profile(list(_levels(0.0)), 0, 0),
-    "profile levels numbered from 1": lambda: _profile((LevelState(1, 0.0, True),), 0, 1),
-    "profile levels with a gap": lambda: _profile((LevelState(0, 0.0, True), LevelState(2, 0.1, True)), 0, 2),
     "profile period as long as its prefix": lambda: _profile(_levels(0.0, 0.1, 0.0), 3, 5),
     "profile period negative": lambda: _profile(_levels(0.0, 0.1, 0.0), -1, 5),
     "profile depth short of its prefix": lambda: _profile(_levels(0.0, 0.1), 0, 0),
@@ -224,17 +230,28 @@ BAD_INPUTS = {
     "profile period other than its repeat's": lambda: _profile(_levels(0.0, 0.1, 0.2, 0.1), 1, 5),
     "profile period without a repeat": lambda: _profile(_levels(0.0, 0.1, 0.2), 1, 5),
     "profile ending on a repeat without a period": lambda: _profile(_levels(0.0, 0.1, 0.0), 0, 2),
-    "type levels numbered from 1": lambda: _type_levels((LevelState(1, 0.0, True),), 0, 1),
     "type period as long as its prefix": lambda: _type_levels(_levels(0.0, 0.1), 2, 5),
     "type without a period deeper than its prefix": lambda: _type_levels(_levels(0.0, 0.1), 0, 5),
-    "heterogeneous equilibrium of no types": lambda: HeterogeneousEquilibrium((), 0.1, 0.25),
-    "heterogeneous equilibrium of plain tuples": lambda: HeterogeneousEquilibrium(((0, 0.0),), 0.1, 0.25),
+    "profile threshold a string": lambda: EquilibriumProfile(_levels(0.0, 0.1), 0, 1, "0.25"),
+    "heterogeneous equilibrium of no types": lambda: HeterogeneousEquilibrium(()),
+    "heterogeneous equilibrium of plain tuples": lambda: HeterogeneousEquilibrium(((0, 0.0),)),
     "heterogeneous types of different periods": lambda: HeterogeneousEquilibrium(
-        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 2, 5)), 0.1, 0.25
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 2, 5))
     ),
     "heterogeneous types of different depths": lambda: HeterogeneousEquilibrium(
-        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 1, 6)), 0.1, 0.25
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 1, 6))
     ),
+    "heterogeneous types of different thresholds": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5), _type_levels(_levels(0.0, 0.1, 0.2), 1, 5, 0.3))
+    ),
+    "trace above its threshold before its last level": lambda: _trace(_levels(0.0, 0.3, 0.1), 0, 2),
+    "trace that crosses and repeats": lambda: _trace(_levels(0.0, 0.1, 0.3), 1, 5),
+    "population of (int, weight) pairs": lambda: PopulationModel(((1, 1.0),)),
+    "quant equilibrium of binary worker types": lambda: quant_equilibrium([(WorkerType(SL), 1.0)], 2, 1.0, 3.0, 2),
+    "cover instance over a graph dict": lambda: SAInstance(GRAPH, 3),
+    "peg assignment over a graph dict": lambda: PegAssignment(GRAPH, _PEG.peg_tasks),
+    "hierarchy over a graph dict": lambda: SupervisionHierarchy(GRAPH, _HIER.tree, _HIER.coverage),
+    "hierarchy over a tree dict": lambda: SupervisionHierarchy(_HIER.graph, TREE, _HIER.coverage),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -257,11 +274,9 @@ BAD_INPUT_MESSAGES = {
     "expected_penalty_pair C negative": "C must be",
     "expected_penalty_pair D above C": r"D must be a finite real in \[0.0, 5.0\]",
     "expected_penalty_pair D negative": r"D must be a finite real in \[0.0, 5.0\]",
-    "profile with no levels": "prefix must be a nonempty tuple of LevelState rows",
-    "profile of plain tuples": "prefix must be a nonempty tuple of LevelState rows",
-    "profile levels as a list": "prefix must be a nonempty tuple of LevelState rows",
-    "profile levels numbered from 1": r"prefix levels must be numbered 0 to 0, got \[1\]",
-    "profile levels with a gap": r"prefix levels must be numbered 0 to 1, got \[0, 2\]",
+    "profile with no levels": "prefix must be a nonempty tuple of Root values",
+    "profile of plain tuples": "prefix must be a nonempty tuple of Root values",
+    "profile levels as a list": "prefix must be a nonempty tuple of Root values",
     "profile period as long as its prefix": r"period must be an integer in \[0, 2\], got 3",
     "profile period negative": r"period must be an integer in \[0, 2\], got -1",
     "profile depth short of its prefix": "depth must be an integer >= 1, got 0",
@@ -271,13 +286,22 @@ BAD_INPUT_MESSAGES = {
     "profile period without a repeat": "period 1 does not match the prefix, whose last level 2 repeats level none",
     "profile ending on a repeat without a period": "period 0 does not match the prefix, whose last level 2 repeats "
     "level 0",
-    "type levels numbered from 1": r"prefix levels must be numbered 0 to 0, got \[1\]",
     "type period as long as its prefix": r"period must be an integer in \[0, 1\], got 2",
     "type without a period deeper than its prefix": "period 0 needs depth 1",
     "heterogeneous equilibrium of no types": "at least one type",
     "heterogeneous equilibrium of plain tuples": "types must be TypeEquilibrium rows",
-    "heterogeneous types of different periods": "one prefix length, period and depth",
-    "heterogeneous types of different depths": "one prefix length, period and depth",
+    "profile threshold a string": "threshold must be a finite real",
+    "heterogeneous types of different periods": "one prefix length, period, depth and threshold",
+    "heterogeneous types of different depths": "one prefix length, period, depth and threshold",
+    "heterogeneous types of different thresholds": "one prefix length, period, depth and threshold",
+    "trace above its threshold before its last level": "stops at its first error above the threshold",
+    "trace that crosses and repeats": "crosses the threshold has no period, got period 1",
+    "population of (int, weight) pairs": "population type must be of type WorkerType, got int",
+    "quant equilibrium of binary worker types": "population type must be of type QuantWorkerType, got WorkerType",
+    "cover instance over a graph dict": "graph must be of type AssignmentGraph, got dict",
+    "peg assignment over a graph dict": "graph must be of type AssignmentGraph, got dict",
+    "hierarchy over a graph dict": "graph must be of type AssignmentGraph, got dict",
+    "hierarchy over a tree dict": "tree must be of type SupervisionTree, got dict",
 }
 
 
