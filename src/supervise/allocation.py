@@ -29,7 +29,6 @@ from .errors import InstanceTooLargeError, SuperviseError, require_instance, req
 from .structures import AssignmentGraph, _id_rows
 
 __all__ = [
-    "EXACT_TASK_CAP",
     "SAInstance",
     "SASolution",
     "sa_exact",
@@ -38,7 +37,7 @@ __all__ = [
     "vc_to_sa",
 ]
 
-EXACT_TASK_CAP = 24
+_EXACT_TASK_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -82,16 +81,14 @@ def sa_exact(inst: SAInstance) -> SASolution:
     Iterative deepening over subset size; within a size, subsets are explored
     in lexicographic task-id order with suffix-reachability pruning, so the
     returned optimum is the lexicographically smallest one.  Instances over
-    24 tasks are refused.
+    24 tasks raise InstanceTooLargeError, which callers read as "no optimum".
     """
     tasks = inst.graph.tasks
-    if len(tasks) > EXACT_TASK_CAP:
+    if len(tasks) > _EXACT_TASK_CAP:
         raise InstanceTooLargeError(
-            f"exact solver caps at {EXACT_TASK_CAP} tasks, got {len(tasks)}; use sa_greedy"
+            f"exact solver caps at {_EXACT_TASK_CAP} tasks, got {len(tasks)}; use sa_greedy"
         )
     workers = inst.graph.workers
-    if not workers:
-        return SASolution(tasks=(), cover_witness=())
     widx = {w: i for i, w in enumerate(workers)}
     full = (1 << len(workers)) - 1
     covers = []

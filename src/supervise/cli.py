@@ -21,9 +21,9 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from ._csv import bool_word
-from .allocation import EXACT_TASK_CAP, SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
+from .allocation import SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
 from .effort import EffortFunction, Family, SchemeParams
-from .errors import FLOAT_MAX, SuperviseError, require_int, require_real
+from .errors import FLOAT_MAX, InstanceTooLargeError, SuperviseError, require_int
 from .flat import min_verification_probability_binary, min_verification_probability_quant
 from .hierarchy import (
     PopulationModel,
@@ -35,7 +35,7 @@ from .hierarchy import (
     equilibrium_homogeneous,
     min_penalty_hierarchical,
 )
-from .quant import best_response_quant
+from .quant import _require_variance_threshold, best_response_quant
 from .simulate import Gaussian, SimConfig, UniformWrong, simulate
 from .structures import (
     AssignmentGraph,
@@ -104,7 +104,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         print(fmt_decimal(min_penalty_hierarchical(f, params)))
     elif args.kind == "quant":
         if args.epsilon is not None:
-            require_real(args.epsilon, "variance threshold", 0.0, lo_open=True)
+            _require_variance_threshold(args.epsilon)
         root = best_response_quant(f, args.k, args.c)
         print(fmt_decimal(root.value))
         if args.epsilon is not None:
@@ -209,10 +209,12 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     else:
         sol = sa_greedy_edge_deletion(inst, args.seed)
     payload: dict = {"cover": list(sol.tasks), "size": sol.size}
-    if len(graph.tasks) <= EXACT_TASK_CAP:
+    try:
         best = sol if args.mode == "exact" else sa_exact(inst)
-        if best.size > 0:
-            payload["ratio"] = sol.size / best.size
+    except InstanceTooLargeError:  # too large for the exact solver: no optimum to compare with
+        best = None
+    if best is not None and best.size > 0:
+        payload["ratio"] = sol.size / best.size
     _emit_json(payload, args.out)
     return 0
 

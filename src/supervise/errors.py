@@ -77,12 +77,19 @@ def require_real(
     if (
         isinstance(x, bool)
         or not isinstance(x, (int, float))
-        or not math.isfinite(x)
+        or not -FLOAT_MAX <= x <= FLOAT_MAX  # not NaN, not infinite, and no integer beyond the float range
         or x > hi
         or (x <= lo if lo_open else x < lo)
     ):
         raise error(f"{name} must be a finite real in {'(' if lo_open else '['}{lo}, {hi}], got {x!r}")
     return float(x)
+
+
+def require_number(x, name: str) -> float:
+    """``x`` if it is a real that is not NaN; unlike :func:`require_real`, infinities pass."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != x:
+        raise SuperviseError(f"{name} must be a real that is not NaN, got {x!r}")
+    return x
 
 
 def require_prob(x, name: str, error: type = SuperviseError) -> float:
@@ -99,14 +106,18 @@ def require_instance(x, cls: type, name: str):
     return x
 
 
+def require_weight(w) -> float:
+    """``w`` as a float if it is a population weight: a finite real >= 0."""
+    return require_real(w, "population weight", 0.0)
+
+
 def require_weights(pairs, cls: type) -> tuple:
     """``(item, weight)`` pairs of ``cls`` items with float weights that are nonnegative and sum to 1."""
     try:
         pairs = tuple((item, w) for item, w in pairs)
     except (TypeError, ValueError) as exc:
         raise SuperviseError(f"population must be (type, weight) pairs: {exc}") from exc
-    pairs = tuple((require_instance(x, cls, "population type"), require_real(w, "population weight", 0.0))
-                  for x, w in pairs)
+    pairs = tuple((require_instance(x, cls, "population type"), require_weight(w)) for x, w in pairs)
     if not pairs:
         raise SuperviseError("population must contain at least one type")
     total = math.fsum(w for _, w in pairs)

@@ -33,12 +33,16 @@ __all__ = [
 class FlatBound:
     """Strict lower bound on the verification probability.
 
-    Stored: ``bound``.  Derived: ``feasible``, which means the bound fits
-    inside [0, 1].  Callers still need a strictly larger p; at a
+    Stored: ``bound``, a finite real >= 0 (it underflows to 0.0 when f' is
+    tiny against the penalty).  Derived: ``feasible``, which means the bound
+    fits inside [0, 1].  Callers still need a strictly larger p; at a
     boundary-feasible bound of exactly 1 no margin is left.
     """
 
     bound: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bound", require_real(self.bound, "bound", 0.0))
 
     @property
     def feasible(self) -> bool:

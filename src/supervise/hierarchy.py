@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
-from .errors import require_instance, require_int, require_prob, require_real, require_weights
+from .errors import require_instance, require_int, require_number, require_prob, require_real, require_weight
+from .errors import require_weights
 
 __all__ = [
     "WorkerType",
@@ -92,6 +93,38 @@ class LevelState(NamedTuple):
     clamped: bool = False
 
 
+def _require_hierarchical_threshold(eps: float) -> float:
+    if not (0.0 < eps < 0.5):
+        raise EpsilonRangeError(f"epsilon range: hierarchical scheme needs epsilon in (0, 1/2), got {eps!r}")
+    return eps
+
+
+def _require_hierarchical_epsilon(params: SchemeParams) -> float:
+    return _require_hierarchical_threshold(params.epsilon)
+
+
+def _require_trace_threshold(eps: float) -> float:
+    if not (0.0 < eps < 0.25):
+        raise EpsilonRangeError(f"epsilon range: divergence trace needs epsilon in (0, 1/4), got {eps!r}")
+    return eps
+
+
+def _require_first_repeat(errors: Sequence[float], period: int) -> None:
+    """Refuse errors of levels 0..n-1 unless they stop at the first error that repeats an earlier level's, and
+    ``period`` is the distance between the two (0 if no error repeats).  This is where ``_cascade`` stops."""
+    *head, last = errors
+    first_level = {}
+    for i, e in enumerate(head):
+        if first_level.setdefault(e, i) != i:
+            raise SuperviseError(f"prefix must stop at its first repeated error, at level {i}")
+    n = len(errors)
+    if first_level.get(last, n - 1) != n - 1 - period:
+        raise SuperviseError(
+            f"period {period} does not match the prefix, whose last level {n - 1} repeats level "
+            f"{first_level.get(last, 'none')}"
+        )
+
+
 def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
     """Items n..depth of the sequence that starts with ``prefix`` (n items) and then repeats with ``period``."""
     n = len(prefix)
@@ -102,16 +135,18 @@ def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
 class _CyclicLevels:
     """Levels 0..depth stored as the solver's roots that define them.
 
-    Stored: ``prefix``, the roots of levels 0..n-1 (level 0 is ``Root(e0)``); ``period``; ``depth``; ``threshold``.
-    Every level u from n to depth repeats the level ``period`` above it, so ``period`` is 0 only when the prefix
-    already ends at ``depth``.  Derived, and built anew on each access: ``levels``, all depth + 1 rows, numbered by
-    position and truthful when the error is below the threshold.
+    Stored: ``prefix``, the roots of levels 0..n-1 (level 0 is ``Root(e0)``); ``period``; ``depth``; ``threshold``,
+    which lies in the scheme's epsilon range.  Every level u from n to depth repeats the level ``period`` above it,
+    so ``period`` is 0 only when the prefix already ends at ``depth``.  Derived, and built anew on each access:
+    ``levels``, all depth + 1 rows, numbered by position and truthful when the error is below the threshold.
     """
 
     prefix: tuple[Root, ...]
     period: int
     depth: int
     threshold: float
+
+    _require_threshold = staticmethod(_require_hierarchical_threshold)
 
     def __post_init__(self) -> None:
         if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(r, Root) for r in self.prefix)):
@@ -121,7 +156,7 @@ class _CyclicLevels:
         require_int(self.depth, "depth", n - 1)
         if self.period == 0 and self.depth != n - 1:
             raise SuperviseError(f"period 0 needs depth {n - 1}, the prefix's last level, got depth {self.depth}")
-        require_real(self.threshold, "threshold")
+        self._require_threshold(require_real(self.threshold, "threshold"))
 
     @property
     def levels(self) -> tuple[LevelState, ...]:
@@ -141,17 +176,7 @@ class EquilibriumProfile(_CyclicLevels):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        *head, last = (r.value for r in self.prefix)
-        first_level = {}
-        for i, e in enumerate(head):
-            if first_level.setdefault(e, i) != i:
-                raise SuperviseError(f"prefix must stop at its first repeated error, at level {i}")
-        n = len(self.prefix)
-        if first_level.get(last, n - 1) != n - 1 - self.period:
-            raise SuperviseError(
-                f"period {self.period} does not match the prefix, whose last level {n - 1} repeats level "
-                f"{first_level.get(last, 'none')}"
-            )
+        _require_first_repeat([r.value for r in self.prefix], self.period)
 
     @property
     def all_truthful(self) -> bool:
@@ -167,13 +192,22 @@ class TypeEquilibrium(_CyclicLevels):
     """One type's levels in a mixed population.
 
     Stored: the type's roots up to the first level whose population-mean error repeats an earlier level's, the
-    period of that repeat, the depth, the threshold and the type's ``sigma``.  Derived: ``levels`` and ``proficient``.
+    period of that repeat, the depth, the threshold, the type and its population weight, and the type's ``sigma``
+    and whether the solver clamped it.  The :class:`HeterogeneousEquilibrium` that holds the type checks the
+    repeat.  Derived: ``levels`` and ``proficient``.
     """
 
     worker: WorkerType
     weight: float
     sigma: float
     sigma_clamped: bool
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        require_instance(self.worker, WorkerType, "worker")
+        require_weight(self.weight)
+        require_number(self.sigma, "sigma")
+        require_instance(self.sigma_clamped, bool, "sigma_clamped")
 
     @property
     def proficient(self) -> bool:
@@ -182,16 +216,25 @@ class TypeEquilibrium(_CyclicLevels):
 
 @dataclass(frozen=True)
 class HeterogeneousEquilibrium:
-    """Per-type equilibrium profiles; the population summaries are derived from them."""
+    """Per-type equilibrium profiles; the population summaries are derived from them.
+
+    The types share one level-0 root and one prefix length, period, depth and threshold, and their prefixes stop
+    at the first repeated population-mean error, level 0's being the supervisor's error itself, as in the cascade."""
 
     types: tuple[TypeEquilibrium, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(t, TypeEquilibrium) for t in self.types):
-            raise SuperviseError(f"types must be TypeEquilibrium rows, got {self.types!r}")
-        if len({(len(t.prefix), t.period, t.depth, t.threshold) for t in self.types}) != 1:
+        if not (isinstance(self.types, tuple) and all(isinstance(t, TypeEquilibrium) for t in self.types)):
+            raise SuperviseError(f"types must be TypeEquilibrium rows in a tuple, got {self.types!r}")
+        if len({(len(t.prefix), t.period, t.depth, t.threshold, t.prefix[0]) for t in self.types}) != 1:
             raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period, "
-                                 "depth and threshold")
+                                 "depth and threshold, and one level-0 root")
+        first = self.types[0]
+        _require_first_repeat((first.prefix[0].value, *self._prefix_means()[1:]), first.period)
+
+    def _prefix_means(self) -> tuple[float, ...]:
+        """The weighted mean error of each prefix level, summed as the cascade sums it."""
+        return tuple(map(math.fsum, zip(*([t.weight * r.value for r in t.prefix] for t in self.types))))
 
     @property
     def mean_sigma(self) -> float:
@@ -200,15 +243,8 @@ class HeterogeneousEquilibrium:
     @property
     def mean_errors(self) -> tuple[float, ...]:
         """Population-mean error at each level (level 0 = supervisor)."""
-        first = self.types[0]
-        means = tuple(math.fsum(t.weight * t.prefix[i].value for t in self.types) for i in range(len(first.prefix)))
+        first, means = self.types[0], self._prefix_means()
         return means + tuple(_unrolled(means, first.period, first.depth))
-
-
-def _require_hierarchical_epsilon(params: SchemeParams) -> float:
-    if not (0.0 < params.epsilon < 0.5):
-        raise EpsilonRangeError(f"epsilon range: hierarchical scheme needs epsilon in (0, 1/2), got {params.epsilon!r}")
-    return params.epsilon
 
 
 def min_penalty_hierarchical(f: EffortFunction, params: SchemeParams) -> float:
@@ -372,22 +408,49 @@ class CounterexampleTrace(_CyclicLevels):
 
     Stored: the roots of the levels up to the crossing (the only level above
     eps, and then the period is 0) or the first repeated error, the period,
-    ``depth`` (the crossing level or else the maximum depth) and
-    ``threshold``, eps.  Derived: ``levels``, ``errors``, and from the last
-    root ``crossing_level`` and ``diverged_at`` (if its error is >= 1/2).
+    ``depth`` (the crossing level or else the maximum depth), ``threshold``,
+    eps in (0, 1/4), and ``k`` and ``C``.  Derived: ``levels``, ``errors``,
+    from the last root ``crossing_level`` and ``diverged_at`` (if its error is
+    >= 1/2), and from eps, k and C ``delta`` and ``guaranteed_depth``.
     """
 
     k: int
     C: float
-    delta: float | None
-    guaranteed_depth: int | None
+
+    _require_threshold = staticmethod(_require_trace_threshold)
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        require_int(self.k, "k", 1, hi=FLOAT_MAX)
+        require_real(self.C, "C", 0.0, lo_open=True)
         if any(r.value > self.threshold for r in self.prefix[:-1]):
             raise SuperviseError("a trace stops at its first error above the threshold")
-        if self.period and self.crossed:
-            raise SuperviseError(f"a trace that crosses the threshold has no period, got period {self.period}")
+        _require_first_repeat([r.value for r in self.prefix], self.period)
+        self.delta  # refuses a bound or a gain that is not a finite float
+
+    @property
+    def delta(self) -> float | None:
+        """The gain ``a d / C`` per level below eps, or None when C is at or above the bound."""
+        eps = self.threshold
+        a = eps * (1.0 - 2.0 * eps)
+        bound = self.k / a
+        if not math.isfinite(bound):
+            raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound "
+                                    f"k/(eps (1 - 2 eps))")
+        d = bound - self.C  # positive exactly when C is below the hierarchical bound
+        if not d > 0.0:
+            return None
+        # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
+        delta = a * d / self.C
+        if not math.isfinite(delta):
+            raise SuperviseError(f"C {self.C!r} is too small for a finite per-level gain a d / C")
+        return delta
+
+    @property
+    def guaranteed_depth(self) -> int | None:
+        """``ceil(eps / delta)``, and at least 1, the level by which the trace must cross; None with delta."""
+        delta = self.delta
+        return None if delta is None else max(1, math.ceil(self.threshold / delta))  # eps / delta may underflow to 0
 
     @property
     def errors(self) -> tuple[float, ...]:
@@ -416,31 +479,16 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     more, at the first repeated error, or at max_depth.  Every error before
     the crossing is at most eps < 1/4, so no denominator is below C/2.
     """
-    eps = params.epsilon
-    if not (0.0 < eps < 0.25):
-        raise EpsilonRangeError(f"epsilon range: divergence trace needs epsilon in (0, 1/4), got {eps!r}")
+    eps = _require_trace_threshold(params.epsilon)
     if params.m != 2 or (params.D is not None and params.D != 0.0):
         raise SuperviseError("divergence trace is defined for two-answer tasks (m=2, D=0)")
     require_int(max_depth, "max_depth", 1)
     C, k = params.require_C(), params.k
 
-    a = eps * (1.0 - 2.0 * eps)
-    bound = k / a
-    if not math.isfinite(bound):
-        raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound k/(eps (1 - 2 eps))")
-    d = bound - C  # positive exactly when C is below the hierarchical bound
-    delta = guaranteed_depth = None
-    if d > 0.0:
-        # equals a^2 d / (k - a d), as k - a d = a C; that difference rounds to 0 when C or eps is tiny
-        delta = a * d / C
-        if not math.isfinite(delta):
-            raise SuperviseError(f"C {C!r} is too small for a finite per-level gain a d / C")
-        guaranteed_depth = max(1, math.ceil(eps / delta))  # eps / delta may underflow to 0
-
     solved, period = _cascade(lambda e: (k / ((1.0 - 2.0 * e) * C), None), 0.0, max_depth, lambda e: e > eps)
     prefix = (Root(0.0), *(Root(e) for e, _ in solved))
     return CounterexampleTrace(prefix=prefix, period=period, depth=len(solved) if solved[-1][0] > eps else max_depth,
-                               threshold=eps, k=k, C=C, delta=delta, guaranteed_depth=guaranteed_depth)
+                               threshold=eps, k=k, C=C)
 
 
 @dataclass(frozen=True)
@@ -451,13 +499,27 @@ class DefectionAnalysis:
     constant costs each worker k C / N (only the boundary with the honest
     supervisor disagrees), while deviating back to truth costs (N - k) C / N.
     Defection wins when N > 2k, the two tie at N = 2k, and honesty wins below.
+
+    Stored: ``N``, ``k`` and ``C``; the costs and the verdict are derived.
     """
 
     N: int
     k: int
     C: float
-    defect_cost: float
-    deviate_cost: float
+
+    def __post_init__(self) -> None:
+        require_int(self.N, "N", 1, hi=FLOAT_MAX)
+        require_int(self.k, "k", 1, hi=FLOAT_MAX)
+        object.__setattr__(self, "C", require_real(self.C, "C", 0.0, lo_open=True))  # costs are shares of a float
+        self.defect_cost, self.deviate_cost  # refuses a cost beyond the float range
+
+    @property
+    def defect_cost(self) -> float:
+        return _share_of(self.k, self.C, self.N)
+
+    @property
+    def deviate_cost(self) -> float:
+        return _share_of(self.N - self.k, self.C, self.N)
 
     @property
     def verdict(self) -> str:
@@ -474,10 +536,7 @@ def _share_of(count: int, C: float, N: int) -> float:
 
 
 def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
-    require_int(N, "N", 1, hi=FLOAT_MAX)
-    require_int(k, "k", 1, hi=FLOAT_MAX)
-    C = require_real(C, "C", 0.0, lo_open=True)
-    return DefectionAnalysis(N=N, k=k, C=C, defect_cost=_share_of(k, C, N), deviate_cost=_share_of(N - k, C, N))
+    return DefectionAnalysis(N=N, k=k, C=C)
 
 
 def level_info_bits(N: int, k: int) -> int:

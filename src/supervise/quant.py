@@ -21,7 +21,7 @@ from typing import Sequence
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_instance, require_int, require_real
-from .errors import require_weights
+from .errors import require_weight, require_weights
 
 __all__ = [
     "QuantWorkerType",
@@ -50,13 +50,26 @@ class QuantWorkerType:
         require_instance(self.id, str, "worker type id")
 
 
+def _require_variance_threshold(eps: float) -> float:
+    return require_real(eps, "variance threshold", 0.0, lo_open=True)
+
+
 @dataclass(frozen=True)
 class TypeQuantProfile:
+    """One type's best-response variance, its clamp, weight and variance threshold; ``truthful`` is derived."""
+
     worker: QuantWorkerType
     weight: float
     vstar: float
     clamped: bool
     threshold: float
+
+    def __post_init__(self) -> None:
+        require_instance(self.worker, QuantWorkerType, "worker")
+        require_weight(self.weight)
+        require_real(self.vstar, "vstar")
+        require_instance(self.clamped, bool, "clamped")
+        _require_variance_threshold(self.threshold)
 
     @property
     def truthful(self) -> bool:
@@ -69,6 +82,12 @@ class QuantEquilibrium:
 
     types: tuple[TypeQuantProfile, ...]
     depth: int
+
+    def __post_init__(self) -> None:
+        if not (self.types and isinstance(self.types, tuple)
+                and all(isinstance(t, TypeQuantProfile) for t in self.types)):
+            raise SuperviseError(f"types must be a nonempty tuple of TypeQuantProfile rows, got {self.types!r}")
+        require_int(self.depth, "depth", 1)
 
     @property
     def all_truthful(self) -> bool:
@@ -113,9 +132,6 @@ def quant_equilibrium(
     reported at every depth, exactly.
     """
     pop = require_weights(pop, QuantWorkerType)
-    epsilon = require_real(epsilon, "variance threshold", 0.0, lo_open=True)
-    require_int(depth, "depth", 1)
-
     mean_bias = math.fsum(w * wt.bias for wt, w in pop)
     if abs(mean_bias) > BIAS_TOLERANCE:
         raise AssumptionError(

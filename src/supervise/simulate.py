@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._csv import write_csv
 from .effort import EffortFunction, SchemeParams, effort_eval, implied_D
-from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_int, require_prob, require_real
+from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_int, require_number, require_prob
+from .errors import require_real
 from .hierarchy import expected_penalty_pair
 from .quant import expected_penalty_quant
 from .structures import SupervisionHierarchy, SupervisionTree
@@ -142,6 +143,11 @@ class Gaussian:
 Structure = Union[SupervisionTree, SupervisionHierarchy]
 
 
+def _require_run(episodes: int, seed: int) -> None:
+    require_int(episodes, "episodes", 2)
+    require_int(seed, "seed", 0)  # numpy generators take no negative seed
+
+
 @dataclass(frozen=True)
 class SimConfig:
     episodes: int
@@ -151,8 +157,7 @@ class SimConfig:
     strategies: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        require_int(self.episodes, "episodes", 2)
-        require_int(self.seed, "seed", 0)  # numpy generators take no negative seed
+        _require_run(self.episodes, self.seed)
         if not isinstance(self.answer_model, (UniformWrong, Gaussian)):
             raise ModelMismatchError(f"unsupported answer model {type(self.answer_model).__name__}")
         if not isinstance(self.strategies, Mapping):
@@ -170,9 +175,16 @@ class WorkerStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SimReport:
+    """One row per judged worker, by level and worker, and the run's episode count and seed."""
+
     rows: tuple[WorkerStats, ...]
     episodes: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.rows, tuple) and all(isinstance(r, WorkerStats) for r in self.rows)):
+            raise SuperviseError(f"rows must be a tuple of WorkerStats rows, got {self.rows!r}")
+        _require_run(self.episodes, self.seed)
 
     @property
     def max_abs_z(self) -> float:
@@ -274,14 +286,36 @@ def simulate_quant(config: SimConfig) -> SimReport:
     return simulate(config)
 
 
+def _require_grid(values: tuple) -> tuple:
+    if len(values) < 2:
+        raise SuperviseError("strategy grid needs at least two points")
+    return values
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Empirical loss over a strategy grid and its argmin."""
+    """Empirical loss over a strategy grid of at least two finite points (a loss may be inf, not NaN), and its
+    argmin, derived: ``best_index`` is the first least mean loss and ``best_value`` the grid point there."""
 
     values: tuple[float, ...]
     mean_losses: tuple[float, ...]
-    best_index: int
-    best_value: float
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.values, tuple) and isinstance(self.mean_losses, tuple)
+                and len(self.values) == len(self.mean_losses)):
+            raise SuperviseError("values and mean_losses must be tuples of one length")
+        for v in _require_grid(self.values):
+            require_real(v, "grid point")
+        for loss in self.mean_losses:
+            require_number(loss, "mean loss")
+
+    @property
+    def best_index(self) -> int:
+        return self.mean_losses.index(min(self.mean_losses))
+
+    @property
+    def best_value(self) -> float:
+        return self.values[self.best_index]
 
 
 def _sweep(
@@ -298,18 +332,15 @@ def _sweep(
     grid point sees the same random numbers.
     """
     try:
-        vals = [float(v) for v in grid]
-    except (TypeError, ValueError) as exc:
+        vals = tuple(float(v) for v in grid)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SuperviseError(f"strategy grid must hold reals: {exc}") from exc
-    if len(vals) < 2:
-        raise SuperviseError("strategy grid needs at least two points")
+    _require_grid(vals)
     import numpy as np
 
     penalty = draw(np.random.default_rng(require_int(seed, "seed", 0)), require_int(episodes, "episodes", 1))
     # the effort term first: a point outside f's domain raises a domain error, not the penalty's
-    losses = [k * effort_eval(f, v) + float(penalty(v)) for v in vals]
-    best = int(np.argmin(losses))
-    return SweepResult(values=tuple(vals), mean_losses=tuple(losses), best_index=best, best_value=vals[best])
+    return SweepResult(values=vals, mean_losses=tuple(k * effort_eval(f, v) + float(penalty(v)) for v in vals))
 
 
 def sweep_flat(

@@ -32,6 +32,11 @@ def make_instance(rng: random.Random, n_tasks: int, n_workers: int, k: int) -> S
 
 
 class TestExact:
+    @pytest.mark.parametrize("tasks", [(), ("t0",)])
+    def test_a_graph_without_workers_needs_no_task(self, tasks):
+        sol = sa_exact(SAInstance(AssignmentGraph(workers=(), tasks=tasks, edges=()), 1))
+        assert (sol.tasks, sol.cover_witness) == ((), ())
+
     def test_triangle_needs_two(self):
         inst = vc_to_sa(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert sa_exact(inst).size == 2

@@ -1,13 +1,17 @@
-"""What the benchmark reads of the result types, checked at tier-1 speed.
+"""What the benchmark reads of the result types and structures, checked at tier-1 speed.
 
-``perfbench/workloads.py`` reads the analytic results' levels, flags and summaries.  This loads that file as it
-is and runs each case of its tiny ``analytic`` setup through its own ``run_case``, ``check`` and ``canon``, so a
-change to a result type that the benchmark would trip on fails here too.
+``perfbench/workloads.py`` reads the analytic results' levels, flags and summaries, a sweep's argmin, a report's
+rows, a cover's tasks and a hierarchy's tree tasks.  This loads that file as it is and runs its tiny setups
+through its own code: each ``analytic`` case through ``run_case``, ``check`` and ``canon``, and one round each of
+``build`` and ``montecarlo`` through ``run_round``, so a change to a result type that the benchmark would trip on
+fails here too.
 """
 
 import importlib.util
 import os
 import sys
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -33,3 +37,14 @@ def test_every_tiny_analytic_case_passes_the_benchmarks_check():
         r = analytic.run_case(ctx["mods"], c)
         assert analytic.check(c, r, {}), c
         assert analytic.canon(r)
+
+
+@pytest.mark.parametrize("name", ["Build", "MonteCarlo"])
+def test_one_tiny_round_passes_the_benchmarks_checks(name):
+    workloads = _workloads()
+    workload = getattr(workloads, name)
+    ctx = workload.setup(1, "tiny")
+    runner = workloads.Runner(workloads.tracing.Tracer(), False, workload.reference)
+    runner.hashing = True
+    workload.run_round(runner, ctx, ctx["sets"][0])
+    assert runner.ops and not runner.failed and not runner.errors, runner.errors

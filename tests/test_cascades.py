@@ -1,6 +1,7 @@
 """The equilibrium cascades and the divergence trace that stop at the first repeated error, and the writers that
 write the rows past it from a cached tail, against their frozen level-by-level originals."""
 
+import random
 import time
 
 import pytest
@@ -156,6 +157,30 @@ def test_the_frozen_originals_refusal_at_the_printed_bound_is_the_librarys_untru
     with pytest.raises(SuperviseError, match="internal consistency failure: proficient type 'a'"):
         _oracles.equilibrium_heterogeneous(*args)
     assert _heterogeneous_outcomes_agree(*args)
+
+
+def test_types_of_one_curve_at_its_printed_bound_match_the_frozen_original():
+    """200 seeded draws of 1-3 types that share one curve, with C at the curve's printed bound, so that the mean
+    error is each type's own and can land on epsilon.  Every outcome is the frozen original's, and at least a tenth
+    of the draws land a proficient type on epsilon, where the original refuses: 47 did when written, and 45 others
+    were refused before the cascade, their sigma rounding above epsilon."""
+    rng = random.Random("one curve at its printed bound")
+    landed = 0
+    for _ in range(200):
+        f = EffortFunction(rng.choice(BINARY_FAMILIES), rng.uniform(0.05, 20.0))
+        k, eps = rng.randint(1, 6), rng.uniform(0.01, 0.49)
+        params = SchemeParams(k=k, epsilon=eps, C=min_penalty_hierarchical(f, SchemeParams(k=k, epsilon=eps)))
+        weights = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 3))]
+        pop = PopulationModel(tuple((WorkerType(f, f"t{j}"), w / sum(weights)) for j, w in enumerate(weights)))
+        depth = rng.choice((rng.randint(1, 40), rng.randint(40, 3000)))
+        args = (pop, params, depth, eps * rng.choice((0.0, rng.random())))
+        assert _heterogeneous_outcomes_agree(*args)
+        try:
+            types = equilibrium_heterogeneous(*args).types
+        except AssumptionError:  # sigma rounded above epsilon
+            continue
+        landed += any(s.error == eps for te in types if te.proficient for s in te.levels)
+    assert landed >= 20
 
 
 def _homogeneous_csvs(f, params, depth, e0=0.0):

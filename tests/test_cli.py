@@ -520,6 +520,53 @@ class TestUsageErrors:
         assert code == 1 and err.startswith("error:")
 
 
+EQUILIBRIUM_ARGS = ["equilibrium", "--k", "2", "--epsilon", "0.2", "--C", "40", "--depth", "3"]
+# Arguments the CLI refuses after parsing them, given the directory of the test's files, and the start of the one
+# error line each prints.
+REFUSALS = {
+    "invalid JSON in an input file": (
+        lambda d: ["allocate", "--mode", "exact", "--graph", str(d / "broken.json")], "error: invalid JSON in"
+    ),
+    "an --out that is a directory": (
+        lambda d: ["tree", "build", "--n-tasks", "3", "--k", "2", "--out", str(d)], "error: cannot write"
+    ),
+    "equilibrium with --population and --effort": (
+        lambda d: EQUILIBRIUM_ARGS + ["--population", str(d / "population.json"), "--effort", "simplelog"],
+        "error: give either --population or --effort, not both",
+    ),
+    "equilibrium with neither --population nor --effort": (
+        lambda d: EQUILIBRIUM_ARGS, "error: equilibrium needs --effort"
+    ),
+    "a population weight beyond the float range": (
+        lambda d: EQUILIBRIUM_ARGS + ["--population", str(d / "huge-weight.json")], "error: population weight must be"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refused_run_prints_one_error_line(capsys, tmp_path, case):
+    (tmp_path / "broken.json").write_text("{")
+    for name, weight in (("population.json", 1.0), ("huge-weight.json", 10**400)):
+        (tmp_path / name).write_text(json.dumps(
+            {"types": [{"id": "a", "weight": weight, "effort": {"family": "simplelog", "alpha": 1.0}}]}
+        ))
+    argv, start = REFUSALS[case]
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert (code, out) == (1, "") and err.startswith(start) and err.count("\n") == 1
+
+
+def test_allocate_prints_a_ratio_exactly_where_the_exact_solver_answers(capsys, tmp_path):
+    """25 tasks are one past the exact solver's cap: the greedy cover prints no ratio, and exact mode refuses."""
+    graph = tmp_path / "graph.json"
+    for n, has_ratio in ((24, True), (25, False)):
+        assert run_cli(capsys, "peg", "build", "--n-workers", str(n), "--n-tasks", str(n), "--k", "3", "--seed", "1",
+                       "--out", str(graph))[0] == 0
+        code, out, _ = run_cli(capsys, "allocate", "--mode", "greedy", "--graph", str(graph), "--seed", "3")
+        assert code == 0 and ("ratio" in json.loads(out)) == has_ratio
+        code, _, err = run_cli(capsys, "allocate", "--mode", "exact", "--graph", str(graph))
+        assert code == (0 if has_ratio else 1) and has_ratio != err.startswith("error: exact solver caps at 24 tasks")
+
+
 # The analytic subcommands on valid arguments, with their float and integer flags.
 ANALYTIC_RUNS = {
     "threshold binary": (

@@ -55,6 +55,11 @@ class TestLossAndBestResponse:
         loss = expected_loss_flat(f, e=0.5, p=0.5, params=SchemeParams(k=2, epsilon=0.25, C=10.0))
         assert loss == pytest.approx(2.0 * math.log(2.0) + 2.5, rel=1e-15)
 
+    def test_quant_loss_worked_value(self):
+        f = EffortFunction.inverse_power(2.0)
+        loss = expected_loss_flat_quant(f, v=0.5, p=0.25, params=SchemeParams(k=3, epsilon=1.0, c=8.0))
+        assert loss == pytest.approx(3 * (2.0 / 0.5) + 0.5 * 0.25 * 8.0, rel=1e-15)
+
     def test_best_response_worked_value(self):
         f = EffortFunction.simple_log(1.0)
         r = best_response_flat(f, p=0.5, params=SchemeParams(k=2, epsilon=0.25, C=10.0))

@@ -14,23 +14,30 @@ from hypothesis import strategies as st
 
 from supervise import (
     AssignmentGraph,
+    DefectionAnalysis,
     EffortFunction,
     CounterexampleTrace,
     EquilibriumProfile,
+    FlatBound,
     Gaussian,
     HeterogeneousEquilibrium,
     PegAssignment,
     PopulationModel,
+    QuantEquilibrium,
     QuantWorkerType,
     Root,
     SAInstance,
     SchemeParams,
     SimConfig,
+    SimReport,
     SuperviseError,
     SupervisionHierarchy,
     SupervisionTree,
+    SweepResult,
     TypeEquilibrium,
+    TypeQuantProfile,
     UniformWrong,
+    WorkerStats,
     WorkerType,
     best_response_flat,
     best_response_flat_quant,
@@ -40,6 +47,7 @@ from supervise import (
     build_supervision_tree_over,
     counterexample_trace,
     defection_analysis,
+    effort_eval,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
@@ -50,6 +58,7 @@ from supervise import (
     sa_greedy_edge_deletion,
     simulate,
     simulate_binary,
+    simulate_quant,
     sweep_flat,
     sweep_quant,
     vc_to_sa,
@@ -100,16 +109,26 @@ def _profile(prefix, period, depth):
     return EquilibriumProfile(prefix=prefix, period=period, depth=depth, threshold=0.25)
 
 
-def _type_levels(prefix, period, depth, threshold=0.25):
-    return TypeEquilibrium(
-        prefix=prefix, period=period, depth=depth, threshold=threshold, worker=WorkerType(SL), weight=0.5, sigma=0.1,
-        sigma_clamped=False,
-    )
+def _type_levels(prefix, period, depth, threshold=0.25, **fields):
+    return TypeEquilibrium(**{
+        "prefix": prefix, "period": period, "depth": depth, "threshold": threshold, "worker": WorkerType(SL),
+        "weight": 0.5, "sigma": 0.1, "sigma_clamped": False, **fields,
+    })
+
+
+def _quant_type(**fields):
+    return TypeQuantProfile(**{
+        "worker": QuantWorkerType(IP), "weight": 1.0, "vstar": 0.5, "clamped": False, "threshold": 1.0, **fields
+    })
+
+
+def _row(worker="w0"):
+    return WorkerStats(worker, 1, 0.5, 0.1, 0.5, 0.0)
 
 
 def _trace(prefix, period, depth):
     return CounterexampleTrace(
-        prefix=prefix, period=period, depth=depth, threshold=0.2, k=2, C=10.0, delta=0.1, guaranteed_depth=2
+        prefix=prefix, period=period, depth=depth, threshold=0.2, k=2, C=10.0
     )
 
 
@@ -126,6 +145,8 @@ BAD_INPUTS = {
     "quant weight as a string": lambda: quant_equilibrium([(QuantWorkerType(IP), "a")], 2, 1.0, 3.0, 2),
     "population weight NaN": lambda: PopulationModel(((WorkerType(SL, "a"), NAN), (WorkerType(SL, "b"), 1.0))),
     "population of bare numbers": lambda: PopulationModel((1, 2)),
+    "population weight an integer beyond the float range": lambda: PopulationModel(((WorkerType(SL), 10**400),)),
+    "flat bound an integer beyond the float range": lambda: FlatBound(10**400),
     "scheme k a bool": lambda: SchemeParams(k=True, epsilon=0.25, C=16.0),
     "equilibrium depth a bool": lambda: equilibrium_homogeneous(SL, PARAMS, depth=True),
     "defection N a bool": lambda: defection_analysis(N=True, k=2, C=10.0),
@@ -252,6 +273,74 @@ BAD_INPUTS = {
     "peg assignment over a graph dict": lambda: PegAssignment(GRAPH, _PEG.peg_tasks),
     "hierarchy over a graph dict": lambda: SupervisionHierarchy(GRAPH, _HIER.tree, _HIER.coverage),
     "hierarchy over a tree dict": lambda: SupervisionHierarchy(_HIER.graph, TREE, _HIER.coverage),
+    "profile threshold at 1/2": lambda: EquilibriumProfile(_levels(0.0, 0.1), 0, 1, 0.5),
+    "mixture whose mean errors do not repeat at its period": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.1, 0.2), 1, 5, weight=1.0),)
+    ),
+    "mixture whose mean errors repeat before its prefix ends": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.2, 0.1, 0.3), 1, 5), _type_levels(_levels(0.0, 0.0, 0.1, 0.1), 1, 5))
+    ),
+    "mixture types of different level-0 roots": lambda: HeterogeneousEquilibrium(
+        (_type_levels(_levels(0.0, 0.1, 0.1), 1, 5), _type_levels(_levels(0.05, 0.1, 0.1), 1, 5))
+    ),
+    "mixture types as a list": lambda: HeterogeneousEquilibrium([_type_levels(_levels(0.0, 0.1, 0.1), 1, 5)]),
+    "type sigma a string": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma="x"),
+    "type sigma NaN": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma=NAN),
+    "type sigma_clamped an integer": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma_clamped=0),
+    "type weight negative": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, weight=-0.5),
+    "type worker a quant worker type": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, worker=QuantWorkerType(IP)),
+    "trace period its errors do not repeat at": lambda: _trace(_levels(0.0, 0.01, 0.02), 2, 5),
+    "trace threshold at 1/4": lambda: CounterexampleTrace(_levels(0.0, 0.1), 0, 1, 0.25, 2, 10.0),
+    "trace k a string": lambda: CounterexampleTrace(_levels(0.0, 0.1), 0, 1, 0.2, "2", 10.0),
+    "trace C zero": lambda: CounterexampleTrace(_levels(0.0, 0.1), 0, 1, 0.2, 2, 0.0),
+    "trace C too small for a finite delta": lambda: CounterexampleTrace(_levels(0.0, 0.1), 0, 1, 0.2, 2, 5e-324),
+    "trace epsilon too small for a finite bound": lambda: CounterexampleTrace(_levels(0.0, 0.1), 0, 1, 5e-324, 2, 1.0),
+    "flat bound a string": lambda: FlatBound("x"),
+    "flat bound NaN": lambda: FlatBound(NAN),
+    "flat bound negative": lambda: FlatBound(-1.0),
+    "defection N a string": lambda: DefectionAnalysis("10", 2, 1.0),
+    "defection C NaN": lambda: DefectionAnalysis(10, 2, NAN),
+    "defection cost beyond the float range": lambda: DefectionAnalysis(1, 10**300, 1e300),
+    "quant profile vstar a string": lambda: _quant_type(vstar="x"),
+    "quant profile weight NaN": lambda: _quant_type(weight=NAN),
+    "quant profile clamped a string": lambda: _quant_type(clamped="no"),
+    "quant profile threshold zero": lambda: _quant_type(threshold=0.0),
+    "quant profile worker a binary worker type": lambda: _quant_type(worker=WorkerType(SL)),
+    "quant equilibrium of integers": lambda: QuantEquilibrium((1, 2), 0),
+    "quant equilibrium of no types": lambda: QuantEquilibrium((), 3),
+    "quant equilibrium depth 0": lambda: QuantEquilibrium((_quant_type(),), 0),
+    "sweep result of one point": lambda: SweepResult((1.0,), (2.0,)),
+    "sweep result point NaN": lambda: SweepResult((1.0, NAN), (2.0, 3.0)),
+    "sweep result loss NaN": lambda: SweepResult((1.0, 2.0), (2.0, NAN)),
+    "sweep result loss a string": lambda: SweepResult((1.0, 2.0), (2.0, "3")),
+    "sweep result of more losses than points": lambda: SweepResult((1.0, 2.0), (2.0, 3.0, 4.0)),
+    "sweep result values a list": lambda: SweepResult([1.0, 2.0], (2.0, 3.0)),
+    "sim report of integers": lambda: SimReport((1,), 1, -1),
+    "sim report rows a list": lambda: SimReport([_row()], 10, 0),
+    "sim report of one episode": lambda: SimReport((_row(),), 1, 0),
+    "sim report seed negative": lambda: SimReport((_row(),), 10, -1),
+    "vertex cover with a vertex id twice": lambda: vc_to_sa(["a", "a", "b"], [("a", "b")]),
+    "effort at NaN": lambda: effort_eval(SL, NAN),
+    "effort at a string": lambda: effort_eval(SL, "x"),
+    "simulation config with a model name": lambda: SimConfig(10, 0, "uniform-wrong", _TREE, {}),
+    "simulation over an assignment graph": lambda: simulate(SimConfig(10, 0, UniformWrong(), _PEG.graph, {})),
+    "simulate_quant with a uniform-wrong model": lambda: simulate_quant(SimConfig(10, 0, UniformWrong(), _TREE, {})),
+    "sweep grid point a string": lambda: sweep_quant(IP, 4, 1.0, ["x", 2.0], 10, 0),
+    "sweep grid point beyond the float range": lambda: sweep_quant(IP, 4, 1.0, [10**400, 2.0], 10, 0),
+    "tree JSON worker w9 without children": lambda: SupervisionTree.from_json_dict(
+        {**TREE, "levels": [*TREE["levels"][:-2], TREE["levels"][-2] + ["w9"], TREE["levels"][-1]],
+         "edges": TREE["edges"] + [[TREE["levels"][-3][0], "w9"]]}
+    ),
+    "peg graph of uneven degree": lambda: PegAssignment(
+        AssignmentGraph(workers=("u0", "u1"), tasks=("t0", "t1"), edges=(("u0", "t0"), ("u0", "t1"), ("u1", "t0"))),
+        ("t0",),
+    ),
+    "pegs that overlap": lambda: PegAssignment(_PEG.graph, tuple(_PEG.graph.tasks)),
+    "pegs that miss a worker": lambda: PegAssignment(_PEG.graph, _PEG.peg_tasks[:-1]),
+    "hierarchy whose tree holds a task outside the graph": lambda: SupervisionHierarchy(
+        _HIER.graph, build_supervision_tree_over(["x0", "x1"], 2, 0), _HIER.coverage
+    ),
+    "hierarchy JSON a list": lambda: SupervisionHierarchy.from_json_dict([HIERARCHY]),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -295,13 +384,72 @@ BAD_INPUT_MESSAGES = {
     "heterogeneous types of different depths": "one prefix length, period, depth and threshold",
     "heterogeneous types of different thresholds": "one prefix length, period, depth and threshold",
     "trace above its threshold before its last level": "stops at its first error above the threshold",
-    "trace that crosses and repeats": "crosses the threshold has no period, got period 1",
+    "trace that crosses and repeats": "period 1 does not match the prefix, whose last level 2 repeats level none",
     "population of (int, weight) pairs": "population type must be of type WorkerType, got int",
     "quant equilibrium of binary worker types": "population type must be of type QuantWorkerType, got WorkerType",
     "cover instance over a graph dict": "graph must be of type AssignmentGraph, got dict",
     "peg assignment over a graph dict": "graph must be of type AssignmentGraph, got dict",
     "hierarchy over a graph dict": "graph must be of type AssignmentGraph, got dict",
     "hierarchy over a tree dict": "tree must be of type SupervisionTree, got dict",
+    "population weight an integer beyond the float range": "population weight must be a finite real",
+    "flat bound an integer beyond the float range": "bound must be a finite real",
+    "profile threshold at 1/2": r"needs epsilon in \(0, 1/2\), got 0.5",
+    "mixture whose mean errors do not repeat at its period": "period 1 does not match the prefix, whose last level 2 "
+    "repeats level none",
+    "mixture whose mean errors repeat before its prefix ends": "prefix must stop at its first repeated error, at "
+    "level 2",
+    "mixture types of different level-0 roots": "one level-0 root",
+    "mixture types as a list": "types must be TypeEquilibrium rows in a tuple",
+    "type sigma a string": "sigma must be a real that is not NaN, got 'x'",
+    "type sigma NaN": "sigma must be a real that is not NaN, got nan",
+    "type sigma_clamped an integer": "sigma_clamped must be of type bool, got int",
+    "type weight negative": "population weight must be",
+    "type worker a quant worker type": "worker must be of type WorkerType, got QuantWorkerType",
+    "trace period its errors do not repeat at": "period 2 does not match the prefix, whose last level 2 repeats level "
+    "none",
+    "trace threshold at 1/4": r"divergence trace needs epsilon in \(0, 1/4\), got 0.25",
+    "trace k a string": "k must be an integer",
+    "trace C zero": "C must be a finite real",
+    "trace C too small for a finite delta": "C 5e-324 is too small for a finite per-level gain",
+    "trace epsilon too small for a finite bound": "epsilon 5e-324 is too small for a finite bound",
+    "flat bound a string": "bound must be a finite real",
+    "flat bound NaN": "bound must be a finite real",
+    "flat bound negative": "bound must be a finite real",
+    "defection N a string": "N must be an integer",
+    "defection C NaN": "C must be a finite real",
+    "defection cost beyond the float range": "exceeds the float range",
+    "quant profile vstar a string": "vstar must be a finite real",
+    "quant profile weight NaN": "population weight must be",
+    "quant profile clamped a string": "clamped must be of type bool, got str",
+    "quant profile threshold zero": "variance threshold must be",
+    "quant profile worker a binary worker type": "worker must be of type QuantWorkerType, got WorkerType",
+    "quant equilibrium of integers": "types must be a nonempty tuple of TypeQuantProfile rows",
+    "quant equilibrium of no types": "types must be a nonempty tuple of TypeQuantProfile rows",
+    "quant equilibrium depth 0": "depth must be an integer >= 1, got 0",
+    "sweep result of one point": "strategy grid needs at least two points",
+    "sweep result point NaN": "grid point must be a finite real",
+    "sweep result loss NaN": "mean loss must be a real that is not NaN",
+    "sweep result loss a string": "mean loss must be a real that is not NaN",
+    "sweep result of more losses than points": "values and mean_losses must be tuples of one length",
+    "sweep result values a list": "values and mean_losses must be tuples of one length",
+    "sim report of integers": "rows must be a tuple of WorkerStats rows",
+    "sim report rows a list": "rows must be a tuple of WorkerStats rows",
+    "sim report of one episode": "episodes must be an integer >= 2, got 1",
+    "sim report seed negative": "seed must be an integer >= 0, got -1",
+    "vertex cover with a vertex id twice": "duplicate vertex ids",
+    "effort at NaN": "effort must be a finite real, got nan",
+    "effort at a string": "effort must be a finite real, got 'x'",
+    "simulation config with a model name": "unsupported answer model str",
+    "simulation over an assignment graph": "unsupported structure type AssignmentGraph",
+    "simulate_quant with a uniform-wrong model": "simulate_quant needs a Gaussian answer model",
+    "sweep grid point a string": "strategy grid must hold reals",
+    "sweep grid point beyond the float range": "strategy grid must hold reals",
+    "tree JSON worker w9 without children": "node 'w9' has no children",
+    "peg graph of uneven degree": "worker 'u1' degree 1 != k",
+    "pegs that overlap": "overlaps another peg's workers",
+    "pegs that miss a worker": "peg tasks do not cover every worker",
+    "hierarchy whose tree holds a task outside the graph": "tree tasks must be a subset of the graph's tasks",
+    "hierarchy JSON a list": "hierarchy JSON must be an object",
 }
 
 
