@@ -93,7 +93,8 @@ class Root:
 
 
 def _check_domain(f: EffortFunction, e: float) -> float:
-    if not (isinstance(e, (int, float)) and math.isfinite(e)):
+    # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
+    if not (isinstance(e, float) and math.isfinite(e) or isinstance(e, int) and abs(e) <= FLOAT_MAX):
         raise EffortDomainError(f"effort domain: effort must be a finite real, got {e!r}")
     e = float(e)
     # lower endpoint 0 open, upper endpoint closed (never reached when infinite)
@@ -158,7 +159,9 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
     attains the target the boundary is returned as a true root, otherwise the
     result is clamped there and flagged.
     """
-    if not (isinstance(target, (int, float)) and math.isfinite(target)):
+    # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
+    if not (isinstance(target, float) and math.isfinite(target)
+            or isinstance(target, int) and abs(target) <= FLOAT_MAX):
         raise InvalidTargetError(f"invalid target: {target!r}")
     target = float(target)
 

@@ -151,6 +151,8 @@ class _CyclicLevels:
     def __post_init__(self) -> None:
         if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(r, Root) for r in self.prefix)):
             raise SuperviseError(f"prefix must be a nonempty tuple of Root values, got {self.prefix!r}")
+        for r in self.prefix:
+            require_number(r.value, "level error")  # Root itself checks nothing: the solver builds one per call
         n = len(self.prefix)
         require_int(self.period, "period", 0, hi=n - 1)
         require_int(self.depth, "depth", n - 1)

@@ -18,10 +18,14 @@ rows therefore compare the penalty component.  The parameter sweeps, which do
 need the effort term to have an interior optimum, take the effort function
 explicitly and add it analytically, in one loop over the strategy grid.
 
-Determinism: one seeded generator, draws in sorted worker and task order
-(structures store their rows sorted, so equal structures give equal reports
-however their JSON rows were ordered), and numpy's fixed-order reductions —
-identical configs produce identical reports.
+Determinism and memory: one seeded generator draws the tasks one at a time,
+in sorted id order: a task's truth, then one answer per performer of the task
+in sorted worker order.  That task's pairs are then scored and its arrays
+freed, so peak memory is one task's arrays, about (performers + 1) times the
+episode count, whatever the size of the structure.  Structures store their
+rows sorted, so equal structures give equal reports however their JSON rows
+were ordered; with numpy's fixed-order reductions, identical configs produce
+identical reports.
 
 numpy is imported where a generator is made, in :func:`simulate` and the
 sweeps, so importing the package, and every subcommand but ``simulate``, runs
@@ -32,12 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from ._csv import write_csv
 from .effort import EffortFunction, SchemeParams, effort_eval, implied_D
-from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_int, require_number, require_prob
-from .errors import require_real
+from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_instance, require_int, require_number
+from .errors import require_prob, require_real
 from .hierarchy import expected_penalty_pair
 from .quant import expected_penalty_quant
 from .structures import SupervisionHierarchy, SupervisionTree
@@ -55,7 +61,6 @@ __all__ = [
     "simulate",
     "simulate_binary",
     "simulate_quant",
-    "sample_binary_answers",
     "sweep_flat",
     "sweep_pair",
     "sweep_quant",
@@ -92,7 +97,7 @@ class UniformWrong:
         return rng.integers(0, self.m, size=n)
 
     def answer(self, rng: np.random.Generator, truth: np.ndarray, e: float) -> np.ndarray:
-        return sample_binary_answers(rng, truth, e, self.m)
+        return _sample_binary_answers(rng, truth, e, self.m)
 
     def penalty(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.C * (a != b)
@@ -184,6 +189,11 @@ class SimReport:
     def __post_init__(self) -> None:
         if not (isinstance(self.rows, tuple) and all(isinstance(r, WorkerStats) for r in self.rows)):
             raise SuperviseError(f"rows must be a tuple of WorkerStats rows, got {self.rows!r}")
+        for r in self.rows:
+            require_instance(r.worker, str, "worker")
+            require_int(r.level, "level", 0)
+            for name, x in zip(WorkerStats._fields[2:], r[2:]):
+                require_number(x, name)  # infinities pass: _z returns inf for a zero stderr
         _require_run(self.episodes, self.seed)
 
     @property
@@ -216,7 +226,7 @@ def _offset_answers(truth: np.ndarray, wrong: np.ndarray, offset: np.ndarray, m:
     return (truth + offset * wrong) % m
 
 
-def sample_binary_answers(
+def _sample_binary_answers(
     rng: np.random.Generator, truth: np.ndarray, e: float, m: int
 ) -> np.ndarray:
     """Answers that equal the truth w.p. 1-e, else land uniformly off it."""
@@ -239,7 +249,7 @@ def _z(emp: float, analytic: float, stderr: float) -> float:
 def simulate(config: SimConfig) -> SimReport:
     """Sample the answer model's penalty on every supervision pair of the structure.
 
-    Pairs are read in the structure's stored row order, which is sorted, and rows are reported by level and worker.
+    Tasks are drawn one at a time, in sorted id order, and rows are reported by level and worker.
     """
     model = config.answer_model
     supervisor, pairs = _supervision_pairs(config.structure)
@@ -256,18 +266,18 @@ def simulate(config: SimConfig) -> SimReport:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    truth = {t: model.truth(rng, config.episodes) for t in sorted({t for _, _, t, _ in pairs})}
-    combos = sorted({(w, t) for p, c, t, _ in pairs for w in (p, c)})
-    # one answer per (worker, task): the same draw serves every pair that reads it
-    answers = {(w, t): model.answer(rng, truth[t], strategy[w]) for w, t in combos}
-
     rows = []
-    for p, w, t, level in pairs:
-        # bound, so it is freed after the next pair's array exists: ~8 % faster on wide trees
-        pen = model.penalty(answers[(w, t)], answers[(p, t)])
-        emp, se = _mean_stderr(pen)
-        analytic = model.expected(strategy[w], strategy[p])
-        rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+    for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
+        task_pairs = list(task_pairs)
+        truth = model.truth(rng, config.episodes)
+        # one answer per performer of the task: the same draw serves every pair that reads it
+        performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
+        answer = {w: model.answer(rng, truth, strategy[w]) for w in performers}
+        for p, w, _, level in task_pairs:
+            emp, se = _mean_stderr(model.penalty(answer[w], answer[p]))
+            analytic = model.expected(strategy[w], strategy[p])
+            rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+        del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
 
@@ -372,7 +382,7 @@ def sweep_pair(
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         truth = rng.integers(0, m, size=n)
-        a_sup = sample_binary_answers(rng, truth, e_w, m)
+        a_sup = _sample_binary_answers(rng, truth, e_w, m)
         u_wrong = rng.random(n)
         offset = rng.integers(1, m, size=n)
         return lambda e: C * (_offset_answers(truth, u_wrong < e, offset, m) != a_sup).mean()

@@ -8,8 +8,9 @@ they were before they left numpy's module functions for array methods, and
 the equilibrium cascades as they were before they stopped at a repeat,
 with result types of their own that store every level, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
-cached tail, and the divergence trace and its writer as they were before
-the trace stopped at its first repeated error.
+cached tail, the divergence trace and its writer as they were before
+the trace stopped at its first repeated error, and the Monte Carlo engine as
+it was before it drew one task at a time.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -32,13 +33,19 @@ from supervise import (
     EffortFunction,
     EpsilonRangeError,
     LevelState,
+    ModelMismatchError,
     PegAssignment,
     PopulationModel,
     SAInstance,
     SASolution,
     SchemeParams,
+    SimConfig,
+    SimReport,
     SizingError,
     SuperviseError,
+    SupervisionHierarchy,
+    SupervisionTree,
+    WorkerStats,
     WorkerType,
     best_response_under_superior,
     effort_deriv,
@@ -47,6 +54,7 @@ from supervise import (
 from supervise.allocation import _check_cover
 from supervise.errors import require_int
 from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
+from supervise.simulate import Structure, _z
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -470,3 +478,61 @@ def trace_to_csv(trace: CounterexampleTrace) -> str:
         ["level", "error", "truthful"],
         ((level, e, bool_word(e < trace.epsilon)) for level, e in enumerate(trace.errors)),
     )
+
+
+# The Monte Carlo engine as it was before it drew one task at a time, frozen verbatim: it held every task's truth
+# and every (worker, task) answer for all episodes at once.  Its draw order differs, so the two engines agree in
+# their analytic columns exactly and in their empirical ones within sampling error.
+
+
+def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, str, int]]]:
+    """The supervisor, and (superior, worker, shared task, worker level) for every judged worker."""
+    if isinstance(structure, SupervisionTree):
+        tree = structure
+        extra: list[tuple[str, str, str, int]] = []
+    elif isinstance(structure, SupervisionHierarchy):
+        tree = structure.tree
+        leaf_owner = {t: tree.parent[t] for t in tree.task_ids}
+        graph_level = tree.depth - 1
+        extra = [(leaf_owner[t], w, t, graph_level) for w, t in structure.coverage]
+    else:
+        raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
+    level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
+    pairs = [(p, c, t, level_of[c]) for p, c, t in tree.shared]
+    return tree.supervisor, pairs + extra
+
+
+def simulate(config: SimConfig) -> SimReport:
+    """Sample the answer model's penalty on every supervision pair of the structure.
+
+    Pairs are read in the structure's stored row order, which is sorted, and rows are reported by level and worker.
+    """
+    model = config.answer_model
+    supervisor, pairs = _supervision_pairs(config.structure)
+    strategy = {}
+    for w in sorted({w for p, c, _, _ in pairs for w in (p, c)}):
+        if w in config.strategies:
+            s = config.strategies[w]
+        elif w == supervisor:
+            s = model.exact
+        else:
+            raise SuperviseError(f"strategies must cover worker {w!r}")
+        strategy[w] = model.strategy(w, s)
+
+    import numpy as np
+
+    rng = np.random.default_rng(config.seed)
+    truth = {t: model.truth(rng, config.episodes) for t in sorted({t for _, _, t, _ in pairs})}
+    combos = sorted({(w, t) for p, c, t, _ in pairs for w in (p, c)})
+    # one answer per (worker, task): the same draw serves every pair that reads it
+    answers = {(w, t): model.answer(rng, truth[t], strategy[w]) for w, t in combos}
+
+    rows = []
+    for p, w, t, level in pairs:
+        # bound, so it is freed after the next pair's array exists: ~8 % faster on wide trees
+        pen = model.penalty(answers[(w, t)], answers[(p, t)])
+        emp, se = _mean_stderr(pen)
+        analytic = model.expected(strategy[w], strategy[p])
+        rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+    rows.sort(key=lambda r: (r.level, r.worker))
+    return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)

@@ -3,11 +3,12 @@
 ``perfbench/workloads.py`` reads the analytic results' levels, flags and summaries, a sweep's argmin, a report's
 rows, a cover's tasks and a hierarchy's tree tasks.  This loads that file as it is and runs its tiny setups
 through its own code: each ``analytic`` case through ``run_case``, ``check`` and ``canon``, and one round each of
-``build`` and ``montecarlo`` through ``run_round``, so a change to a result type that the benchmark would trip on
-fails here too.
+``build`` and ``montecarlo`` through ``run_round``, and one traced ``montecarlo`` round through its layer metrics,
+so a change to a result type or a traced name that the benchmark would trip on fails here too.
 """
 
 import importlib.util
+import math
 import os
 import sys
 
@@ -48,3 +49,22 @@ def test_one_tiny_round_passes_the_benchmarks_checks(name):
     runner.hashing = True
     workload.run_round(runner, ctx, ctx["sets"][0])
     assert runner.ops and not runner.failed and not runner.errors, runner.errors
+
+
+def test_one_tiny_traced_montecarlo_round_gives_finite_layer_metrics():
+    """The layer metrics read the ``simulate.simulate_binary`` and ``simulate.simulate_quant`` spans."""
+    workloads = _workloads()
+    workload, tracing = workloads.MonteCarlo, workloads.tracing
+    ctx = workload.setup(1, "tiny")
+    tracer = tracing.Tracer()
+    runner = workloads.Runner(tracer, False, workload.reference)
+    tracer.install(workloads.package_modules(*tracing.LAYERS))
+    try:
+        workload.run_round(runner, ctx, ctx["sets"][0])
+    finally:
+        tracer.uninstall()
+    assert runner.ops and not runner.failed and not runner.errors, runner.errors
+    layers = workload.layers(runner, tracer, ctx)
+    assert layers and all(math.isfinite(v) for v in layers.values()), layers
+    # a span name the tracer no longer finds reads 0 ns, not an error
+    assert all(v > 0 for name, v in layers.items() if "_ns_per_" in name), layers

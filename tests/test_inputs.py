@@ -59,6 +59,7 @@ from supervise import (
     simulate,
     simulate_binary,
     simulate_quant,
+    solve_deriv_equals,
     sweep_flat,
     sweep_quant,
     vc_to_sa,
@@ -254,6 +255,7 @@ BAD_INPUTS = {
     "type period as long as its prefix": lambda: _type_levels(_levels(0.0, 0.1), 2, 5),
     "type without a period deeper than its prefix": lambda: _type_levels(_levels(0.0, 0.1), 0, 5),
     "profile threshold a string": lambda: EquilibriumProfile(_levels(0.0, 0.1), 0, 1, "0.25"),
+    "profile root of a string error": lambda: EquilibriumProfile((Root("x"),), 0, 0, 0.25),
     "heterogeneous equilibrium of no types": lambda: HeterogeneousEquilibrium(()),
     "heterogeneous equilibrium of plain tuples": lambda: HeterogeneousEquilibrium(((0, 0.0),)),
     "heterogeneous types of different periods": lambda: HeterogeneousEquilibrium(
@@ -319,9 +321,12 @@ BAD_INPUTS = {
     "sim report rows a list": lambda: SimReport([_row()], 10, 0),
     "sim report of one episode": lambda: SimReport((_row(),), 1, 0),
     "sim report seed negative": lambda: SimReport((_row(),), 10, -1),
+    "sim report row whose numbers are strings": lambda: SimReport((WorkerStats("w", 1, "x", 0.0, 0.0, "z"),), 2, 0),
     "vertex cover with a vertex id twice": lambda: vc_to_sa(["a", "a", "b"], [("a", "b")]),
     "effort at NaN": lambda: effort_eval(SL, NAN),
     "effort at a string": lambda: effort_eval(SL, "x"),
+    "effort at an integer beyond the float range": lambda: effort_eval(SL, 10**400),
+    "solver target an integer beyond the float range": lambda: solve_deriv_equals(SL, -10**400),
     "simulation config with a model name": lambda: SimConfig(10, 0, "uniform-wrong", _TREE, {}),
     "simulation over an assignment graph": lambda: simulate(SimConfig(10, 0, UniformWrong(), _PEG.graph, {})),
     "simulate_quant with a uniform-wrong model": lambda: simulate_quant(SimConfig(10, 0, UniformWrong(), _TREE, {})),
@@ -380,6 +385,7 @@ BAD_INPUT_MESSAGES = {
     "heterogeneous equilibrium of no types": "at least one type",
     "heterogeneous equilibrium of plain tuples": "types must be TypeEquilibrium rows",
     "profile threshold a string": "threshold must be a finite real",
+    "profile root of a string error": "level error must be a real that is not NaN, got 'x'",
     "heterogeneous types of different periods": "one prefix length, period, depth and threshold",
     "heterogeneous types of different depths": "one prefix length, period, depth and threshold",
     "heterogeneous types of different thresholds": "one prefix length, period, depth and threshold",
@@ -436,9 +442,12 @@ BAD_INPUT_MESSAGES = {
     "sim report rows a list": "rows must be a tuple of WorkerStats rows",
     "sim report of one episode": "episodes must be an integer >= 2, got 1",
     "sim report seed negative": "seed must be an integer >= 0, got -1",
+    "sim report row whose numbers are strings": "empirical must be a real that is not NaN, got 'x'",
     "vertex cover with a vertex id twice": "duplicate vertex ids",
     "effort at NaN": "effort must be a finite real, got nan",
     "effort at a string": "effort must be a finite real, got 'x'",
+    "effort at an integer beyond the float range": "effort must be a finite real, got 1000",
+    "solver target an integer beyond the float range": "invalid target: -1000",
     "simulation config with a model name": "unsupported answer model str",
     "simulation over an assignment graph": "unsupported structure type AssignmentGraph",
     "simulate_quant with a uniform-wrong model": "simulate_quant needs a Gaussian answer model",

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import statistics
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +24,6 @@ from supervise import (
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
-    sample_binary_answers,
     simulate,
     simulate_binary,
     simulate_quant,
@@ -30,7 +31,7 @@ from supervise import (
     sweep_pair,
     sweep_quant,
 )
-from supervise.simulate import _mean_stderr, _offset_answers
+from supervise.simulate import _mean_stderr, _offset_answers, _sample_binary_answers
 
 import _oracles
 
@@ -114,8 +115,8 @@ class TestBinary:
         rng = np.random.default_rng(17)
         n = 200_000
         truth = rng.integers(0, 2, size=n)
-        a = sample_binary_answers(rng, truth, 0.3, 2) == truth
-        b = sample_binary_answers(rng, truth, 0.4, 2) == truth
+        a = _sample_binary_answers(rng, truth, 0.3, 2) == truth
+        b = _sample_binary_answers(rng, truth, 0.4, 2) == truth
         corr = float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
         assert abs(float(np.mean(a)) - 0.7) <= 4.0 * math.sqrt(0.7 * 0.3 / n)
@@ -139,6 +140,47 @@ class TestHierarchySim:
         for r in graph_rows:
             assert r.level == lvl
             assert abs(r.z) <= 4.0
+
+
+_PEG = build_peg_assignment(6, 5, 3, seed=3)
+
+
+@pytest.mark.parametrize("model", [UniformWrong(m=3, C=4.0), Gaussian(c=1.5)], ids=["binary", "gaussian"])
+@pytest.mark.parametrize(
+    "structure",
+    [build_supervision_tree(27, 3, seed=2), build_supervision_hierarchy(_PEG.graph, k=2, seed=3)],
+    ids=["tree", "hierarchy"],
+)
+def test_task_by_task_engine_matches_the_frozen_original(structure, model):
+    _, pairs = _oracles._supervision_pairs(structure)
+    workers = sorted({w for p, c, _, _ in pairs for w in (p, c)})
+    if isinstance(model, UniformWrong):
+        strategies = {w: 0.05 + 0.01 * (i % 20) for i, w in enumerate(workers)}
+    else:
+        strategies = {w: (0.5 + 0.1 * (i % 10), 0.2 * (i % 3 - 1)) for i, w in enumerate(workers)}
+    config = SimConfig(20_000, 1, model, structure, strategies)
+    new, old = simulate(config).rows, _oracles.simulate(config).rows
+    assert [(r.worker, r.level, r.analytic) for r in new] == [(r.worker, r.level, r.analytic) for r in old]
+    # the draw orders differ, so the empirical means are two samples of one mean: Bonferroni over the pairs at 1e-3
+    bound = statistics.NormalDist().inv_cdf(1 - 1e-3 / (2 * len(new)))
+    for a, b in zip(new, old):
+        assert abs(a.empirical - b.empirical) <= bound * math.hypot(a.stderr, b.stderr), (a, b)
+
+
+def test_memory_holds_one_task_at_a_time():
+    """The deepest task of an 81-task tree has four performers, and a run peaks near 7 arrays of ``episodes``
+    values; the engine that held every task's arrays at once peaked near 96."""
+    tree = build_supervision_tree(81, 3, seed=1)
+    strategies = {n: 0.1 for lv in tree.levels[:-1] for n in lv}
+    config = SimConfig(20_000, 0, UniformWrong(m=3, C=1.0), tree, strategies)
+    simulate(SimConfig(2, 0, config.answer_model, tree, strategies))  # numpy's first draws import modules
+    tracemalloc.start()
+    try:
+        simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * config.episodes * 8, peak / (config.episodes * 8)
 
 
 class TestQuant:
@@ -243,12 +285,13 @@ def _pinned_outputs():
     }
 
 
-# sha256 of each output, taken before the two simulators and the three sweep loops became one;
-# a change to the RNG stream must update these on purpose
+# sha256 of each output: the sweeps' taken before the two simulators and the three sweep loops became one, the
+# three reports' when the engine began drawing one task at a time; a change to the RNG stream must update these on
+# purpose
 PINNED_SHA256 = {
-    "binary_hierarchy": "c527a506f145197a6b674042dd8a3d4c33c0efaceceab5e351c0a9f3d148036b",
-    "binary_tree": "f43738bec162575af266c8fdaaf79937ee6e1d189be1b54184fa3a10c598546e",
-    "quant_tree": "60d1cbc152635c4e48fd2ea7ca3c38f17f1e4343c93c46782cba2315ec13b24d",
+    "binary_hierarchy": "ed6c0310049665f7191892ffaa8fb5971ed2cfe02e1d45517d79c78a141ebd2d",
+    "binary_tree": "1826649744171de450a68d50630efab6d04e5b2e1ff306aeccb533d401dbc31e",
+    "quant_tree": "c21f9e5f7b0c8964a53c192ae14c7900bbb12afa4963676816d8d6607d2abc15",
     "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
     "sweep_pair": "4faefb93422115799f0bdd724281006713b0fc176ba44d8d89d8d71c1020e3f4",
     "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
