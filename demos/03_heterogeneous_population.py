@@ -19,7 +19,7 @@ from supervise import (
 SL = EffortFunction.simple_log
 params = SchemeParams(k=2, epsilon=0.25, C=16.0)
 
-# sigma marks where a type's best response lands against an exact superior
+# sigma marks where a type's best response lands against a superior at error eps, with D = 0
 for alpha in (0.8, 1.0, 1.4):
     sig = proficiency_sigma(SL(alpha), params)
     ok = "proficient" if sig.value <= params.epsilon else "not proficient"

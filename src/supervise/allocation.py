@@ -13,9 +13,9 @@ vertex-cover instances embed by making each graph edge a two-task worker,
 which is why nothing faster should be expected.  The literal edge-deletion
 variant `sa_greedy_edge_deletion` picks one random worker/task edge at a time
 and keeps only the task; it produces valid covers but carries no
-approximation-ratio claim here.  Both greedies draw each pick from a Fenwick
-tree over the still-live rows, so for u workers and E edges `sa_greedy` costs
-O(E log u) and `sa_greedy_edge_deletion` O(E log E).
+approximation-ratio claim here.  Both greedies run one loop, drawing each
+pick from a Fenwick tree over the still-live rows (workers, or edges), so for
+u workers and E edges `sa_greedy` costs O(E log u) and the variant O(E log E).
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InstanceTooLargeError, SuperviseError, require_instance, require_int
-from .structures import AssignmentGraph, _id_rows
+from .structures import AssignmentGraph, _id_rows, _sorted_rows
 
 __all__ = [
     "SAInstance",
@@ -54,10 +54,14 @@ class SAInstance:
 
 @dataclass(frozen=True)
 class SASolution:
-    """A covering task set and one ``(worker, covering task)`` row per worker, both sorted, as graph rows are."""
+    """A covering task set and one ``(worker, covering task)`` row per worker, stored sorted, as graph rows are."""
 
     tasks: tuple[str, ...]
     cover_witness: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tasks", _sorted_rows(self.tasks, "tasks"))
+        object.__setattr__(self, "cover_witness", _sorted_rows(self.cover_witness, "cover_witness", 2))
 
     @property
     def size(self) -> int:
@@ -68,10 +72,12 @@ def _check_cover(inst: SAInstance, tasks: Iterable[str]) -> tuple[tuple[str, str
     chosen = set(tasks)
     witness = []
     for w, ts in inst.graph.worker_tasks.items():
-        hit = next((t for t in ts if t in chosen), None)  # a worker's tasks are sorted: the smallest covering one
-        if hit is None:
+        for t in ts:
+            if t in chosen:  # a worker's tasks are sorted: the smallest covering one
+                witness.append((w, t))
+                break
+        else:
             raise SuperviseError(f"worker {w!r} not covered")
-        witness.append((w, hit))
     return tuple(witness)
 
 
@@ -140,6 +146,33 @@ def _nth_live(fenwick: list[int], r: int) -> int:
     return pos
 
 
+def _deletion_cover(inst: SAInstance, seed: int, n: int, pick: Callable) -> SASolution:
+    """The cover made by picking a seeded-random live row among ``n`` until none is live.
+
+    ``pick(row)`` returns the tasks that picking the row chooses and the rows it deletes, the picked row among them.
+    A Fenwick tree counts the live rows, so the ``rng.randrange(live)``-th is found by one descent and a row is
+    deleted in O(log n).  ``rng.choice(seq)`` is ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` is
+    ``rng._randbelow(n)``, so the picks are those of ``rng.choice`` over the list of live rows rebuilt after each pick.
+    """
+    rng = random.Random(require_int(seed, "seed", 0))
+    live = n
+    fenwick = [j & -j for j in range(n + 1)]  # all rows start live
+    alive = [True] * n
+    chosen: set[str] = set()
+    while live:
+        tasks, deleted = pick(_nth_live(fenwick, rng.randrange(live)))
+        chosen.update(tasks)
+        for i in deleted:
+            if alive[i]:
+                alive[i] = False
+                live -= 1
+                j = i + 1
+                while j <= n:
+                    fenwick[j] -= 1
+                    j += j & -j
+    return SASolution(tasks=tuple(chosen), cover_witness=_check_cover(inst, chosen))
+
+
 def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     """Disjoint-worker greedy: within factor k of the optimum.
 
@@ -148,38 +181,18 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     the second was already covered — so an optimal cover spends at least one
     distinct task per picked worker, giving |S| <= k * |OPT|.
 
-    O(E log u) for u workers and E edges: a Fenwick tree counts the uncovered
-    workers in sorted order, each pick is the ``rng.randrange(live)``-th of
-    them, found by one descent, and each worker is dropped once, when the
-    first task it performs is chosen.  ``rng.choice(seq)`` is
-    ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` is
-    ``rng._randbelow(n)``, so the picks, and the cover, are those of drawing
-    ``rng.choice`` from the sorted list of uncovered workers rebuilt after
-    every pick.
+    O(E log u) for u workers and E edges: the rows are the workers in sorted
+    order, and a pick deletes every worker that performs a task it takes.
     """
-    rng = random.Random(require_int(seed, "seed", 0))
     workers = inst.graph.workers
     worker_tasks, task_workers = inst.graph.worker_tasks, inst.graph.task_workers
     index = {w: i for i, w in enumerate(workers)}
-    n = live = len(workers)
-    fenwick = [j & -j for j in range(n + 1)]  # all workers start uncovered
-    alive = [True] * n
-    chosen: set[str] = set()
-    while live:
-        ts = worker_tasks[workers[_nth_live(fenwick, rng.randrange(live))]]
-        chosen.update(ts)  # an uncovered worker performs no chosen task yet
-        for t in ts:
-            for w in task_workers[t]:
-                i = index[w]
-                if alive[i]:
-                    alive[i] = False
-                    live -= 1
-                    j = i + 1
-                    while j <= n:
-                        fenwick[j] -= 1
-                        j += j & -j
-    picked = tuple(sorted(chosen))
-    return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
+
+    def pick(i: int) -> tuple[tuple[str, ...], list[int]]:
+        ts = worker_tasks[workers[i]]  # an uncovered worker performs no chosen task yet
+        return ts, [index[w] for t in ts for w in task_workers[t]]
+
+    return _deletion_cover(inst, seed, len(workers), pick)
 
 
 def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
@@ -190,34 +203,21 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     single task is gained per round, so no factor-k ratio argument applies.
     Provided for comparison; measure, don't rely on it.
 
-    O(E log E) for E edges: a Fenwick tree counts the live edges in sorted
-    order, so each round finds the drawn live edge by one descent, and each
-    edge is deleted once, through its worker's and its task's index lists.
+    O(E log E) for E edges: the rows are the edges in sorted order, and a pick
+    deletes the edges at both of its endpoints, through their index lists.
     """
-    rng = random.Random(require_int(seed, "seed", 0))
     edges = inst.graph.edges
-    n = live = len(edges)
     of_worker: dict[str, list[int]] = {}
     of_task: dict[str, list[int]] = {}
     for i, (w, t) in enumerate(edges):
         of_worker.setdefault(w, []).append(i)
         of_task.setdefault(t, []).append(i)
-    fenwick = [j & -j for j in range(n + 1)]  # all edges start live
-    alive = [True] * n
-    chosen: set[str] = set()
-    while live:
-        w, t = edges[_nth_live(fenwick, rng.randrange(live))]
-        chosen.add(t)
-        for i in (*of_worker[w], *of_task[t]):
-            if alive[i]:
-                alive[i] = False
-                live -= 1
-                j = i + 1
-                while j <= n:
-                    fenwick[j] -= 1
-                    j += j & -j
-    picked = tuple(sorted(chosen))
-    return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
+
+    def pick(i: int) -> tuple[tuple[str], list[int]]:
+        w, t = edges[i]
+        return (t,), of_worker[w] + of_task[t]
+
+    return _deletion_cover(inst, seed, len(edges), pick)
 
 
 def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAInstance:

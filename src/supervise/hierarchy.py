@@ -81,10 +81,6 @@ class PopulationModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", require_weights(self.types, WorkerType))
 
-    @classmethod
-    def single(cls, effort: EffortFunction, id: str = "worker") -> "PopulationModel":
-        return cls(((WorkerType(effort, id), 1.0),))
-
 
 class LevelState(NamedTuple):
     level: int
@@ -321,17 +317,23 @@ def _cascade(step: Callable, e0: float, depth: int, stop: Callable | None = None
     return solved, 0
 
 
-def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: int, e0: float) -> tuple[list, int]:
-    """Each type's roots, ``Root(e0)`` first, up to the first repeated mean error, and the period, when at every
-    level each type (an effort curve with a weight) best-responds to the weighted mean error of the level above."""
-    C, D = params.require_C(), params.effective_D()
+def _mixture_step(efforts: list, weights: list, C: float, D: float, k: int) -> Callable:
+    """The cascade's map for a mixture of types, each an effort curve with a weight: from a superior's error to the
+    types' best responses and their weighted mean error, as ``(mean, roots)``."""
 
     def step(e_prev: float) -> tuple[float, list[Root]]:
         require_prob(e_prev, "superior error")
-        target = _response_target(e_prev, C, D, params.k)  # the same for every type
+        target = _response_target(e_prev, C, D, k)  # the same for every type
         roots = [solve_deriv_equals(f, target) for f in efforts]
         return math.fsum([w * r.value for w, r in zip(weights, roots)]), roots
 
+    return step
+
+
+def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: int, e0: float) -> tuple[list, int]:
+    """Each type's roots, ``Root(e0)`` first, up to the first repeated mean error, and the period, when at every
+    level each type best-responds to the weighted mean error of the level above."""
+    step = _mixture_step(efforts, weights, params.require_C(), params.effective_D(), params.k)
     solved, period = _cascade(step, e0, depth)
     head = Root(e0)
     return [(head, *column) for column in zip(*(roots for _, roots in solved))], period
@@ -356,13 +358,13 @@ def equilibrium_homogeneous(
 
 
 def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
-    """Error level a worker of this type settles on under a truthful superior.
+    """The error a worker of this type best-responds with to a superior at error eps, counting D as 0.
 
     The root of ``f'(sigma) = C (2 eps - 1) / k``; the type is proficient for
     the scheme exactly when sigma <= eps.  Solver clamps propagate.
     """
     eps = _require_hierarchical_epsilon(params)
-    return solve_deriv_equals(f, params.require_C() * (2.0 * eps - 1.0) / params.k)
+    return solve_deriv_equals(f, _response_target(eps, params.require_C(), 0.0, params.k))
 
 
 def equilibrium_heterogeneous(
@@ -381,13 +383,14 @@ def equilibrium_heterogeneous(
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
 
-    sigma_roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
-    mean_sigma = math.fsum(w * root.value for (_, w), root in zip(pop.types, sigma_roots))  # as in ``mean_sigma``
+    efforts, weights = [wt.effort for wt, _ in pop.types], [w for _, w in pop.types]
+    # the gate is one step of the cascade's map, to a superior at eps with D = 0: each type's sigma, and their mean
+    mean_sigma, sigma_roots = _mixture_step(efforts, weights, params.require_C(), 0.0, params.k)(eps)
     if not mean_sigma <= eps:
         raise AssumptionError(f"population proficiency assumption violated: weighted mean sigma {mean_sigma!r} exceeds "
                               f"epsilon {eps!r}")
 
-    prefixes, period = _mixture_levels([wt.effort for wt, _ in pop.types], [w for _, w in pop.types], params, depth, e0)
+    prefixes, period = _mixture_levels(efforts, weights, params, depth, e0)
     types = tuple(
         TypeEquilibrium(prefix=prefix, period=period, depth=depth, threshold=eps, worker=wt, weight=w,
                         sigma=root.value, sigma_clamped=root.clamped)
@@ -466,10 +469,6 @@ class CounterexampleTrace(_CyclicLevels):
     @property
     def diverged_at(self) -> int | None:
         return self.crossing_level if self.prefix[-1].value >= 0.5 else None
-
-    @property
-    def crossed(self) -> bool:
-        return self.crossing_level is not None
 
 
 def counterexample_trace(params: SchemeParams, max_depth: int) -> CounterexampleTrace:

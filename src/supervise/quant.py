@@ -101,7 +101,14 @@ def expected_penalty_quant(sigma_u: float, b_u: float, sigma_w: float, b_w: floa
     require_real(sigma_w, "sigma_w", 0.0)
     require_real(b_w, "b_w")
     require_real(c, "penalty weight c", 0.0, lo_open=True)
-    return c * (sigma_u**2 + b_u**2 - 2.0 * b_u * b_w + sigma_w**2 + b_w**2)
+    try:
+        penalty = c * (sigma_u**2 + b_u**2 - 2.0 * b_u * b_w + sigma_w**2 + b_w**2)
+    except OverflowError:  # a float square beyond the float range raises rather than reading inf
+        penalty = math.inf
+    if not math.isfinite(penalty):
+        raise SuperviseError(f"the expected quadratic penalty is not a finite float at sigma_u={sigma_u!r}, "
+                             f"b_u={b_u!r}, sigma_w={sigma_w!r}, b_w={b_w!r}, c={c!r}")
+    return penalty
 
 
 def best_response_quant(f: EffortFunction, k: int, c: float) -> Root:

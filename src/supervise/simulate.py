@@ -211,9 +211,8 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
         extra: list[tuple[str, str, str, int]] = []
     elif isinstance(structure, SupervisionHierarchy):
         tree = structure.tree
-        leaf_owner = {t: tree.parent[t] for t in tree.task_ids}
         graph_level = tree.depth - 1
-        extra = [(leaf_owner[t], w, t, graph_level) for w, t in structure.coverage]
+        extra = [(tree.parent[t], w, t, graph_level) for w, t in structure.coverage]
     else:
         raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
     level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
@@ -267,17 +266,21 @@ def simulate(config: SimConfig) -> SimReport:
 
     rng = np.random.default_rng(config.seed)
     rows = []
-    for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
-        task_pairs = list(task_pairs)
-        truth = model.truth(rng, config.episodes)
-        # one answer per performer of the task: the same draw serves every pair that reads it
-        performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
-        answer = {w: model.answer(rng, truth, strategy[w]) for w in performers}
-        for p, w, _, level in task_pairs:
-            emp, se = _mean_stderr(model.penalty(answer[w], answer[p]))
-            analytic = model.expected(strategy[w], strategy[p])
-            rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
-        del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a pair's mean or stderr, refused below
+        for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
+            task_pairs = list(task_pairs)
+            truth = model.truth(rng, config.episodes)
+            # one answer per performer of the task: the same draw serves every pair that reads it
+            performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
+            answer = {w: model.answer(rng, truth, strategy[w]) for w in performers}
+            for p, w, _, level in task_pairs:
+                emp, se = _mean_stderr(model.penalty(answer[w], answer[p]))
+                if not (math.isfinite(emp) and math.isfinite(se)):
+                    raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
+                                         f"beyond the float range")
+                analytic = model.expected(strategy[w], strategy[p])
+                rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+            del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import SizingError, SuperviseError, require_instance, require_int
@@ -177,13 +177,9 @@ class SupervisionTree:
         return out
 
     @cached_property
-    def shared_task(self) -> dict[tuple[str, str], str]:
-        return {(p, c): t for p, c, t in self.shared}
-
-    @cached_property
     def worker_tasks(self) -> dict[str, tuple[str, ...]]:
         """A bottom worker performs its children; a higher worker its shared pick for each child, in child order."""
-        bottom, shared = set(self.levels[-2]), self.shared_task
+        bottom, shared = set(self.levels[-2]), {(p, c): t for p, c, t in self.shared}
         return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
 
     def validate(self) -> None:
@@ -270,24 +266,14 @@ def build_supervision_tree_over(
     edges: list[tuple[str, str]] = []
     shared: list[tuple[str, str, str]] = []
     worker_tasks: dict[str, tuple[str, ...]] = {}
-
-    wid = 0
-
-    def fresh_worker() -> str:
-        nonlocal wid
-        name = f"{worker_prefix}{wid}"
-        while name in forbidden:
-            wid += 1
-            name = f"{worker_prefix}{wid}"
-        wid += 1
-        forbidden.add(name)
-        return name
+    # a counter never repeats a name, so only the given ids need skipping
+    fresh = (name for name in (f"{worker_prefix}{i}" for i in count()) if name not in forbidden)
 
     current = tasks
     bottom, top = True, False
     while not top:
         top = not bottom and len(current) <= k  # at most k workers left: the supervisor's level
-        parents = [supervisor_id] if top else [fresh_worker() for _ in range(-(-len(current) // k))]
+        parents = [supervisor_id] if top else [next(fresh) for _ in range(-(-len(current) // k))]
         for j, p in enumerate(parents):
             chunk = current[j * k : (j + 1) * k]
             for c in chunk:

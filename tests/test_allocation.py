@@ -8,6 +8,7 @@ from supervise import (
     AssignmentGraph,
     InstanceTooLargeError,
     SAInstance,
+    SASolution,
     SuperviseError,
     build_peg_assignment,
     sa_exact,
@@ -115,6 +116,11 @@ class TestGreedy:
         g = AssignmentGraph(workers=("u0",), tasks=("a", "b"), edges=(("u0", "a"), ("u0", "b")))
         sol = sa_greedy(SAInstance(graph=g, k=2), seed=0)
         assert set(sol.tasks) == {"a", "b"}  # whole-hyperedge pick, the price of the k bound
+
+
+def test_a_solution_stores_its_rows_sorted():
+    assert SASolution(("b", "a"), ()) == SASolution(("a", "b"), ())
+    assert SASolution((), [["u1", "a"], ["u0", "b"]]).cover_witness == (("u0", "b"), ("u1", "a"))
 
 
 class TestVcBridge:

@@ -1,6 +1,7 @@
 """The equilibrium cascades and the divergence trace that stop at the first repeated error, and the writers that
 write the rows past it from a cached tail, against their frozen level-by-level originals."""
 
+import math
 import random
 import time
 
@@ -23,6 +24,7 @@ from supervise import (
     equilibrium_homogeneous,
     heterogeneous_to_csv,
     min_penalty_hierarchical,
+    proficiency_sigma,
     profile_to_csv,
     quant_equilibrium,
     quant_to_csv,
@@ -149,11 +151,29 @@ def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn, at_bou
     assert _heterogeneous_outcomes_agree(_population(f, drawn), params, depth, e0)
 
 
+@settings(max_examples=200, derandomize=True)
+@given(cascade_inputs(BINARY_FAMILIES), TYPE_DRAWS, st.sampled_from((2, 3, 5)))
+def test_each_types_sigma_is_proficiency_sigma_bit_for_bit(inputs, drawn, m):
+    """The population gate takes one step of the cascade's map, at epsilon with D = 0: each type stores
+    proficiency_sigma's root, and the population is refused exactly where their weighted mean exceeds epsilon,
+    also at m 3 and 5, where the cascade itself runs with D > 0."""
+    f, params, depth, e0 = inputs
+    params = SchemeParams(k=params.k, epsilon=params.epsilon, C=params.C, m=m)
+    pop = _population(f, drawn)
+    roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
+    if math.fsum(w * r.value for (_, w), r in zip(pop.types, roots)) > params.epsilon:
+        with pytest.raises(AssumptionError, match="weighted mean sigma"):
+            equilibrium_heterogeneous(pop, params, depth, e0)
+        return
+    types = equilibrium_heterogeneous(pop, params, depth, e0).types
+    assert [(te.sigma.hex(), te.sigma_clamped) for te in types] == [(r.value.hex(), r.clamped) for r in roots]
+
+
 def test_the_frozen_originals_refusal_at_the_printed_bound_is_the_librarys_untruthful_flag():
     """One type at the bound lands on epsilon from level 22: the frozen original raises, the library flags it."""
     f = EffortFunction.simple_log(1.662654510706954)
     params = SchemeParams(k=3, epsilon=0.07707797678400585, C=76.50726314200946)
-    args = (PopulationModel.single(f, "a"), params, 2000)
+    args = (PopulationModel(((WorkerType(f, "a"), 1.0),)), params, 2000)
     with pytest.raises(SuperviseError, match="internal consistency failure: proficient type 'a'"):
         _oracles.equilibrium_heterogeneous(*args)
     assert _heterogeneous_outcomes_agree(*args)
@@ -347,7 +367,7 @@ def test_a_one_type_population_is_the_homogeneous_profile(inputs, at_bound):
     if at_bound:
         params = SchemeParams(k=params.k, epsilon=params.epsilon, C=min_penalty_hierarchical(f, params), m=params.m)
     try:
-        (te,) = equilibrium_heterogeneous(PopulationModel.single(f), params, depth, e0).types
+        (te,) = equilibrium_heterogeneous(PopulationModel(((WorkerType(f), 1.0),)), params, depth, e0).types
     except AssumptionError:
         return
     profile = equilibrium_homogeneous(f, params, depth, e0)
@@ -362,7 +382,7 @@ def test_a_proficient_type_at_the_printed_bound_is_reported_not_refused():
     f = EffortFunction.simple_log(1.662654510706954)
     params = SchemeParams(k=3, epsilon=0.07707797678400585, C=76.50726314200946)
     assert min_penalty_hierarchical(f, params) == params.C
-    (te,) = equilibrium_heterogeneous(PopulationModel.single(f), params, 2000).types
+    (te,) = equilibrium_heterogeneous(PopulationModel(((WorkerType(f), 1.0),)), params, 2000).types
     assert te.proficient and te.levels[22] == (22, params.epsilon, False, False)
     assert _rows(te.levels) == _rows(equilibrium_homogeneous(f, params, 2000).levels)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from supervise import build_supervision_tree
 from supervise.cli import fmt_decimal, main
 
 
@@ -236,6 +237,20 @@ def test_a_ten_million_level_trace_streams_in_bounded_memory():
     peak = _peak_rss_kb("counterexample", "--k", "2", "--C", "40", "--epsilon", "0.2", "--max-depth", "10000000",
                         "--out", os.devnull)
     assert peak < 50 * 1024
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1.3e154])
+def test_a_gaussian_penalty_beyond_floats_is_one_error_line(tmp_path, sigma):
+    """In a fresh process, so that a numpy warning or a traceback would reach the stderr read here."""
+    tree_file, strategies = tmp_path / "tree.json", tmp_path / "strategies.json"
+    tree_file.write_text(json.dumps(build_supervision_tree(1, 2, 0).to_json_dict()))
+    strategies.write_text(json.dumps({"model": "gaussian", "c": 1.0, "workers": {"w0": [sigma, 0]}}))
+    proc = subprocess.run([sys.executable, "-m", "supervise", "simulate", "--structure", str(tree_file),
+                           "--strategies", str(strategies), "--episodes", "100"],
+                          env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 class TestCounterexampleAndDefection:

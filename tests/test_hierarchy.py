@@ -159,7 +159,7 @@ class TestEquilibrium:
     def test_undersized_penalty_crosses(self):
         bound = min_penalty_hierarchical(SL(1.0), SchemeParams(k=2, epsilon=0.2, C=1.0))
         trace = counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=bound * 0.99), max_depth=10_000)
-        assert trace.crossed
+        assert trace.crossing_level is not None
 
 
 class TestProficiency:
@@ -193,7 +193,7 @@ class TestProficiency:
 
 class TestHeterogeneous:
     def test_point_mass_equals_homogeneous(self):
-        pop = PopulationModel.single(SL(1.0))
+        pop = PopulationModel(((WorkerType(SL(1.0)), 1.0),))
         het = equilibrium_heterogeneous(pop, params(), depth=12)
         hom = equilibrium_homogeneous(SL(1.0), params(), depth=12)
         assert [s.error for s in het.types[0].levels] == [s.error for s in hom.levels]
@@ -230,7 +230,7 @@ class TestCounterexample:
         assert trace.crossing_level == 2
         assert trace.delta == pytest.approx(0.08, rel=1e-12)
         assert trace.guaranteed_depth == 3
-        assert trace.crossed
+        assert trace.crossing_level is not None
 
     def test_steps_exceed_delta_while_below_threshold(self):
         rng = np.random.default_rng(11)
@@ -240,7 +240,7 @@ class TestCounterexample:
             bound = k / (eps * (1.0 - 2.0 * eps))
             pr = SchemeParams(k=k, epsilon=eps, C=bound * 0.99)
             trace = counterexample_trace(pr, max_depth=100_000)
-            assert trace.crossed
+            assert trace.crossing_level is not None
             assert trace.crossing_level <= trace.guaranteed_depth
             for prev, cur in zip(trace.errors, trace.errors[1:]):
                 if prev <= eps:
@@ -249,7 +249,7 @@ class TestCounterexample:
     def test_at_bound_no_crossing(self):
         bound = 2.0 / (0.2 * 0.6)
         trace = counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=bound), max_depth=5_000)
-        assert not trace.crossed
+        assert trace.crossing_level is None
         assert trace.delta is None and trace.guaranteed_depth is None
 
     def test_divergence_flagged(self):

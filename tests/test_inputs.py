@@ -27,6 +27,7 @@ from supervise import (
     QuantWorkerType,
     Root,
     SAInstance,
+    SASolution,
     SchemeParams,
     SimConfig,
     SimReport,
@@ -157,6 +158,12 @@ BAD_INPUTS = {
     "expected_penalty_quant bias a string": lambda: expected_penalty_quant(1.0, "x", 1.0, 0.0, c=1.0),
     "expected_penalty_quant bias NaN": lambda: expected_penalty_quant(1.0, NAN, 1.0, 0.0, c=1.0),
     "expected_penalty_quant superior bias inf": lambda: expected_penalty_quant(1.0, 0.0, 1.0, float("inf"), c=1.0),
+    "expected_penalty_quant of a square beyond the float range": lambda: expected_penalty_quant(
+        1e200, 0.0, 0.0, 0.0, 1.0
+    ),
+    "expected_penalty_quant of a sum beyond the float range": lambda: expected_penalty_quant(
+        1e154, 0.0, 1e154, 0.0, 1.0
+    ),
     "expected_penalty_pair error a string": lambda: expected_penalty_pair("a", 0.1, 1.0, 0.0),
     "expected_penalty_pair error NaN": lambda: expected_penalty_pair(NAN, 0.1, 1.0, 0.0),
     "expected_penalty_pair superior error 1.5": lambda: expected_penalty_pair(0.1, 1.5, 1.0, 0.0),
@@ -221,6 +228,8 @@ BAD_INPUTS = {
     "hierarchy seed negative": lambda: build_supervision_hierarchy(_PEG.graph, k=2, seed=-1),
     "greedy cover seed negative": lambda: sa_greedy(SAInstance(_PEG.graph, 3), seed=-1),
     "edge-deletion cover seed negative": lambda: sa_greedy_edge_deletion(SAInstance(_PEG.graph, 3), seed=-1),
+    "cover solution tasks a string": lambda: SASolution(tasks="xy", cover_witness=()),
+    "cover solution witness an integer": lambda: SASolution(tasks=(), cover_witness=5),
     "graph with integer worker ids": lambda: AssignmentGraph(
         workers=(1, 2), tasks=("t0",), edges=((1, "t0"), (2, "t0"))
     ),
@@ -330,6 +339,9 @@ BAD_INPUTS = {
     "simulation config with a model name": lambda: SimConfig(10, 0, "uniform-wrong", _TREE, {}),
     "simulation over an assignment graph": lambda: simulate(SimConfig(10, 0, UniformWrong(), _PEG.graph, {})),
     "simulate_quant with a uniform-wrong model": lambda: simulate_quant(SimConfig(10, 0, UniformWrong(), _TREE, {})),
+    "simulation whose sampled mean exceeds the float range": lambda: simulate(
+        SimConfig(100, 0, UniformWrong(m=2, C=1e308), build_supervision_tree(1, 2, 0), {"w0": 0.3})
+    ),
     "sweep grid point a string": lambda: sweep_quant(IP, 4, 1.0, ["x", 2.0], 10, 0),
     "sweep grid point beyond the float range": lambda: sweep_quant(IP, 4, 1.0, [10**400, 2.0], 10, 0),
     "tree JSON worker w9 without children": lambda: SupervisionTree.from_json_dict(
@@ -350,6 +362,11 @@ BAD_INPUTS = {
 
 # The message a case must raise, where another refusal could come first.
 BAD_INPUT_MESSAGES = {
+    "expected_penalty_quant of a square beyond the float range": "the expected quadratic penalty is not a finite float",
+    "expected_penalty_quant of a sum beyond the float range": "the expected quadratic penalty is not a finite float",
+    "cover solution tasks a string": "'tasks' must be an array of string ids",
+    "cover solution witness an integer": "'cover_witness' must be an array of arrays of 2 string ids",
+    "simulation whose sampled mean exceeds the float range": "worker 'w0' under 'supervisor' has a mean or stderr",
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
     "hierarchy constructed with a coverage row twice": "names a worker twice",
     "counterexample C too small for a finite delta": "C 5e-324",

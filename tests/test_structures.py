@@ -113,11 +113,20 @@ class TestTreeConstruction:
         }
 
     def test_custom_ids_and_clashes(self):
-        tree = build_supervision_tree_over(["a", "b", "w0"], 2, seed=0)
-        tree.validate()
-        # the task named like a default worker must not collide with one
-        workers = {n for lv in tree.levels[:-1] for n in lv}
-        assert "w0" not in workers
+        for tasks, prefix, worker_levels in [
+            (["a", "b", "w0"], "w", [["w1", "w2"]]),
+            # fresh names count up from 0 and skip the ones tasks hold, so the skipped numbers are never used
+            (["a", "b", "w0", "w1", "w3"], "w", [["w6", "w7"], ["w2", "w4", "w5"]]),
+            # a prefix holding a format field and a percent sign is pasted as given
+            (["a", "b", "h{0}%0", "h{0}%1", "h{0}%3"], "h{0}%",
+             [["h{0}%6", "h{0}%7"], ["h{0}%2", "h{0}%4", "h{0}%5"]]),
+        ]:
+            tree = build_supervision_tree_over(tasks, 2, seed=0, worker_prefix=prefix)
+            tree.validate()
+            # a task named like a default worker must not collide with one
+            workers = {n for lv in tree.levels[:-1] for n in lv}
+            assert not workers & set(tasks)
+            assert [list(lv) for lv in tree.levels[1:-1]] == worker_levels
 
     def test_rejects_bad_input(self):
         with pytest.raises(SizingError):
