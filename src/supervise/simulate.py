@@ -21,21 +21,28 @@ explicitly and add it analytically, in one loop over the strategy grid.
 Determinism and memory: one seeded generator draws the tasks one at a time,
 in sorted id order: a task's truth, then one answer per performer of the task
 in sorted worker order.  That task's pairs are then scored and its arrays
-freed, so peak memory is one task's arrays, about (performers + 1) times the
-episode count, whatever the size of the structure.  Structures store their
-rows sorted, so equal structures give equal reports however their JSON rows
-were ordered; with numpy's fixed-order reductions, identical configs produce
-identical reports.
+freed, so peak memory is one task's arrays, about (performers + 3) times the
+episode count, whatever the size of the structure.  The episode-length work
+arrays are made once per run and reused for every task: one float and one bool
+scratch array, one penalty array, and one Gaussian answer array per performer
+position; a binary answer is its offset draw, rewritten in place.  Structures
+store their rows sorted, so equal structures give equal reports however their
+JSON rows were ordered; with numpy's fixed-order reductions, identical configs
+produce identical reports.
 
-numpy is imported where a generator is made, in :func:`simulate` and the
-sweeps, so importing the package, and every subcommand but ``simulate``, runs
-without it.
+The binary sweeps sort their uniforms once: a grid point's loss is a count of
+the uniforms below it, read with one binary search.
+
+numpy is imported inside the functions that use it, when they run, so
+importing the package, and every subcommand but ``simulate``, runs without it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
@@ -96,11 +103,17 @@ class UniformWrong:
     def truth(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(0, self.m, size=n)
 
-    def answer(self, rng: np.random.Generator, truth: np.ndarray, e: float) -> np.ndarray:
-        return _sample_binary_answers(rng, truth, e, self.m)
+    def answer(self, rng: np.random.Generator, truth: np.ndarray, e: float, work: _Work, slot: int) -> np.ndarray:
+        return _sample_binary_answers(rng, truth, e, self.m, work)
 
-    def penalty(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.C * (a != b)
+    def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
+        """``C * (a != b)``, written into ``work.penalty``."""
+        import numpy as np
+
+        x = work.penalty
+        x[...] = np.not_equal(a, b, out=work.flags)  # a copy widens the flags: a cast inside a multiply takes a buffer
+        x *= self.C
+        return x
 
     def expected(self, e_worker: float, e_superior: float) -> float:
         return expected_penalty_pair(e_worker, e_superior, self.C, self.both_wrong_penalty)
@@ -134,12 +147,25 @@ class Gaussian:
     def truth(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal(n)
 
-    def answer(self, rng: np.random.Generator, truth: np.ndarray, s: tuple[float, float]) -> np.ndarray:
-        sigma, bias = s
-        return truth + bias + sigma * rng.standard_normal(truth.shape[0])
+    def answer(
+        self, rng: np.random.Generator, truth: np.ndarray, s: tuple[float, float], work: _Work, slot: int
+    ) -> np.ndarray:
+        """``(truth + bias) + sigma * z``, written into the pooled answer array of the performer's slot."""
+        import numpy as np
 
-    def penalty(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.c * (a - b) ** 2
+        sigma, bias = s
+        a = rng.standard_normal(out=work.answers[slot])
+        a *= sigma
+        a += np.add(truth, bias, out=work.floats)
+        return a
+
+    def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
+        """``c * (a - b) ** 2``, written into ``work.penalty``."""
+        import numpy as np
+
+        x = np.square(np.subtract(a, b, out=work.penalty), out=work.penalty)
+        x *= self.c
+        return x
 
     def expected(self, s_worker: tuple[float, float], s_superior: tuple[float, float]) -> float:
         return expected_penalty_quant(*s_worker, *s_superior, self.c)
@@ -220,23 +246,49 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
     return tree.supervisor, pairs + extra
 
 
-def _offset_answers(truth: np.ndarray, wrong: np.ndarray, offset: np.ndarray, m: int) -> np.ndarray:
-    """The truth where ``wrong`` is false, else the truth shifted by ``offset`` (in 1..m-1) mod m."""
-    return (truth + offset * wrong) % m
+class _Work:
+    """The episode-length arrays one run makes once and reuses: a float and a bool scratch array, the penalty
+    array, and the Gaussian answer array of each performer slot, made when a slot is first used."""
+
+    def __init__(self, n: int) -> None:
+        import numpy as np
+
+        self.floats, self.flags, self.penalty = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+        self.answers = defaultdict(partial(np.empty, n))
 
 
-def _sample_binary_answers(
-    rng: np.random.Generator, truth: np.ndarray, e: float, m: int
-) -> np.ndarray:
-    """Answers that equal the truth w.p. 1-e, else land uniformly off it."""
-    n = truth.shape[0]
-    wrong = rng.random(n) < e  # thresholded at once, so the float uniforms are freed before the next draw
-    return _offset_answers(truth, wrong, rng.integers(1, m, size=n), m)
+def _offset_answers(truth: np.ndarray, offset: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
+    """``(truth + offset) mod m`` for offsets in 0..m-1, written over ``offset``; ``scratch`` is any 8-byte array of
+    its length.  The sum is below 2 m <= 2**63, so the modulo is one conditional subtract of m: as unsigned
+    integers, sum - m wraps above the sum exactly where the sum is below m, and the smaller one is the answer."""
+    import numpy as np
+
+    offset += truth
+    total, less_m = offset.view(np.uint64), scratch.view(np.uint64)
+    np.minimum(total, np.subtract(total, m, out=less_m), out=total)
+    return offset
+
+
+def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float, m: int, work: _Work) -> np.ndarray:
+    """Answers that equal the truth w.p. 1-e, else land uniformly off it: the offset draw, zeroed where the answer
+    is right, becomes the answer in place."""
+    import numpy as np
+
+    wrong = np.less(rng.random(out=work.floats), e, out=work.flags)
+    offset = rng.integers(1, m, size=truth.shape[0])
+    wrong_ints = work.floats.view(np.int64)
+    wrong_ints[...] = wrong  # a copy widens the flags: a cast inside a multiply takes a buffer
+    offset *= wrong_ints
+    return _offset_answers(truth, offset, m, work.floats)
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps, taken once; ``x`` is overwritten."""
     n = x.shape[0]
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
+    mean = x.sum() / n
+    x -= mean
+    x *= x
+    return float(mean), math.sqrt(x.sum() / (n - 1)) / math.sqrt(n)
 
 
 def _z(emp: float, analytic: float, stderr: float) -> float:
@@ -265,6 +317,7 @@ def simulate(config: SimConfig) -> SimReport:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
+    work = _Work(config.episodes)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a pair's mean or stderr, refused below
         for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
@@ -272,9 +325,9 @@ def simulate(config: SimConfig) -> SimReport:
             truth = model.truth(rng, config.episodes)
             # one answer per performer of the task: the same draw serves every pair that reads it
             performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
-            answer = {w: model.answer(rng, truth, strategy[w]) for w in performers}
+            answer = {w: model.answer(rng, truth, strategy[w], work, i) for i, w in enumerate(performers)}
             for p, w, _, level in task_pairs:
-                emp, se = _mean_stderr(model.penalty(answer[w], answer[p]))
+                emp, se = _mean_stderr(model.penalty(answer[w], answer[p], work))
                 if not (math.isfinite(emp) and math.isfinite(se)):
                     raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
                                          f"beyond the float range")
@@ -351,9 +404,28 @@ def _sweep(
     _require_grid(vals)
     import numpy as np
 
-    penalty = draw(np.random.default_rng(require_int(seed, "seed", 0)), require_int(episodes, "episodes", 1))
-    # the effort term first: a point outside f's domain raises a domain error, not the penalty's
-    return SweepResult(values=vals, mean_losses=tuple(k * effort_eval(f, v) + float(penalty(v)) for v in vals))
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a mean penalty, refused below
+        penalty = draw(np.random.default_rng(require_int(seed, "seed", 0)), require_int(episodes, "episodes", 1))
+        for v in vals:
+            effort = k * effort_eval(f, v)  # first: a point outside f's domain raises a domain error, not the penalty's
+            mean = float(penalty(v))
+            if not math.isfinite(mean):
+                raise SuperviseError(f"the sampled penalty at grid point {v!r} has a mean beyond the float range")
+            losses.append(effort + mean)
+    return SweepResult(values=vals, mean_losses=tuple(losses))
+
+
+def _count_below(u: np.ndarray, weight: np.ndarray) -> Callable[[float], int]:
+    """``e -> sum(weight[u < e])``: ``u`` is sorted once and its weights summed in that order, so a query is one
+    binary search, and O(n log n + G log n) answers G queries."""
+    import numpy as np
+
+    order = u.argsort()
+    prefix = np.zeros(u.shape[0] + 1, dtype=np.int64)
+    np.cumsum(weight[order], dtype=np.int64, out=prefix[1:])
+    u = u[order]
+    return lambda e: int(prefix[u.searchsorted(e)])
 
 
 def sweep_flat(
@@ -363,15 +435,15 @@ def sweep_flat(
 
     Common random numbers across grid points: the same uniforms are
     thresholded at each e, so the argmin is far less noisy than independent
-    runs of the same length.
+    runs of the same length.  The loss at e is C #{checked and u < e} / n.
     """
     p = require_prob(p, "verification probability")
     C = params.require_C()
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         checked = rng.random(n) < p
-        u_wrong = rng.random(n)
-        return lambda e: C * (checked & (u_wrong < e)).mean()
+        count = _count_below(rng.random(n), checked)
+        return lambda e: C * (count(e) / n)
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
@@ -379,16 +451,26 @@ def sweep_flat(
 def sweep_pair(
     f: EffortFunction, params: SchemeParams, e_w: float, grid: Sequence[float], episodes: int, seed: int
 ) -> SweepResult:
-    """Empirical pair loss against a superior playing error e_w."""
+    """Empirical pair loss against a superior playing error e_w.
+
+    With d_r an episode's disagreement when the worker answers right and d_w when it answers wrong, the loss at e
+    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.
+    """
     e_w = require_prob(e_w, "superior error")
     C, m = params.require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
+        import numpy as np
+
+        work = _Work(n)
         truth = rng.integers(0, m, size=n)
-        a_sup = _sample_binary_answers(rng, truth, e_w, m)
+        a_sup = _sample_binary_answers(rng, truth, e_w, m, work)
         u_wrong = rng.random(n)
-        offset = rng.integers(1, m, size=n)
-        return lambda e: C * (_offset_answers(truth, u_wrong < e, offset, m) != a_sup).mean()
+        wrong = _offset_answers(truth, rng.integers(1, m, size=n), m, work.floats)
+        d_r = np.not_equal(truth, a_sup, out=work.flags)
+        base = int(np.count_nonzero(d_r))
+        count = _count_below(u_wrong, np.not_equal(wrong, a_sup).view(np.int8) - d_r.view(np.int8))
+        return lambda e: C * ((base + count(e)) / n)
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
@@ -410,9 +492,16 @@ def sweep_quant(
     require_real(bias_w, "bias_w")
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
+        import numpy as np
+
         z_u = rng.standard_normal(n)
-        z_w = rng.standard_normal(n)
-        diff_base = bias_w + sigma_w * z_w  # truth cancels in x - y
-        return lambda v: c * ((math.sqrt(v) * z_u - diff_base) ** 2).mean()
+        diff_base = bias_w + sigma_w * rng.standard_normal(n)  # truth cancels in x - y
+        x = np.empty(n)
+
+        def penalty(v: float) -> float:
+            np.square(np.subtract(np.multiply(z_u, math.sqrt(v), out=x), diff_base, out=x), out=x)
+            return c * x.mean()
+
+        return penalty
 
     return _sweep(f, k, grid, episodes, seed, draw)

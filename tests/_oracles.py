@@ -9,8 +9,10 @@ the equilibrium cascades as they were before they stopped at a repeat,
 with result types of their own that store every level, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
 cached tail, the divergence trace and its writer as they were before
-the trace stopped at its first repeated error, and the Monte Carlo engine as
-it was before it drew one task at a time.
+the trace stopped at its first repeated error, the Monte Carlo engine as
+it was before it drew one task at a time, and as it was before it reused its
+arrays, with the answer models' array formulas and the sweeps' draws of
+that time.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -24,6 +26,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,13 +48,18 @@ from supervise import (
     SuperviseError,
     SupervisionHierarchy,
     SupervisionTree,
+    UniformWrong,
     WorkerStats,
     WorkerType,
     best_response_under_superior,
     effort_deriv,
+    effort_eval,
+    expected_penalty_pair,
+    expected_penalty_quant,
     proficiency_sigma,
 )
 from supervise.allocation import _check_cover
+from supervise.effort import implied_D
 from supervise.errors import require_int
 from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
 from supervise.simulate import Structure, _z
@@ -480,9 +488,70 @@ def trace_to_csv(trace: CounterexampleTrace) -> str:
     )
 
 
-# The Monte Carlo engine as it was before it drew one task at a time, frozen verbatim: it held every task's truth
-# and every (worker, task) answer for all episodes at once.  Its draw order differs, so the two engines agree in
-# their analytic columns exactly and in their empirical ones within sampling error.
+# The answer models' array formulas as they were before the engine reused its arrays, frozen verbatim, as
+# functions of the model's fields: the two engines below call these, never the library models' methods.  The
+# strategies are taken as the library's checks return them, floats.
+
+
+def model_strategy(model, s):
+    if isinstance(model, UniformWrong):
+        return float(s)
+    sigma, bias = s
+    return (float(sigma), float(bias))
+
+
+def model_truth(model, rng: np.random.Generator, n: int) -> np.ndarray:
+    if isinstance(model, UniformWrong):
+        return rng.integers(0, model.m, size=n)
+    return rng.standard_normal(n)
+
+
+def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float, m: int) -> np.ndarray:
+    """Answers that equal the truth w.p. 1-e, else land uniformly off it."""
+    n = truth.shape[0]
+    wrong = rng.random(n) < e  # thresholded at once, so the float uniforms are freed before the next draw
+    return _offset_answers(truth, wrong, rng.integers(1, m, size=n), m)
+
+
+def model_answer(model, rng: np.random.Generator, truth: np.ndarray, s) -> np.ndarray:
+    if isinstance(model, UniformWrong):
+        return _sample_binary_answers(rng, truth, s, model.m)
+    sigma, bias = s
+    return truth + bias + sigma * rng.standard_normal(truth.shape[0])
+
+
+def model_penalty(model, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if isinstance(model, UniformWrong):
+        return model.C * (a != b)
+    return model.c * (a - b) ** 2
+
+
+def model_expected(model, s_worker, s_superior) -> float:
+    if isinstance(model, UniformWrong):
+        return expected_penalty_pair(s_worker, s_superior, model.C, implied_D(model.C, model.m))
+    return expected_penalty_quant(*s_worker, *s_superior, model.c)
+
+
+def _strategies(config: SimConfig, supervisor: str, pairs) -> dict:
+    """Each worker's strategy, a left-out supervisor playing the model's exact one, as both engines below look
+    them up."""
+    model = config.answer_model
+    strategy = {}
+    for w in sorted({w for p, c, _, _ in pairs for w in (p, c)}):
+        if w in config.strategies:
+            s = config.strategies[w]
+        elif w == supervisor:
+            s = model.exact
+        else:
+            raise SuperviseError(f"strategies must cover worker {w!r}")
+        strategy[w] = model_strategy(model, s)
+    return strategy
+
+
+# The Monte Carlo engine as it was before it drew one task at a time, frozen verbatim but calling the model
+# formulas and the strategy lookup above: it held every task's truth and every (worker, task) answer for all
+# episodes at once.  Its draw order differs, so the two engines agree in their analytic columns exactly and in
+# their empirical ones within sampling error.
 
 
 def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, str, int]]]:
@@ -509,30 +578,96 @@ def simulate(config: SimConfig) -> SimReport:
     """
     model = config.answer_model
     supervisor, pairs = _supervision_pairs(config.structure)
-    strategy = {}
-    for w in sorted({w for p, c, _, _ in pairs for w in (p, c)}):
-        if w in config.strategies:
-            s = config.strategies[w]
-        elif w == supervisor:
-            s = model.exact
-        else:
-            raise SuperviseError(f"strategies must cover worker {w!r}")
-        strategy[w] = model.strategy(w, s)
-
-    import numpy as np
+    strategy = _strategies(config, supervisor, pairs)
 
     rng = np.random.default_rng(config.seed)
-    truth = {t: model.truth(rng, config.episodes) for t in sorted({t for _, _, t, _ in pairs})}
+    truth = {t: model_truth(model, rng, config.episodes) for t in sorted({t for _, _, t, _ in pairs})}
     combos = sorted({(w, t) for p, c, t, _ in pairs for w in (p, c)})
     # one answer per (worker, task): the same draw serves every pair that reads it
-    answers = {(w, t): model.answer(rng, truth[t], strategy[w]) for w, t in combos}
+    answers = {(w, t): model_answer(model, rng, truth[t], strategy[w]) for w, t in combos}
 
     rows = []
     for p, w, t, level in pairs:
         # bound, so it is freed after the next pair's array exists: ~8 % faster on wide trees
-        pen = model.penalty(answers[(w, t)], answers[(p, t)])
+        pen = model_penalty(model, answers[(w, t)], answers[(p, t)])
         emp, se = _mean_stderr(pen)
-        analytic = model.expected(strategy[w], strategy[p])
+        analytic = model_expected(model, strategy[w], strategy[p])
         rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
+
+
+# The Monte Carlo engine as it was when it drew one task at a time and before it reused its arrays, frozen verbatim
+# but calling the model formulas, the strategy lookup and the summary helper above, whose bits its array-method
+# summary had: each task's truth, answers and penalties were fresh arrays, and each pair's mean and stderr two
+# numpy reductions.  Its draws are the engine's, so every row must match to the bit.
+
+
+def simulate_task_by_task(config: SimConfig) -> SimReport:
+    model = config.answer_model
+    supervisor, pairs = _supervision_pairs(config.structure)
+    strategy = _strategies(config, supervisor, pairs)
+
+    rng = np.random.default_rng(config.seed)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a pair's mean or stderr, refused below
+        for _, task_pairs in itertools.groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
+            task_pairs = list(task_pairs)
+            truth = model_truth(model, rng, config.episodes)
+            # one answer per performer of the task: the same draw serves every pair that reads it
+            performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
+            answer = {w: model_answer(model, rng, truth, strategy[w]) for w in performers}
+            for p, w, _, level in task_pairs:
+                emp, se = _mean_stderr(model_penalty(model, answer[w], answer[p]))
+                if not (math.isfinite(emp) and math.isfinite(se)):
+                    raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
+                                         f"beyond the float range")
+                analytic = model_expected(model, strategy[w], strategy[p])
+                rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+            del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
+    rows.sort(key=lambda r: (r.level, r.worker))
+    return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
+
+
+# The three sweeps' draws and their grid loop as they were before the binary sweeps answered from one sorted pass
+# and the quadratic one reused its array, frozen verbatim: each grid point recomputed its loss over every episode.
+# They return the mean losses, which must match the library's to the bit.
+
+
+def _sweep_losses(f, k, grid, episodes, seed, draw) -> tuple[float, ...]:
+    penalty = draw(np.random.default_rng(seed), episodes)
+    return tuple(k * effort_eval(f, v) + float(penalty(v)) for v in map(float, grid))
+
+
+def sweep_flat_losses(f, params: SchemeParams, p, grid, episodes, seed) -> tuple[float, ...]:
+    C = params.C
+
+    def draw(rng, n):
+        checked = rng.random(n) < p
+        u_wrong = rng.random(n)
+        return lambda e: C * (checked & (u_wrong < e)).mean()
+
+    return _sweep_losses(f, params.k, grid, episodes, seed, draw)
+
+
+def sweep_pair_losses(f, params: SchemeParams, e_w, grid, episodes, seed) -> tuple[float, ...]:
+    C, m = params.C, params.m
+
+    def draw(rng, n):
+        truth = rng.integers(0, m, size=n)
+        a_sup = _sample_binary_answers(rng, truth, e_w, m)
+        u_wrong = rng.random(n)
+        offset = rng.integers(1, m, size=n)
+        return lambda e: C * (_offset_answers(truth, u_wrong < e, offset, m) != a_sup).mean()
+
+    return _sweep_losses(f, params.k, grid, episodes, seed, draw)
+
+
+def sweep_quant_losses(f, k, c, grid, episodes, seed, sigma_w=1.0, bias_w=0.0) -> tuple[float, ...]:
+    def draw(rng, n):
+        z_u = rng.standard_normal(n)
+        z_w = rng.standard_normal(n)
+        diff_base = bias_w + sigma_w * z_w  # truth cancels in x - y
+        return lambda v: c * ((math.sqrt(v) * z_u - diff_base) ** 2).mean()
+
+    return _sweep_losses(f, k, grid, episodes, seed, draw)

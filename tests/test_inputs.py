@@ -342,6 +342,8 @@ BAD_INPUTS = {
     "simulation whose sampled mean exceeds the float range": lambda: simulate(
         SimConfig(100, 0, UniformWrong(m=2, C=1e308), build_supervision_tree(1, 2, 0), {"w0": 0.3})
     ),
+    "sweep whose sampled mean exceeds the float range": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 100, 0,
+                                                                            sigma_w=1e200),
     "sweep grid point a string": lambda: sweep_quant(IP, 4, 1.0, ["x", 2.0], 10, 0),
     "sweep grid point beyond the float range": lambda: sweep_quant(IP, 4, 1.0, [10**400, 2.0], 10, 0),
     "tree JSON worker w9 without children": lambda: SupervisionTree.from_json_dict(
@@ -367,6 +369,7 @@ BAD_INPUT_MESSAGES = {
     "cover solution tasks a string": "'tasks' must be an array of string ids",
     "cover solution witness an integer": "'cover_witness' must be an array of arrays of 2 string ids",
     "simulation whose sampled mean exceeds the float range": "worker 'w0' under 'supervisor' has a mean or stderr",
+    "sweep whose sampled mean exceeds the float range": "grid point 1.0 has a mean beyond the float range",
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
     "hierarchy constructed with a coverage row twice": "names a worker twice",
     "counterexample C too small for a finite delta": "C 5e-324",

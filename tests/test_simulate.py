@@ -31,7 +31,7 @@ from supervise import (
     sweep_pair,
     sweep_quant,
 )
-from supervise.simulate import _mean_stderr, _offset_answers, _sample_binary_answers
+from supervise.simulate import _mean_stderr, _offset_answers, _sample_binary_answers, _Work
 
 import _oracles
 
@@ -115,8 +115,9 @@ class TestBinary:
         rng = np.random.default_rng(17)
         n = 200_000
         truth = rng.integers(0, 2, size=n)
-        a = _sample_binary_answers(rng, truth, 0.3, 2) == truth
-        b = _sample_binary_answers(rng, truth, 0.4, 2) == truth
+        work = _Work(n)
+        a = _sample_binary_answers(rng, truth, 0.3, 2, work) == truth
+        b = _sample_binary_answers(rng, truth, 0.4, 2, work) == truth
         corr = float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
         assert abs(float(np.mean(a)) - 0.7) <= 4.0 * math.sqrt(0.7 * 0.3 / n)
@@ -181,6 +182,23 @@ def test_memory_holds_one_task_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * config.episodes * 8, peak / (config.episodes * 8)
+
+
+@pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
+def test_memory_stays_within_eight_episode_arrays(model):
+    """The reused arrays add about three to the deepest task's truth and four answers: about 7.1 arrays."""
+    tree = build_supervision_tree(81, 3, seed=1)
+    s = 0.1 if isinstance(model, UniformWrong) else (0.5, 0.1)
+    strategies = {n: s for lv in tree.levels[:-1] for n in lv}
+    config = SimConfig(20_000, 0, model, tree, strategies)
+    simulate(SimConfig(2, 0, model, tree, strategies))  # numpy's first draws import modules
+    tracemalloc.start()
+    try:
+        simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config.episodes * 8, peak / (config.episodes * 8)
 
 
 class TestQuant:
@@ -315,7 +333,7 @@ def _same_bits(a: float, b: float) -> bool:
 
 @settings(max_examples=300, derandomize=True)
 @given(
-    m=st.integers(2, 6),
+    m=st.one_of(st.integers(2, 6), st.just(2**62)),
     n=st.integers(1, 500),
     mask=st.sampled_from(["all wrong", "none wrong", "random"]),
     seed=st.integers(0, 2**32 - 1),
@@ -328,12 +346,110 @@ def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
         wrong = rng.random(n) < rng.random()
     else:
         wrong = np.full(n, mask == "all wrong")
-    answers = _offset_answers(truth, wrong, offset, m)
+    # the in-place helper takes offsets zeroed where the answer is right, and overwrites them
+    answers = _offset_answers(truth, offset * wrong, m, np.empty(n))
     want = _oracles._offset_answers(truth, wrong, offset, m)
     assert answers.dtype == want.dtype and np.array_equal(answers, want)
-    # the two penalty kinds simulate summarises: scaled disagreements and squared differences
+    # the two penalty kinds simulate summarises: scaled disagreements and squared differences; the helper
+    # overwrites its argument, so it gets a copy
     for penalty in (1.5 * (answers != truth), (answers - truth + rng.standard_normal(n)) ** 2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got, ref = _mean_stderr(penalty), _oracles._mean_stderr(penalty)
+            got, ref = _mean_stderr(penalty.copy()), _oracles._mean_stderr(penalty)
         assert all(map(_same_bits, got, ref)), (got, ref)
+
+
+def _same_row(a, b) -> bool:
+    return a[:2] == b[:2] and all(map(_same_bits, a[2:], b[2:]))
+
+
+_STRUCTURES = st.one_of(
+    st.builds(build_supervision_tree, st.integers(1, 30), st.integers(2, 4), st.integers(0, 2**16)),
+    st.builds(
+        lambda n, seed: build_supervision_hierarchy(build_peg_assignment(n, n, 3, seed=seed).graph, k=2, seed=seed),
+        st.integers(3, 12), st.integers(0, 2**16),
+    ),
+)
+_MODELS = st.one_of(
+    st.builds(UniformWrong, st.one_of(st.integers(2, 6), st.just(2**62)), st.floats(0.1, 100.0)),
+    st.builds(Gaussian, st.floats(0.1, 100.0)),
+)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    structure=_STRUCTURES,
+    model=_MODELS,
+    episodes=st.one_of(st.just(2), st.integers(3, 300)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reused_arrays_give_the_frozen_engines_rows_to_the_bit(structure, model, episodes, seed, data):
+    _, pairs = _oracles._supervision_pairs(structure)
+    workers = sorted({w for p, c, _, _ in pairs for w in (p, c)})
+    if isinstance(model, UniformWrong):
+        one = st.floats(0.0, 1.0)
+    else:
+        one = st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
+    strategies = {w: data.draw(one) for w in workers}
+    config = SimConfig(episodes, seed, model, structure, strategies)
+    new, old = simulate(config).rows, _oracles.simulate_task_by_task(config).rows
+    assert len(new) == len(old) and all(map(_same_row, new, old)), (new, old)
+
+
+def _uniforms(kind: str, m: int, n: int, seed: int) -> np.ndarray:
+    """The worker's uniforms a binary sweep draws, replayed from its draw order."""
+    rng = np.random.default_rng(seed)
+    if kind == "pair":
+        rng.integers(0, m, size=n)  # the truth, then the superior's uniforms and offsets
+        rng.random(n)
+        rng.integers(1, m, size=n)
+    else:
+        rng.random(n)  # whether each episode is checked
+    return rng.random(n)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    kind=st.sampled_from(["flat", "pair"]),
+    m=st.one_of(st.integers(2, 6), st.just(2**62)),
+    above_one=st.booleans(),
+    episodes=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sorted_binary_sweeps_give_the_frozen_losses_to_the_bit(kind, m, above_one, episodes, seed, data):
+    # points above 1 need an effort curve defined there; a tie is a point equal to a drawn uniform
+    f, hi = (IP(0.5), 3.0) if above_one else (SL(1.0), 1.0)
+    points = data.draw(st.lists(st.floats(1e-9, hi), min_size=1, max_size=10))
+    u = _uniforms(kind, m, episodes, seed)
+    ties = data.draw(st.lists(st.integers(0, episodes - 1), max_size=3))
+    grid = points + [float(u[j]) for j in ties]
+    grid += data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))  # duplicate points
+    grid = data.draw(st.permutations(grid))
+    C = data.draw(st.floats(0.1, 100.0))
+    if kind == "flat":
+        params, p = SchemeParams(k=2, epsilon=0.25, C=C), data.draw(st.floats(0.0, 1.0))
+        got = sweep_flat(f, params, p, grid, episodes, seed).mean_losses
+        want = _oracles.sweep_flat_losses(f, params, p, grid, episodes, seed)
+    else:
+        params, e_w = SchemeParams(k=2, epsilon=0.25, C=C, m=m), data.draw(st.floats(0.0, 1.0))
+        got = sweep_pair(f, params, e_w, grid, episodes, seed).mean_losses
+        want = _oracles.sweep_pair_losses(f, params, e_w, grid, episodes, seed)
+    assert all(map(_same_bits, got, want)), (got, want)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    points=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=8),
+    episodes=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(0.1, 10.0),
+    sigma_w=st.floats(0.0, 5.0),
+    bias_w=st.floats(-2.0, 2.0),
+)
+def test_reused_quant_sweep_gives_the_frozen_losses_to_the_bit(points, episodes, seed, c, sigma_w, bias_w):
+    grid = points + points[:1]  # a duplicate point; points above 1 under inverse_power
+    got = sweep_quant(IP(1.0), 3, c, grid, episodes, seed, sigma_w, bias_w).mean_losses
+    want = _oracles.sweep_quant_losses(IP(1.0), 3, c, grid, episodes, seed, sigma_w, bias_w)
+    assert all(map(_same_bits, got, want)), (got, want)
