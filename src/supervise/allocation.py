@@ -89,7 +89,7 @@ def sa_exact(inst: SAInstance) -> SASolution:
     returned optimum is the lexicographically smallest one.  Instances over
     24 tasks raise InstanceTooLargeError, which callers read as "no optimum".
     """
-    tasks = inst.graph.tasks
+    tasks = require_instance(inst, SAInstance, "inst").graph.tasks
     if len(tasks) > _EXACT_TASK_CAP:
         raise InstanceTooLargeError(
             f"exact solver caps at {_EXACT_TASK_CAP} tasks, got {len(tasks)}; use sa_greedy"
@@ -184,7 +184,7 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
     O(E log u) for u workers and E edges: the rows are the workers in sorted
     order, and a pick deletes every worker that performs a task it takes.
     """
-    workers = inst.graph.workers
+    workers = require_instance(inst, SAInstance, "inst").graph.workers
     worker_tasks, task_workers = inst.graph.worker_tasks, inst.graph.task_workers
     index = {w: i for i, w in enumerate(workers)}
 
@@ -206,7 +206,7 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     O(E log E) for E edges: the rows are the edges in sorted order, and a pick
     deletes the edges at both of its endpoints, through their index lists.
     """
-    edges = inst.graph.edges
+    edges = require_instance(inst, SAInstance, "inst").graph.edges
     of_worker: dict[str, list[int]] = {}
     of_task: dict[str, list[int]] = {}
     for i, (w, t) in enumerate(edges):

@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, compress, count, cycle, filterfalse, groupby, islice, repeat
+from operator import add, eq, itemgetter, not_
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import SizingError, SuperviseError, require_instance, require_int
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 
+_PARENT, _CHILD, _PICK = itemgetter(0), itemgetter(1), itemgetter(2)  # the columns of edge and shared rows
+
+
 def _id_rows(items, key: str, width: int | None = None) -> tuple:
     """``items`` as a tuple of string ids, or with ``width`` as rows of that many ids (0: any number).
 
@@ -43,7 +47,8 @@ def _id_rows(items, key: str, width: int | None = None) -> tuple:
     ``key``.  Constructors apply this to their id fields, so ``from_json_dict`` hands JSON values straight over.
     """
     rows = items if width is not None and isinstance(items, (list, tuple)) else [items]
-    # map and chain keep the per-id checks in C: a 100k-task tree has 300k rows
+    # map and chain keep the per-id checks in C: a 100k-task tree at k = 3 has 150 005 edge and 50 005 shared rows,
+    # which hold 450 025 ids
     if not (
         all(map(isinstance, rows, repeat((list, tuple))))
         and (not width or set(map(len, rows)) <= {width})
@@ -130,7 +135,9 @@ class SupervisionTree:
     ``levels`` keep their order; ``edges`` and ``shared`` are stored sorted.
     ``shared`` holds one ``(parent, child, task)`` triple per worker->worker
     edge: the one task both perform, on which the parent judges the child.
-    What each worker performs, ``worker_tasks``, follows from these.
+    What each worker performs, ``worker_tasks``, follows from these.  Each map
+    comes from the sorted rows in one pass, and ``validate`` checks whole
+    columns at once, walking the rows one at a time only to name a fault.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -162,18 +169,17 @@ class SupervisionTree:
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for p, c in self.edges:
-            out.setdefault(p, []).append(c)
-        return {p: tuple(cs) for p, cs in out.items()}
+        return {p: tuple(map(_CHILD, rows)) for p, rows in groupby(self.edges, _PARENT)}
 
     @cached_property
     def parent(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for p, c in self.edges:
-            if c in out:
-                raise SuperviseError(f"node {c!r} has two parents")
-            out[c] = p
+        out = dict(zip(map(_CHILD, self.edges), map(_PARENT, self.edges)))
+        if len(out) != len(self.edges):
+            seen: set[str] = set()
+            for _, c in self.edges:
+                if c in seen:
+                    raise SuperviseError(f"node {c!r} has two parents")
+                seen.add(c)
         return out
 
     @cached_property
@@ -183,43 +189,61 @@ class SupervisionTree:
         return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
 
     def validate(self) -> None:
-        if len(self.levels) < 3:
+        levels, edges, shared = self.levels, self.edges, self.shared
+        if len(levels) < 3:
             raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
-        if len(self.levels[0]) != 1:
+        if len(levels[0]) != 1:
             raise SuperviseError("level 0 must hold exactly the supervisor")
-        node_level = {n: i for i, lv in enumerate(self.levels) for n in lv}
-        if len(node_level) != sum(map(len, self.levels)):
+        node_level = dict(zip(chain.from_iterable(levels), chain.from_iterable(map(repeat, count(), map(len, levels)))))
+        if len(node_level) != sum(map(len, levels)):
             seen: set[str] = set()
-            for n in chain.from_iterable(self.levels):
+            for n in chain.from_iterable(levels):
                 if n in seen:
                     raise SuperviseError(f"node {n!r} appears twice")
                 seen.add(n)
-        for p, c in self.edges:
-            if node_level.get(c) != node_level.get(p, -2) + 1:
-                raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
+        below_parent = map(add, map(node_level.get, map(_PARENT, edges), repeat(-2)), repeat(1))
+        if not all(map(eq, map(node_level.get, map(_CHILD, edges)), below_parent)):
+            for p, c in edges:
+                if node_level.get(c) != node_level.get(p, -2) + 1:
+                    raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
         # every edge joins adjacent levels, so counting the keys is enough; the loops only name the first culprit
-        parent, children = self.parent, self.children
+        parent, heads = self.parent, set(map(_PARENT, edges))
         if len(parent) != len(node_level) - 1:
-            n = next(n for lv in self.levels[1:] for n in lv if n not in parent)
+            n = next(n for lv in levels[1:] for n in lv if n not in parent)
             raise SuperviseError(f"node {n!r} has no parent")
-        if len(children) != len(node_level) - len(self.levels[-1]):
-            n = next(n for lv in self.levels[:-1] for n in lv if n not in children)
+        if len(heads) != len(node_level) - len(levels[-1]):
+            n = next(n for lv in levels[:-1] for n in lv if n not in heads)
             raise SuperviseError(f"node {n!r} has no children")
-        # each worker is judged by its parent on exactly one task, and nothing else is shared
-        leaf_level = len(self.levels) - 1
-        worker_edges = {(p, c) for p, c in self.edges if node_level[c] != leaf_level}
-        pairs = [(p, c) for p, c, _ in self.shared]
-        missing = worker_edges.difference(pairs)
-        if missing:
-            p, c = min(missing)
-            raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
-        if len(pairs) != len(worker_edges):
+        # each worker is judged by its parent on exactly one task, and nothing else is shared.  With one parent per
+        # node the worker->worker edges are the edges less one per task, so the triples must name that many
+        # distinct children, each a worker under its own parent
+        judged, picks = tuple(map(_CHILD, shared)), tuple(map(_PICK, shared))
+        if not (
+            len(shared) == len(edges) - len(levels[-1])
+            and len(set(judged)) == len(judged)
+            and heads.issuperset(judged)
+            and all(map(eq, map(parent.get, judged), map(_PARENT, shared)))
+        ):
+            leaf_level = len(levels) - 1
+            worker_edges = {(p, c) for p, c in edges if node_level[c] != leaf_level}
+            pairs = [(p, c) for p, c, _ in shared]
+            missing = worker_edges.difference(pairs)
+            if missing:
+                p, c = min(missing)
+                raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
             raise SuperviseError("shared holds a triple that is not the one task of a worker->worker edge")
-        # a pick is one of the child's tasks, which lie in its own subtree, so siblings' picks differ
-        worker_tasks = self.worker_tasks
-        for p, c, t in self.shared:
-            if t not in worker_tasks[c]:
-                raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
+        # the child performs its pick: a bottom child is the task's parent, a higher child judged one of its own
+        # children on it.  A pick lies in the child's own subtree, so siblings' picks differ
+        bottom = tuple(map(eq, map(node_level.__getitem__, judged), repeat(len(levels) - 2)))
+        judged_on = set(zip(map(_PARENT, shared), picks))
+        if not (
+            all(map(eq, map(parent.get, compress(picks, bottom)), compress(judged, bottom)))
+            and all(map(judged_on.__contains__, compress(zip(judged, picks), map(not_, bottom))))
+        ):
+            worker_tasks = self.worker_tasks
+            for p, c, t in shared:
+                if t not in worker_tasks[c]:
+                    raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,7 +260,7 @@ class SupervisionTree:
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
     """Build a tree over freshly named tasks ``t0..t{n-1}``."""
     require_int(n_tasks, "n_tasks", 1, SizingError)
-    return build_supervision_tree_over([f"t{i}" for i in range(n_tasks)], k, seed)
+    return build_supervision_tree_over(list(map("t".__add__, map(str, range(n_tasks)))), k, seed)
 
 
 def build_supervision_tree_over(
@@ -256,42 +280,37 @@ def build_supervision_tree_over(
     automatically distinct.
     """
     tasks = _id_rows(task_ids, "task ids")
-    if len(set(tasks)) != len(tasks) or not tasks:
+    forbidden = set(tasks)
+    if len(forbidden) != len(tasks) or not tasks:
         raise SuperviseError("task ids must be nonempty and unique")
     require_int(k, "branching factor k", 2, SizingError)
-    forbidden = set(tasks) | {supervisor_id}
+    forbidden.add(supervisor_id)
     rng = random.Random(require_int(seed, "seed", 0))
+    # a counter never repeats a name, so only the given ids need skipping
+    fresh = filterfalse(forbidden.__contains__, map(f"{worker_prefix}".__add__, map(str, count())))
 
-    levels_rev: list[tuple[str, ...]] = [tuple(tasks)]
+    levels = [tasks]
     edges: list[tuple[str, str]] = []
     shared: list[tuple[str, str, str]] = []
-    worker_tasks: dict[str, tuple[str, ...]] = {}
-    # a counter never repeats a name, so only the given ids need skipping
-    fresh = (name for name in (f"{worker_prefix}{i}" for i in count()) if name not in forbidden)
-
+    performs: tuple[tuple[str, ...], ...] = ()  # what each node of the current level performs
     current = tasks
     bottom, top = True, False
     while not top:
         top = not bottom and len(current) <= k  # at most k workers left: the supervisor's level
-        parents = [supervisor_id] if top else [next(fresh) for _ in range(-(-len(current) // k))]
-        for j, p in enumerate(parents):
-            chunk = current[j * k : (j + 1) * k]
-            for c in chunk:
-                edges.append((p, c))
-            if bottom:
-                worker_tasks[p] = tuple(chunk)
-            else:
-                picks = []
-                for c in chunk:
-                    t = rng.choice(worker_tasks[c])
-                    shared.append((p, c, t))
-                    picks.append(t)
-                worker_tasks[p] = tuple(picks)
-        levels_rev.append(tuple(parents))
+        parents = (supervisor_id,) if top else tuple(islice(fresh, -(-len(current) // k)))
+        # each parent takes the next chunk of at most k children, and performs the task it shares with each: a
+        # bottom child is that task, a higher child's is drawn from what it performs, in child order
+        picks = current if bottom else tuple(map(rng.choice, performs))
+        performs = tuple(map(picks.__getitem__, map(slice, range(0, len(picks), k), count(k, k))))
+        owner = tuple(chain.from_iterable(map(repeat, parents, map(len, performs))))
+        edges.extend(zip(owner, current))
+        if not bottom:
+            shared.extend(zip(owner, current, picks))
+        levels.append(parents)
         current = parents
         bottom = False
 
-    return SupervisionTree(levels=tuple(reversed(levels_rev)), edges=tuple(edges), shared=tuple(shared))
+    return SupervisionTree(levels=tuple(reversed(levels)), edges=edges, shared=shared)
 
 
 @dataclass(frozen=True)
@@ -470,6 +489,7 @@ def build_supervision_hierarchy(
     task by the bottom tree worker performing it, so graph workers form one
     extra layer under the tree.
     """
+    require_instance(graph, AssignmentGraph, "graph")
     require_int(k, "branching factor k", 2, SizingError)
     _refuse_idle_tasks(graph)  # before the cover solver, whose own limits would otherwise be reported first
     from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types

@@ -3,8 +3,10 @@
 Deliberately slow and dumb: bisection on the derivative, dense grid argmin on
 the loss itself, exhaustive search over covers, the quadratic originals of
 the peg builder and the edge-deletion cover, the disjoint-worker greedy as
-it was before graphs stored their rows sorted, the simulator's helpers as
-they were before they left numpy's module functions for array methods, and
+it was before graphs stored their rows sorted, the supervision tree's
+builder, maps and validation as they were before they worked in whole-level
+passes, the simulator's helpers as they were before they left numpy's module
+functions for array methods, and
 the equilibrium cascades as they were before they stopped at a repeat,
 with result types of their own that store every level, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
@@ -21,6 +23,7 @@ algorithm.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -63,6 +66,7 @@ from supervise.effort import implied_D
 from supervise.errors import require_int
 from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
 from supervise.simulate import Structure, _z
+from supervise.structures import _id_rows, _json_fields, _sorted_rows
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -229,6 +233,134 @@ def sa_greedy(inst: SAInstance, seed: int) -> SASolution:
         uncovered = {w for w in uncovered if not chosen.intersection(inst.graph.worker_tasks[w])}
     picked = tuple(sorted(chosen))
     return SASolution(tasks=picked, cover_witness=_check_cover(inst, picked))
+
+
+# The supervision tree as it was before it was built and validated in whole-level and whole-column passes, frozen
+# verbatim: the builder appended one row per child and kept every worker's tasks, the maps were rebuilt one row at a
+# time, and validation built ``worker_tasks``.  ``TreeByRows`` normalizes its fields as the library's tree does; the
+# library's tree must give the same rows, the same maps and the same first error message.
+
+
+@dataclass(frozen=True)
+class TreeByRows:
+    levels: tuple[tuple[str, ...], ...]
+    edges: tuple[tuple[str, str], ...]
+    shared: tuple[tuple[str, str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", _id_rows(self.levels, "levels", 0))
+        for key, width in (("edges", 2), ("shared", 3)):
+            object.__setattr__(self, key, _sorted_rows(getattr(self, key), key, width))
+        self.validate()
+
+    @functools.cached_property
+    def children(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {}
+        for p, c in self.edges:
+            out.setdefault(p, []).append(c)
+        return {p: tuple(cs) for p, cs in out.items()}
+
+    @functools.cached_property
+    def parent(self) -> dict[str, str]:
+        out: dict[str, str] = {}
+        for p, c in self.edges:
+            if c in out:
+                raise SuperviseError(f"node {c!r} has two parents")
+            out[c] = p
+        return out
+
+    @functools.cached_property
+    def worker_tasks(self) -> dict[str, tuple[str, ...]]:
+        bottom, shared = set(self.levels[-2]), {(p, c): t for p, c, t in self.shared}
+        return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
+
+    def validate(self) -> None:
+        if len(self.levels) < 3:
+            raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
+        if len(self.levels[0]) != 1:
+            raise SuperviseError("level 0 must hold exactly the supervisor")
+        node_level = {n: i for i, lv in enumerate(self.levels) for n in lv}
+        if len(node_level) != sum(map(len, self.levels)):
+            seen: set[str] = set()
+            for n in itertools.chain.from_iterable(self.levels):
+                if n in seen:
+                    raise SuperviseError(f"node {n!r} appears twice")
+                seen.add(n)
+        for p, c in self.edges:
+            if node_level.get(c) != node_level.get(p, -2) + 1:
+                raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
+        parent, children = self.parent, self.children
+        if len(parent) != len(node_level) - 1:
+            n = next(n for lv in self.levels[1:] for n in lv if n not in parent)
+            raise SuperviseError(f"node {n!r} has no parent")
+        if len(children) != len(node_level) - len(self.levels[-1]):
+            n = next(n for lv in self.levels[:-1] for n in lv if n not in children)
+            raise SuperviseError(f"node {n!r} has no children")
+        leaf_level = len(self.levels) - 1
+        worker_edges = {(p, c) for p, c in self.edges if node_level[c] != leaf_level}
+        pairs = [(p, c) for p, c, _ in self.shared]
+        missing = worker_edges.difference(pairs)
+        if missing:
+            p, c = min(missing)
+            raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
+        if len(pairs) != len(worker_edges):
+            raise SuperviseError("shared holds a triple that is not the one task of a worker->worker edge")
+        worker_tasks = self.worker_tasks
+        for p, c, t in self.shared:
+            if t not in worker_tasks[c]:
+                raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "levels": [list(lv) for lv in self.levels],
+            "edges": [list(e) for e in self.edges],
+            "shared": [list(s) for s in self.shared],
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj) -> "TreeByRows":
+        return cls(**_json_fields(obj, "levels", "edges", "shared"))
+
+
+def build_supervision_tree_over(
+    task_ids, k: int, seed: int, worker_prefix: str = "w", supervisor_id: str = "supervisor"
+) -> TreeByRows:
+    tasks = _id_rows(task_ids, "task ids")
+    if len(set(tasks)) != len(tasks) or not tasks:
+        raise SuperviseError("task ids must be nonempty and unique")
+    require_int(k, "branching factor k", 2, SizingError)
+    forbidden = set(tasks) | {supervisor_id}
+    rng = random.Random(require_int(seed, "seed", 0))
+
+    levels_rev: list[tuple[str, ...]] = [tuple(tasks)]
+    edges: list[tuple[str, str]] = []
+    shared: list[tuple[str, str, str]] = []
+    worker_tasks: dict[str, tuple[str, ...]] = {}
+    fresh = (name for name in (f"{worker_prefix}{i}" for i in itertools.count()) if name not in forbidden)
+
+    current = tasks
+    bottom, top = True, False
+    while not top:
+        top = not bottom and len(current) <= k
+        parents = [supervisor_id] if top else [next(fresh) for _ in range(-(-len(current) // k))]
+        for j, p in enumerate(parents):
+            chunk = current[j * k : (j + 1) * k]
+            for c in chunk:
+                edges.append((p, c))
+            if bottom:
+                worker_tasks[p] = tuple(chunk)
+            else:
+                picks = []
+                for c in chunk:
+                    t = rng.choice(worker_tasks[c])
+                    shared.append((p, c, t))
+                    picks.append(t)
+                worker_tasks[p] = tuple(picks)
+        levels_rev.append(tuple(parents))
+        current = parents
+        bottom = False
+
+    return TreeByRows(levels=tuple(reversed(levels_rev)), edges=tuple(edges), shared=tuple(shared))
 
 
 # The simulator's answer and summary helpers as they were before numpy became a lazy import and their module

@@ -1,18 +1,24 @@
 """The cyclic-walk peg builder and the Fenwick-tree covers, ``sa_greedy`` and ``sa_greedy_edge_deletion``, against
-their frozen quadratic originals."""
+their frozen quadratic originals, and the supervision tree built and validated in whole-level passes against its
+frozen row-by-row original."""
 
+import json
 import random
 import time
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supervise import (
     AssignmentGraph,
     SAInstance,
     SuperviseError,
+    SupervisionTree,
     build_peg_assignment,
     build_supervision_hierarchy,
+    build_supervision_tree,
+    build_supervision_tree_over,
     sa_greedy,
     sa_greedy_edge_deletion,
 )
@@ -73,3 +79,113 @@ def test_peg_builder_and_edge_deletion_stay_near_linear():
     assert len(peg.graph.edges) == 60_000 and len(cover.cover_witness) == len(greedy.cover_witness) == 20_000
     assert hierarchy.coverage == greedy.cover_witness
     assert elapsed < 10.0, f"peg build, both covers and a hierarchy at u = 20k took {elapsed:.1f} s of CPU"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(n=st.integers(1, 3000), k=st.one_of(st.integers(2, 6), st.just(10**400)), seed=SEEDS, order_seed=SEEDS,
+       prefix=st.sampled_from(["w", "h", "", "x{0}%", "t", 7]), clashes=st.sets(st.integers(0, 40), max_size=6),
+       supervisor=st.sampled_from(["supervisor", "boss", "w0", "t0"]))
+def test_tree_builder_and_maps_match_the_frozen_originals(n, k, seed, order_seed, prefix, clashes, supervisor):
+    """Task ids ``t0..`` in a seeded order plus ids shaped like fresh worker names, which the names must skip, as
+    they skip a supervisor named like one; prefix ``t`` makes the ids non-unique and a supervisor named like a task
+    makes a node appear twice.  A prefix that is not a string is formatted into the names, as it always was."""
+    tasks = [f"t{i}" for i in range(n)] + [f"{prefix}{j}" for j in sorted(clashes)]
+    random.Random(order_seed).shuffle(tasks)
+    args = (tasks, k, seed, prefix, supervisor)
+    tree, want = _outcome(build_supervision_tree_over, *args), _outcome(_oracles.build_supervision_tree_over, *args)
+    if isinstance(tree, tuple) or isinstance(want, tuple):
+        assert tree == want
+        return
+    assert json.dumps(tree.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert "worker_tasks" not in vars(tree), "validating a valid tree fell back to the row-by-row pick check"
+    assert (tree.children, tree.parent, tree.worker_tasks) == (want.children, want.parent, want.worker_tasks)
+
+
+# Each way to break a tree, with the part of the first message it must reach: a fault caught by an earlier check
+# would test nothing.
+BREAKS = {
+    "duplicated node": "appears twice",
+    "non-adjacent edge": "does not connect adjacent levels",
+    "second parent": "has two parents",
+    "orphan node": "has no parent",
+    "worker with no children": "has no children",
+    "missing triple": "missing shared task for edge",
+    "extra triple": "shared holds a triple",
+    "duplicated triple": "shared holds a triple",
+    "misplaced triple": "missing shared task for edge",
+    "pick not performed": "not performed by child",
+}
+
+
+def _broken(tree: SupervisionTree, kind: str, rng: random.Random) -> dict | None:
+    """``tree``'s JSON broken in the named way, or None if the tree is too small for it."""
+    obj = tree.to_json_dict()
+    levels, edges, shared = obj["levels"], obj["edges"], obj["shared"]
+    level = {n: i for i, lv in enumerate(levels) for n in lv}
+    nodes = sorted(level)
+    if kind == "duplicated node":
+        lv = rng.choice(levels[1:])  # level 0 holds exactly the supervisor
+        lv.insert(rng.randrange(len(lv) + 1), rng.choice(nodes))
+    elif kind == "non-adjacent edge":
+        p = rng.choice(nodes + ["zz"])
+        c = rng.choice([c for c in nodes if level[c] != level.get(p, -2) + 1] + ["zz"])
+        edges.append([p, c])
+    elif kind == "second parent":
+        others = [(p, c) for c in nodes if level[c] for p in levels[level[c] - 1] if p != tree.parent[c]]
+        if not others:
+            return None
+        edges.append(list(rng.choice(others)))
+    elif kind == "orphan node":
+        if rng.random() < 0.5:
+            edges.pop(rng.randrange(len(edges)))
+        else:
+            rng.choice(levels[1:]).append("zz")
+    elif kind == "worker with no children":
+        i = rng.randrange(1, len(levels) - 1)
+        levels[i].append("zz")
+        edges.append([rng.choice(levels[i - 1]), "zz"])
+    elif kind == "missing triple":
+        shared.pop(rng.randrange(len(shared)))
+    elif kind == "extra triple":
+        p, c = rng.choice([e for e in edges if level[e[1]] == len(levels) - 1])
+        shared.append([p, c, c])
+    elif kind == "duplicated triple":
+        shared.append(list(rng.choice(shared)))
+    elif kind == "misplaced triple":  # the same number of triples, one on another edge or under another parent
+        i = rng.randrange(len(shared))
+        p, c, t = shared[i]
+        if rng.random() < 0.5:
+            shared[i] = [*rng.choice([e for e in edges if e != [p, c]]), t]
+        else:
+            shared[i] = [rng.choice([n for n in nodes if n != p] + ["zz"]), c, t]
+    else:
+        i = rng.randrange(len(shared))
+        p, c, _ = shared[i]
+        shared[i] = [p, c, rng.choice([n for n in nodes + ["zz"] if n not in tree.worker_tasks[c]])]
+    return obj
+
+
+@settings(max_examples=400, derandomize=True)
+@given(n=st.integers(1, 300), k=st.integers(2, 5), seed=SEEDS, kind=st.sampled_from(sorted(BREAKS)),
+       break_seed=SEEDS)
+def test_broken_trees_raise_the_frozen_originals_first_message(n, k, seed, kind, break_seed):
+    tree = SupervisionTree.from_json_dict(build_supervision_tree(n, k, seed).to_json_dict())
+    obj = _broken(tree, kind, random.Random(break_seed))
+    assume(obj is not None)
+    with pytest.raises(SuperviseError) as want:
+        _oracles.TreeByRows.from_json_dict(obj)
+    with pytest.raises(SuperviseError) as got:
+        SupervisionTree.from_json_dict(obj)
+    assert BREAKS[kind] in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_large_tree_builds_and_round_trips_near_linearly():
+    """A 100k-task tree builds, dumps and loads back in well under a second of CPU; a quadratic validation would
+    take minutes."""
+    start = time.process_time()
+    tree = build_supervision_tree(100_000, 3, 1)
+    back = SupervisionTree.from_json_dict(json.loads(json.dumps(tree.to_json_dict())))
+    elapsed = time.process_time() - start
+    assert back == tree and (len(tree.edges), len(tree.shared)) == (150_005, 50_005)
+    assert elapsed < 5.0, f"a 100k-task tree's build and JSON round trip took {elapsed:.1f} s of CPU"

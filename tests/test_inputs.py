@@ -55,6 +55,7 @@ from supervise import (
     expected_penalty_pair,
     expected_penalty_quant,
     quant_equilibrium,
+    sa_exact,
     sa_greedy,
     sa_greedy_edge_deletion,
     simulate,
@@ -360,6 +361,10 @@ BAD_INPUTS = {
         _HIER.graph, build_supervision_tree_over(["x0", "x1"], 2, 0), _HIER.coverage
     ),
     "hierarchy JSON a list": lambda: SupervisionHierarchy.from_json_dict([HIERARCHY]),
+    "hierarchy over a peg assignment": lambda: build_supervision_hierarchy(_PEG, 3, 11),
+    "greedy cover of a bare graph": lambda: sa_greedy(_PEG.graph, 11),
+    "edge-deletion cover of a bare graph": lambda: sa_greedy_edge_deletion(_PEG.graph, 11),
+    "exact cover of a bare graph": lambda: sa_exact(_PEG.graph),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -479,6 +484,10 @@ BAD_INPUT_MESSAGES = {
     "pegs that miss a worker": "peg tasks do not cover every worker",
     "hierarchy whose tree holds a task outside the graph": "tree tasks must be a subset of the graph's tasks",
     "hierarchy JSON a list": "hierarchy JSON must be an object",
+    "hierarchy over a peg assignment": "graph must be of type AssignmentGraph, got PegAssignment",
+    "greedy cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
+    "edge-deletion cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
+    "exact cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
 }
 
 
