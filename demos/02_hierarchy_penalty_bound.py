@@ -6,10 +6,10 @@ below it the errors compound level by level until the threshold breaks.
 """
 
 from supervise import (
+    DefectionAnalysis,
     EffortFunction,
     SchemeParams,
     counterexample_trace,
-    defection_analysis,
     equilibrium_homogeneous,
     level_info_bits,
     min_penalty_hierarchical,
@@ -41,7 +41,7 @@ print()
 
 # group defection: a coalition gains only when it outnumbers 2k
 for N in (3, 4, 5):
-    d = defection_analysis(N, k=2, C=10.0)
+    d = DefectionAnalysis(N, k=2, C=10.0)
     print(f"N={N}: defect cost {d.defect_cost:.1f} vs deviate cost {d.deviate_cost:.1f} -> {d.verdict}")
 print()
 

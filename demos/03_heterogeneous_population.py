@@ -12,7 +12,6 @@ from supervise import (
     SchemeParams,
     WorkerType,
     equilibrium_heterogeneous,
-    heterogeneous_to_csv,
     proficiency_sigma,
 )
 
@@ -33,7 +32,7 @@ pop = PopulationModel((
 eq = equilibrium_heterogeneous(pop, params, depth=6)
 print(f"mean sigma = {eq.mean_sigma:.4f} <= eps: population accepted")
 print()
-print(heterogeneous_to_csv(eq))
+print("".join(eq.csv_chunks()))
 print("population mean error by level:", [round(e, 4) for e in eq.mean_errors])
 print()
 

@@ -12,7 +12,6 @@ from supervise import (
     best_response_quant,
     expected_penalty_quant,
     quant_equilibrium,
-    quant_to_csv,
 )
 
 # worked instance: sigma_u^2=1 b_u=0.5, sigma_w^2=0.64 b_w=-0.5, c=2
@@ -33,5 +32,5 @@ types = (
     (QuantWorkerType(EffortFunction.inverse_power(9.0), id="noisy"), 0.4),
 )
 eq = quant_equilibrium(types, k=1, c=1.0, epsilon=2.0, depth=3)
-print(quant_to_csv(eq))
+print("".join(eq.csv_chunks()))
 print("a type is proficient when its v* is at or below epsilon")

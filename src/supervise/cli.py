@@ -26,11 +26,10 @@ from .effort import EffortFunction, Family, SchemeParams
 from .errors import FLOAT_MAX, InstanceTooLargeError, SuperviseError, require_int
 from .flat import min_verification_probability_binary, min_verification_probability_quant
 from .hierarchy import (
+    DefectionAnalysis,
     PopulationModel,
     WorkerType,
-    _csv_chunks,
     counterexample_trace,
-    defection_analysis,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     min_penalty_hierarchical,
@@ -154,7 +153,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
         if args.effort is None:
             raise SuperviseError("equilibrium needs --effort (with --alpha) or --population FILE")
         eq = equilibrium_homogeneous(_effort_from_args(args), params, depth=args.depth, e0=args.e0)
-    _emit(_csv_chunks(eq), args.out)
+    _emit(eq.csv_chunks(), args.out)
     return 0
 
 
@@ -167,12 +166,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     ]
     if trace.diverged_at is not None:
         footers.append(f"# diverged_at {trace.diverged_at}\n")
-    _emit(chain(_csv_chunks(trace), footers), args.out)
+    _emit(chain(trace.csv_chunks(), footers), args.out)
     return 0
 
 
 def _cmd_defection(args: argparse.Namespace) -> int:
-    da = defection_analysis(args.N, args.k, args.C)
+    da = DefectionAnalysis(N=args.N, k=args.k, C=args.C)
     sym = {"defect": "<", "indifferent": "=", "truthful-compatible": ">"}[da.verdict]
     print(f"{da.verdict} ({fmt_decimal(da.defect_cost)} {sym} {fmt_decimal(da.deviate_cost)})")
     return 0
@@ -255,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         structure=structure,
         strategies=strategies,
     )
-    _emit((simulate(config).to_csv(),), args.out)
+    _emit(simulate(config).csv_chunks(), args.out)
     return 0
 
 

@@ -19,7 +19,8 @@ responses, equilibrium profiles for homogeneous and mixed populations, the
 divergence trace showing the bound is needed, the collusion (defection)
 analysis, and the bits of level information a worker needs.  The profiles and
 the trace share one loop over e_t = g(e_{t-1}); each stores the solver's roots
-up to the first repeated error and its period, and derives every flag.
+up to the first repeated error and its period, and derives every flag.  Each
+also writes its rows as CSV, in chunks, through its ``csv_chunks()`` method.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ __all__ = [
     "equilibrium_heterogeneous",
     "proficiency_sigma",
     "counterexample_trace",
-    "defection_analysis",
     "level_info_bits",
     "profile_to_csv",
-    "heterogeneous_to_csv",
-    "trace_to_csv",
 ]
 
 
@@ -96,7 +94,7 @@ def _require_hierarchical_threshold(eps: float) -> float:
 
 
 def _require_hierarchical_epsilon(params: SchemeParams) -> float:
-    return _require_hierarchical_threshold(params.epsilon)
+    return _require_hierarchical_threshold(require_instance(params, SchemeParams, "params").epsilon)
 
 
 def _require_trace_threshold(eps: float) -> float:
@@ -160,6 +158,15 @@ class _CyclicLevels:
     def levels(self) -> tuple[LevelState, ...]:
         eps, rows = self.threshold, enumerate(chain(self.prefix, _unrolled(self.prefix, self.period, self.depth)))
         return tuple(LevelState(u, r.value, r.value < eps, r.clamped) for u, r in rows)
+
+    def _csv_profile(self, key: tuple = ()) -> tuple:
+        """These levels as ``cyclic_csv_chunks`` takes them, ``(key, prefix rows, period, depth)``."""
+        eps = self.threshold
+        return key, [(u, r.value, bool_word(r.value < eps)) for u, r in enumerate(self.prefix)], self.period, self.depth
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The ``level,error,truthful`` rows in chunks; see ``cyclic_csv_chunks``."""
+        return cyclic_csv_chunks(["level", "error", "truthful"], (self._csv_profile(),))
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,11 @@ class HeterogeneousEquilibrium:
         first, means = self.types[0], self._prefix_means()
         return means + tuple(_unrolled(means, first.period, first.depth))
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The ``type,level,error,truthful`` rows, one type after another, in chunks; see ``cyclic_csv_chunks``."""
+        return cyclic_csv_chunks(["type", "level", "error", "truthful"],
+                                 (t._csv_profile((t.worker.id,)) for t in self.types))
+
 
 def min_penalty_hierarchical(f: EffortFunction, params: SchemeParams) -> float:
     """Smallest disagreement penalty that keeps best responses below epsilon.
@@ -251,6 +263,7 @@ def min_penalty_hierarchical(f: EffortFunction, params: SchemeParams) -> float:
     Equals ``f'(eps) k / (2 eps - 1)``; both factors are negative, so the
     bound is positive and grows as eps shrinks or the task load k grows.
     """
+    require_instance(f, EffortFunction, "f")
     eps = _require_hierarchical_epsilon(params)
     bound = effort_deriv(f, eps) * params.k / (2.0 * eps - 1.0)
     if not math.isfinite(bound):
@@ -350,6 +363,7 @@ def equilibrium_homogeneous(
     one-type case of ``equilibrium_heterogeneous``'s cascade, whose mean
     error is the type's own error.
     """
+    require_instance(f, EffortFunction, "f")
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
@@ -379,6 +393,7 @@ def equilibrium_heterogeneous(
     level's ``truthful`` flag reports whether a type stays below eps; with C
     at the bound a proficient type can land exactly on eps.
     """
+    require_instance(pop, PopulationModel, "pop")
     eps = _require_hierarchical_epsilon(params)
     e0 = _validate_e0(e0, eps)
     require_int(depth, "depth", 1)
@@ -480,7 +495,7 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     more, at the first repeated error, or at max_depth.  Every error before
     the crossing is at most eps < 1/4, so no denominator is below C/2.
     """
-    eps = _require_trace_threshold(params.epsilon)
+    eps = _require_trace_threshold(require_instance(params, SchemeParams, "params").epsilon)
     if params.m != 2 or (params.D is not None and params.D != 0.0):
         raise SuperviseError("divergence trace is defined for two-answer tasks (m=2, D=0)")
     require_int(max_depth, "max_depth", 1)
@@ -536,10 +551,6 @@ def _share_of(count: int, C: float, N: int) -> float:
         raise SuperviseError(f"the cost {count} * C / {N} exceeds the float range at C={C!r}") from None
 
 
-def defection_analysis(N: int, k: int, C: float) -> DefectionAnalysis:
-    return DefectionAnalysis(N=N, k=k, C=C)
-
-
 def level_info_bits(N: int, k: int) -> int:
     """Bits a worker needs to learn its level in an N-task, branching-k tree.
 
@@ -558,29 +569,7 @@ def level_info_bits(N: int, k: int) -> int:
     return (levels - 1).bit_length()
 
 
-def _csv_chunks(eq: _CyclicLevels | HeterogeneousEquilibrium) -> Iterator[str]:
-    """The CSV text of one profile or trace, or of a heterogeneous equilibrium, in chunks of rows; see
-    ``cyclic_csv_chunks``."""
-    if isinstance(eq, _CyclicLevels):
-        header, keyed = ["level", "error", "truthful"], (((), eq),)
-    else:
-        header, keyed = ["type", "level", "error", "truthful"], (((te.worker.id,), te) for te in eq.types)
-    return cyclic_csv_chunks(header, (
-        (key, [(u, r.value, bool_word(r.value < p.threshold)) for u, r in enumerate(p.prefix)], p.period, p.depth)
-        for key, p in keyed
-    ))
-
-
 def profile_to_csv(profile: EquilibriumProfile) -> str:
-    """Serialize a single profile as ``level,error,truthful`` rows."""
-    return "".join(_csv_chunks(profile))
-
-
-def heterogeneous_to_csv(eq: HeterogeneousEquilibrium) -> str:
-    """Per-type profiles as ``type,level,error,truthful`` rows."""
-    return "".join(_csv_chunks(eq))
-
-
-def trace_to_csv(trace: CounterexampleTrace) -> str:
-    """Divergence trace as ``level,error,truthful`` rows."""
-    return "".join(_csv_chunks(trace))
+    """A profile's ``level,error,truthful`` rows as one string."""
+    require_instance(profile, EquilibriumProfile, "profile")
+    return "".join(profile.csv_chunks())  # perfbench times this name; it leaves with ROADMAP item 11

@@ -9,14 +9,15 @@ shared task.  Expanding the square for independent answers,
 so the part a worker controls is additively separable from everything the
 superior does: with an unbiased population the best-response variance solves
 ``f'(v) = -c / k`` regardless of the superior's precision, and equilibrium
-profiles are exactly constant across levels.
+profiles are exactly constant across levels.  An equilibrium writes its
+per-type rows as CSV, in chunks, through its ``csv_chunks()`` method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, solve_deriv_equals
@@ -30,7 +31,6 @@ __all__ = [
     "expected_penalty_quant",
     "best_response_quant",
     "quant_equilibrium",
-    "quant_to_csv",
 ]
 
 BIAS_TOLERANCE = 1e-9
@@ -93,6 +93,13 @@ class QuantEquilibrium:
     def all_truthful(self) -> bool:
         return all(t.truthful for t in self.types)
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The ``type,level,vstar,truthful`` rows in chunks; each type's is a period-1 cycle from level 1."""
+        return cyclic_csv_chunks(
+            ["type", "level", "vstar", "truthful"],
+            (((tp.worker.id,), [(1, tp.vstar, bool_word(tp.truthful))], 1, self.depth) for tp in self.types),
+        )
+
 
 def expected_penalty_quant(sigma_u: float, b_u: float, sigma_w: float, b_w: float, c: float) -> float:
     """Expected quadratic penalty between two independent biased answers."""
@@ -149,10 +156,3 @@ def quant_equilibrium(
     return QuantEquilibrium(types=tuple(TypeQuantProfile(wt, w, r.value, r.clamped, epsilon) for wt, w, r in roots),
                             depth=depth)
 
-
-def quant_to_csv(eq: QuantEquilibrium) -> str:
-    """Profiles as ``type,level,vstar,truthful`` rows; each type's is a period-1 cycle from level 1."""
-    return "".join(cyclic_csv_chunks(
-        ["type", "level", "vstar", "truthful"],
-        (((tp.worker.id,), [(1, tp.vstar, bool_word(tp.truthful))], 1, eq.depth) for tp in eq.types),
-    ))

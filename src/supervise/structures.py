@@ -491,6 +491,8 @@ def build_supervision_hierarchy(
     """
     require_instance(graph, AssignmentGraph, "graph")
     require_int(k, "branching factor k", 2, SizingError)
+    if not graph.workers:  # the cover would be empty, and the tree builder would name task ids the user never gave
+        raise SuperviseError("input error: graph has no workers, so there is no one to supervise")
     _refuse_idle_tasks(graph)  # before the cover solver, whose own limits would otherwise be reported first
     from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types
 

@@ -16,6 +16,7 @@ import pytest
 
 from supervise import (
     AssumptionError,
+    DefectionAnalysis,
     EffortFunction,
     Family,
     PopulationModel,
@@ -29,7 +30,6 @@ from supervise import (
     build_supervision_hierarchy,
     build_supervision_tree,
     counterexample_trace,
-    defection_analysis,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_pair,
@@ -290,10 +290,10 @@ def test_criterion_7_structure_invariants_and_extension():
 
 def test_criterion_8_defection_anchor(capsys):
     with criterion(8, "collusion break-even at twice the task load", 1.0):
-        d = defection_analysis(5, 2, 10.0)
+        d = DefectionAnalysis(5, 2, 10.0)
         assert d.verdict == "defect" and (d.defect_cost, d.deviate_cost) == (4.0, 6.0)
-        assert defection_analysis(3, 2, 10.0).verdict == "truthful-compatible"
-        assert defection_analysis(4, 2, 10.0).verdict == "indifferent"
+        assert DefectionAnalysis(3, 2, 10.0).verdict == "truthful-compatible"
+        assert DefectionAnalysis(4, 2, 10.0).verdict == "indifferent"
         code = main(["defection", "--N", "5", "--k", "2", "--C", "10"])
         out = capsys.readouterr().out
         assert code == 0 and out == "defect (4 < 6)\n"

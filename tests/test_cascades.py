@@ -22,13 +22,10 @@ from supervise import (
     counterexample_trace,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
-    heterogeneous_to_csv,
     min_penalty_hierarchical,
     proficiency_sigma,
     profile_to_csv,
     quant_equilibrium,
-    quant_to_csv,
-    trace_to_csv,
 )
 
 import _oracles
@@ -214,7 +211,7 @@ def _heterogeneous_csvs(pop, params, depth, e0=0.0):
     new = equilibrium_heterogeneous(pop, params, depth, e0)
     old = _oracles.equilibrium_heterogeneous(pop, params, depth, e0)
     frozen_csv = _oracles.heterogeneous_to_csv((te.worker.id, te.levels) for te in old.types)
-    return (heterogeneous_to_csv(new), [e.hex() for e in new.mean_errors]), (
+    return ("".join(new.csv_chunks()), [e.hex() for e in new.mean_errors]), (
         frozen_csv, [e.hex() for e in old.mean_errors]
     )
 
@@ -247,7 +244,7 @@ def test_quant_csv_matches_the_frozen_writer(types, k, c, eps, depth):
     """Unbiased types, so the population is accepted; each profile is one variance from level 1 to depth."""
     pop = [(QuantWorkerType(EffortFunction.inverse_power(a), 0.0, tid), 1 / len(types)) for tid, a in types]
     eq = quant_equilibrium(pop, k, c, eps, depth)
-    assert quant_to_csv(eq) == _oracles.quant_to_csv(eq)
+    assert "".join(eq.csv_chunks()) == _oracles.quant_to_csv(eq)
 
 
 def _named_cases():
@@ -414,9 +411,8 @@ def _trace_outcome(trace, to_csv, params, max_depth):
 
 
 def _traces_agree(params, max_depth):
-    return _trace_outcome(counterexample_trace, trace_to_csv, params, max_depth) == _trace_outcome(
-        _oracles.counterexample_trace, _oracles.trace_to_csv, params, max_depth
-    )
+    new = _trace_outcome(counterexample_trace, lambda t: "".join(t.csv_chunks()), params, max_depth)
+    return new == _trace_outcome(_oracles.counterexample_trace, _oracles.trace_to_csv, params, max_depth)
 
 
 @st.composite

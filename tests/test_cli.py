@@ -401,6 +401,13 @@ class TestStructureFilesValidated:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_hierarchy_over_an_empty_graph(self, capsys, tmp_path):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"workers": [], "tasks": [], "edges": []}))
+        code, out, err = run_cli(capsys, "hierarchy", "build", "--graph", str(graph), "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: input error: graph has no workers, so there is no one to supervise\n"
+
 
 BINARY = {"model": "uniform-wrong", "m": 3, "C": 16, "workers": {"w0": 0.1, "supervisor": 0.0}}
 GAUSSIAN = {"model": "gaussian", "c": 2.0, "workers": {"w0": [1.0, 0.5], "supervisor": [0.8, -0.5]}}

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and prints the bytes it always has."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,11 +11,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; a change here is a change in the numbers or the text the demo prints
+STDOUT_SHA256 = {
+    "01_flat_scheme.py": "4c0e1cee1ee96ca172b89db73dd637ae1e24702e427ad2dda6f0b28a03210420",
+    "02_hierarchy_penalty_bound.py": "cf40c73475e7438c5efee5b149509f7ca2c753d012e63ae741b87e2e4057226a",
+    "03_heterogeneous_population.py": "e7f46b0c8180cd72d11e22a5f33fa3d867a62212908175c0e72212cda9f147bc",
+    "04_quantitative_scheme.py": "1d76e2922884d0031a3d1e3b5eb62a8fd52ca912d2014bde92b13913a406c3c0",
+    "05_structures_and_allocation.py": "83c708088557f27c007d40ef3a670c119eb2b770eca9a6a1646898be6eb4a937",
+    "06_monte_carlo_checks.py": "c5f1c293351bf62c9f34125d2664ad5a7f351e6825c30ede147cc24e709ac489",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]

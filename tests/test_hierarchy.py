@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from supervise import (
     AssumptionError,
+    DefectionAnalysis,
     EffortFunction,
     EpsilonRangeError,
     PopulationModel,
@@ -18,17 +19,14 @@ from supervise import (
     WorkerType,
     best_response_under_superior,
     counterexample_trace,
-    defection_analysis,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_pair,
     expected_penalty_pair,
-    heterogeneous_to_csv,
     level_info_bits,
     min_penalty_hierarchical,
     proficiency_sigma,
     profile_to_csv,
-    trace_to_csv,
 )
 
 from _oracles import effort_vec, grid_argmin
@@ -268,23 +266,23 @@ class TestCounterexample:
 
 class TestDefection:
     def test_worked_trichotomy(self):
-        d5 = defection_analysis(5, 2, 10.0)
+        d5 = DefectionAnalysis(5, 2, 10.0)
         assert (d5.verdict, d5.defect_cost, d5.deviate_cost) == ("defect", 4.0, 6.0)
-        d4 = defection_analysis(4, 2, 10.0)
+        d4 = DefectionAnalysis(4, 2, 10.0)
         assert d4.verdict == "indifferent" and d4.defect_cost == d4.deviate_cost == 5.0
-        d3 = defection_analysis(3, 2, 10.0)
+        d3 = DefectionAnalysis(3, 2, 10.0)
         assert d3.verdict == "truthful-compatible" and d3.defect_cost > d3.deviate_cost
 
     def test_costs_are_rounded_once(self):
         """k C overflows at C = 1e308, yet both costs are finite: 2e307 and 8e307, each rounded once."""
-        d = defection_analysis(10, 2, 1e308)
+        d = DefectionAnalysis(10, 2, 1e308)
         assert (d.defect_cost, d.deviate_cost) == (2e307, 8e307)
         with pytest.raises(SuperviseError, match="exceeds the float range"):
-            defection_analysis(1, 10**20, 1e308)  # the cost itself, 1e328, is beyond a float
+            DefectionAnalysis(1, 10**20, 1e308)  # the cost itself, 1e328, is beyond a float
 
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=50), st.floats(min_value=0.1, max_value=100.0))
     def test_verdict_matches_costs(self, N, k, C):
-        d = defection_analysis(N, k, C)
+        d = DefectionAnalysis(N, k, C)
         if d.verdict == "defect":
             assert N > 2 * k and d.defect_cost < d.deviate_cost
         elif d.verdict == "indifferent":
@@ -321,7 +319,7 @@ class TestCsvExports:
 
     def test_trace_golden(self):
         trace = counterexample_trace(SchemeParams(k=2, epsilon=0.2, C=10.0), max_depth=50)
-        text = trace_to_csv(trace)
+        text = "".join(trace.csv_chunks())
         assert text.splitlines()[0] == "level,error,truthful"
         assert text.splitlines()[1] == "0,0.0,true"
         assert text.splitlines()[2] == "1,0.2,false"
@@ -329,6 +327,6 @@ class TestCsvExports:
     def test_heterogeneous_has_type_column(self):
         pop = PopulationModel(((WorkerType(SL(0.8), "a"), 0.8), (WorkerType(SL(1.4), "b"), 0.2)))
         het = equilibrium_heterogeneous(pop, params(), depth=2)
-        lines = heterogeneous_to_csv(het).splitlines()
+        lines = "".join(het.csv_chunks()).splitlines()
         assert lines[0] == "type,level,error,truthful"
         assert {ln.split(",")[0] for ln in lines[1:]} == {"a", "b"}

@@ -47,13 +47,14 @@ from supervise import (
     build_supervision_tree,
     build_supervision_tree_over,
     counterexample_trace,
-    defection_analysis,
     effort_eval,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
     expected_penalty_pair,
     expected_penalty_quant,
+    min_penalty_hierarchical,
+    profile_to_csv,
     quant_equilibrium,
     sa_exact,
     sa_greedy,
@@ -152,7 +153,7 @@ BAD_INPUTS = {
     "flat bound an integer beyond the float range": lambda: FlatBound(10**400),
     "scheme k a bool": lambda: SchemeParams(k=True, epsilon=0.25, C=16.0),
     "equilibrium depth a bool": lambda: equilibrium_homogeneous(SL, PARAMS, depth=True),
-    "defection N a bool": lambda: defection_analysis(N=True, k=2, C=10.0),
+    "defection N a bool": lambda: DefectionAnalysis(N=True, k=2, C=10.0),
     "tree n_tasks a bool": lambda: build_supervision_tree(True, 2, seed=0),
     "sweep_quant sigma_w NaN": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 10, 0, sigma_w=NAN),
     "expected_penalty_quant c NaN": lambda: expected_penalty_quant(1.0, 0.0, 1.0, 0.0, c=NAN),
@@ -365,6 +366,20 @@ BAD_INPUTS = {
     "greedy cover of a bare graph": lambda: sa_greedy(_PEG.graph, 11),
     "edge-deletion cover of a bare graph": lambda: sa_greedy_edge_deletion(_PEG.graph, 11),
     "exact cover of a bare graph": lambda: sa_exact(_PEG.graph),
+    "hierarchy over a graph without workers": lambda: build_supervision_hierarchy(AssignmentGraph((), (), ()), 2, 0),
+    "simulation of no config": lambda: simulate(None),
+    "simulate_binary of no config": lambda: simulate_binary(None),
+    "simulate_quant of no config": lambda: simulate_quant(None),
+    "homogeneous equilibrium of no effort function": lambda: equilibrium_homogeneous(None, PARAMS, 5),
+    "homogeneous equilibrium of no params": lambda: equilibrium_homogeneous(SL, None, 5),
+    "heterogeneous equilibrium of no population": lambda: equilibrium_heterogeneous(None, PARAMS, 5),
+    "heterogeneous equilibrium of no params": lambda: equilibrium_heterogeneous(
+        PopulationModel(((WorkerType(SL), 1.0),)), None, 5
+    ),
+    "counterexample trace of no params": lambda: counterexample_trace(None, 5),
+    "penalty bound of no effort function": lambda: min_penalty_hierarchical(None, PARAMS),
+    "penalty bound of no params": lambda: min_penalty_hierarchical(SL, None),
+    "profile CSV of no profile": lambda: profile_to_csv(None),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -488,6 +503,18 @@ BAD_INPUT_MESSAGES = {
     "greedy cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
     "edge-deletion cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
     "exact cover of a bare graph": "inst must be of type SAInstance, got AssignmentGraph",
+    "hierarchy over a graph without workers": "graph has no workers",
+    "simulation of no config": "config must be of type SimConfig, got NoneType",
+    "simulate_binary of no config": "config must be of type SimConfig, got NoneType",
+    "simulate_quant of no config": "config must be of type SimConfig, got NoneType",
+    "homogeneous equilibrium of no effort function": "f must be of type EffortFunction, got NoneType",
+    "homogeneous equilibrium of no params": "params must be of type SchemeParams, got NoneType",
+    "heterogeneous equilibrium of no population": "pop must be of type PopulationModel, got NoneType",
+    "heterogeneous equilibrium of no params": "params must be of type SchemeParams, got NoneType",
+    "counterexample trace of no params": "params must be of type SchemeParams, got NoneType",
+    "penalty bound of no effort function": "f must be of type EffortFunction, got NoneType",
+    "penalty bound of no params": "params must be of type SchemeParams, got NoneType",
+    "profile CSV of no profile": "profile must be of type EquilibriumProfile, got NoneType",
 }
 
 

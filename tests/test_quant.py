@@ -15,7 +15,6 @@ from supervise import (
     best_response_quant,
     expected_penalty_quant,
     quant_equilibrium,
-    quant_to_csv,
 )
 
 from _oracles import effort_vec, grid_argmin
@@ -101,7 +100,7 @@ class TestEquilibrium:
 
     def test_constant_across_levels(self):
         eq = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=2.5, depth=6)
-        rows = [line.split(",") for line in quant_to_csv(eq).splitlines()[1:]]
+        rows = [line.split(",") for line in "".join(eq.csv_chunks()).splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [(tp.worker.id, str(t)) for tp in eq.types for t in range(1, 7)]
         for tp in eq.types:
             vs = {float(r[2]) for r in rows if r[0] == tp.worker.id}
@@ -112,7 +111,7 @@ class TestEquilibrium:
         assert eq.all_truthful
         eq2 = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=1.5, depth=3)
         assert not eq2.all_truthful
-        assert all(line.endswith(",false") for line in quant_to_csv(eq2).splitlines()[1:])
+        assert all(line.endswith(",false") for line in "".join(eq2.csv_chunks()).splitlines()[1:])
 
     def test_mixed_proficiency(self):
         eq = quant_equilibrium(self.pop(alphas=(1.0, 9.0)), k=1, c=1.0, epsilon=2.0, depth=2)
@@ -135,7 +134,7 @@ class TestEquilibrium:
 
     def test_csv_shape(self):
         eq = quant_equilibrium(self.pop(), k=4, c=1.0, epsilon=2.5, depth=2)
-        lines = quant_to_csv(eq).splitlines()
+        lines = "".join(eq.csv_chunks()).splitlines()
         assert lines[0] == "type,level,vstar,truthful"
         assert lines[1] == "a,1,2.0,true"
         assert len(lines) == 1 + 2 * 2

@@ -4,6 +4,7 @@ its fields, and every result the library returns rebuilds from its own fields.""
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from supervise import (
     equilibrium_homogeneous,
     min_penalty_hierarchical,
     min_verification_probability_binary,
+    quant_equilibrium,
     sweep_quant,
 )
 
@@ -199,3 +201,31 @@ def test_every_returned_trace_rebuilds_from_its_fields(k, eps, factor, max_depth
     """C from a fifth to three times the bound k / (eps (1 - 2 eps)): traces that cross, repeat or stop at depth."""
     trace = counterexample_trace(SchemeParams(k=k, epsilon=eps, C=factor * k / (eps * (1.0 - 2.0 * eps))), max_depth)
     assert _rebuilt(trace) == trace
+
+
+# a scheme whose profiles repeat within 40 levels, so that a deep result stores few roots
+DEEP = SchemeParams(k=3, epsilon=0.12, C=40.0)
+DEEP_RESULTS = {
+    "profile of a million levels": lambda: equilibrium_homogeneous(EffortFunction.simple_log(1.3), DEEP, 10**6),
+    "two types of 250k levels": lambda: equilibrium_heterogeneous(PopulationModel(
+        tuple((WorkerType(EffortFunction.simple_log(a), tid), 0.5) for tid, a in (("a", 1.3), ("b", 1.0)))
+    ), DEEP, 250_000),
+    "two quant types of 250k levels": lambda: quant_equilibrium(
+        [(QuantWorkerType(EffortFunction.inverse_power(a), id=tid), 0.5) for tid, a in (("sharp", 1.0), ("noisy", 9.0))],
+        1, 1.0, 2.0, 250_000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_RESULTS))
+def test_csv_chunks_streams_in_bounded_memory(case):
+    """Draining ``csv_chunks()`` holds one chunk of rows at a time: a ``"".join`` inside the method would peak at
+    the text's size, over twice the 4 MB bound here.  Rows past the stored roots are drawn at 4096 a chunk."""
+    result = DEEP_RESULTS[case]()
+    tracemalloc.start()
+    try:
+        size = sum(map(len, result.csv_chunks()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20 < size / 2, (peak, size)
