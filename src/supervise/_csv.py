@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 from itertools import chain, cycle, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -24,21 +25,25 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def cyclic_csv_chunks(header: Sequence[str], profiles: Iterable[tuple]) -> Iterator[str]:
     """CSV text of ``header`` and of each profile's levels, in chunks of at most 4096 rows.
 
-    A profile is ``(key, prefix, period, depth)``: ``key`` holds the leading columns, ``prefix`` the first rows
-    as ``(level, value, truthful)`` with consecutive levels, and every level u past the prefix up to ``depth``
-    repeats the row ``period`` levels above it.  The csv writer writes the prefix rows; each later row is
-    ``lead + str(u) + tail``, where ``lead`` (the key columns) and the ``tail`` of each cycle position (the
-    ``,value,truthful`` columns) are formatted once by the csv writer, so quoting stays the csv module's.  A
-    chunk of those rows is one ``%`` format over a template of ``lead + "%d" + tail`` per row; ``%`` in the
-    ids is doubled in the template, so it comes out as written.
+    A profile is ``(key, prefix, period, depth)``: ``key`` holds the leading columns, ``prefix`` iterates the first
+    rows as ``(level, value, truthful)`` with consecutive levels, and every level u past the prefix up to ``depth``
+    repeats the row ``period`` levels above it.  The csv writer writes the prefix rows, 4096 at a time, and only
+    the last ``period`` of them are kept; each later row is ``lead + str(u) + tail``, where ``lead`` (the key
+    columns) and the ``tail`` of each cycle position (the ``,value,truthful`` columns) are formatted once by the
+    csv writer, so quoting stays the csv module's.  A chunk of those rows is one ``%`` format over a template of
+    ``lead + "%d" + tail`` per row; ``%`` in the ids is doubled in the template, so it comes out as written.
     """
     yield _lines((header,))
     for key, prefix, period, depth in profiles:
-        yield _lines((*key, *row) for row in prefix)
+        prefix, last = iter(prefix), deque(maxlen=period)
+        while chunk := list(islice(prefix, _CHUNK_ROWS)):
+            last.extend(chunk)
+            yield _lines((*key, *row) for row in chunk)
+        if not last:  # period 0: the prefix ends at depth
+            continue
         lead = _lines(((*key, 0),))[:-2].replace("%", "%%")  # the key columns and their comma, without "0\n"
-        rows = cycle([lead + "%d" + _lines(((0, *row[1:]),))[1:].replace("%", "%%")
-                      for row in prefix[len(prefix) - period:]])
-        for start in range(prefix[-1][0] + 1, depth + 1, _CHUNK_ROWS):  # from the level after the prefix
+        rows = cycle([lead + "%d" + _lines(((0, *row[1:]),))[1:].replace("%", "%%") for row in last])
+        for start in range(last[-1][0] + 1, depth + 1, _CHUNK_ROWS):  # from the level after the prefix
             stop = min(start + _CHUNK_ROWS, depth + 1)
             yield "".join(islice(rows, stop - start)) % tuple(range(start, stop))
 

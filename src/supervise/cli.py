@@ -8,6 +8,10 @@ points, so identical invocations give byte-identical bytes.
 
 Exit codes: 0 on success, 1 on a domain or feasibility error (one
 machine-parsable ``error: <reason>`` line on stderr), 2 on usage errors.
+
+A run loads only the modules of its subcommand: the parser needs ``effort``
+and ``errors``, and each ``_cmd_*`` imports what it calls when it runs, so
+``threshold binary`` never loads the structures, the covers or the simulator.
 """
 
 from __future__ import annotations
@@ -18,32 +22,15 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ._csv import bool_word
-from .allocation import SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
 from .effort import EffortFunction, Family, SchemeParams
 from .errors import FLOAT_MAX, InstanceTooLargeError, SuperviseError, require_int
-from .flat import min_verification_probability_binary, min_verification_probability_quant
-from .hierarchy import (
-    DefectionAnalysis,
-    PopulationModel,
-    WorkerType,
-    counterexample_trace,
-    equilibrium_heterogeneous,
-    equilibrium_homogeneous,
-    min_penalty_hierarchical,
-)
-from .quant import _require_variance_threshold, best_response_quant
-from .simulate import Gaussian, SimConfig, UniformWrong, simulate
-from .structures import (
-    AssignmentGraph,
-    SupervisionHierarchy,
-    SupervisionTree,
-    build_peg_assignment,
-    build_supervision_hierarchy,
-    build_supervision_tree,
-)
+
+if TYPE_CHECKING:
+    from .hierarchy import PopulationModel
+    from .simulate import Gaussian, UniformWrong
+    from .structures import SupervisionHierarchy, SupervisionTree
 
 __all__ = ["fmt_decimal", "build_parser", "main", "run"]
 
@@ -99,9 +86,14 @@ def _effort_from_args(args: argparse.Namespace) -> EffortFunction:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     f = _effort_from_args(args)
     if args.kind == "binary":
+        from .hierarchy import min_penalty_hierarchical
+
         params = SchemeParams(k=args.k, epsilon=args.epsilon)
         print(fmt_decimal(min_penalty_hierarchical(f, params)))
     elif args.kind == "quant":
+        from ._csv import bool_word
+        from .quant import _require_variance_threshold, best_response_quant
+
         if args.epsilon is not None:
             _require_variance_threshold(args.epsilon)
         root = best_response_quant(f, args.k, args.c)
@@ -109,6 +101,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         if args.epsilon is not None:
             print(f"proficient {bool_word(root.value < args.epsilon)}")
     else:  # flat
+        from ._csv import bool_word
+        from .flat import min_verification_probability_binary, min_verification_probability_quant
+
         if (args.C is None) == (args.c is None):
             raise SuperviseError("flat threshold needs exactly one of --C (binary) or --c (quantitative)")
         params = SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C, c=args.c)
@@ -131,6 +126,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _population_from_file(path: str) -> PopulationModel:
+    from .hierarchy import PopulationModel, WorkerType
+
     obj = _read_json(path)
     try:
         type_keys = ("id", "effort", "weight")
@@ -144,6 +141,8 @@ def _population_from_file(path: str) -> PopulationModel:
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
+    from .hierarchy import equilibrium_heterogeneous, equilibrium_homogeneous
+
     params = SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C, m=args.m, D=args.D)
     if args.population is not None:
         if args.effort is not None:
@@ -158,6 +157,8 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    from .hierarchy import counterexample_trace
+
     trace = counterexample_trace(SchemeParams(k=args.k, epsilon=args.epsilon, C=args.C), args.max_depth)
     footers = [
         f"# crossing_level {trace.crossing_level if trace.crossing_level is not None else 'none'}\n",
@@ -171,6 +172,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_defection(args: argparse.Namespace) -> int:
+    from .hierarchy import DefectionAnalysis
+
     da = DefectionAnalysis(N=args.N, k=args.k, C=args.C)
     sym = {"defect": "<", "indifferent": "=", "truthful-compatible": ">"}[da.verdict]
     print(f"{da.verdict} ({fmt_decimal(da.defect_cost)} {sym} {fmt_decimal(da.deviate_cost)})")
@@ -178,12 +181,16 @@ def _cmd_defection(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    from .structures import build_supervision_tree
+
     tree = build_supervision_tree(args.n_tasks, args.k, args.seed)
     _emit_json(tree.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_peg(args: argparse.Namespace) -> int:
+    from .structures import build_peg_assignment
+
     peg = build_peg_assignment(args.n_workers, args.n_tasks, args.k, args.seed, args.redundancy)
     payload = peg.graph.to_json_dict()
     payload["pegs"] = list(peg.peg_tasks)
@@ -192,6 +199,8 @@ def _cmd_peg(args: argparse.Namespace) -> int:
 
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
+    from .structures import AssignmentGraph, build_supervision_hierarchy
+
     graph = AssignmentGraph.from_json_dict(_read_json(args.graph))
     h = build_supervision_hierarchy(graph, args.k, args.seed, mode=args.mode)
     _emit_json(h.to_json_dict(), args.out)
@@ -199,6 +208,9 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
+    from .allocation import SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
+    from .structures import AssignmentGraph
+
     graph = AssignmentGraph.from_json_dict(_read_json(args.graph))
     inst = SAInstance(graph=graph, k=graph.k)
     if args.mode == "exact":
@@ -219,6 +231,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _parse_structure(obj) -> SupervisionTree | SupervisionHierarchy:
+    from .structures import SupervisionHierarchy, SupervisionTree
+
     if isinstance(obj, Mapping) and "levels" in obj:
         return SupervisionTree.from_json_dict(obj)
     if isinstance(obj, Mapping) and "graph" in obj and "tree" in obj:
@@ -226,25 +240,27 @@ def _parse_structure(obj) -> SupervisionTree | SupervisionHierarchy:
     raise SuperviseError("structure file is neither a tree (levels/edges/shared) nor a hierarchy (graph/tree/...)")
 
 
-_MODELS = {"uniform-wrong": UniformWrong, "gaussian": Gaussian}
-
-
 def _parse_strategies(obj) -> tuple[UniformWrong | Gaussian, object]:
     """The answer model built from every key but ``model``/``workers``, and the workers' strategies as given."""
+    from .simulate import Gaussian, UniformWrong
+
+    models = {"uniform-wrong": UniformWrong, "gaussian": Gaussian}
     if not isinstance(obj, Mapping) or "workers" not in obj:
         raise SuperviseError("strategies file needs a model name and a workers mapping")
     name = obj.get("model")
-    if not isinstance(name, str) or name not in _MODELS:
+    if not isinstance(name, str) or name not in models:
         raise SuperviseError(f"unknown answer model {name!r}; use 'uniform-wrong' or 'gaussian'")
     settings = {key: v for key, v in obj.items() if key not in ("model", "workers")}
     try:
-        model = _MODELS[name](**settings)
+        model = models[name](**settings)
     except TypeError as exc:  # a key that is not one of the model's fields
         raise SuperviseError(f"malformed strategies file: {exc}") from exc
     return model, obj["workers"]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import SimConfig, simulate
+
     structure = _parse_structure(_read_json(args.structure))
     model, strategies = _parse_strategies(_read_json(args.strategies))
     config = SimConfig(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, SuperviseError, require_real
+from .errors import NoIncentiveError, SuperviseError, require_instance, require_real
 
 __all__ = [
     "FlatBound",
@@ -52,6 +52,12 @@ class FlatBound:
         return self.bound
 
 
+def _require_args(f: EffortFunction, params: SchemeParams) -> None:
+    """Refuse an ``f`` or ``params`` of the wrong type."""
+    require_instance(f, EffortFunction, "f")
+    require_instance(params, SchemeParams, "params")
+
+
 def _bound(f: EffortFunction, eps: float, k: int, penalty: float) -> FlatBound:
     b = (-effort_deriv(f, eps)) * k / penalty
     if not math.isfinite(b):
@@ -62,11 +68,13 @@ def _bound(f: EffortFunction, eps: float, k: int, penalty: float) -> FlatBound:
 
 def min_verification_probability_binary(f: EffortFunction, params: SchemeParams) -> FlatBound:
     """p must strictly exceed ``(-f'(eps)) k / C`` to push errors below eps."""
+    _require_args(f, params)
     return _bound(f, params.epsilon, params.k, params.require_C())
 
 
 def min_verification_probability_quant(f: EffortFunction, params: SchemeParams) -> FlatBound:
     """Quantitative analogue with variance threshold eps and weight c."""
+    _require_args(f, params)
     return _bound(f, params.epsilon, params.k, params.require_c())
 
 
@@ -83,11 +91,13 @@ def _best_response(f: EffortFunction, p: float, k: int, penalty: float) -> Root:
 
 def expected_loss_flat(f: EffortFunction, e: float, p: float, params: SchemeParams) -> float:
     """Expected loss ``k f(e) + e p C`` of a worker holding error e."""
+    _require_args(f, params)
     return _loss(f, e, p, params.k, params.require_C())
 
 
 def expected_loss_flat_quant(f: EffortFunction, v: float, p: float, params: SchemeParams) -> float:
     """Expected loss ``k f(v) + v p c`` of a worker holding variance v."""
+    _require_args(f, params)
     return _loss(f, v, p, params.k, params.require_c())
 
 
@@ -98,9 +108,11 @@ def best_response_flat(f: EffortFunction, p: float, params: SchemeParams) -> Roo
     incentive entirely (the loss is minimized at maximal error) and is
     rejected.
     """
+    _require_args(f, params)
     return _best_response(f, p, params.k, params.require_C())
 
 
 def best_response_flat_quant(f: EffortFunction, p: float, params: SchemeParams) -> Root:
     """Variance minimizing the quantitative flat loss: root of ``f'(v) = -pc/k``."""
+    _require_args(f, params)
     return _best_response(f, p, params.k, params.require_c())

@@ -160,9 +160,10 @@ class _CyclicLevels:
         return tuple(LevelState(u, r.value, r.value < eps, r.clamped) for u, r in rows)
 
     def _csv_profile(self, key: tuple = ()) -> tuple:
-        """These levels as ``cyclic_csv_chunks`` takes them, ``(key, prefix rows, period, depth)``."""
+        """These levels as ``cyclic_csv_chunks`` takes them, ``(key, prefix rows, period, depth)``; the rows are
+        made as they are written."""
         eps = self.threshold
-        return key, [(u, r.value, bool_word(r.value < eps)) for u, r in enumerate(self.prefix)], self.period, self.depth
+        return key, ((u, r.value, bool_word(r.value < eps)) for u, r in enumerate(self.prefix)), self.period, self.depth
 
     def csv_chunks(self) -> Iterator[str]:
         """The ``level,error,truthful`` rows in chunks; see ``cyclic_csv_chunks``."""
@@ -283,6 +284,8 @@ def expected_penalty_pair(e_u: float, e_w: float, C: float, D: float) -> float:
 
 def expected_loss_pair(f: EffortFunction, e_u: float, e_w: float, params: SchemeParams) -> float:
     """Expected loss of a worker at e_u judged by a superior at e_w."""
+    require_instance(f, EffortFunction, "f")
+    require_instance(params, SchemeParams, "params")
     require_prob(e_w, "superior error")
     return params.k * effort_eval(f, e_u) + expected_penalty_pair(e_u, e_w, params.require_C(), params.effective_D())
 

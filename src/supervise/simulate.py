@@ -25,7 +25,8 @@ freed, so peak memory is one task's arrays, about (performers + 3) times the
 episode count, whatever the size of the structure.  The episode-length work
 arrays are made once per run and reused for every task: one float and one bool
 scratch array, one penalty array, and one Gaussian answer array per performer
-position; a binary answer is its offset draw, rewritten in place.  Structures
+position; a binary answer is its offset draw, rewritten in place (at m = 2,
+where the offset is always 1 and is not drawn, it is truth ^ wrong).  Structures
 store their rows sorted, so equal structures give equal reports however their
 JSON rows were ordered; with numpy's fixed-order reductions, identical configs
 produce identical reports.
@@ -275,10 +276,13 @@ def _offset_answers(truth: np.ndarray, offset: np.ndarray, m: int, scratch: np.n
 
 def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float, m: int, work: _Work) -> np.ndarray:
     """Answers that equal the truth w.p. 1-e, else land uniformly off it: the offset draw, zeroed where the answer
-    is right, becomes the answer in place."""
+    is right, becomes the answer in place.  At m = 2 every offset is 1, and ``integers(1, 2)`` draws nothing, so
+    the answer is ``truth ^ wrong`` with the same draws."""
     import numpy as np
 
     wrong = np.less(rng.random(out=work.floats), e, out=work.flags)
+    if m == 2:
+        return np.bitwise_xor(truth, wrong)
     offset = rng.integers(1, m, size=truth.shape[0])
     wrong_ints = work.floats.view(np.int64)
     wrong_ints[...] = wrong  # a copy widens the flags: a cast inside a multiply takes a buffer
@@ -401,6 +405,7 @@ def _sweep(
     ``draw(rng, episodes)`` samples once and returns ``penalty``, so every
     grid point sees the same random numbers.
     """
+    require_instance(f, EffortFunction, "f")
     try:
         vals = tuple(float(v) for v in grid)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -442,7 +447,7 @@ def sweep_flat(
     runs of the same length.  The loss at e is C #{checked and u < e} / n.
     """
     p = require_prob(p, "verification probability")
-    C = params.require_C()
+    C = require_instance(params, SchemeParams, "params").require_C()
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         checked = rng.random(n) < p
@@ -461,7 +466,7 @@ def sweep_pair(
     is C (sum d_r + sum over u < e of (d_w - d_r)) / n.
     """
     e_w = require_prob(e_w, "superior error")
-    C, m = params.require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
+    C, m = require_instance(params, SchemeParams, "params").require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         import numpy as np
@@ -470,7 +475,8 @@ def sweep_pair(
         truth = rng.integers(0, m, size=n)
         a_sup = _sample_binary_answers(rng, truth, e_w, m, work)
         u_wrong = rng.random(n)
-        wrong = _offset_answers(truth, rng.integers(1, m, size=n), m, work.floats)
+        # at m = 2 the one wrong answer is 1 - truth, and integers(1, 2) draws nothing
+        wrong = truth ^ 1 if m == 2 else _offset_answers(truth, rng.integers(1, m, size=n), m, work.floats)
         d_r = np.not_equal(truth, a_sup, out=work.flags)
         base = int(np.count_nonzero(d_r))
         count = _count_below(u_wrong, np.not_equal(wrong, a_sup).view(np.int8) - d_r.view(np.int8))

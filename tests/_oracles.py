@@ -6,7 +6,8 @@ the peg builder and the edge-deletion cover, the disjoint-worker greedy as
 it was before graphs stored their rows sorted, the supervision tree's
 builder, maps and validation as they were before they worked in whole-level
 passes, the simulator's helpers as they were before they left numpy's module
-functions for array methods, and
+functions for array methods, its binary answer sampler as it was before
+it stopped drawing offsets at m = 2, and
 the equilibrium cascades as they were before they stopped at a repeat,
 with result types of their own that store every level, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
@@ -66,6 +67,7 @@ from supervise.effort import implied_D
 from supervise.errors import require_int
 from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
 from supervise.simulate import Structure, _z
+from supervise.simulate import _offset_answers as _offset_answers_in_place
 from supervise.structures import _id_rows, _json_fields, _sorted_rows
 
 
@@ -643,6 +645,21 @@ def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float
     n = truth.shape[0]
     wrong = rng.random(n) < e  # thresholded at once, so the float uniforms are freed before the next draw
     return _offset_answers(truth, wrong, rng.integers(1, m, size=n), m)
+
+
+# The binary answer sampler as it was before m = 2 stopped calling ``integers(1, m)``, frozen verbatim but for
+# the in-place modulo, which is the library's ``_offset_answers`` (checked against the original above): it fills
+# the run's reused arrays, and at every m it asks the generator for the offsets.
+
+
+def sample_binary_answers_with_offsets(rng: np.random.Generator, truth: np.ndarray, e: float, m: int,
+                                       work) -> np.ndarray:
+    wrong = np.less(rng.random(out=work.floats), e, out=work.flags)
+    offset = rng.integers(1, m, size=truth.shape[0])
+    wrong_ints = work.floats.view(np.int64)
+    wrong_ints[...] = wrong  # a copy widens the flags: a cast inside a multiply takes a buffer
+    offset *= wrong_ints
+    return _offset_answers_in_place(truth, offset, m, work.floats)
 
 
 def model_answer(model, rng: np.random.Generator, truth: np.ndarray, s) -> np.ndarray:

@@ -51,9 +51,13 @@ from supervise import (
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
     expected_loss_flat,
+    expected_loss_flat_quant,
+    expected_loss_pair,
     expected_penalty_pair,
     expected_penalty_quant,
     min_penalty_hierarchical,
+    min_verification_probability_binary,
+    min_verification_probability_quant,
     profile_to_csv,
     quant_equilibrium,
     sa_exact,
@@ -64,6 +68,7 @@ from supervise import (
     simulate_quant,
     solve_deriv_equals,
     sweep_flat,
+    sweep_pair,
     sweep_quant,
     vc_to_sa,
 )
@@ -380,6 +385,27 @@ BAD_INPUTS = {
     "penalty bound of no effort function": lambda: min_penalty_hierarchical(None, PARAMS),
     "penalty bound of no params": lambda: min_penalty_hierarchical(SL, None),
     "profile CSV of no profile": lambda: profile_to_csv(None),
+    "flat probability bound of no effort function": lambda: min_verification_probability_binary(None, PARAMS),
+    "flat probability bound of no params": lambda: min_verification_probability_binary(SL, None),
+    "quantitative flat probability bound of no effort function": lambda: min_verification_probability_quant(
+        None, QPARAMS
+    ),
+    "quantitative flat probability bound of no params": lambda: min_verification_probability_quant(IP, None),
+    "flat loss of no effort function": lambda: expected_loss_flat(None, 0.1, 0.5, PARAMS),
+    "flat loss of no params": lambda: expected_loss_flat(SL, 0.1, 0.5, None),
+    "quantitative flat loss of no effort function": lambda: expected_loss_flat_quant(None, 1.0, 0.5, QPARAMS),
+    "quantitative flat loss of no params": lambda: expected_loss_flat_quant(IP, 1.0, 0.5, None),
+    "flat best response of no effort function": lambda: best_response_flat(None, 0.5, PARAMS),
+    "flat best response of no params": lambda: best_response_flat(SL, 0.5, None),
+    "quantitative flat best response of no effort function": lambda: best_response_flat_quant(None, 0.5, QPARAMS),
+    "quantitative flat best response of no params": lambda: best_response_flat_quant(IP, 0.5, None),
+    "pair loss of no effort function": lambda: expected_loss_pair(None, 0.1, 0.1, PARAMS),
+    "pair loss of no params": lambda: expected_loss_pair(SL, 0.1, 0.1, None),
+    "flat sweep of no effort function": lambda: sweep_flat(None, PARAMS, 0.5, GRID, 10, 0),
+    "flat sweep of no params": lambda: sweep_flat(SL, None, 0.5, GRID, 10, 0),
+    "pair sweep of no effort function": lambda: sweep_pair(None, PARAMS, 0.1, GRID, 10, 0),
+    "pair sweep of no params": lambda: sweep_pair(SL, None, 0.1, GRID, 10, 0),
+    "quadratic sweep of no effort function": lambda: sweep_quant(None, 2, 1.0, GRID, 10, 0),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -515,6 +541,25 @@ BAD_INPUT_MESSAGES = {
     "penalty bound of no effort function": "f must be of type EffortFunction, got NoneType",
     "penalty bound of no params": "params must be of type SchemeParams, got NoneType",
     "profile CSV of no profile": "profile must be of type EquilibriumProfile, got NoneType",
+    "flat probability bound of no effort function": "f must be of type EffortFunction, got NoneType",
+    "flat probability bound of no params": "params must be of type SchemeParams, got NoneType",
+    "quantitative flat probability bound of no effort function": "f must be of type EffortFunction, got NoneType",
+    "quantitative flat probability bound of no params": "params must be of type SchemeParams, got NoneType",
+    "flat loss of no effort function": "f must be of type EffortFunction, got NoneType",
+    "flat loss of no params": "params must be of type SchemeParams, got NoneType",
+    "quantitative flat loss of no effort function": "f must be of type EffortFunction, got NoneType",
+    "quantitative flat loss of no params": "params must be of type SchemeParams, got NoneType",
+    "flat best response of no effort function": "f must be of type EffortFunction, got NoneType",
+    "flat best response of no params": "params must be of type SchemeParams, got NoneType",
+    "quantitative flat best response of no effort function": "f must be of type EffortFunction, got NoneType",
+    "quantitative flat best response of no params": "params must be of type SchemeParams, got NoneType",
+    "pair loss of no effort function": "f must be of type EffortFunction, got NoneType",
+    "pair loss of no params": "params must be of type SchemeParams, got NoneType",
+    "flat sweep of no effort function": "f must be of type EffortFunction, got NoneType",
+    "flat sweep of no params": "params must be of type SchemeParams, got NoneType",
+    "pair sweep of no effort function": "f must be of type EffortFunction, got NoneType",
+    "pair sweep of no params": "params must be of type SchemeParams, got NoneType",
+    "quadratic sweep of no effort function": "f must be of type EffortFunction, got NoneType",
 }
 
 

@@ -4,16 +4,11 @@ The test process has numpy loaded already, so each check runs in a fresh interpr
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from test_golden import CASES
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from test_package import fresh_process
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -28,15 +23,7 @@ print(json.dumps([after_import, code, "numpy" in sys.modules]))
 
 def _numpy_loaded(argv: list) -> tuple:
     """(numpy loaded by ``import supervise``, exit code, numpy loaded after ``main(argv)``), in a fresh interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
+    return tuple(fresh_process(_PROBE, json.dumps(argv)))
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] != "simulate"))

@@ -210,6 +210,10 @@ DEEP_RESULTS = {
     "two types of 250k levels": lambda: equilibrium_heterogeneous(PopulationModel(
         tuple((WorkerType(EffortFunction.simple_log(a), tid), 0.5) for tid, a in (("a", 1.3), ("b", 1.0)))
     ), DEEP, 250_000),
+    # at C equal to the bound the errors climb towards epsilon and never repeat: every level is a stored root
+    "profile of 300k levels that never repeats": lambda: equilibrium_homogeneous(
+        EffortFunction.simple_log(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0), 300_000
+    ),
     "two quant types of 250k levels": lambda: quant_equilibrium(
         [(QuantWorkerType(EffortFunction.inverse_power(a), id=tid), 0.5) for tid, a in (("sharp", 1.0), ("noisy", 9.0))],
         1, 1.0, 2.0, 250_000,
@@ -220,7 +224,8 @@ DEEP_RESULTS = {
 @pytest.mark.parametrize("case", sorted(DEEP_RESULTS))
 def test_csv_chunks_streams_in_bounded_memory(case):
     """Draining ``csv_chunks()`` holds one chunk of rows at a time: a ``"".join`` inside the method would peak at
-    the text's size, over twice the 4 MB bound here.  Rows past the stored roots are drawn at 4096 a chunk."""
+    the text's size, over twice the 4 MB bound here.  The stored roots' rows, and the rows past them, are drawn at
+    4096 a chunk."""
     result = DEEP_RESULTS[case]()
     tracemalloc.start()
     try:

@@ -359,6 +359,20 @@ def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
         assert all(map(_same_bits, got, ref)), (got, ref)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("e", [0.0, 0.3, 1.0])
+def test_binary_answers_match_the_sampler_that_draws_offsets(m, e):
+    """At m = 2 the sampler skips ``integers(1, 2)``, which draws nothing: the answers, and the generator's state
+    after the call, are those of the frozen sampler that asks for the offsets at every m."""
+    n = 1000
+    truth = np.random.default_rng(1).integers(0, m, size=n)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = _sample_binary_answers(got_rng, truth, e, m, _Work(n))
+    want = _oracles.sample_binary_answers_with_offsets(want_rng, truth, e, m, _Work(n))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def _same_row(a, b) -> bool:
     return a[:2] == b[:2] and all(map(_same_bits, a[2:], b[2:]))
 
