@@ -11,10 +11,9 @@ graph constructions (supervision trees, peg assignments, covering task
 allocations) that make the schemes cheap to run.  A Monte Carlo engine
 cross-checks every analytic expectation.
 
-Importing the package loads no submodule.  Each public name is resolved on
-first access from the table below, which lists each module's ``__all__``, and
-is then cached in the package; ``tests/test_package.py`` checks the table
-against the modules.
+Importing the package loads no submodule.  The table below is the one list
+of public names: each module's ``__all__`` is its row of it.  Each name is
+resolved on first access from the table and is then cached in the package.
 """
 
 import sys

@@ -25,17 +25,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import _EXPORTS
 from .errors import InstanceTooLargeError, SuperviseError, require_instance, require_int
 from .structures import AssignmentGraph, _id_rows, _sorted_rows
 
-__all__ = [
-    "SAInstance",
-    "SASolution",
-    "sa_exact",
-    "sa_greedy",
-    "sa_greedy_edge_deletion",
-    "vc_to_sa",
-]
+__all__ = _EXPORTS["allocation"]
 
 _EXACT_TASK_CAP = 24
 
@@ -92,7 +86,7 @@ def sa_exact(inst: SAInstance) -> SASolution:
     tasks = require_instance(inst, SAInstance, "inst").graph.tasks
     if len(tasks) > _EXACT_TASK_CAP:
         raise InstanceTooLargeError(
-            f"exact solver caps at {_EXACT_TASK_CAP} tasks, got {len(tasks)}; use sa_greedy"
+            f"exact solver caps at {_EXACT_TASK_CAP} tasks, got {len(tasks)}; use a greedy cover instead"
         )
     workers = inst.graph.workers
     widx = {w: i for i, w in enumerate(workers)}

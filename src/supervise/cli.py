@@ -129,12 +129,15 @@ def _population_from_file(path: str) -> PopulationModel:
     from .hierarchy import PopulationModel, WorkerType
 
     obj = _read_json(path)
+    types = obj.get("types") if isinstance(obj, dict) else None
+    if not (isinstance(types, list) and all(isinstance(t, dict) for t in types)):
+        raise SuperviseError("population file needs types[].id/effort/weight: types must be an array of objects")
+    type_keys = ("id", "effort", "weight")
+    unknown = set(obj) - {"types"} | {key for t in types for key in t if key not in type_keys}
+    if unknown:
+        raise SuperviseError(f"population file has unknown keys {sorted(unknown)}; use types[].id/effort/weight")
     try:
-        type_keys = ("id", "effort", "weight")
-        unknown = set(obj) - {"types"} | {key for t in obj["types"] for key in t if key not in type_keys}
-        if unknown:
-            raise SuperviseError(f"population file has unknown keys {sorted(unknown)}; use types[].id/effort/weight")
-        types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in obj["types"])
+        types = tuple((WorkerType(EffortFunction(**t["effort"]), t["id"]), t["weight"]) for t in types)
     except (KeyError, TypeError) as exc:
         raise SuperviseError(f"population file needs types[].id/effort/weight: {exc}") from exc
     return PopulationModel(types)

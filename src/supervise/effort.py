@@ -15,18 +15,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _EXPORTS
 from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError
-from .errors import FLOAT_MAX, require_int, require_real
+from .errors import FLOAT_MAX, require_instance, require_int, require_real
 
-__all__ = [
-    "Family",
-    "EffortFunction",
-    "Root",
-    "SchemeParams",
-    "effort_eval",
-    "effort_deriv",
-    "solve_deriv_equals",
-]
+__all__ = _EXPORTS["effort"]
 
 
 class Family(str, Enum):
@@ -93,6 +86,7 @@ class Root:
 
 
 def _check_domain(f: EffortFunction, e: float) -> float:
+    require_instance(f, EffortFunction, "f")
     # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
     if not (isinstance(e, float) and math.isfinite(e) or isinstance(e, int) and abs(e) <= FLOAT_MAX):
         raise EffortDomainError(f"effort domain: effort must be a finite real, got {e!r}")
@@ -159,28 +153,31 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
     attains the target the boundary is returned as a true root, otherwise the
     result is clamped there and flagged.
     """
+    if not isinstance(f, EffortFunction):  # inline: this runs once per level, where a call costs about 25 ns more
+        require_instance(f, EffortFunction, "f")
     # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
     if not (isinstance(target, float) and math.isfinite(target)
             or isinstance(target, int) and abs(target) <= FLOAT_MAX):
         raise InvalidTargetError(f"invalid target: {target!r}")
     target = float(target)
+    family, alpha = f.family, f.alpha
 
-    if f.family is Family.SIMPLE_LOG:
+    if family is Family.SIMPLE_LOG:
         # f'(e) = -alpha/e, range (-inf, -alpha] on (0, 1]
-        if target == -f.alpha:
+        if target == -alpha:
             return Root(1.0)
-        if target > -f.alpha:
+        if target > -alpha:
             return Root(1.0, clamped=True)
-        return Root(-f.alpha / target)
+        return Root(-alpha / target)
 
-    if f.family is Family.BOUNDARY_LOG:
+    if family is Family.BOUNDARY_LOG:
         # f'(e) = -2 alpha ln(1/(2e))/e, range (-inf, 0] on (0, 1/2]
         if target == 0.0:
             return Root(0.5)
         if target > 0.0:
             return Root(0.5, clamped=True)
         # substitute u = 1/(2e):  u ln u = -target/(4 alpha)  =>  ln u = W(y)
-        y = -target / 4.0 / f.alpha  # 4 alpha itself would overflow for alpha near the float maximum
+        y = -target / 4.0 / alpha  # 4 alpha itself would overflow for alpha near the float maximum
         if y == 0.0:  # the quotient underflowed; W(y)/y -> 1 as y -> 0
             return Root(0.5)
         w = _lambertw_nonneg(y)
@@ -189,7 +186,7 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
     # inverse power: f'(v) = -alpha/v^2, range (-inf, 0) on (0, inf)
     if target >= 0.0:
         return Root(math.inf, clamped=True)
-    return Root(math.sqrt(f.alpha / -target))
+    return Root(math.sqrt(alpha / -target))
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,9 @@ bools, NaN, infinities and non-numbers, and raise the class the caller names.
 import math
 import sys
 
-__all__ = [
-    "SuperviseError",
-    "EffortDomainError",
-    "InvalidTargetError",
-    "NoIncentiveError",
-    "EpsilonRangeError",
-    "SizingError",
-    "AssumptionError",
-    "InstanceTooLargeError",
-    "ModelMismatchError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class SuperviseError(ValueError):

@@ -15,18 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import NoIncentiveError, SuperviseError, require_instance, require_real
 
-__all__ = [
-    "FlatBound",
-    "min_verification_probability_binary",
-    "min_verification_probability_quant",
-    "expected_loss_flat",
-    "expected_loss_flat_quant",
-    "best_response_flat",
-    "best_response_flat_quant",
-]
+__all__ = _EXPORTS["flat"]
 
 
 @dataclass(frozen=True)

@@ -30,32 +30,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from . import _EXPORTS
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, EpsilonRangeError, SuperviseError
 from .errors import require_instance, require_int, require_number, require_prob, require_real, require_weight
 from .errors import require_weights
 
-__all__ = [
-    "WorkerType",
-    "PopulationModel",
-    "LevelState",
-    "EquilibriumProfile",
-    "TypeEquilibrium",
-    "HeterogeneousEquilibrium",
-    "CounterexampleTrace",
-    "DefectionAnalysis",
-    "min_penalty_hierarchical",
-    "expected_penalty_pair",
-    "expected_loss_pair",
-    "best_response_under_superior",
-    "equilibrium_homogeneous",
-    "equilibrium_heterogeneous",
-    "proficiency_sigma",
-    "counterexample_trace",
-    "level_info_bits",
-    "profile_to_csv",
-]
+__all__ = _EXPORTS["hierarchy"]
 
 
 @dataclass(frozen=True)
@@ -299,6 +281,7 @@ def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemePa
     maximal-error corner, flagged as clamped unless f' attains the target there.
     """
     require_prob(e_w, "superior error")
+    require_instance(params, SchemeParams, "params")
     return solve_deriv_equals(f, _response_target(e_w, params.require_C(), params.effective_D(), params.k))
 
 

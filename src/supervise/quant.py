@@ -19,19 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import _EXPORTS
 from ._csv import bool_word, cyclic_csv_chunks
 from .effort import EffortFunction, Root, solve_deriv_equals
 from .errors import FLOAT_MAX, AssumptionError, SuperviseError, require_instance, require_int, require_real
 from .errors import require_weight, require_weights
 
-__all__ = [
-    "QuantWorkerType",
-    "TypeQuantProfile",
-    "QuantEquilibrium",
-    "expected_penalty_quant",
-    "best_response_quant",
-    "quant_equilibrium",
-]
+__all__ = _EXPORTS["quant"]
 
 BIAS_TOLERANCE = 1e-9
 

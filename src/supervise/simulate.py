@@ -48,6 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
+from . import _EXPORTS
 from ._csv import write_csv
 from .effort import EffortFunction, SchemeParams, effort_eval, implied_D
 from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_instance, require_int, require_number
@@ -59,20 +60,7 @@ from .structures import SupervisionHierarchy, SupervisionTree
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "UniformWrong",
-    "Gaussian",
-    "SimConfig",
-    "WorkerStats",
-    "SimReport",
-    "SweepResult",
-    "simulate",
-    "simulate_binary",
-    "simulate_quant",
-    "sweep_flat",
-    "sweep_pair",
-    "sweep_quant",
-]
+__all__ = _EXPORTS["simulate"]
 
 
 # The largest answer-set size numpy's int64 answers hold: a wrong answer, truth + offset, stays below 2 m.
@@ -134,12 +122,9 @@ class Gaussian:
         object.__setattr__(self, "c", require_real(self.c, "c", 0.0, lo_open=True))
 
     def strategy(self, worker: str, sv: object) -> tuple[float, float]:
-        try:
-            sigma, bias = sv  # type: ignore[misc]
-        except (TypeError, ValueError) as exc:
-            raise ModelMismatchError(
-                f"quantitative strategy for {worker!r} must be a (sigma, bias) pair, got {sv!r}"
-            ) from exc
+        if not (isinstance(sv, (list, tuple)) and len(sv) == 2):  # a string, bytes or mapping would unpack too
+            raise ModelMismatchError(f"quantitative strategy for {worker!r} must be a (sigma, bias) pair, got {sv!r}")
+        sigma, bias = sv
         return (
             require_real(sigma, f"sigma for {worker!r}", 0.0, error=ModelMismatchError),
             require_real(bias, f"bias for {worker!r}", error=ModelMismatchError),

@@ -23,18 +23,10 @@ from itertools import chain, compress, count, cycle, filterfalse, groupby, islic
 from operator import add, eq, itemgetter, not_
 from typing import Collection, Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .errors import SizingError, SuperviseError, require_instance, require_int
 
-__all__ = [
-    "AssignmentGraph",
-    "SupervisionTree",
-    "PegAssignment",
-    "SupervisionHierarchy",
-    "build_supervision_tree",
-    "build_supervision_tree_over",
-    "build_peg_assignment",
-    "build_supervision_hierarchy",
-]
+__all__ = _EXPORTS["structures"]
 
 
 _PARENT, _CHILD, _PICK = itemgetter(0), itemgetter(1), itemgetter(2)  # the columns of edge and shared rows

@@ -476,6 +476,15 @@ class TestInputFilesPassedUnchanged:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "types", ["abc", ["abc"], {"id": "a", "weight": 1}], ids=["a string", "strings", "an object"]
+    )
+    def test_types_not_an_array_of_objects_is_refused_whole(self, capsys, tmp_path, types):
+        """A string or an object is not split up into the letters or keys of its unknown keys."""
+        code, out, err = self.run_file(capsys, tmp_path, {"types": types})
+        assert (code, out) == (1, "")
+        assert err == "error: population file needs types[].id/effort/weight: types must be an array of objects\n"
+
     def test_effort_without_alpha_takes_the_default(self, capsys, tmp_path):
         got = self.run_file(capsys, tmp_path, _population(effort={"alpha": None}))
         assert got[0] == 0 and got == self.run_file(capsys, tmp_path, _population(effort={"alpha": 1.0}))
@@ -578,15 +587,18 @@ def test_a_refused_run_prints_one_error_line(capsys, tmp_path, case):
 
 
 def test_allocate_prints_a_ratio_exactly_where_the_exact_solver_answers(capsys, tmp_path):
-    """25 tasks are one past the exact solver's cap: the greedy cover prints no ratio, and exact mode refuses."""
+    """25 tasks are one past the exact solver's cap: the greedy cover prints no ratio, and exact mode refuses in words
+    that fit the CLI as well as the library."""
     graph = tmp_path / "graph.json"
     for n, has_ratio in ((24, True), (25, False)):
         assert run_cli(capsys, "peg", "build", "--n-workers", str(n), "--n-tasks", str(n), "--k", "3", "--seed", "1",
                        "--out", str(graph))[0] == 0
         code, out, _ = run_cli(capsys, "allocate", "--mode", "greedy", "--graph", str(graph), "--seed", "3")
         assert code == 0 and ("ratio" in json.loads(out)) == has_ratio
-        code, _, err = run_cli(capsys, "allocate", "--mode", "exact", "--graph", str(graph))
-        assert code == (0 if has_ratio else 1) and has_ratio != err.startswith("error: exact solver caps at 24 tasks")
+        refusal = "" if has_ratio else f"error: exact solver caps at 24 tasks, got {n}; use a greedy cover instead\n"
+        for argv in (["allocate"], ["hierarchy", "build", "--k", "2"]):
+            code, _, err = run_cli(capsys, *argv, "--mode", "exact", "--graph", str(graph))
+            assert (code, err) == (0 if has_ratio else 1, refusal)
 
 
 # The analytic subcommands on valid arguments, with their float and integer flags.

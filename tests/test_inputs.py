@@ -42,11 +42,14 @@ from supervise import (
     WorkerType,
     best_response_flat,
     best_response_flat_quant,
+    best_response_quant,
+    best_response_under_superior,
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
     build_supervision_tree_over,
     counterexample_trace,
+    effort_deriv,
     effort_eval,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
@@ -58,6 +61,7 @@ from supervise import (
     min_penalty_hierarchical,
     min_verification_probability_binary,
     min_verification_probability_quant,
+    proficiency_sigma,
     profile_to_csv,
     quant_equilibrium,
     sa_exact,
@@ -406,6 +410,16 @@ BAD_INPUTS = {
     "pair sweep of no effort function": lambda: sweep_pair(None, PARAMS, 0.1, GRID, 10, 0),
     "pair sweep of no params": lambda: sweep_pair(SL, None, 0.1, GRID, 10, 0),
     "quadratic sweep of no effort function": lambda: sweep_quant(None, 2, 1.0, GRID, 10, 0),
+    "solver of no effort function": lambda: solve_deriv_equals(None, -1.0),
+    "effort of no effort function": lambda: effort_eval(None, 0.1),
+    "effort derivative of no effort function": lambda: effort_deriv(None, 0.1),
+    "quantitative best response of no effort function": lambda: best_response_quant(None, 2, 1.0),
+    "best response to a superior of no effort function": lambda: best_response_under_superior(None, 0.1, PARAMS),
+    "best response to a superior of no params": lambda: best_response_under_superior(SL, 0.1, None),
+    "proficiency of no effort function": lambda: proficiency_sigma(None, PARAMS),
+    "gaussian strategy of bytes": lambda: Gaussian().strategy("w0", b"ab"),
+    "gaussian strategy of a string": lambda: Gaussian().strategy("w0", "ab"),
+    "gaussian strategy of a mapping": lambda: Gaussian().strategy("w0", {"s": 1, "b": 2}),
 }
 
 # The message a case must raise, where another refusal could come first.
@@ -560,6 +574,16 @@ BAD_INPUT_MESSAGES = {
     "pair sweep of no effort function": "f must be of type EffortFunction, got NoneType",
     "pair sweep of no params": "params must be of type SchemeParams, got NoneType",
     "quadratic sweep of no effort function": "f must be of type EffortFunction, got NoneType",
+    "solver of no effort function": "f must be of type EffortFunction, got NoneType",
+    "effort of no effort function": "f must be of type EffortFunction, got NoneType",
+    "effort derivative of no effort function": "f must be of type EffortFunction, got NoneType",
+    "quantitative best response of no effort function": "f must be of type EffortFunction, got NoneType",
+    "best response to a superior of no effort function": "f must be of type EffortFunction, got NoneType",
+    "best response to a superior of no params": "params must be of type SchemeParams, got NoneType",
+    "proficiency of no effort function": "f must be of type EffortFunction, got NoneType",
+    "gaussian strategy of bytes": r"strategy for 'w0' must be a \(sigma, bias\) pair, got b'ab'",
+    "gaussian strategy of a string": r"strategy for 'w0' must be a \(sigma, bias\) pair, got 'ab'",
+    "gaussian strategy of a mapping": r"strategy for 'w0' must be a \(sigma, bias\) pair, got \{'s': 1, 'b': 2\}",
 }
 
 

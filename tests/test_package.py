@@ -1,10 +1,12 @@
-"""The package's public names: each module's ``__all__`` is its one list, and ``supervise`` re-exports it.
+"""The package's public names: the package's name -> module table is their one list, each module's ``__all__`` is
+its row of it, and ``supervise`` re-exports them.
 
 ``import supervise`` loads no submodule: each name comes from the package's name -> module table on first access,
 and each CLI subcommand loads only the modules it runs.  The test process has every module loaded already, so
 those checks run in a fresh interpreter.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -31,6 +33,22 @@ def test_package_exports_exactly_the_module_lists():
             assert getattr(supervise, name) is getattr(module, name)
     assert isinstance(supervise.__version__, str)
     assert not [name for name in names if name.startswith("require_")]
+
+
+def test_each_module_list_is_its_row_of_the_table():
+    """No module writes its own list of names, so the table cannot drift from a second copy."""
+    assert tuple(supervise._EXPORTS) == NAMES
+    for name, module in zip(NAMES, MODULES):
+        assert module.__all__ is supervise._EXPORTS[name]
+    literal = []
+    for path in sorted((SRC / "supervise").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if (any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+                    and isinstance(getattr(node, "value", None), (ast.List, ast.Tuple))):
+                literal.append(path.name)
+    # the package's own list is the table's names plus __version__; the CLI's four names are not re-exported
+    assert literal == ["__init__.py", "cli.py"]
 
 
 def test_dir_lists_the_public_names_and_the_submodules():
