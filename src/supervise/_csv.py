@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
 from typing import Iterable, Iterator, Sequence
 
 _CHUNK_ROWS = 4096
@@ -15,11 +15,6 @@ def _lines(rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line plus one line per row; floats keep full precision."""
-    return _lines(chain((header,), rows))
 
 
 def cyclic_csv_chunks(header: Sequence[str], profiles: Iterable[tuple]) -> Iterator[str]:
@@ -32,6 +27,7 @@ def cyclic_csv_chunks(header: Sequence[str], profiles: Iterable[tuple]) -> Itera
     columns) and the ``tail`` of each cycle position (the ``,value,truthful`` columns) are formatted once by the
     csv writer, so quoting stays the csv module's.  A chunk of those rows is one ``%`` format over a template of
     ``lead + "%d" + tail`` per row; ``%`` in the ids is doubled in the template, so it comes out as written.
+    A period-0 profile's prefix rows are written as given, with any columns, and its depth is not read.
     """
     yield _lines((header,))
     for key, prefix, period, depth in profiles:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .errors import InstanceTooLargeError, SuperviseError, require_instance, require_int
-from .structures import AssignmentGraph, _id_rows, _sorted_rows
+from .structures import AssignmentGraph, _clash_free_prefix, _id_rows, _sorted_rows
 
 __all__ = _EXPORTS["allocation"]
 
@@ -242,7 +242,8 @@ def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAIns
     isolated = sorted(set(vs) - touched)
     if isolated:
         warnings.warn(f"dropping isolated vertices (they constrain nothing): {isolated}", stacklevel=2)
-    workers = tuple(f"{u}|{v}" for u, v in norm)
-    g_edges = tuple((f"{u}|{v}", x) for u, v in norm for x in (u, v))
+    prefix = _clash_free_prefix("e", vs)  # no vertex id starts with it, so no edge worker id is a vertex's
+    workers = tuple(prefix + str(i) for i in range(len(norm)))
+    g_edges = tuple((w, x) for w, e in zip(workers, norm) for x in e)
     graph = AssignmentGraph(workers=workers, tasks=tuple(touched), edges=g_edges)
     return SAInstance(graph=graph, k=2)

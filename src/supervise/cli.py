@@ -59,7 +59,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SuperviseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, a number past int's digit limit, too deep a nesting
         raise SuperviseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -399,7 +399,15 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             args.seed = _resolve_seed(args.seed)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:  # the reader left: point stdout at devnull, so the flush at exit finds nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
     except SuperviseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

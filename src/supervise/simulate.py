@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import _EXPORTS
-from ._csv import write_csv
+from ._csv import cyclic_csv_chunks
 from .effort import EffortFunction, SchemeParams, effort_eval, implied_D
 from .errors import FLOAT_MAX, ModelMismatchError, SuperviseError, require_instance, require_int, require_number
 from .errors import require_prob, require_real
@@ -82,10 +82,6 @@ class UniformWrong:
         require_int(self.m, "m", 2, hi=_M_MAX)
         object.__setattr__(self, "C", require_real(self.C, "C", 0.0, lo_open=True))
 
-    @property
-    def both_wrong_penalty(self) -> float:
-        return implied_D(self.C, self.m)
-
     def strategy(self, worker: str, e: object) -> float:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)
 
@@ -105,7 +101,7 @@ class UniformWrong:
         return x
 
     def expected(self, e_worker: float, e_superior: float) -> float:
-        return expected_penalty_pair(e_worker, e_superior, self.C, self.both_wrong_penalty)
+        return expected_penalty_pair(e_worker, e_superior, self.C, implied_D(self.C, self.m))
 
 
 @dataclass(frozen=True)
@@ -213,8 +209,8 @@ class SimReport:
         return max((abs(r.z) for r in self.rows), default=0.0)
 
     def csv_chunks(self) -> Iterator[str]:
-        """The rows as CSV in one chunk: the report is already in memory."""
-        yield write_csv(WorkerStats._fields, self.rows)
+        """The rows as CSV, 4096 at a time: a period-0 profile of the report's rows."""
+        return cyclic_csv_chunks(WorkerStats._fields, (((), self.rows, 0, 0),))
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())  # perfbench hashes this name; it leaves with ROADMAP item 11
@@ -227,8 +223,7 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
         extra: list[tuple[str, str, str, int]] = []
     elif isinstance(structure, SupervisionHierarchy):
         tree = structure.tree
-        graph_level = tree.depth - 1
-        extra = [(tree.parent[t], w, t, graph_level) for w, t in structure.coverage]
+        extra = [(tree.parent[t], w, t, structure.equilibrium_depth) for w, t in structure.coverage]
     else:
         raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
     level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
@@ -448,10 +443,15 @@ def sweep_pair(
     """Empirical pair loss against a superior playing error e_w.
 
     With d_r an episode's disagreement when the worker answers right and d_w when it answers wrong, the loss at e
-    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.
+    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.  Wrong answers are uniform, so the one both-wrong penalty
+    the draws realize is ``implied_D(C, m)``; a params with another D is refused.
     """
     e_w = require_prob(e_w, "superior error")
     C, m = require_instance(params, SchemeParams, "params").require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
+    if (D := params.effective_D()) != implied_D(C, m):
+        raise ModelMismatchError(
+            f"sweep_pair samples uniformly wrong answers, so D must be implied_D(C, m) = {implied_D(C, m)!r}, got {D!r}"
+        )
 
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         import numpy as np

@@ -437,9 +437,8 @@ class SupervisionHierarchy:
         if set(covered) != set(graph.workers):
             odd = sorted(set(covered) ^ set(graph.workers))[:5]
             raise SuperviseError(f"coverage must name exactly the graph's workers; differs on {odd}")
-        edge_set = set(graph.edges)
         for w, t in self.coverage:
-            if t not in tree_tasks or (w, t) not in edge_set:
+            if t not in tree_tasks or t not in graph.worker_tasks[w]:
                 raise SuperviseError(f"worker {w!r} lacks a valid covering task")
         # the tree is connected and every graph worker reaches it through coverage,
         # so only a task outside the tree with no workers can be cut off

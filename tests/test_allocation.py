@@ -149,6 +149,14 @@ class TestVcBridge:
         inst = vc_to_sa(["a", "b"], [("a", "b"), ("b", "a")])
         assert len(inst.graph.workers) == 1
 
+    @pytest.mark.parametrize("vertices, edges", [
+        (["a", "b", "a|b", "c"], [("a", "b"), ("a|b", "c")]),
+        (["a", "b|c", "a|b", "c"], [("a", "b|c"), ("a|b", "c")]),
+    ])
+    def test_vertex_ids_with_a_bar_are_covered(self, vertices, edges):
+        """Naming an edge's worker "u|v" made it a vertex's id, or another edge's worker's."""
+        assert sa_exact(vc_to_sa(vertices, edges)).tasks == ("a", "a|b")
+
     def test_rejects_self_loops_and_unknowns(self):
         with pytest.raises(SuperviseError):
             vc_to_sa(["a"], [("a", "a")])

@@ -253,6 +253,22 @@ def test_a_gaussian_penalty_beyond_floats_is_one_error_line(tmp_path, sigma):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+def test_a_reader_that_closes_stdout_early_gets_one_error_line():
+    """In a fresh process: the profile's CSV is about 600 kB, far past a pipe's 64 KiB, so the run is still writing
+    when the reader leaves, and neither that write nor the flush at interpreter exit may end in a traceback."""
+    proc = subprocess.Popen([sys.executable, "-m", "supervise", "equilibrium", "--effort", "simplelog", "--epsilon",
+                             "0.25", "--k", "2", "--C", "16", "--depth", "20000"],
+                            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"level,erro"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: cannot write stdout:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 class TestCounterexampleAndDefection:
     def test_trace_footer(self, capsys):
         code, out, _ = run_cli(
@@ -558,6 +574,15 @@ REFUSALS = {
     "invalid JSON in an input file": (
         lambda d: ["allocate", "--mode", "exact", "--graph", str(d / "broken.json")], "error: invalid JSON in"
     ),
+    "an input file that is not UTF-8": (
+        lambda d: ["allocate", "--mode", "greedy", "--graph", str(d / "utf16.json")], "error: invalid JSON in"
+    ),
+    "an input integer past the digit limit": (
+        lambda d: ["allocate", "--mode", "greedy", "--graph", str(d / "long-int.json")], "error: invalid JSON in"
+    ),
+    "an input file nested past the recursion limit": (
+        lambda d: ["allocate", "--mode", "greedy", "--graph", str(d / "deep.json")], "error: invalid JSON in"
+    ),
     "an --out that is a directory": (
         lambda d: ["tree", "build", "--n-tasks", "3", "--k", "2", "--out", str(d)], "error: cannot write"
     ),
@@ -577,6 +602,9 @@ REFUSALS = {
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_a_refused_run_prints_one_error_line(capsys, tmp_path, case):
     (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "long-int.json").write_text("1" * 5000)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     for name, weight in (("population.json", 1.0), ("huge-weight.json", 10**400)):
         (tmp_path / name).write_text(json.dumps(
             {"types": [{"id": "a", "weight": weight, "effort": {"family": "simplelog", "alpha": 1.0}}]}

@@ -409,6 +409,8 @@ BAD_INPUTS = {
     "flat sweep of no params": lambda: sweep_flat(SL, None, 0.5, GRID, 10, 0),
     "pair sweep of no effort function": lambda: sweep_pair(None, PARAMS, 0.1, GRID, 10, 0),
     "pair sweep of no params": lambda: sweep_pair(SL, None, 0.1, GRID, 10, 0),
+    "pair sweep at a D that uniformly wrong answers cannot realize":
+        lambda: sweep_pair(SL, SchemeParams(k=2, epsilon=0.25, C=10.0, m=3, D=0.0), 0.2, GRID, 10, 1),
     "quadratic sweep of no effort function": lambda: sweep_quant(None, 2, 1.0, GRID, 10, 0),
     "solver of no effort function": lambda: solve_deriv_equals(None, -1.0),
     "effort of no effort function": lambda: effort_eval(None, 0.1),
@@ -584,6 +586,7 @@ BAD_INPUT_MESSAGES = {
     "gaussian strategy of bytes": r"strategy for 'w0' must be a \(sigma, bias\) pair, got b'ab'",
     "gaussian strategy of a string": r"strategy for 'w0' must be a \(sigma, bias\) pair, got 'ab'",
     "gaussian strategy of a mapping": r"strategy for 'w0' must be a \(sigma, bias\) pair, got \{'s': 1, 'b': 2\}",
+    "pair sweep at a D that uniformly wrong answers cannot realize": r"D must be implied_D\(C, m\) = 5.0, got 0.0",
 }
 
 
