@@ -12,6 +12,11 @@
 All construction is seeded and deterministic: the same seed reproduces the
 same structure byte for byte.  A structure is validated once, when it is
 constructed, so one that exists is valid and a composite trusts its parts.
+
+Structures store string rows, which they compare, print and write as JSON.
+A tree's checks read integer columns kept beside its rows: its builder makes
+the columns and derives the rows, and rows from a caller or from JSON are
+mapped to columns first.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, cycle, filterfalse, groupby, islice, repeat
-from operator import add, eq, itemgetter, not_
-from typing import Collection, Iterable, Mapping, Sequence
+from itertools import chain, count, cycle, filterfalse, groupby, islice, repeat
+from operator import eq, itemgetter
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from . import _EXPORTS
 from .errors import SizingError, SuperviseError, require_instance, require_int
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = _EXPORTS["structures"]
 
@@ -127,9 +135,15 @@ class SupervisionTree:
     ``levels`` keep their order; ``edges`` and ``shared`` are stored sorted.
     ``shared`` holds one ``(parent, child, task)`` triple per worker->worker
     edge: the one task both perform, on which the parent judges the child.
-    What each worker performs, ``worker_tasks``, follows from these.  Each map
-    comes from the sorted rows in one pass, and ``validate`` checks whole
-    columns at once, walking the rows one at a time only to name a fault.
+    What each worker performs, ``worker_tasks``, follows from these.
+
+    The rows are stored; ``validate`` reads integer columns kept beside them:
+    each node's parent position in the level above and, level by level, the
+    position of the task on which each worker is judged.  The builder derives
+    the rows from its columns.  Rows given to the constructor, to
+    ``dataclasses.replace`` or to ``from_json_dict`` are mapped to columns
+    first, and only a tree that fails the checks has its rows walked, to name
+    the first fault.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -140,7 +154,23 @@ class SupervisionTree:
         object.__setattr__(self, "levels", _id_rows(self.levels, "levels", 0))
         for key, width in (("edges", 2), ("shared", 3)):
             object.__setattr__(self, key, _sorted_rows(getattr(self, key), key, width))
+        object.__setattr__(self, "_columns", _tree_columns(self.levels, self.edges, self.shared))
         self.validate()
+
+    @classmethod
+    def _of_columns(cls, levels: tuple, parents: tuple, picks: array) -> SupervisionTree:
+        """The tree of these levels and columns, its rows derived from them and sorted: the builder's constructor."""
+        edges: list[tuple[str, str]] = []
+        for above, level, up in zip(levels, levels[1:], parents):
+            edges.extend(zip(map(above.__getitem__, up), level))
+        # the edges to workers come first, level by level, in the order of the picks
+        shared = zip(map(_PARENT, edges), map(_CHILD, edges), map(levels[-1].__getitem__, picks))
+        tree = cls.__new__(cls)
+        for key, value in (("levels", levels), ("edges", tuple(sorted(edges))), ("shared", tuple(sorted(shared))),
+                           ("_columns", (parents, picks))):
+            object.__setattr__(tree, key, value)
+        tree.validate()
+        return tree
 
     @property
     def depth(self) -> int:
@@ -165,14 +195,7 @@ class SupervisionTree:
 
     @cached_property
     def parent(self) -> dict[str, str]:
-        out = dict(zip(map(_CHILD, self.edges), map(_PARENT, self.edges)))
-        if len(out) != len(self.edges):
-            seen: set[str] = set()
-            for _, c in self.edges:
-                if c in seen:
-                    raise SuperviseError(f"node {c!r} has two parents")
-                seen.add(c)
-        return out
+        return dict(zip(map(_CHILD, self.edges), map(_PARENT, self.edges)))
 
     @cached_property
     def worker_tasks(self) -> dict[str, tuple[str, ...]]:
@@ -181,61 +204,53 @@ class SupervisionTree:
         return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
 
     def validate(self) -> None:
+        """Check the columns: at least three levels, none empty, under one supervisor; unique ids; each node's
+        parent in the level above; each bottom worker judged on one of its own tasks, and each higher worker on a
+        task that one of its children was judged on, so that every node but the tasks has a child."""
+        if not _tree_columns_hold(self.levels, self._columns):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        """Walk the rows, and raise the first fault in the order the row checks have always been made."""
         levels, edges, shared = self.levels, self.edges, self.shared
         if len(levels) < 3:
             raise SuperviseError("tree needs at least supervisor, one worker level, and tasks")
         if len(levels[0]) != 1:
             raise SuperviseError("level 0 must hold exactly the supervisor")
-        node_level = dict(zip(chain.from_iterable(levels), chain.from_iterable(map(repeat, count(), map(len, levels)))))
-        if len(node_level) != sum(map(len, levels)):
-            seen: set[str] = set()
-            for n in chain.from_iterable(levels):
-                if n in seen:
+        node_level: dict[str, int] = {}
+        for i, lv in enumerate(levels):
+            for n in lv:
+                if n in node_level:
                     raise SuperviseError(f"node {n!r} appears twice")
-                seen.add(n)
-        below_parent = map(add, map(node_level.get, map(_PARENT, edges), repeat(-2)), repeat(1))
-        if not all(map(eq, map(node_level.get, map(_CHILD, edges)), below_parent)):
-            for p, c in edges:
-                if node_level.get(c) != node_level.get(p, -2) + 1:
-                    raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
-        # every edge joins adjacent levels, so counting the keys is enough; the loops only name the first culprit
-        parent, heads = self.parent, set(map(_PARENT, edges))
-        if len(parent) != len(node_level) - 1:
-            n = next(n for lv in levels[1:] for n in lv if n not in parent)
-            raise SuperviseError(f"node {n!r} has no parent")
-        if len(heads) != len(node_level) - len(levels[-1]):
-            n = next(n for lv in levels[:-1] for n in lv if n not in heads)
-            raise SuperviseError(f"node {n!r} has no children")
-        # each worker is judged by its parent on exactly one task, and nothing else is shared.  With one parent per
-        # node the worker->worker edges are the edges less one per task, so the triples must name that many
-        # distinct children, each a worker under its own parent
-        judged, picks = tuple(map(_CHILD, shared)), tuple(map(_PICK, shared))
-        if not (
-            len(shared) == len(edges) - len(levels[-1])
-            and len(set(judged)) == len(judged)
-            and heads.issuperset(judged)
-            and all(map(eq, map(parent.get, judged), map(_PARENT, shared)))
-        ):
-            leaf_level = len(levels) - 1
-            worker_edges = {(p, c) for p, c in edges if node_level[c] != leaf_level}
-            pairs = [(p, c) for p, c, _ in shared]
-            missing = worker_edges.difference(pairs)
-            if missing:
-                p, c = min(missing)
-                raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
+                node_level[n] = i
+        for p, c in edges:
+            if node_level.get(c) != node_level.get(p, -2) + 1:
+                raise SuperviseError(f"edge ({p!r}, {c!r}) does not connect adjacent levels")
+        parent: dict[str, str] = {}
+        for p, c in edges:
+            if c in parent:
+                raise SuperviseError(f"node {c!r} has two parents")
+            parent[c] = p
+        for n in chain.from_iterable(levels[1:]):
+            if n not in parent:
+                raise SuperviseError(f"node {n!r} has no parent")
+        heads = set(map(_PARENT, edges))
+        for n in chain.from_iterable(levels[:-1]):
+            if n not in heads:
+                raise SuperviseError(f"node {n!r} has no children")
+        # one triple per worker->worker edge
+        pairs = [(p, c) for p, c, _ in shared]
+        worker_edges = {(p, c) for p, c in edges if node_level[c] != len(levels) - 1}
+        missing = worker_edges.difference(pairs)
+        if missing:
+            p, c = min(missing)
+            raise SuperviseError(f"missing shared task for edge ({p!r}, {c!r})")
+        if len(pairs) != len(worker_edges):
             raise SuperviseError("shared holds a triple that is not the one task of a worker->worker edge")
-        # the child performs its pick: a bottom child is the task's parent, a higher child judged one of its own
-        # children on it.  A pick lies in the child's own subtree, so siblings' picks differ
-        bottom = tuple(map(eq, map(node_level.__getitem__, judged), repeat(len(levels) - 2)))
-        judged_on = set(zip(map(_PARENT, shared), picks))
-        if not (
-            all(map(eq, map(parent.get, compress(picks, bottom)), compress(judged, bottom)))
-            and all(map(judged_on.__contains__, compress(zip(judged, picks), map(not_, bottom))))
-        ):
-            worker_tasks = self.worker_tasks
-            for p, c, t in shared:
-                if t not in worker_tasks[c]:
-                    raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
+        worker_tasks = self.worker_tasks
+        for p, c, t in shared:
+            if t not in worker_tasks[c]:
+                raise SuperviseError(f"shared task {t!r} not performed by child {c!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,6 +262,64 @@ class SupervisionTree:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupervisionTree":
         return cls(**_json_fields(obj, "levels", "edges", "shared"))
+
+
+def _column(positions: Iterable[int]) -> array:
+    """``positions`` as a compact integer column; filled from a list in one pass, not one append per item.
+    ``array`` loads here, on first use, so that a cold CLI run that makes no tree does not load it."""
+    from array import array
+
+    return array("q", list(positions))
+
+
+def _tree_columns(levels: tuple, edges: tuple, shared: tuple) -> tuple[tuple[array, ...], array] | None:
+    """The columns that a tree's rows map to, or None if they map to none: they do not when a node below the root
+    lacks one parent in the level above, or a worker lacks one triple, under that parent, whose pick is a task."""
+    if len(levels) < 3:
+        return None
+    up = dict(zip(map(_CHILD, edges), map(_PARENT, edges)))
+    judged = dict(zip(map(_CHILD, shared), map(_PICK, shared)))
+    workers = tuple(chain.from_iterable(levels[1:-1]))
+    if not (
+        len(up) == len(edges) == len(workers) + len(levels[-1])
+        and len(judged) == len(shared) == len(workers)
+        and all(map(eq, map(up.get, map(_CHILD, shared)), map(_PARENT, shared)))
+    ):
+        return None
+    try:
+        parents = tuple(
+            _column(map(dict(zip(above, count())).__getitem__, map(up.__getitem__, level)))
+            for above, level in zip(levels, levels[1:])
+        )
+        return parents, _column(map(dict(zip(levels[-1], count())).__getitem__, map(judged.__getitem__, workers)))
+    except KeyError:
+        return None
+
+
+def _tree_columns_hold(levels: tuple, columns: tuple | None) -> bool:
+    """Whether ``levels`` and their integer columns make a tree; ``validate`` lists what is checked."""
+    if columns is None or len(levels) < 3:
+        return False
+    parents, picks = columns
+    sizes = tuple(map(len, levels))
+    if not all(sizes) or sizes[0] != 1 or len(set(chain.from_iterable(levels))) != sum(sizes):
+        return False
+    for above, size, up in zip(sizes, sizes[1:], parents):
+        if len(up) != size or min(up) < 0 or max(up) >= above:
+            return False
+    if len(picks) != sum(sizes[1:-1]) or min(picks) < 0 or max(picks) >= sizes[-1]:
+        return False
+    # bottom up: ``judge`` maps a task position to the position of the one node allowed to be judged on it.  At
+    # the bottom that is the task's parent; higher, the parent of the worker judged on it.  A pick lies in its
+    # worker's subtree, so the picks of one level differ, and a dict holds them all.  A worker that passes has a
+    # child, and so has the supervisor, over a level that is not empty
+    judge, end = parents[-1].__getitem__, len(picks)
+    for size, up in zip(sizes[-2:0:-1], parents[-2::-1]):
+        level, end = picks[end - size : end], end - size
+        if not all(map(eq, map(judge, level), range(size))):
+            return False
+        judge = dict(zip(level, up)).get
+    return True
 
 
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
@@ -281,28 +354,28 @@ def build_supervision_tree_over(
     # a counter never repeats a name, so only the given ids need skipping
     fresh = filterfalse(forbidden.__contains__, map(f"{worker_prefix}".__add__, map(str, count())))
 
-    levels = [tasks]
-    edges: list[tuple[str, str]] = []
-    shared: list[tuple[str, str, str]] = []
-    performs: tuple[tuple[str, ...], ...] = ()  # what each node of the current level performs
-    current = tasks
-    bottom, top = True, False
+    n = len(tasks)
+    levels: list[tuple[str, ...]] = [tasks]
+    parents: list[array] = []  # bottom up, like levels
+    picks: list[list[int]] = []
+    judged_on: Sequence[int] = range(n)  # the task position on which each node of the current level is judged
+    width, bottom, top = n, True, False
     while not top:
-        top = not bottom and len(current) <= k  # at most k workers left: the supervisor's level
-        parents = (supervisor_id,) if top else tuple(islice(fresh, -(-len(current) // k)))
-        # each parent takes the next chunk of at most k children, and performs the task it shares with each: a
-        # bottom child is that task, a higher child's is drawn from what it performs, in child order
-        picks = current if bottom else tuple(map(rng.choice, performs))
-        performs = tuple(map(picks.__getitem__, map(slice, range(0, len(picks), k), count(k, k))))
-        owner = tuple(chain.from_iterable(map(repeat, parents, map(len, performs))))
-        edges.extend(zip(owner, current))
-        if not bottom:
-            shared.extend(zip(owner, current, picks))
-        levels.append(parents)
-        current = parents
-        bottom = False
+        top = not bottom and width <= k  # at most k workers left: the supervisor's level
+        n_above = 1 if top else -(-width // k)
+        # each node of the level above takes the next chunk of at most k children: child j's parent is j // k, so
+        # the column is each position above k times over, in order (k may be far larger than the level)
+        parents.append(_column(sorted(list(range(n_above)) * min(k, width))[:width]))
+        if not bottom:  # a worker is judged on a task drawn from what it performs, in child order
+            judged_on = list(map(rng.choice, performs))
+            picks.append(judged_on)
+        # and each node of the level above performs the tasks on which its chunk of children is judged
+        performs = map(judged_on.__getitem__, map(slice, range(0, width, k), count(k, k)))
+        levels.append((supervisor_id,) if top else tuple(islice(fresh, n_above)))
+        width, bottom = n_above, False
 
-    return SupervisionTree(levels=tuple(reversed(levels)), edges=edges, shared=shared)
+    flat = _column(chain.from_iterable(reversed(picks)))  # top down, like the levels
+    return SupervisionTree._of_columns(tuple(reversed(levels)), tuple(reversed(parents)), flat)
 
 
 @dataclass(frozen=True)

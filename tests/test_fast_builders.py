@@ -5,6 +5,7 @@ frozen row-by-row original."""
 import json
 import random
 import time
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from supervise import (
     sa_greedy,
     sa_greedy_edge_deletion,
 )
+from supervise.structures import _tree_columns_hold
 
 import _oracles
 
@@ -99,6 +101,44 @@ def test_tree_builder_and_maps_match_the_frozen_originals(n, k, seed, order_seed
     assert json.dumps(tree.to_json_dict()) == json.dumps(want.to_json_dict())
     assert "worker_tasks" not in vars(tree), "validating a valid tree fell back to the row-by-row pick check"
     assert (tree.children, tree.parent, tree.worker_tasks) == (want.children, want.parent, want.worker_tasks)
+
+
+def test_benchmark_sized_tree_matches_the_frozen_original_byte_for_byte():
+    """The tree the benchmark builds, 100k tasks at k = 3, beyond the sizes the property test above reaches."""
+    tree = build_supervision_tree(100_000, 3, 1)
+    want = _oracles.build_supervision_tree_over([f"t{i}" for i in range(100_000)], 3, 1)
+    assert json.dumps(tree.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_the_column_check_refuses_columns_that_rows_never_map_to():
+    """Rows map only to in-range positions and one pick per worker, so these faults could come from the builder
+    alone.  A negative pick would index from the end, where the last task's parent passes for the last bottom
+    worker, and a spare pick before the first level's would go unread."""
+    tree = build_supervision_tree(30, 3, 1)
+    levels, (parents, picks) = tree.levels, tree._columns
+    bottom, n_tasks, last = len(levels[-2]), len(levels[-1]), picks[-1]
+    unpicked = min(set(range(n_tasks)).difference(picks))
+    assert parents[-1][-1] == bottom - 1 and _tree_columns_hold(levels, (parents, picks))
+
+    def column(col, i, value):
+        out = array("q", col)
+        out[i] = value
+        return out
+
+    def tasks_up(i, value):
+        return (*parents[:-1], column(parents[-1], i, value))
+
+    broken = {
+        "a parent below its level": (levels, tasks_up(unpicked, -1), picks),
+        "a parent past its level": (levels, tasks_up(unpicked, bottom), picks),
+        "a column short of its level": (levels, (*parents[:-1], parents[-1][:-1]), picks),
+        "a pick below the tasks": (levels, parents, array("q", (-1 if t == last else t for t in picks))),
+        "a pick past the tasks": (levels, parents, column(picks, -1, n_tasks)),
+        "a pick more than the workers": (levels, parents, array("q", [0]) + picks),
+        "two supervisors": ((("supervisor", "boss"), *levels[1:]), parents, picks),
+        "empty levels": ((("supervisor",), (), ()), (array("q"), array("q")), array("q")),
+    }
+    assert [kind for kind, (lv, *columns) in broken.items() if _tree_columns_hold(lv, columns)] == []
 
 
 # Each way to break a tree, with the part of the first message it must reach: a fault caught by an earlier check

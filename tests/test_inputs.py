@@ -361,6 +361,10 @@ BAD_INPUTS = {
         {**TREE, "levels": [*TREE["levels"][:-2], TREE["levels"][-2] + ["w9"], TREE["levels"][-1]],
          "edges": TREE["edges"] + [[TREE["levels"][-3][0], "w9"]]}
     ),
+    "tree JSON with no levels": lambda: SupervisionTree.from_json_dict({"levels": [], "edges": [], "shared": []}),
+    "tree JSON with empty worker and task levels": lambda: SupervisionTree.from_json_dict(
+        {"levels": [["supervisor"], [], []], "edges": [], "shared": []}
+    ),
     "peg graph of uneven degree": lambda: PegAssignment(
         AssignmentGraph(workers=("u0", "u1"), tasks=("t0", "t1"), edges=(("u0", "t0"), ("u0", "t1"), ("u1", "t0"))),
         ("t0",),
@@ -536,6 +540,8 @@ BAD_INPUT_MESSAGES = {
     "sweep grid point a string": "strategy grid must hold reals",
     "sweep grid point beyond the float range": "strategy grid must hold reals",
     "tree JSON worker w9 without children": "node 'w9' has no children",
+    "tree JSON with no levels": "tree needs at least supervisor, one worker level, and tasks",
+    "tree JSON with empty worker and task levels": "node 'supervisor' has no children",
     "peg graph of uneven degree": "worker 'u1' degree 1 != k",
     "pegs that overlap": "overlaps another peg's workers",
     "pegs that miss a worker": "peg tasks do not cover every worker",

@@ -123,6 +123,11 @@ class TestEquilibrium:
         with pytest.raises(AssumptionError):
             quant_equilibrium(self.pop(biases=(0.3, -0.1)), k=4, c=1.0, epsilon=2.5, depth=3)
 
+    def test_a_small_net_bias_is_refused_too(self):
+        """A mean bias of 5e-7 lies far above the gate's float tolerance, though a loose one would take it."""
+        with pytest.raises(AssumptionError):
+            quant_equilibrium(self.pop(biases=(1e-6, 0.0)), k=4, c=1.0, epsilon=2.5, depth=3)
+
     def test_symmetric_biases_pass_the_gate(self):
         eq = quant_equilibrium(self.pop(biases=(0.8, -0.8)), k=4, c=1.0, epsilon=2.5, depth=2)
         assert eq.all_truthful

@@ -75,6 +75,12 @@ def test_a_profile_flags_an_error_above_its_threshold_untruthful():
     assert not profile.all_truthful and profile.max_error == 0.3
 
 
+def test_a_profile_with_a_level_exactly_at_its_threshold_is_not_all_truthful():
+    """Truthful means below the threshold, and a C at the printed bound can put a level exactly there."""
+    profile = EquilibriumProfile(prefix=(Root(0.0), Root(0.25)), period=0, depth=1, threshold=0.25)
+    assert not profile.all_truthful and profile.levels[1] == (1, 0.25, False, False)
+
+
 def test_a_profiles_levels_are_numbered_by_position_and_keep_the_clamp():
     profile = EquilibriumProfile(prefix=(Root(0.0), Root(1.0, True), Root(1.0, True)), period=1, depth=4,
                                  threshold=0.25)
