@@ -38,13 +38,15 @@ class EffortFunction:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "family", Family(self.family))
-        except ValueError:
-            raise SuperviseError(
-                f"effort family must be one of {', '.join(f.value for f in Family)}, got {self.family!r}"
-            ) from None
-        object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
+        if type(self.family) is not Family:
+            try:
+                object.__setattr__(self, "family", Family(self.family))
+            except ValueError:
+                raise SuperviseError(
+                    f"effort family must be one of {', '.join(f.value for f in Family)}, got {self.family!r}"
+                ) from None
+        if not (type(self.alpha) is float and 0.0 < self.alpha <= FLOAT_MAX):  # a float in range is kept as it is
+            object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
 
     @property
     def domain_hi(self) -> float:
@@ -155,11 +157,12 @@ def solve_deriv_equals(f: EffortFunction, target: float) -> Root:
     """
     if not isinstance(f, EffortFunction):  # inline: this runs once per level, where a call costs about 25 ns more
         require_instance(f, EffortFunction, "f")
-    # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
-    if not (isinstance(target, float) and math.isfinite(target)
-            or isinstance(target, int) and abs(target) <= FLOAT_MAX):
-        raise InvalidTargetError(f"invalid target: {target!r}")
-    target = float(target)
+    if not (type(target) is float and -FLOAT_MAX <= target <= FLOAT_MAX):  # a finite float is kept as it is
+        # integers are bounded by comparison, which is exact: math.isfinite raises OverflowError past the float range
+        if not (isinstance(target, float) and math.isfinite(target)
+                or isinstance(target, int) and abs(target) <= FLOAT_MAX):
+            raise InvalidTargetError(f"invalid target: {target!r}")
+        target = float(target)
     family, alpha = f.family, f.alpha
 
     if family is Family.SIMPLE_LOG:

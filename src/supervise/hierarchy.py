@@ -18,16 +18,19 @@ depth.  This module computes that penalty bound, the per-pair losses and best
 responses, equilibrium profiles for homogeneous and mixed populations, the
 divergence trace showing the bound is needed, the collusion (defection)
 analysis, and the bits of level information a worker needs.  The profiles and
-the trace share one loop over e_t = g(e_{t-1}); each stores the solver's roots
-up to the first repeated error and its period, and derives every flag.  Each
-also writes its rows as CSV, in chunks, through its ``csv_chunks()`` method.
+the trace share one loop over e_t = g(e_{t-1}), whose step keeps its own roots:
+each result stores the solver's roots up to the first repeated error and its
+period, and derives every flag.  A result checks its roots in a few passes in
+C, and walks them one at a time only to name the first fault.  Each also
+writes its rows as CSV, in chunks, through its ``csv_chunks()`` method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -38,6 +41,10 @@ from .errors import require_instance, require_int, require_number, require_prob,
 from .errors import require_weights
 
 __all__ = _EXPORTS["hierarchy"]
+
+# the getters and type sets of the checks' passes in C
+_VALUE, _PREFIX, _SHAPE = attrgetter("value"), attrgetter("prefix"), attrgetter("period", "depth", "threshold")
+_FIRST, _ROOT, _FLOAT = itemgetter(0), frozenset((Root,)), frozenset((float,))
 
 
 @dataclass(frozen=True)
@@ -87,18 +94,27 @@ def _require_trace_threshold(eps: float) -> float:
 
 def _require_first_repeat(errors: Sequence[float], period: int) -> None:
     """Refuse errors of levels 0..n-1 unless they stop at the first error that repeats an earlier level's, and
-    ``period`` is the distance between the two (0 if no error repeats).  This is where ``_cascade`` stops."""
-    *head, last = errors
+    ``period``, in [0, n - 1], is the distance between the two (0 if no error repeats).  This is where ``_cascade``
+    stops.  One set of levels 0..n-2 decides; the walk below only names the first fault."""
+    n, last = len(errors), errors[-1]
+    earlier = set(errors[:-1])
+    if len(earlier) == n - 1 and (errors[n - 1 - period] == last if period else last not in earlier):
+        return
     first_level = {}
-    for i, e in enumerate(head):
+    for i, e in enumerate(errors[:-1]):
         if first_level.setdefault(e, i) != i:
             raise SuperviseError(f"prefix must stop at its first repeated error, at level {i}")
-    n = len(errors)
     if first_level.get(last, n - 1) != n - 1 - period:
         raise SuperviseError(
             f"period {period} does not match the prefix, whose last level {n - 1} repeats level "
             f"{first_level.get(last, 'none')}"
         )
+
+
+def _errors_hold(errors: list, unit: bool) -> bool:
+    """Whether ``errors`` are floats, none NaN, and with ``unit`` all in [0, 1]: one pass in C for each rule."""
+    return (_FLOAT.issuperset(map(type, errors)) and not any(map(math.isnan, errors))
+            and (not unit or 0.0 <= min(errors) and max(errors) <= 1.0))
 
 
 def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
@@ -111,10 +127,11 @@ def _unrolled(prefix: tuple, period: int, depth: int) -> Iterator:
 class _CyclicLevels:
     """Levels 0..depth stored as the solver's roots that define them.
 
-    Stored: ``prefix``, the roots of levels 0..n-1 (level 0 is ``Root(e0)``); ``period``; ``depth``; ``threshold``,
-    which lies in the scheme's epsilon range.  Every level u from n to depth repeats the level ``period`` above it,
-    so ``period`` is 0 only when the prefix already ends at ``depth``.  Derived, and built anew on each access:
-    ``levels``, all depth + 1 rows, numbered by position and truthful when the error is below the threshold.
+    Stored: ``prefix``, the roots of levels 0..n-1 (level 0 is ``Root(e0)``), whose errors are probabilities in
+    [0, 1] unless ``_unit_errors`` is false; ``period``; ``depth``; ``threshold``, which lies in the scheme's epsilon
+    range.  Every level u from n to depth repeats the level ``period`` above it, so ``period`` is 0 only when the
+    prefix already ends at ``depth``.  Derived, and built anew on each access: ``levels``, all depth + 1 rows,
+    numbered by position and truthful when the error is below the threshold.
     """
 
     prefix: tuple[Root, ...]
@@ -123,18 +140,35 @@ class _CyclicLevels:
     threshold: float
 
     _require_threshold = staticmethod(_require_hierarchical_threshold)
+    _unit_errors = True
 
     def __post_init__(self) -> None:
-        if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(r, Root) for r in self.prefix)):
-            raise SuperviseError(f"prefix must be a nonempty tuple of Root values, got {self.prefix!r}")
-        for r in self.prefix:
-            require_number(r.value, "level error")  # Root itself checks nothing: the solver builds one per call
-        n = len(self.prefix)
+        # Root itself checks nothing, as the solver builds one per call: a few passes in C check every root's type
+        # and error, and only a prefix that fails them is walked, to raise the first fault
+        prefix = self.prefix
+        if not (type(prefix) is tuple and prefix and _ROOT.issuperset(map(type, prefix))
+                and _errors_hold(self._errors(), self._unit_errors)):
+            self._walk_roots()
+        n = len(prefix)
         require_int(self.period, "period", 0, hi=n - 1)
         require_int(self.depth, "depth", n - 1)
         if self.period == 0 and self.depth != n - 1:
             raise SuperviseError(f"period 0 needs depth {n - 1}, the prefix's last level, got depth {self.depth}")
         self._require_threshold(require_real(self.threshold, "threshold"))
+
+    def _walk_roots(self) -> None:
+        """Raise the first fault among the roots: the prefix's type, then each root's error in level order."""
+        if not (self.prefix and isinstance(self.prefix, tuple) and all(isinstance(r, Root) for r in self.prefix)):
+            raise SuperviseError(f"prefix must be a nonempty tuple of Root values, got {self.prefix!r}")
+        for r in self.prefix:
+            require_number(r.value, "level error")
+            if self._unit_errors:
+                require_prob(r.value, "level error")
+
+    def _errors(self) -> list:
+        """The prefix's errors, in a list: the interpreter keeps freed tuples of under 20 items for reuse, and the
+        checks' tuples raised the peak memory of a run of many results."""
+        return list(map(_VALUE, self.prefix))
 
     @property
     def levels(self) -> tuple[LevelState, ...]:
@@ -164,7 +198,7 @@ class EquilibriumProfile(_CyclicLevels):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require_first_repeat([r.value for r in self.prefix], self.period)
+        _require_first_repeat(self._errors(), self.period)
 
     @property
     def all_truthful(self) -> bool:
@@ -192,9 +226,13 @@ class TypeEquilibrium(_CyclicLevels):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        w, sigma = self.weight, self.sigma
+        if (isinstance(self.worker, WorkerType) and type(w) is float and 0.0 <= w <= FLOAT_MAX
+                and type(sigma) is float and sigma == sigma and type(self.sigma_clamped) is bool):
+            return
         require_instance(self.worker, WorkerType, "worker")
-        require_weight(self.weight)
-        require_number(self.sigma, "sigma")
+        require_weight(w)
+        require_number(sigma, "sigma")
         require_instance(self.sigma_clamped, bool, "sigma_clamped")
 
     @property
@@ -212,17 +250,19 @@ class HeterogeneousEquilibrium:
     types: tuple[TypeEquilibrium, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.types, tuple) and all(isinstance(t, TypeEquilibrium) for t in self.types)):
-            raise SuperviseError(f"types must be TypeEquilibrium rows in a tuple, got {self.types!r}")
-        if len({(len(t.prefix), t.period, t.depth, t.threshold, t.prefix[0]) for t in self.types}) != 1:
+        types = self.types
+        if not (isinstance(types, tuple) and all(map(isinstance, types, repeat(TypeEquilibrium)))):
+            raise SuperviseError(f"types must be TypeEquilibrium rows in a tuple, got {types!r}")
+        prefixes = tuple(map(_PREFIX, types))
+        if len(set(zip(map(len, prefixes), map(_SHAPE, types), map(_FIRST, prefixes)))) != 1:
             raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period, "
                                  "depth and threshold, and one level-0 root")
-        first = self.types[0]
+        first = types[0]
         _require_first_repeat((first.prefix[0].value, *self._prefix_means()[1:]), first.period)
 
     def _prefix_means(self) -> tuple[float, ...]:
         """The weighted mean error of each prefix level, summed as the cascade sums it."""
-        return tuple(map(math.fsum, zip(*([t.weight * r.value for r in t.prefix] for t in self.types))))
+        return tuple(map(math.fsum, zip(*(map(mul, repeat(t.weight), t._errors()) for t in self.types))))
 
     @property
     def mean_sigma(self) -> float:
@@ -297,34 +337,39 @@ def _validate_e0(e0: float, eps: float) -> float:
     return e0
 
 
-def _cascade(step: Callable, e0: float, depth: int, stop: Callable | None = None) -> tuple[list[tuple], int]:
-    """Levels 1..depth of e_t = step(e_{t-1})[0] from e0, as ``(e_t, record)`` pairs, up to the first repeat.
+def _cascade(step: Callable, e0: float, depth: int, stop: Callable | None = None) -> tuple[int, int]:
+    """Iterate e_t = step(e_{t-1}) from e0 over levels 1..depth, up to the first repeat, and return ``(levels,
+    period)``: how many levels the step solved, and the period.  The step keeps its own records of each level.
 
     Each level depends only on the error above it, so once an error repeats an earlier level's (e0's included),
     the levels in between repeat to ``depth``: the loop stops there and returns the period between the two.  It
     stops with period 0 at the first error for which ``stop`` holds, and at ``depth``.
     """
     seen = {e0: 0}  # error -> its level
-    solved = []
     e = e0
     for t in range(1, depth + 1):
-        e, record = step(e)
-        solved.append((e, record))
+        e = step(e)
         period = t - seen.setdefault(e, t)
         if period or (stop is not None and stop(e)):
-            return solved, period
-    return solved, 0
+            return t, period
+    return depth, 0
 
 
-def _mixture_step(efforts: list, weights: list, C: float, D: float, k: int) -> Callable:
-    """The cascade's map for a mixture of types, each an effort curve with a weight: from a superior's error to the
-    types' best responses and their weighted mean error, as ``(mean, roots)``."""
+def _mixture_step(efforts: list, weights: list, C: float, D: float, k: int, columns: list[list]) -> Callable:
+    """The cascade's map for a mixture of types, each an effort curve with a weight: from a superior's error (a
+    float) to the weighted mean of the types' best responses.  It appends each type's root to that type's column."""
+    solve, types = solve_deriv_equals, tuple(zip(efforts, weights, [column.append for column in columns]))
 
-    def step(e_prev: float) -> tuple[float, list[Root]]:
-        require_prob(e_prev, "superior error")
+    def step(e_prev: float) -> float:
+        if not 0.0 <= e_prev <= 1.0:
+            require_prob(e_prev, "superior error")
         target = _response_target(e_prev, C, D, k)  # the same for every type
-        roots = [solve_deriv_equals(f, target) for f in efforts]
-        return math.fsum([w * r.value for w, r in zip(weights, roots)]), roots
+        terms = []
+        for f, w, append in types:
+            root = solve(f, target)
+            append(root)
+            terms.append(w * root.value)
+        return math.fsum(terms)
 
     return step
 
@@ -332,10 +377,11 @@ def _mixture_step(efforts: list, weights: list, C: float, D: float, k: int) -> C
 def _mixture_levels(efforts: list, weights: list, params: SchemeParams, depth: int, e0: float) -> tuple[list, int]:
     """Each type's roots, ``Root(e0)`` first, up to the first repeated mean error, and the period, when at every
     level each type best-responds to the weighted mean error of the level above."""
-    step = _mixture_step(efforts, weights, params.require_C(), params.effective_D(), params.k)
-    solved, period = _cascade(step, e0, depth)
     head = Root(e0)
-    return [(head, *column) for column in zip(*(roots for _, roots in solved))], period
+    columns = [[head] for _ in efforts]
+    _, period = _cascade(_mixture_step(efforts, weights, params.require_C(), params.effective_D(), params.k, columns),
+                         e0, depth)
+    return list(map(tuple, columns)), period
 
 
 def equilibrium_homogeneous(
@@ -386,7 +432,8 @@ def equilibrium_heterogeneous(
 
     efforts, weights = [wt.effort for wt, _ in pop.types], [w for _, w in pop.types]
     # the gate is one step of the cascade's map, to a superior at eps with D = 0: each type's sigma, and their mean
-    mean_sigma, sigma_roots = _mixture_step(efforts, weights, params.require_C(), 0.0, params.k)(eps)
+    sigma_columns = [[] for _ in efforts]
+    mean_sigma = _mixture_step(efforts, weights, params.require_C(), 0.0, params.k, sigma_columns)(eps)
     if not mean_sigma <= eps:
         raise AssumptionError(f"population proficiency assumption violated: weighted mean sigma {mean_sigma!r} exceeds "
                               f"epsilon {eps!r}")
@@ -395,7 +442,7 @@ def equilibrium_heterogeneous(
     types = tuple(
         TypeEquilibrium(prefix=prefix, period=period, depth=depth, threshold=eps, worker=wt, weight=w,
                         sigma=root.value, sigma_clamped=root.clamped)
-        for (wt, w), root, prefix in zip(pop.types, sigma_roots, prefixes)
+        for (wt, w), (root,), prefix in zip(pop.types, sigma_columns, prefixes)
     )
     return HeterogeneousEquilibrium(types=types)
 
@@ -424,14 +471,16 @@ class CounterexampleTrace(_CyclicLevels):
     C: float
 
     _require_threshold = staticmethod(_require_trace_threshold)
+    _unit_errors = False  # a divergent error may lie above 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
         require_int(self.k, "k", 1, hi=FLOAT_MAX)
         require_real(self.C, "C", 0.0, lo_open=True)
-        if any(r.value > self.threshold for r in self.prefix[:-1]):
+        errors = self._errors()
+        if max(errors[:-1], default=-math.inf) > self.threshold:  # no error is NaN
             raise SuperviseError("a trace stops at its first error above the threshold")
-        _require_first_repeat([r.value for r in self.prefix], self.period)
+        _require_first_repeat(errors, self.period)
         self.delta  # refuses a bound or a gain that is not a finite float
 
     @property
@@ -487,10 +536,16 @@ def counterexample_trace(params: SchemeParams, max_depth: int) -> Counterexample
     require_int(max_depth, "max_depth", 1)
     C, k = params.require_C(), params.k
 
-    solved, period = _cascade(lambda e: (k / ((1.0 - 2.0 * e) * C), None), 0.0, max_depth, lambda e: e > eps)
-    prefix = (Root(0.0), *(Root(e) for e, _ in solved))
-    return CounterexampleTrace(prefix=prefix, period=period, depth=len(solved) if solved[-1][0] > eps else max_depth,
-                               threshold=eps, k=k, C=C)
+    errors = [0.0]
+
+    def step(e: float) -> float:
+        e = k / ((1.0 - 2.0 * e) * C)
+        errors.append(e)
+        return e
+
+    levels, period = _cascade(step, 0.0, max_depth, eps.__lt__)
+    return CounterexampleTrace(prefix=tuple(map(Root, errors)), period=period,
+                               depth=levels if errors[-1] > eps else max_depth, threshold=eps, k=k, C=C)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ passes, the simulator's helpers as they were before they left numpy's module
 functions for array methods, its binary answer sampler as it was before
 it stopped drawing offsets at m = 2, and
 the equilibrium cascades as they were before they stopped at a repeat,
-with result types of their own that store every level, the CSV writers
+with result types of their own that store every level, the checks of the
+profiles, the mixture and the trace as they were before they ran in passes
+in C, the CSV writers
 for those profiles as they were before they wrote repeated rows from a
 cached tail, the divergence trace and its writer as they were before
 the trace stopped at its first repeated error, the Monte Carlo engine as
@@ -36,6 +38,7 @@ import numpy as np
 
 from supervise import (
     AssignmentGraph,
+    Root,
     AssumptionError,
     EffortFunction,
     EpsilonRangeError,
@@ -64,11 +67,14 @@ from supervise import (
 )
 from supervise.allocation import _check_cover
 from supervise.effort import implied_D
-from supervise.errors import require_int
-from supervise.hierarchy import _require_hierarchical_epsilon, _validate_e0
+from supervise.errors import FLOAT_MAX, require_instance, require_int, require_number, require_prob, require_real
+from supervise.errors import require_weight
+from supervise.hierarchy import _require_hierarchical_epsilon, _require_hierarchical_threshold, _require_trace_threshold
+from supervise.hierarchy import _validate_e0
 from supervise.simulate import Structure, _z
 from supervise.simulate import _offset_answers as _offset_answers_in_place
 from supervise.structures import _id_rows, _json_fields, _sorted_rows
+from supervise import TypeEquilibrium as _TypeRow
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -501,6 +507,84 @@ def equilibrium_heterogeneous(
                 "produced an untruthful level"
             )
     return HeterogeneousEquilibrium(types=types, mean_sigma=mean_sigma, threshold=eps)
+
+
+# The checks of the stored profiles, types, mixtures and traces as they were before they ran as passes in C: a walk
+# over the roots one at a time, frozen verbatim, with one rule added at its place in the walk, that a profile's or a
+# type's level error lies in [0, 1] (a trace's may lie above 1).  Each takes a result's fields and raises the first
+# fault's SuperviseError, or returns None when the fields make a result.
+
+
+def check_first_repeat(errors, period) -> None:
+    *head, last = errors
+    first_level = {}
+    for i, e in enumerate(head):
+        if first_level.setdefault(e, i) != i:
+            raise SuperviseError(f"prefix must stop at its first repeated error, at level {i}")
+    n = len(errors)
+    if first_level.get(last, n - 1) != n - 1 - period:
+        raise SuperviseError(
+            f"period {period} does not match the prefix, whose last level {n - 1} repeats level "
+            f"{first_level.get(last, 'none')}"
+        )
+
+
+def _check_levels(prefix, period, depth, threshold, require_threshold, unit_errors) -> None:
+    if not (prefix and isinstance(prefix, tuple) and all(isinstance(r, Root) for r in prefix)):
+        raise SuperviseError(f"prefix must be a nonempty tuple of Root values, got {prefix!r}")
+    for r in prefix:
+        require_number(r.value, "level error")
+        if unit_errors:  # the added rule
+            require_prob(r.value, "level error")
+    n = len(prefix)
+    require_int(period, "period", 0, hi=n - 1)
+    require_int(depth, "depth", n - 1)
+    if period == 0 and depth != n - 1:
+        raise SuperviseError(f"period 0 needs depth {n - 1}, the prefix's last level, got depth {depth}")
+    require_threshold(require_real(threshold, "threshold"))
+
+
+def check_profile(prefix, period, depth, threshold) -> None:
+    _check_levels(prefix, period, depth, threshold, _require_hierarchical_threshold, True)
+    check_first_repeat([r.value for r in prefix], period)
+
+
+def check_type(prefix, period, depth, threshold, worker, weight, sigma, sigma_clamped) -> None:
+    _check_levels(prefix, period, depth, threshold, _require_hierarchical_threshold, True)
+    require_instance(worker, WorkerType, "worker")
+    require_weight(weight)
+    require_number(sigma, "sigma")
+    require_instance(sigma_clamped, bool, "sigma_clamped")
+
+
+def check_heterogeneous(types) -> None:
+    """``types`` as the library's TypeEquilibrium rows, which have passed ``check_type``."""
+    if not (isinstance(types, tuple) and all(isinstance(t, _TypeRow) for t in types)):
+        raise SuperviseError(f"types must be TypeEquilibrium rows in a tuple, got {types!r}")
+    if len({(len(t.prefix), t.period, t.depth, t.threshold, t.prefix[0]) for t in types}) != 1:
+        raise SuperviseError("an equilibrium needs at least one type, and its types one prefix length, period, "
+                             "depth and threshold, and one level-0 root")
+    first = types[0]
+    means = tuple(map(math.fsum, zip(*([t.weight * r.value for r in t.prefix] for t in types))))
+    check_first_repeat((first.prefix[0].value, *means[1:]), first.period)
+
+
+def check_trace(prefix, period, depth, threshold, k, C) -> None:
+    _check_levels(prefix, period, depth, threshold, _require_trace_threshold, False)
+    require_int(k, "k", 1, hi=FLOAT_MAX)
+    require_real(C, "C", 0.0, lo_open=True)
+    if any(r.value > threshold for r in prefix[:-1]):
+        raise SuperviseError("a trace stops at its first error above the threshold")
+    check_first_repeat([r.value for r in prefix], period)
+    eps = threshold
+    a = eps * (1.0 - 2.0 * eps)
+    bound = k / a
+    if not math.isfinite(bound):
+        raise EpsilonRangeError(f"epsilon range: epsilon {eps!r} is too small for a finite bound "
+                                f"k/(eps (1 - 2 eps))")
+    d = bound - C
+    if d > 0.0 and not math.isfinite(a * d / C):
+        raise SuperviseError(f"C {C!r} is too small for a finite per-level gain a d / C")
 
 
 # The CSV writers as they were before they wrote the rows past a profile's first repeat from a cached tail, frozen

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supervise._csv
 import supervise.hierarchy
 from supervise import (
     AssumptionError,
@@ -294,6 +295,26 @@ def test_a_deep_heterogeneous_csv_crosses_chunk_boundaries_in_the_frozen_bytes()
     new, frozen = _heterogeneous_csvs(pop, PERIOD_2, 3 * 4096)
     assert new[0].count("\n100%,") > 2 * 4096 and new[0].count("\n%d,") > 2 * 4096
     assert new == frozen
+
+
+@pytest.mark.parametrize("period", range(1, 6))
+def test_cyclic_rows_match_the_frozen_writer_at_every_phase(period):
+    """Prefixes of period + 1 to 2 period + 1 rows end at every residue modulo the period, and each profile runs two
+    chunks of 4096 rows and 0, 1, period - 1 or period more past its prefix, so its rows cross two chunk boundaries
+    and its last chunk ends at several phases.  Four profiles are written in one call, under keys that the csv
+    module must quote or that hold ``%``."""
+    keys = ((), ('a,"b"',), ("100%", "%d"), ("two\nlines", "%%s"))
+    for n in range(period + 1, 2 * period + 2):
+        prefix = [(u, 1 / (u + 3), supervise._csv.bool_word(u % 3 == 0)) for u in range(n)]
+        for extra in sorted({0, 1, period - 1, period}):
+            depth = n - 1 + 2 * 4096 + extra
+            rows = [(u, *prefix[u if u < n else n - period + (u - n) % period][1:]) for u in range(depth + 1)]
+            new = "".join(supervise._csv.cyclic_csv_chunks(
+                ["key", "level", "error", "truthful"], ((key, prefix, period, depth) for key in keys)
+            ))
+            frozen = _oracles.write_csv(["key", "level", "error", "truthful"],
+                                        (key + row for key in keys for row in rows))
+            assert new.splitlines() == frozen.splitlines(), (n, extra)  # a list diff names the first line cheaply
 
 
 def test_below_the_first_repeat_nothing_repeats():

@@ -111,6 +111,16 @@ class TestThreshold:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("depth", ["1", "3"])
+def test_an_inverse_power_error_above_one_is_one_error_line(capsys, depth):
+    """Level 1's best response is sqrt(2) at k 2, C 1: at depth 1 the profile refuses it, and deeper the cascade
+    refuses it as level 2's superior error; neither prints a row."""
+    code, out, err = run_cli(capsys, "equilibrium", "--effort", "inversepower", "--alpha", "1", "--epsilon", "0.25",
+                             "--k", "2", "--C", "1", "--depth", depth)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.strip().endswith("1.4142135623730951")
+
+
 # Results past the float range, each refused with one error line naming the quantity.
 NOT_FINITE_RESULTS = {
     "binary bound at k 10**308": (

@@ -276,6 +276,15 @@ BAD_INPUTS = {
     "type without a period deeper than its prefix": lambda: _type_levels(_levels(0.0, 0.1), 0, 5),
     "profile threshold a string": lambda: EquilibriumProfile(_levels(0.0, 0.1), 0, 1, "0.25"),
     "profile root of a string error": lambda: EquilibriumProfile((Root("x"),), 0, 0, 0.25),
+    "profile level error above 1": lambda: _profile(_levels(0.0, 1.5), 0, 1),
+    "type level error below 0": lambda: _type_levels(_levels(0.0, -0.1), 0, 1),
+    "inverse power profile whose last level lies above 1": lambda: equilibrium_homogeneous(
+        IP, SchemeParams(k=2, epsilon=0.25, C=1.0), 1
+    ),
+    "proficient mixture with an inverse power type above 1": lambda: equilibrium_heterogeneous(
+        PopulationModel(((WorkerType(SL, "cheap"), 0.99), (WorkerType(EffortFunction.inverse_power(100.0)), 0.01))),
+        SchemeParams(k=2, epsilon=0.25, C=40.0), 5,
+    ),
     "heterogeneous equilibrium of no types": lambda: HeterogeneousEquilibrium(()),
     "heterogeneous equilibrium of plain tuples": lambda: HeterogeneousEquilibrium(((0, 0.0),)),
     "heterogeneous types of different periods": lambda: HeterogeneousEquilibrium(
