@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import _EXPORTS
 from .errors import EffortDomainError, EpsilonRangeError, InvalidTargetError, SuperviseError
@@ -69,9 +70,9 @@ class EffortFunction:
         return cls(Family.INVERSE_POWER, alpha)
 
 
-@dataclass(frozen=True)
-class Root:
-    """Solver output: the root value plus a clamp marker.
+class Root(NamedTuple):
+    """Solver output: the root value plus a clamp marker, as a NamedTuple, which is cheap to build, as the solver
+    builds one per call.
 
     ``clamped`` is set when the target lies above the range of the derivative
     and the result was pinned to the upper domain corner (f' is unbounded

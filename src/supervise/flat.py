@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import _EXPORTS
 from .effort import EffortFunction, Root, SchemeParams, effort_deriv, effort_eval, solve_deriv_equals
-from .errors import NoIncentiveError, SuperviseError, require_instance, require_real
+from .errors import NoIncentiveError, SuperviseError, require_instance, require_prob, require_real
 
 __all__ = _EXPORTS["flat"]
 
@@ -99,10 +99,12 @@ def best_response_flat(f: EffortFunction, p: float, params: SchemeParams) -> Roo
 
     With SimpleLog this is k/(pC), clamped to the domain.  p = 0 removes the
     incentive entirely (the loss is minimized at maximal error) and is
-    rejected.
+    rejected, and so is an error above 1, which the inverse power can give.
     """
     _require_args(f, params)
-    return _best_response(f, p, params.k, params.require_C())
+    root = _best_response(f, p, params.k, params.require_C())
+    require_prob(root.value, "best response error")
+    return root
 
 
 def best_response_flat_quant(f: EffortFunction, p: float, params: SchemeParams) -> Root:

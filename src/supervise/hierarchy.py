@@ -214,9 +214,9 @@ class TypeEquilibrium(_CyclicLevels):
     """One type's levels in a mixed population.
 
     Stored: the type's roots up to the first level whose population-mean error repeats an earlier level's, the
-    period of that repeat, the depth, the threshold, the type and its population weight, and the type's ``sigma``
-    and whether the solver clamped it.  The :class:`HeterogeneousEquilibrium` that holds the type checks the
-    repeat.  Derived: ``levels`` and ``proficient``.
+    period of that repeat, the depth, the threshold, the type and its population weight, and the type's ``sigma``,
+    an error probability in [0, 1], and whether the solver clamped it.  The :class:`HeterogeneousEquilibrium` that
+    holds the type checks the repeat.  Derived: ``levels`` and ``proficient``.
     """
 
     worker: WorkerType
@@ -228,11 +228,12 @@ class TypeEquilibrium(_CyclicLevels):
         super().__post_init__()
         w, sigma = self.weight, self.sigma
         if (isinstance(self.worker, WorkerType) and type(w) is float and 0.0 <= w <= FLOAT_MAX
-                and type(sigma) is float and sigma == sigma and type(self.sigma_clamped) is bool):
+                and type(sigma) is float and 0.0 <= sigma <= 1.0 and type(self.sigma_clamped) is bool):
             return
         require_instance(self.worker, WorkerType, "worker")
         require_weight(w)
         require_number(sigma, "sigma")
+        require_prob(sigma, "sigma")
         require_instance(self.sigma_clamped, bool, "sigma_clamped")
 
     @property
@@ -319,10 +320,13 @@ def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemePa
     supremum of f' (-alpha for SimpleLog, 0 for BoundaryLog and the inverse
     power) admits no interior stationary point; the result is then the
     maximal-error corner, flagged as clamped unless f' attains the target there.
+    An error above 1, which the inverse power can give, is refused.
     """
     require_prob(e_w, "superior error")
     require_instance(params, SchemeParams, "params")
-    return solve_deriv_equals(f, _response_target(e_w, params.require_C(), params.effective_D(), params.k))
+    root = solve_deriv_equals(f, _response_target(e_w, params.require_C(), params.effective_D(), params.k))
+    require_prob(root.value, "best response error")
+    return root
 
 
 def _response_target(e_w: float, C: float, D: float, k: int) -> float:
@@ -407,10 +411,13 @@ def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
     """The error a worker of this type best-responds with to a superior at error eps, counting D as 0.
 
     The root of ``f'(sigma) = C (2 eps - 1) / k``; the type is proficient for
-    the scheme exactly when sigma <= eps.  Solver clamps propagate.
+    the scheme exactly when sigma <= eps.  Solver clamps propagate.  A sigma
+    above 1, which the inverse power can give, is refused.
     """
     eps = _require_hierarchical_epsilon(params)
-    return solve_deriv_equals(f, _response_target(eps, params.require_C(), 0.0, params.k))
+    root = solve_deriv_equals(f, _response_target(eps, params.require_C(), 0.0, params.k))
+    require_prob(root.value, "sigma")
+    return root
 
 
 def equilibrium_heterogeneous(

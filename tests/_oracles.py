@@ -9,14 +9,16 @@ passes, the simulator's helpers as they were before they left numpy's module
 functions for array methods, its binary answer sampler as it was before
 it stopped drawing offsets at m = 2, and
 the equilibrium cascades as they were before they stopped at a repeat,
-with result types of their own that store every level, the checks of the
-profiles, the mixture and the trace as they were before they ran in passes
-in C, the CSV writers
-for those profiles as they were before they wrote repeated rows from a
-cached tail, the divergence trace and its writer as they were before
-the trace stopped at its first repeated error, the Monte Carlo engine as
-it was before it drew one task at a time, and as it was before it reused its
-arrays, with the answer models' array formulas and the sweeps' draws of
+with result types of their own that store every level, and the best
+responses they call as they were before they refused an error above 1,
+the checks of the profiles, the mixture and the trace as they were before
+they ran in passes in C, the CSV writers for those profiles as they were
+before they wrote repeated rows from a cached tail, the cyclic CSV writer
+as it was before it wrote a hundred levels as one join, the divergence
+trace and its writer as they were before the trace stopped at its first
+repeated error, the Monte Carlo engine as it was before it drew one task
+at a time, and as it was before it reused its arrays, with the answer
+models' array formulas and the sweeps' draws of
 that time.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
@@ -25,6 +27,7 @@ algorithm.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -58,19 +61,18 @@ from supervise import (
     UniformWrong,
     WorkerStats,
     WorkerType,
-    best_response_under_superior,
     effort_deriv,
     effort_eval,
     expected_penalty_pair,
     expected_penalty_quant,
-    proficiency_sigma,
+    solve_deriv_equals,
 )
 from supervise.allocation import _check_cover
 from supervise.effort import implied_D
 from supervise.errors import FLOAT_MAX, require_instance, require_int, require_number, require_prob, require_real
 from supervise.errors import require_weight
 from supervise.hierarchy import _require_hierarchical_epsilon, _require_hierarchical_threshold, _require_trace_threshold
-from supervise.hierarchy import _validate_e0
+from supervise.hierarchy import _response_target, _validate_e0
 from supervise.simulate import Structure, _z
 from supervise.simulate import _offset_answers as _offset_answers_in_place
 from supervise.structures import _id_rows, _json_fields, _sorted_rows
@@ -385,6 +387,21 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))
 
 
+# The best response to a superior and the proficiency sigma as they were before they refused an error above 1,
+# frozen verbatim: the frozen cascades below call them, so their outcomes stay those of that time.
+
+
+def best_response_under_superior(f: EffortFunction, e_w: float, params: SchemeParams) -> Root:
+    require_prob(e_w, "superior error")
+    require_instance(params, SchemeParams, "params")
+    return solve_deriv_equals(f, _response_target(e_w, params.require_C(), params.effective_D(), params.k))
+
+
+def proficiency_sigma(f: EffortFunction, params: SchemeParams) -> Root:
+    eps = _require_hierarchical_epsilon(params)
+    return solve_deriv_equals(f, _response_target(eps, params.require_C(), 0.0, params.k))
+
+
 # The equilibrium cascades as they were before they stopped at the first repeated error, frozen verbatim: every
 # level, computed or copied, must have the same bits, and every refusal the same class and message.  Their results
 # are the profile types of that time, which store every level.
@@ -510,9 +527,9 @@ def equilibrium_heterogeneous(
 
 
 # The checks of the stored profiles, types, mixtures and traces as they were before they ran as passes in C: a walk
-# over the roots one at a time, frozen verbatim, with one rule added at its place in the walk, that a profile's or a
-# type's level error lies in [0, 1] (a trace's may lie above 1).  Each takes a result's fields and raises the first
-# fault's SuperviseError, or returns None when the fields make a result.
+# over the roots one at a time, frozen verbatim, with two rules added at their places in the walk, that a profile's
+# or a type's level error lies in [0, 1] (a trace's may lie above 1), and that a type's sigma does.  Each takes a
+# result's fields and raises the first fault's SuperviseError, or returns None when the fields make a result.
 
 
 def check_first_repeat(errors, period) -> None:
@@ -554,6 +571,7 @@ def check_type(prefix, period, depth, threshold, worker, weight, sigma, sigma_cl
     require_instance(worker, WorkerType, "worker")
     require_weight(weight)
     require_number(sigma, "sigma")
+    require_prob(sigma, "sigma")  # the added rule
     require_instance(sigma_clamped, bool, "sigma_clamped")
 
 
@@ -623,6 +641,39 @@ def quant_to_csv(eq) -> str:
         ["type", "level", "vstar", "truthful"],
         ((tp.worker.id, t, tp.vstar, bool_word(tp.truthful)) for tp in eq.types for t in range(1, eq.depth + 1)),
     )
+
+
+# The cyclic CSV writer as it was before it wrote a block of 100 levels as one join: each chunk of the rows past a
+# profile's prefix was one ``%`` format of the level numbers over a template of the cycle's rows, frozen verbatim.
+
+_CHUNK_ROWS = 4096
+
+
+def _lines(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def cyclic_csv_chunks(header, profiles):
+    """CSV text of ``header`` and of each profile's levels, in chunks of at most 4096 rows."""
+    yield _lines((header,))
+    for key, prefix, period, depth in profiles:
+        prefix, last = iter(prefix), collections.deque(maxlen=period)
+        while chunk := list(itertools.islice(prefix, _CHUNK_ROWS)):
+            last.extend(chunk)
+            yield _lines(map(key.__add__, chunk))
+        if not last:  # period 0: the prefix ends at depth
+            continue
+        lead = _lines(((*key, 0),))[:-2].replace("%", "%%")  # the key columns and their comma, without "0\n"
+        rows = [lead + "%d" + _lines(((0, *row[1:]),))[1:].replace("%", "%%") for row in last]
+        cycle_rows, phase = "".join(rows), 0  # the first row after the prefix repeats the cycle's first
+        for start in range(last[-1][0] + 1, depth + 1, _CHUNK_ROWS):  # from the level after the prefix
+            stop = min(start + _CHUNK_ROWS, depth + 1)
+            head = rows[phase : phase + stop - start]
+            cycles, rest = divmod(stop - start - len(head), period)
+            yield ("".join(head) + cycle_rows * cycles + "".join(rows[:rest])) % tuple(range(start, stop))
+            phase = (phase + stop - start) % period
 
 
 # The divergence trace and its CSV writer as they were before the trace stopped at its first repeated error, frozen

@@ -38,13 +38,14 @@ class Row(NamedTuple):
 
 
 H, CSV, EFFORT = "src/supervise/hierarchy.py", "src/supervise/_csv.py", "src/supervise/effort.py"
-CHECKS = "tests/test_result_checks.py"
+FLAT = "src/supervise/flat.py"
+CHECKS, INPUTS = "tests/test_result_checks.py", "tests/test_inputs.py"
 
 ROWS = (
     Row(H, "and not any(map(math.isnan, errors))", "",
         "the C passes let a NaN level error through", (CHECKS,)),
     Row(H, "and (not unit or 0.0 <= min(errors) and max(errors) <= 1.0)", "",
-        "the C passes let a level error outside [0, 1] through", (CHECKS, "tests/test_inputs.py")),
+        "the C passes let a level error outside [0, 1] through", (CHECKS, INPUTS)),
     Row(H, "_FLOAT.issuperset(map(type, errors)) and ", "",
         "the C passes take a bool or a str for a float", (CHECKS,)),
     Row(H, "type(prefix) is tuple and prefix and _ROOT.issuperset(map(type, prefix))", "prefix",
@@ -66,11 +67,11 @@ ROWS = (
     Row(H, "    _unit_errors = False  # a divergent error may lie above 1", "    _unit_errors = True",
         "a divergent trace above 1 is refused", ("tests/test_cascades.py",)),
     Row(H, "type(w) is float and 0.0 <= w <= FLOAT_MAX", "type(w) is float and w <= FLOAT_MAX",
-        "a type takes a negative weight", (CHECKS, "tests/test_inputs.py")),
-    Row(H, "type(sigma) is float and sigma == sigma", "type(sigma) is float",
-        "a type takes a NaN sigma", ("tests/test_inputs.py",)),
+        "a type takes a negative weight", (CHECKS, INPUTS)),
+    Row(H, "type(sigma) is float and 0.0 <= sigma <= 1.0", "type(sigma) is float",
+        "a type takes a NaN sigma", (INPUTS,)),
     Row(H, "map(_SHAPE, types), map(_FIRST, prefixes)", "map(_SHAPE, types)",
-        "a mixture takes types of different level-0 roots", (CHECKS, "tests/test_inputs.py")),
+        "a mixture takes types of different level-0 roots", (CHECKS, INPUTS)),
     Row(H, "period = t - seen.setdefault(e, t)", "period = t - seen.get(e, t)",
         "the cascade never stops at a repeat", ("tests/test_cascades.py",)),
     Row(H, "terms.append(w * root.value)", "terms.append(root.value)",
@@ -79,15 +80,29 @@ ROWS = (
         "the cascade solves for a superior error above 1", ("tests/test_cli.py",)),
     Row(H, "_cascade(step, 0.0, max_depth, eps.__lt__)", "_cascade(step, 0.0, max_depth, eps.__le__)",
         "a trace that lands on epsilon stops there", ("tests/test_cascades.py",)),
-    Row(CSV, "phase = (phase + stop - start) % period", "phase = 0",
-        "each chunk's template starts at the cycle's first row", ("tests/test_cascades.py",)),
-    Row(CSV, "cycles, rest = divmod(stop - start - len(head), period)", "cycles, rest = divmod(stop - start, period)",
-        "a chunk's template counts the rows before the first whole cycle twice", ("tests/test_cascades.py",)),
+    Row(CSV, "phase = (base - n) % period", "phase = base % period",
+        "a block's phase forgets the prefix before the cycle", ("tests/test_cascades.py",)),
+    Row(CSV, "_block_table(_digits(False), tails, phase)", "_block_table(_digits(True), tails, phase)",
+        "the levels below 100 are padded to two digits", ("tests/test_cascades.py",)),
+    Row(CSV, "table[max(start - base, 0) : stop - base]", "table[: stop - base]",
+        "a chunk that starts inside a block repeats the block's earlier rows", ("tests/test_cascades.py",)),
+    Row(CSV, "                            tables.clear()\n", "                            pass\n",
+        "a long cycle keeps a table for every phase", ("tests/test_results.py",)),
     Row(EFFORT, "type(target) is float and -FLOAT_MAX <= target <= FLOAT_MAX", "type(target) is float",
         "the solver takes an infinite target", ("tests/test_effort.py",)),
     Row(EFFORT, "type(self.alpha) is float and 0.0 < self.alpha <= FLOAT_MAX",
         "type(self.alpha) is float and 0.0 <= self.alpha <= FLOAT_MAX",
         "an effort curve takes alpha 0", ("tests/test_effort.py",)),
+    Row(H, "and 0.0 <= sigma <= 1.0 and", "and sigma == sigma and",
+        "a type's C pass takes a sigma above 1", (INPUTS, CHECKS)),
+    Row(H, """        require_prob(sigma, "sigma")\n""", "",
+        "the type's walk takes a sigma above 1", (INPUTS, CHECKS)),
+    Row(H, 'require_prob(root.value, "best response error")', "",
+        "the best response to a superior may lie above 1", (INPUTS,)),
+    Row(H, 'require_prob(root.value, "sigma")', "",
+        "proficiency_sigma may lie above 1", (INPUTS, "tests/test_cascades.py")),
+    Row(FLAT, 'require_prob(root.value, "best response error")', "",
+        "the flat best response may lie above 1", (INPUTS,)),
 )
 
 

@@ -3,6 +3,7 @@ write the rows past it from a cached tail, against their frozen level-by-level o
 
 import math
 import random
+import re
 import time
 
 import pytest
@@ -102,7 +103,7 @@ def test_homogeneous_cascade_matches_the_frozen_original(inputs):
     assert _outcome(equilibrium_homogeneous, *inputs) == _outcome(_oracles.equilibrium_homogeneous, *inputs)
 
 
-# Type ids, some of which the csv module must quote, and some holding the ``%`` the row templates escape.
+# Type ids, some of which the csv module must quote, and some holding ``%``, which a format over the rows would read.
 TYPE_IDS = st.sampled_from(
     ("t0", "t1", "", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\r", "100%", "%d", "%%s")
 )
@@ -127,8 +128,15 @@ TYPE_DRAWS = st.lists(
 def _heterogeneous_outcomes_agree(*args):
     """The library's outcome is the frozen original's.  Where the original raised its "internal consistency
     failure" for a proficient type with an untruthful level, the library must report exactly that: the first such
-    type is the one the original names."""
+    type is the one the original names.  Where the original stored a sigma above 1, the library refuses the first
+    such sigma."""
     frozen = _outcome(_oracles.equilibrium_heterogeneous, *args)
+    if isinstance(frozen[0], tuple):  # the original returned levels
+        sigmas = [te.sigma for te in _oracles.equilibrium_heterogeneous(*args).types if te.sigma > 1.0]
+        if sigmas:
+            return _outcome(equilibrium_heterogeneous, *args) == (
+                SuperviseError, f"sigma must lie in [0, 1], got {sigmas[0]!r}"
+            )
     if frozen[0] is SuperviseError and frozen[1].startswith("internal consistency failure"):
         flagged = [te.worker.id for te in equilibrium_heterogeneous(*args).types
                    if te.proficient and not all(s.truthful for s in te.levels)]
@@ -154,13 +162,25 @@ def test_heterogeneous_cascade_matches_the_frozen_original(inputs, drawn, at_bou
 def test_each_types_sigma_is_proficiency_sigma_bit_for_bit(inputs, drawn, m):
     """The population gate takes one step of the cascade's map, at epsilon with D = 0: each type stores
     proficiency_sigma's root, and the population is refused exactly where their weighted mean exceeds epsilon,
-    also at m 3 and 5, where the cascade itself runs with D > 0."""
+    also at m 3 and 5, where the cascade itself runs with D > 0.  A type whose root lies above 1 is refused, by
+    proficiency_sigma and by the mixture that would store it."""
     f, params, depth, e0 = inputs
     params = SchemeParams(k=params.k, epsilon=params.epsilon, C=params.C, m=m)
     pop = _population(f, drawn)
-    roots = [proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
+    roots = [_oracles.proficiency_sigma(wt.effort, params) for wt, _ in pop.types]
+    for (wt, _), r in zip(pop.types, roots):
+        if r.value <= 1.0:
+            assert proficiency_sigma(wt.effort, params) == r
+        else:
+            with pytest.raises(SuperviseError, match=re.escape(f"sigma must lie in [0, 1], got {r.value!r}")):
+                proficiency_sigma(wt.effort, params)
     if math.fsum(w * r.value for (_, w), r in zip(pop.types, roots)) > params.epsilon:
         with pytest.raises(AssumptionError, match="weighted mean sigma"):
+            equilibrium_heterogeneous(pop, params, depth, e0)
+        return
+    above = [r.value for r in roots if r.value > 1.0]
+    if above:
+        with pytest.raises(SuperviseError, match=re.escape(f"sigma must lie in [0, 1], got {above[0]!r}")):
             equilibrium_heterogeneous(pop, params, depth, e0)
         return
     types = equilibrium_heterogeneous(pop, params, depth, e0).types
@@ -297,24 +317,38 @@ def test_a_deep_heterogeneous_csv_crosses_chunk_boundaries_in_the_frozen_bytes()
     assert new == frozen
 
 
-@pytest.mark.parametrize("period", range(1, 6))
+def _prefix_lengths(period):
+    """Prefixes of period + 1 to 2 period + 1 rows, which end at every residue modulo a period up to 7 and at a few
+    of a longer one, and prefixes whose last level is 97, 998 or 9997, so that the rows past them cross from 2 to 3,
+    3 to 4 and 4 to 5 digits inside their first chunk."""
+    lengths = range(period + 1, 2 * period + 2)
+    if period > 7:
+        lengths = (period + 1, period + 2, period + 37, 2 * period, 2 * period + 1)
+    return sorted({*lengths, *(n for n in (98, 999, 9998) if n > period)})
+
+
+@pytest.mark.parametrize("period", (*range(1, 6), 7, 100, 101))
 def test_cyclic_rows_match_the_frozen_writer_at_every_phase(period):
-    """Prefixes of period + 1 to 2 period + 1 rows end at every residue modulo the period, and each profile runs two
-    chunks of 4096 rows and 0, 1, period - 1 or period more past its prefix, so its rows cross two chunk boundaries
-    and its last chunk ends at several phases.  Four profiles are written in one call, under keys that the csv
-    module must quote or that hold ``%``."""
+    """Each profile runs two chunks of 4096 rows and 0, 1, period - 1 or period more past its prefix, so its rows
+    cross two chunk boundaries and its last chunk ends at several phases; the periods 7, 100 and 101 do not divide
+    a block of 100 levels, equal it and exceed it.  Four profiles are written in one call, under keys that the csv
+    module must quote or that hold ``%``.  The chunks are the frozen writer's, one for one, and the lines those of
+    the level-by-level writer."""
     keys = ((), ('a,"b"',), ("100%", "%d"), ("two\nlines", "%%s"))
-    for n in range(period + 1, 2 * period + 2):
+    header = ["key", "level", "error", "truthful"]
+    for n in _prefix_lengths(period):
         prefix = [(u, 1 / (u + 3), supervise._csv.bool_word(u % 3 == 0)) for u in range(n)]
+        rows = [(u, *prefix[u if u < n else n - period + (u - n) % period][1:]) for u in range(n + 2 * 4096 + period)]
+        # each key's lines to the deepest profile, without the header; a quoted newline splits a row in two lines
+        lines = {key: _oracles.write_csv(header, (key + row for row in rows)).splitlines()[1:] for key in keys}
+        per_row = {key: len(lines[key]) // len(rows) for key in keys}
         for extra in sorted({0, 1, period - 1, period}):
             depth = n - 1 + 2 * 4096 + extra
-            rows = [(u, *prefix[u if u < n else n - period + (u - n) % period][1:]) for u in range(depth + 1)]
-            new = "".join(supervise._csv.cyclic_csv_chunks(
-                ["key", "level", "error", "truthful"], ((key, prefix, period, depth) for key in keys)
-            ))
-            frozen = _oracles.write_csv(["key", "level", "error", "truthful"],
-                                        (key + row for key in keys for row in rows))
-            assert new.splitlines() == frozen.splitlines(), (n, extra)  # a list diff names the first line cheaply
+            profiles = [(key, prefix, period, depth) for key in keys]
+            new = list(supervise._csv.cyclic_csv_chunks(header, profiles))
+            assert new == list(_oracles.cyclic_csv_chunks(header, profiles)), (n, extra)
+            frozen = [",".join(header)] + [line for key in keys for line in lines[key][: per_row[key] * (depth + 1)]]
+            assert "".join(new).splitlines() == frozen, (n, extra)  # a list diff names the first line cheaply
 
 
 def test_below_the_first_repeat_nothing_repeats():

@@ -317,6 +317,21 @@ BAD_INPUTS = {
     "mixture types as a list": lambda: HeterogeneousEquilibrium([_type_levels(_levels(0.0, 0.1, 0.1), 1, 5)]),
     "type sigma a string": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma="x"),
     "type sigma NaN": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma=NAN),
+    "type sigma above 1": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma=1.5),
+    "best response to a superior above 1 under the inverse power": lambda: best_response_under_superior(
+        IP, 0.25, SchemeParams(k=2, epsilon=0.25, C=1.0)
+    ),
+    "flat best response above 1 under the inverse power": lambda: best_response_flat(
+        IP, 0.1, SchemeParams(k=2, epsilon=0.25, C=1.0)
+    ),
+    "proficiency sigma above 1 under the inverse power": lambda: proficiency_sigma(
+        IP, SchemeParams(k=2, epsilon=0.25, C=1.0)
+    ),
+    # the simplelog type holds the mean sigma below epsilon, and every level is a probability
+    "proficient mixture whose light inverse power type has a sigma above 1": lambda: equilibrium_heterogeneous(
+        PopulationModel(((WorkerType(IP, "ip"), 0.02), (WorkerType(EffortFunction.simple_log(0.05), "sl"), 0.98))),
+        SchemeParams(k=2, epsilon=0.25, C=3.0), 5,
+    ),
     "type sigma_clamped an integer": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, sigma_clamped=0),
     "type weight negative": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, weight=-0.5),
     "type worker a quant worker type": lambda: _type_levels(_levels(0.0, 0.1), 0, 1, worker=QuantWorkerType(IP)),
@@ -503,6 +518,11 @@ BAD_INPUT_MESSAGES = {
     "mixture types as a list": "types must be TypeEquilibrium rows in a tuple",
     "type sigma a string": "sigma must be a real that is not NaN, got 'x'",
     "type sigma NaN": "sigma must be a real that is not NaN, got nan",
+    "type sigma above 1": r"sigma must lie in \[0, 1\], got 1.5",
+    "best response to a superior above 1 under the inverse power": r"best response error must lie in \[0, 1\], got 2.0",
+    "flat best response above 1 under the inverse power": r"best response error must lie in \[0, 1\], got 4.47213595",
+    "proficiency sigma above 1 under the inverse power": r"sigma must lie in \[0, 1\], got 2.0",
+    "proficient mixture whose light inverse power type has a sigma above 1": r"sigma must lie in \[0, 1\], got 1.1547",
     "type sigma_clamped an integer": "sigma_clamped must be of type bool, got int",
     "type weight negative": "population weight must be",
     "type worker a quant worker type": "worker must be of type WorkerType, got QuantWorkerType",

@@ -40,7 +40,8 @@ ROOT_FAULTS = {
 FAULTS = (None, *ROOT_FAULTS, "early repeat", "late repeat", "wrong period", "period out of range", "a list",
           "empty", "depth short", "threshold")
 # faults of the scalar fields of a type, or of a mixture of valid types
-TYPE_FAULTS = (None, "weight nan", "weight bool", "sigma str", "sigma_clamped int", "worker")
+TYPE_FAULTS = (None, "weight nan", "weight bool", "sigma str", "sigma above 1", "sigma below 0", "sigma_clamped int",
+               "worker")
 MIXTURE_FAULTS = (None, "a list", "not a type", "period", "depth", "level 0", "two types")
 
 
@@ -103,6 +104,7 @@ def _type_fields(fault, weight=1.0):
     if fault:
         key, value = {
             "weight nan": ("weight", math.nan), "weight bool": ("weight", True), "sigma str": ("sigma", "x"),
+            "sigma above 1": ("sigma", 1.5), "sigma below 0": ("sigma", -0.5),
             "sigma_clamped int": ("sigma_clamped", 0), "worker": ("worker", EffortFunction.simple_log()),
         }[fault]
         fields[key] = value

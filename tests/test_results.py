@@ -220,6 +220,10 @@ DEEP_RESULTS = {
     "profile of 300k levels that never repeats": lambda: equilibrium_homogeneous(
         EffortFunction.simple_log(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0), 300_000
     ),
+    # each block of 100 levels starts at a new phase of a long cycle, so each needs a table of its own
+    "profile of a million levels whose period is 4099": lambda: EquilibriumProfile(
+        prefix=tuple(Root(u / 2**20) for u in (*range(4099), 0)), period=4099, depth=10**6, threshold=0.25
+    ),
     "two quant types of 250k levels": lambda: quant_equilibrium(
         [(QuantWorkerType(EffortFunction.inverse_power(a), id=tid), 0.5) for tid, a in (("sharp", 1.0), ("noisy", 9.0))],
         1, 1.0, 2.0, 250_000,
