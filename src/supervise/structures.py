@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, cycle, filterfalse, groupby, islice, repeat
-from operator import eq, itemgetter
+from itertools import chain, count, cycle, groupby, islice, repeat
+from operator import add, eq, itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from . import _EXPORTS
@@ -160,11 +160,11 @@ class SupervisionTree:
     @classmethod
     def _of_columns(cls, levels: tuple, parents: tuple, picks: array) -> SupervisionTree:
         """The tree of these levels and columns, its rows derived from them and sorted: the builder's constructor."""
-        edges: list[tuple[str, str]] = []
-        for above, level, up in zip(levels, levels[1:], parents):
-            edges.extend(zip(map(above.__getitem__, up), level))
-        # the edges to workers come first, level by level, in the order of the picks
-        shared = zip(map(_PARENT, edges), map(_CHILD, edges), map(levels[-1].__getitem__, picks))
+        heads = [list(map(above.__getitem__, up)) for above, up in zip(levels, parents)]  # each node's parent, by level
+        edges = chain.from_iterable(map(zip, heads, levels[1:]))
+        # the levels between the root and the tasks hold the workers, judged in the order of the picks
+        workers = chain.from_iterable(levels[1:-1])
+        shared = zip(chain.from_iterable(heads[:-1]), workers, map(levels[-1].__getitem__, picks))
         tree = cls.__new__(cls)
         for key, value in (("levels", levels), ("edges", tuple(sorted(edges))), ("shared", tuple(sorted(shared))),
                            ("_columns", (parents, picks))):
@@ -325,7 +325,8 @@ def _tree_columns_hold(levels: tuple, columns: tuple | None) -> bool:
 def build_supervision_tree(n_tasks: int, k: int, seed: int) -> SupervisionTree:
     """Build a tree over freshly named tasks ``t0..t{n-1}``."""
     require_int(n_tasks, "n_tasks", 1, SizingError)
-    return build_supervision_tree_over(list(map("t".__add__, map(str, range(n_tasks)))), k, seed)
+    # names made here are unique strings, and no worker name starts with "t", so none needs a check or a skip
+    return _build_tree(tuple([f"t{i}" for i in range(n_tasks)]), set(), k, seed, "w", "supervisor")
 
 
 def build_supervision_tree_over(
@@ -342,40 +343,64 @@ def build_supervision_tree_over(
     the remainder, until at most k nodes remain under the supervisor.  Each
     parent's shared task per child is drawn seeded-uniformly from that
     child's tasks; sibling subtrees are task-disjoint so the picks are
-    automatically distinct.
+    automatically distinct.  The picks are drawn a level at a time, with the
+    same draws, from the same stream, as one ``rng.choice`` per worker.
     """
     tasks = _id_rows(task_ids, "task ids")
     forbidden = set(tasks)
     if len(forbidden) != len(tasks) or not tasks:
         raise SuperviseError("task ids must be nonempty and unique")
+    return _build_tree(tasks, forbidden, k, seed, worker_prefix, supervisor_id)
+
+
+def _build_tree(
+    tasks: tuple[str, ...], forbidden: set[str], k: int, seed: int, worker_prefix: str, supervisor_id: str
+) -> SupervisionTree:
+    """The tree over ``tasks``, unique string ids, whose worker names skip the ids in ``forbidden`` and the
+    supervisor's."""
     require_int(k, "branching factor k", 2, SizingError)
-    forbidden.add(supervisor_id)
+    forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))
     rng = random.Random(require_int(seed, "seed", 0))
     # a counter never repeats a name, so only the given ids need skipping
-    fresh = filterfalse(forbidden.__contains__, map(f"{worker_prefix}".__add__, map(str, count())))
+    prefix = f"{worker_prefix}"
+    fresh = (name for i in count() if (name := f"{prefix}{i}") not in forbidden)
 
-    n = len(tasks)
     levels: list[tuple[str, ...]] = [tasks]
     parents: list[array] = []  # bottom up, like levels
     picks: list[list[int]] = []
-    judged_on: Sequence[int] = range(n)  # the task position on which each node of the current level is judged
-    width, bottom, top = n, True, False
+    judged_on: Sequence[int] = range(len(tasks))  # the task position on which each node of a level is judged
+    width, bottom, top = len(tasks), True, False
     while not top:
         top = not bottom and width <= k  # at most k workers left: the supervisor's level
         n_above = 1 if top else -(-width // k)
         # each node of the level above takes the next chunk of at most k children: child j's parent is j // k, so
         # the column is each position above k times over, in order (k may be far larger than the level)
         parents.append(_column(sorted(list(range(n_above)) * min(k, width))[:width]))
-        if not bottom:  # a worker is judged on a task drawn from what it performs, in child order
-            judged_on = list(map(rng.choice, performs))
+        if not top:  # a worker is judged on a task drawn from those its chunk of children is judged on
+            judged_on = _chunk_picks(rng, judged_on, k)
             picks.append(judged_on)
-        # and each node of the level above performs the tasks on which its chunk of children is judged
-        performs = map(judged_on.__getitem__, map(slice, range(0, width, k), count(k, k)))
         levels.append((supervisor_id,) if top else tuple(islice(fresh, n_above)))
         width, bottom = n_above, False
 
     flat = _column(chain.from_iterable(reversed(picks)))  # top down, like the levels
     return SupervisionTree._of_columns(tuple(reversed(levels)), tuple(reversed(parents)), flat)
+
+
+def _chunk_picks(rng: random.Random, below: Sequence[int], k: int) -> list[int]:
+    """One item drawn from each chunk of k in ``below``, the last chunk perhaps shorter: the draws of
+    ``rng.choice`` over each chunk in turn, and the same stream consumed.
+
+    ``rng.choice(seq)`` is ``seq[rng._randbelow(len(seq))]``, and ``rng._randbelow(k)`` draws
+    ``rng.getrandbits(k.bit_length())`` until a draw falls below k.  The filter makes those draws for all full
+    chunks at once, in C, without slicing a chunk; the one shorter last chunk keeps its ``rng.choice``.
+    """
+    rest = len(below) % k
+    end = len(below) - rest
+    draws = islice(filter(k.__gt__, map(rng.getrandbits, repeat(k.bit_length()))), end // k)
+    out = list(map(below.__getitem__, map(add, range(0, end, k), draws)))
+    if rest:
+        out.append(rng.choice(below[end:]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ class Row(NamedTuple):
 
 
 H, CSV, EFFORT = "src/supervise/hierarchy.py", "src/supervise/_csv.py", "src/supervise/effort.py"
-FLAT = "src/supervise/flat.py"
-CHECKS, INPUTS = "tests/test_result_checks.py", "tests/test_inputs.py"
+FLAT, STRUCT = "src/supervise/flat.py", "src/supervise/structures.py"
+CHECKS, INPUTS, FAST = "tests/test_result_checks.py", "tests/test_inputs.py", "tests/test_fast_builders.py"
 
 ROWS = (
     Row(H, "and not any(map(math.isnan, errors))", "",
@@ -103,6 +103,17 @@ ROWS = (
         "proficiency_sigma may lie above 1", (INPUTS, "tests/test_cascades.py")),
     Row(FLAT, 'require_prob(root.value, "best response error")', "",
         "the flat best response may lie above 1", (INPUTS,)),
+    Row(STRUCT, "filter(k.__gt__, map(rng.getrandbits", "filter((k - 1).__gt__, map(rng.getrandbits",
+        "a tree's picks are drawn below k - 1, never from a full chunk's last item", (FAST,)),
+    Row(STRUCT, "map(add, range(0, end, k), draws)", "map(add, range(0, end, k - 1), draws)",
+        "a tree's picks stride k - 1 over the level below, not k", (FAST,)),
+    Row(STRUCT, "    if rest:\n        out.append(rng.choice(below[end:]))",
+        "    if rest > 1:\n        out.append(rng.choice(below[end:]))",
+        "a tree level's last chunk of one child goes without a pick", (FAST,)),
+    Row(STRUCT, "workers, map(levels[-1].__getitem__, picks))", "workers, map(levels[-1].__getitem__, picks[::-1]))",
+        "a built tree's shared rows take the picks in reverse, though its columns pass", (FAST,)),
+    Row(STRUCT, 'forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))', "forbidden.add(supervisor_id)",
+        "a tree builder takes a supervisor id that is not a string", (INPUTS,)),
 )
 
 

@@ -23,7 +23,7 @@ from supervise import (
     sa_greedy,
     sa_greedy_edge_deletion,
 )
-from supervise.structures import _tree_columns_hold
+from supervise.structures import _chunk_picks, _tree_columns_hold
 
 import _oracles
 
@@ -84,13 +84,16 @@ def test_peg_builder_and_edge_deletion_stay_near_linear():
 
 
 @settings(max_examples=300, derandomize=True)
-@given(n=st.integers(1, 3000), k=st.one_of(st.integers(2, 6), st.just(10**400)), seed=SEEDS, order_seed=SEEDS,
+@given(n=st.integers(1, 3000), k=st.one_of(st.integers(2, 6), st.integers(7, 300), st.just(10**400)),
+       seed=SEEDS, order_seed=SEEDS,
        prefix=st.sampled_from(["w", "h", "", "x{0}%", "t", 7]), clashes=st.sets(st.integers(0, 40), max_size=6),
        supervisor=st.sampled_from(["supervisor", "boss", "w0", "t0"]))
 def test_tree_builder_and_maps_match_the_frozen_originals(n, k, seed, order_seed, prefix, clashes, supervisor):
     """Task ids ``t0..`` in a seeded order plus ids shaped like fresh worker names, which the names must skip, as
     they skip a supervisor named like one; prefix ``t`` makes the ids non-unique and a supervisor named like a task
-    makes a node appear twice.  A prefix that is not a string is formatted into the names, as it always was."""
+    makes a node appear twice.  A prefix that is not a string is formatted into the names, as it always was.  A k
+    of 7 to 300 draws picks 3 to 9 bits wide, rejecting up to half of the draws, and most such trees end a level in
+    a shorter chunk."""
     tasks = [f"t{i}" for i in range(n)] + [f"{prefix}{j}" for j in sorted(clashes)]
     random.Random(order_seed).shuffle(tasks)
     args = (tasks, k, seed, prefix, supervisor)
@@ -101,6 +104,22 @@ def test_tree_builder_and_maps_match_the_frozen_originals(n, k, seed, order_seed
     assert json.dumps(tree.to_json_dict()) == json.dumps(want.to_json_dict())
     assert "worker_tasks" not in vars(tree), "validating a valid tree fell back to the row-by-row pick check"
     assert (tree.children, tree.parent, tree.worker_tasks) == (want.children, want.parent, want.worker_tasks)
+
+
+def test_chunk_picks_are_one_choice_per_chunk_from_the_same_stream():
+    """Every draw width from 2 to 9 bits (``rng.choice`` draws ``k.bit_length()`` bits until one falls below k, so
+    a power of two rejects half) and every size of a shorter last chunk, one included, whose draw still consumes the
+    stream; the generator ends in the same state, so the next level draws on as it always did."""
+    for k in range(2, 301):
+        for size in {1, k - 1, k, k + 1, 3 * k, 5 * k + k // 2, 7 * k - 1}:
+            below = list(range(1000, 1000 + size))
+            rng, want_rng = random.Random(k * 1009 + size), random.Random(k * 1009 + size)
+            want = [want_rng.choice(below[i : i + k]) for i in range(0, size, k)]
+            assert _chunk_picks(rng, below, k) == want, (k, size)
+            assert rng.getstate() == want_rng.getstate(), (k, size)
+    rng, want_rng = random.Random(1), random.Random(1)
+    assert _chunk_picks(rng, range(5), 10**400) == [want_rng.choice(range(5))]
+    assert rng.getstate() == want_rng.getstate()
 
 
 def test_benchmark_sized_tree_matches_the_frozen_original_byte_for_byte():

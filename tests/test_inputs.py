@@ -261,6 +261,8 @@ BAD_INPUTS = {
     ),
     "vertex cover over integer vertex ids": lambda: vc_to_sa([1, 2], [(1, 2)]),
     "tree over integer task ids": lambda: build_supervision_tree_over([1, 2, 3], 2, 0),
+    "tree with a supervisor id of None": lambda: build_supervision_tree_over(["a", "b", "c"], 2, 0, "w", None),
+    "tree with an integer supervisor id": lambda: build_supervision_tree_over(["a", "b", "c"], 2, 0, "w", 3),
     "profile with no levels": lambda: _profile((), 0, 0),
     "profile of plain tuples": lambda: _profile(((0, 0.0, True, False),), 0, 0),
     "profile levels as a list": lambda: _profile(list(_levels(0.0)), 0, 0),
@@ -454,6 +456,8 @@ BAD_INPUTS = {
 
 # The message a case must raise, where another refusal could come first.
 BAD_INPUT_MESSAGES = {
+    "tree with a supervisor id of None": "supervisor_id must be of type str, got NoneType",
+    "tree with an integer supervisor id": "supervisor_id must be of type str, got int",
     "expected_penalty_quant of a square beyond the float range": "the expected quadratic penalty is not a finite float",
     "expected_penalty_quant of a sum beyond the float range": "the expected quadratic penalty is not a finite float",
     "cover solution tasks a string": "'tasks' must be an array of string ids",
