@@ -1,17 +1,23 @@
 """Monte Carlo verification of the analytic losses.
 
 One loop serves every structure and both answer models.  The answer model
-says how a task's truth is drawn, how a worker's answer is drawn from the
-truth and the worker's strategy, what a disagreement costs, and what that
-cost is expected to be.  :class:`UniformWrong` covers binary tasks: a uniform
-true solution, answered correctly with probability 1 - e and otherwise
-uniformly among the m - 1 wrong answers.  :class:`Gaussian` covers
-quantitative tasks: answers normal around the truth with a per-worker bias
-and variance.  Draws are independent across workers, tasks, and episodes.
-Penalties are charged on each worker's one shared task with its superior, and
-the empirical means are reported next to the analytic expectations with a
-z-score, so a run is a statistical test of the formulas, not a replacement
-for them.
+says how a worker's answer is drawn from the worker's strategy, what a
+disagreement costs, and what that cost is expected to be.  :class:`UniformWrong`
+covers binary tasks: answered correctly with probability 1 - e and otherwise
+uniformly among the m - 1 wrong answers.  :class:`Gaussian` covers quantitative
+tasks: answers normal around the truth with a per-worker bias and variance.
+Draws are independent across workers, tasks, and episodes.  Penalties are
+charged on each worker's one shared task with its superior, and the empirical
+means are reported next to the analytic expectations with a z-score, so a run
+is a statistical test of the formulas, not a replacement for them.
+
+No truth is drawn: each answer is drawn as its offset from the truth, and
+every penalty depends only on those offsets.  A binary offset is 0 where the
+answer is right, else uniform in 1..m-1; at m = 2 it is the wrong flag itself.
+Two binary answers differ exactly when their offsets differ, since adding one
+truth mod m maps offsets to answers one to one.  A Gaussian offset is
+``bias + sigma * z``, and the truth cancels from the difference of two answers.
+So the penalties have the distribution they would have with any truth drawn.
 
 Effort costs are deterministic in the strategy and are not sampled; report
 rows therefore compare the penalty component.  The parameter sweeps, which do
@@ -19,17 +25,16 @@ need the effort term to have an interior optimum, take the effort function
 explicitly and add it analytically, in one loop over the strategy grid.
 
 Determinism and memory: one seeded generator draws the tasks one at a time,
-in sorted id order: a task's truth, then one answer per performer of the task
-in sorted worker order.  That task's pairs are then scored and its arrays
-freed, so peak memory is one task's arrays, about (performers + 3) times the
-episode count, whatever the size of the structure.  The episode-length work
+in sorted id order, one answer per performer of the task in sorted worker
+order.  That task's pairs are then scored, so peak memory is one task's arrays:
+one answer array per performer and three episode-length arrays (at m >= 3 one
+more while an offset is drawn), whatever the size of the structure.  Those
 arrays are made once per run and reused for every task: one float and one bool
-scratch array, one penalty array, and one Gaussian answer array per performer
-position; a binary answer is its offset draw, rewritten in place (at m = 2,
-where the offset is always 1 and is not drawn, it is truth ^ wrong).  Structures
-store their rows sorted, so equal structures give equal reports however their
-JSON rows were ordered; with numpy's fixed-order reductions, identical configs
-produce identical reports.
+scratch array, one penalty array, and one answer array per performer position,
+of bools at m = 2, int64 offsets at larger m and floats for Gaussian answers.
+Structures store their rows sorted, so equal structures give equal reports
+however their JSON rows were ordered; with numpy's fixed-order reductions,
+identical configs produce identical reports.
 
 The binary sweeps sort their uniforms once: a grid point's loss is a count of
 the uniforms below it, read with one binary search.
@@ -41,7 +46,7 @@ importing the package, and every subcommand but ``simulate``, runs without it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -63,8 +68,11 @@ if TYPE_CHECKING:
 __all__ = _EXPORTS["simulate"]
 
 
-# The largest answer-set size numpy's int64 answers hold: a wrong answer, truth + offset, stays below 2 m.
+# The largest answer-set size: an offset, below m, is an int64 draw.  Any m up to 2**63 would fit; the bound is
+# the one answers of the form truth + offset, below 2 m, needed, kept so that the same models are refused.
 _M_MAX = 2**62
+# The largest episode count whose float64 array numpy can size: its byte count must fit an intp.
+_EPISODES_MAX = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,17 @@ class UniformWrong:
     def strategy(self, worker: str, e: object) -> float:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)
 
-    def truth(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(0, self.m, size=n)
+    def answer(self, rng: np.random.Generator, e: float, work: _Work, slot: int) -> np.ndarray:
+        """The answer's offset from the truth, in the pooled answer array of the performer's slot: 0 where it is
+        right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 it is the wrong flag itself."""
+        import numpy as np
 
-    def answer(self, rng: np.random.Generator, truth: np.ndarray, e: float, work: _Work, slot: int) -> np.ndarray:
-        return _sample_binary_answers(rng, truth, e, self.m, work)
+        if self.m == 2:
+            return np.less(rng.random(out=work.floats), e, out=work.answer(slot, bool))
+        a = work.answer(slot, np.int64)
+        a[...] = np.less(rng.random(out=work.floats), e, out=work.flags)  # a copy: a cast in a multiply takes a buffer
+        a *= rng.integers(1, self.m, size=a.shape[0])
+        return a
 
     def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
         """``C * (a != b)``, written into ``work.penalty``."""
@@ -126,19 +140,13 @@ class Gaussian:
             require_real(bias, f"bias for {worker!r}", error=ModelMismatchError),
         )
 
-    def truth(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal(n)
-
-    def answer(
-        self, rng: np.random.Generator, truth: np.ndarray, s: tuple[float, float], work: _Work, slot: int
-    ) -> np.ndarray:
-        """``(truth + bias) + sigma * z``, written into the pooled answer array of the performer's slot."""
-        import numpy as np
-
+    def answer(self, rng: np.random.Generator, s: tuple[float, float], work: _Work, slot: int) -> np.ndarray:
+        """The answer's offset from the truth, ``bias + sigma * z``, in the pooled answer array of the performer's
+        slot."""
         sigma, bias = s
-        a = rng.standard_normal(out=work.answers[slot])
+        a = rng.standard_normal(out=work.answer(slot, float))
         a *= sigma
-        a += np.add(truth, bias, out=work.floats)
+        a += bias
         return a
 
     def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
@@ -157,7 +165,7 @@ Structure = Union[SupervisionTree, SupervisionHierarchy]
 
 
 def _require_run(episodes: int, seed: int) -> None:
-    require_int(episodes, "episodes", 2)
+    require_int(episodes, "episodes", 2, hi=_EPISODES_MAX)
     require_int(seed, "seed", 0)  # numpy generators take no negative seed
 
 
@@ -233,41 +241,21 @@ def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, 
 
 class _Work:
     """The episode-length arrays one run makes once and reuses: a float and a bool scratch array, the penalty
-    array, and the Gaussian answer array of each performer slot, made when a slot is first used."""
+    array, and the answer array of each performer slot, made when the slot is first used."""
 
     def __init__(self, n: int) -> None:
         import numpy as np
 
         self.floats, self.flags, self.penalty = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-        self.answers = defaultdict(partial(np.empty, n))
+        self._answers: dict[int, np.ndarray] = {}
+        self._empty = partial(np.empty, n)
 
-
-def _offset_answers(truth: np.ndarray, offset: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
-    """``(truth + offset) mod m`` for offsets in 0..m-1, written over ``offset``; ``scratch`` is any 8-byte array of
-    its length.  The sum is below 2 m <= 2**63, so the modulo is one conditional subtract of m: as unsigned
-    integers, sum - m wraps above the sum exactly where the sum is below m, and the smaller one is the answer."""
-    import numpy as np
-
-    offset += truth
-    total, less_m = offset.view(np.uint64), scratch.view(np.uint64)
-    np.minimum(total, np.subtract(total, m, out=less_m), out=total)
-    return offset
-
-
-def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float, m: int, work: _Work) -> np.ndarray:
-    """Answers that equal the truth w.p. 1-e, else land uniformly off it: the offset draw, zeroed where the answer
-    is right, becomes the answer in place.  At m = 2 every offset is 1, and ``integers(1, 2)`` draws nothing, so
-    the answer is ``truth ^ wrong`` with the same draws."""
-    import numpy as np
-
-    wrong = np.less(rng.random(out=work.floats), e, out=work.flags)
-    if m == 2:
-        return np.bitwise_xor(truth, wrong)
-    offset = rng.integers(1, m, size=truth.shape[0])
-    wrong_ints = work.floats.view(np.int64)
-    wrong_ints[...] = wrong  # a copy widens the flags: a cast inside a multiply takes a buffer
-    offset *= wrong_ints
-    return _offset_answers(truth, offset, m, work.floats)
+    def answer(self, slot: int, dtype: type) -> np.ndarray:
+        """The answer array of a performer slot; a run's model asks for every slot in one dtype."""
+        a = self._answers.get(slot)
+        if a is None:
+            a = self._answers[slot] = self._empty(dtype)
+        return a
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
@@ -310,10 +298,9 @@ def simulate(config: SimConfig) -> SimReport:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a pair's mean or stderr, refused below
         for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
             task_pairs = list(task_pairs)
-            truth = model.truth(rng, config.episodes)
             # one answer per performer of the task: the same draw serves every pair that reads it
             performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
-            answer = {w: model.answer(rng, truth, strategy[w], work, i) for i, w in enumerate(performers)}
+            answer = {w: model.answer(rng, strategy[w], work, i) for i, w in enumerate(performers)}
             for p, w, _, level in task_pairs:
                 emp, se = _mean_stderr(model.penalty(answer[w], answer[p], work))
                 if not (math.isfinite(emp) and math.isfinite(se)):
@@ -321,7 +308,6 @@ def simulate(config: SimConfig) -> SimReport:
                                          f"beyond the float range")
                 analytic = model.expected(strategy[w], strategy[p])
                 rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
-            del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
 
@@ -395,7 +381,8 @@ def _sweep(
 
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a mean penalty, refused below
-        penalty = draw(np.random.default_rng(require_int(seed, "seed", 0)), require_int(episodes, "episodes", 1))
+        rng = np.random.default_rng(require_int(seed, "seed", 0))
+        penalty = draw(rng, require_int(episodes, "episodes", 1, hi=_EPISODES_MAX))
         for v in vals:
             effort = k * effort_eval(f, v)  # first: a point outside f's domain raises a domain error, not the penalty's
             mean = float(penalty(v))
@@ -443,8 +430,10 @@ def sweep_pair(
     """Empirical pair loss against a superior playing error e_w.
 
     With d_r an episode's disagreement when the worker answers right and d_w when it answers wrong, the loss at e
-    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.  Wrong answers are uniform, so the one both-wrong penalty
-    the draws realize is ``implied_D(C, m)``; a params with another D is refused.
+    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.  The answers are drawn as offsets from the truth, as in
+    :func:`simulate`, after one truth draw that is never read: it keeps the stream, and so the losses, the sweep had
+    when it added the truth to the offsets.  Wrong answers are uniform, so the one both-wrong penalty the draws
+    realize is ``implied_D(C, m)``; a params with another D is refused.
     """
     e_w = require_prob(e_w, "superior error")
     C, m = require_instance(params, SchemeParams, "params").require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
@@ -457,14 +446,14 @@ def sweep_pair(
         import numpy as np
 
         work = _Work(n)
-        truth = rng.integers(0, m, size=n)
-        a_sup = _sample_binary_answers(rng, truth, e_w, m, work)
+        rng.integers(0, m, size=n)  # the unread truth
+        a_sup = UniformWrong(m, C).answer(rng, e_w, work, 0)
         u_wrong = rng.random(n)
-        # at m = 2 the one wrong answer is 1 - truth, and integers(1, 2) draws nothing
-        wrong = truth ^ 1 if m == 2 else _offset_answers(truth, rng.integers(1, m, size=n), m, work.floats)
-        d_r = np.not_equal(truth, a_sup, out=work.flags)
+        # a right worker's offset is 0, a wrong one's uniform in 1..m-1: at m = 2, integers(1, 2) draws nothing
+        d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)
+        d_r = np.not_equal(a_sup, 0, out=work.flags)
         base = int(np.count_nonzero(d_r))
-        count = _count_below(u_wrong, np.not_equal(wrong, a_sup).view(np.int8) - d_r.view(np.int8))
+        count = _count_below(u_wrong, d_w.view(np.int8) - d_r.view(np.int8))
         return lambda e: C * ((base + count(e)) / n)
 
     return _sweep(f, params.k, grid, episodes, seed, draw)

@@ -74,7 +74,6 @@ from supervise.errors import require_weight
 from supervise.hierarchy import _require_hierarchical_epsilon, _require_hierarchical_threshold, _require_trace_threshold
 from supervise.hierarchy import _response_target, _validate_e0
 from supervise.simulate import Structure, _z
-from supervise.simulate import _offset_answers as _offset_answers_in_place
 from supervise.structures import _id_rows, _json_fields, _sorted_rows
 from supervise import TypeEquilibrium as _TypeRow
 
@@ -782,9 +781,25 @@ def _sample_binary_answers(rng: np.random.Generator, truth: np.ndarray, e: float
     return _offset_answers(truth, wrong, rng.integers(1, m, size=n), m)
 
 
+# The library's in-place modulo as it was when answers were truth + offset, frozen verbatim but for its name; the
+# engine now keeps the offsets and draws no truth.
+
+
+def _offset_answers_in_place(truth: np.ndarray, offset: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
+    """``(truth + offset) mod m`` for offsets in 0..m-1, written over ``offset``; ``scratch`` is any 8-byte array of
+    its length.  The sum is below 2 m <= 2**63, so the modulo is one conditional subtract of m: as unsigned
+    integers, sum - m wraps above the sum exactly where the sum is below m, and the smaller one is the answer."""
+    import numpy as np
+
+    offset += truth
+    total, less_m = offset.view(np.uint64), scratch.view(np.uint64)
+    np.minimum(total, np.subtract(total, m, out=less_m), out=total)
+    return offset
+
+
 # The binary answer sampler as it was before m = 2 stopped calling ``integers(1, m)``, frozen verbatim but for
-# the in-place modulo, which is the library's ``_offset_answers`` (checked against the original above): it fills
-# the run's reused arrays, and at every m it asks the generator for the offsets.
+# the in-place modulo, which is ``_offset_answers_in_place`` above (checked against the original): it fills the
+# run's reused arrays, and at every m it asks the generator for the offsets.
 
 
 def sample_binary_answers_with_offsets(rng: np.random.Generator, truth: np.ndarray, e: float, m: int,

@@ -38,8 +38,9 @@ class Row(NamedTuple):
 
 
 H, CSV, EFFORT = "src/supervise/hierarchy.py", "src/supervise/_csv.py", "src/supervise/effort.py"
-FLAT, STRUCT = "src/supervise/flat.py", "src/supervise/structures.py"
+FLAT, STRUCT, SIM = "src/supervise/flat.py", "src/supervise/structures.py", "src/supervise/simulate.py"
 CHECKS, INPUTS, FAST = "tests/test_result_checks.py", "tests/test_inputs.py", "tests/test_fast_builders.py"
+SIMT = "tests/test_simulate.py"
 
 ROWS = (
     Row(H, "and not any(map(math.isnan, errors))", "",
@@ -114,6 +115,16 @@ ROWS = (
         "a built tree's shared rows take the picks in reverse, though its columns pass", (FAST,)),
     Row(STRUCT, 'forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))', "forbidden.add(supervisor_id)",
         "a tree builder takes a supervisor id that is not a string", (INPUTS,)),
+    Row(SIM, "a *= rng.integers(1, self.m, size=a.shape[0])", "a[...] = rng.integers(1, self.m, size=a.shape[0])",
+        "a binary offset is left unmultiplied by its wrong flag, so every answer at m >= 3 is wrong", (SIMT,)),
+    Row(SIM, "if self.m == 2:", "if self.m <= 3:",
+        "the wrong-flag branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
+    Row(SIM, "a += bias", "a -= bias",
+        "a Gaussian answer is offset by minus its bias, which only the sign of a bias gap shows", (SIMT,)),
+    Row(SIM, "d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)", "d_w = np.not_equal(rng.integers(1, m, size=n), 0)",
+        "a wrong worker in the pair sweep disagrees with its superior even where both are wrong alike", (SIMT,)),
+    Row(SIM, "_EPISODES_MAX = sys.maxsize // 8\n", "_EPISODES_MAX = sys.maxsize // 8 + 1\n",
+        "an episode count one above what numpy can size passes the check, and numpy raises its own error", (INPUTS,)),
 )
 
 

@@ -150,7 +150,20 @@ def _binary_strategy_true():
     simulate_binary(SimConfig(10, 0, UniformWrong(), tree, {"w0": True}))
 
 
+# One more episode than numpy can size a float64 array of: refused before any array is made.
+TOO_MANY_EPISODES = 2**60
+
+
 BAD_INPUTS = {
+    "simulation of more episodes than numpy can size": lambda: simulate(
+        SimConfig(TOO_MANY_EPISODES, 0, UniformWrong(), build_supervision_tree(2, 2, seed=0), {"w0": 0.1})
+    ),
+    "sim report of more episodes than numpy can size": lambda: SimReport(rows=(), episodes=TOO_MANY_EPISODES, seed=0),
+    "flat sweep of more episodes than numpy can size": lambda: sweep_flat(SL, PARAMS, 0.5, GRID, TOO_MANY_EPISODES, 0),
+    "pair sweep of more episodes than numpy can size": lambda: sweep_pair(SL, PARAMS, 0.1, GRID, TOO_MANY_EPISODES, 0),
+    "quadratic sweep of more episodes than numpy can size": lambda: sweep_quant(
+        IP, 4, 1.0, [1.0, 2.0], TOO_MANY_EPISODES, 0
+    ),
     "uniform-wrong C as a string": lambda: UniformWrong(C="1"),
     "uniform-wrong m beyond int64 answers": lambda: UniformWrong(m=2**64),
     "gaussian c of None": lambda: Gaussian(c=None),
@@ -559,7 +572,17 @@ BAD_INPUT_MESSAGES = {
     "sweep result values a list": "values and mean_losses must be tuples of one length",
     "sim report of integers": "rows must be a tuple of WorkerStats rows",
     "sim report rows a list": "rows must be a tuple of WorkerStats rows",
-    "sim report of one episode": "episodes must be an integer >= 2, got 1",
+    "sim report of one episode": r"episodes must be an integer in \[2, 1152921504606846975\], got 1",
+    "simulation of more episodes than numpy can size":
+        r"episodes must be an integer in \[2, 1152921504606846975\], got 1152921504606846976$",
+    "sim report of more episodes than numpy can size":
+        r"episodes must be an integer in \[2, 1152921504606846975\], got 1152921504606846976$",
+    "flat sweep of more episodes than numpy can size":
+        r"episodes must be an integer in \[1, 1152921504606846975\], got 1152921504606846976$",
+    "pair sweep of more episodes than numpy can size":
+        r"episodes must be an integer in \[1, 1152921504606846975\], got 1152921504606846976$",
+    "quadratic sweep of more episodes than numpy can size":
+        r"episodes must be an integer in \[1, 1152921504606846975\], got 1152921504606846976$",
     "sim report seed negative": "seed must be an integer >= 0, got -1",
     "sim report row whose numbers are strings": "empirical must be a real that is not NaN, got 'x'",
     "vertex cover with a vertex id twice": "duplicate vertex ids",

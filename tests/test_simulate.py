@@ -31,7 +31,7 @@ from supervise import (
     sweep_pair,
     sweep_quant,
 )
-from supervise.simulate import _mean_stderr, _offset_answers, _sample_binary_answers, _Work
+from supervise.simulate import _mean_stderr, _Work
 
 import _oracles
 
@@ -114,10 +114,9 @@ class TestBinary:
     def test_independent_correctness_draws(self):
         rng = np.random.default_rng(17)
         n = 200_000
-        truth = rng.integers(0, 2, size=n)
-        work = _Work(n)
-        a = _sample_binary_answers(rng, truth, 0.3, 2, work) == truth
-        b = _sample_binary_answers(rng, truth, 0.4, 2, work) == truth
+        work, model = _Work(n), UniformWrong(m=2)
+        a = model.answer(rng, 0.3, work, 0) == 0  # right where the offset from the truth is 0
+        b = model.answer(rng, 0.4, work, 1) == 0
         corr = float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
         assert abs(float(np.mean(a)) - 0.7) <= 4.0 * math.sqrt(0.7 * 0.3 / n)
@@ -186,7 +185,8 @@ def test_memory_holds_one_task_at_a_time():
 
 @pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
 def test_memory_stays_within_eight_episode_arrays(model):
-    """The reused arrays add about three to the deepest task's truth and four answers: about 7.1 arrays."""
+    """The reused arrays add about two to the deepest task's four answers, and a binary offset draw one more:
+    about 6.2 arrays for Gaussian answers and 7.2 for binary ones at m = 3."""
     tree = build_supervision_tree(81, 3, seed=1)
     s = 0.1 if isinstance(model, UniformWrong) else (0.5, 0.1)
     strategies = {n: s for lv in tree.levels[:-1] for n in lv}
@@ -304,12 +304,12 @@ def _pinned_outputs():
 
 
 # sha256 of each output: the sweeps' taken before the two simulators and the three sweep loops became one, the
-# three reports' when the engine began drawing one task at a time; a change to the RNG stream must update these on
+# three reports' when the engine stopped drawing a truth per task; a change to the RNG stream must update these on
 # purpose
 PINNED_SHA256 = {
-    "binary_hierarchy": "ed6c0310049665f7191892ffaa8fb5971ed2cfe02e1d45517d79c78a141ebd2d",
-    "binary_tree": "1826649744171de450a68d50630efab6d04e5b2e1ff306aeccb533d401dbc31e",
-    "quant_tree": "c21f9e5f7b0c8964a53c192ae14c7900bbb12afa4963676816d8d6607d2abc15",
+    "binary_hierarchy": "f3cbe7346b56d0390e799420c56a68485c8664ea99169ba72ab1ad8a8b967980",
+    "binary_tree": "021356f0b5aab8987d0b5169f11ef281ea61f927903868bfc8df99fef34bbe9d",
+    "quant_tree": "edab6c213c67679478438f6d52d5b276a804b8dce427ed1466375641112532a3",
     "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
     "sweep_pair": "4faefb93422115799f0bdd724281006713b0fc176ba44d8d89d8d71c1020e3f4",
     "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
@@ -347,7 +347,7 @@ def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
     else:
         wrong = np.full(n, mask == "all wrong")
     # the in-place helper takes offsets zeroed where the answer is right, and overwrites them
-    answers = _offset_answers(truth, offset * wrong, m, np.empty(n))
+    answers = _oracles._offset_answers_in_place(truth, offset * wrong, m, np.empty(n))
     want = _oracles._offset_answers(truth, wrong, offset, m)
     assert answers.dtype == want.dtype and np.array_equal(answers, want)
     # the two penalty kinds simulate summarises: scaled disagreements and squared differences; the helper
@@ -362,14 +362,16 @@ def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
 @pytest.mark.parametrize("m", [2, 3, 5])
 @pytest.mark.parametrize("e", [0.0, 0.3, 1.0])
 def test_binary_answers_match_the_sampler_that_draws_offsets(m, e):
-    """At m = 2 the sampler skips ``integers(1, 2)``, which draws nothing: the answers, and the generator's state
-    after the call, are those of the frozen sampler that asks for the offsets at every m."""
+    """The sampler draws offsets from the truth, and skips ``integers(1, 2)`` at m = 2, which draws nothing: added
+    to any truth mod m, its offsets are the answers of the frozen sampler that draws them on that truth at every m,
+    and the generator's state after the call is that sampler's."""
     n = 1000
     truth = np.random.default_rng(1).integers(0, m, size=n)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = _sample_binary_answers(got_rng, truth, e, m, _Work(n))
+    offsets = UniformWrong(m=m).answer(got_rng, e, _Work(n), 0)
+    assert offsets.dtype == (bool if m == 2 else np.int64)
     want = _oracles.sample_binary_answers_with_offsets(want_rng, truth, e, m, _Work(n))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal((truth + offsets) % m, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -399,15 +401,24 @@ _MODELS = st.one_of(
     data=st.data(),
 )
 def test_reused_arrays_give_the_frozen_engines_rows_to_the_bit(structure, model, episodes, seed, data):
+    """A coupling: the frozen engine draws a truth per task from the engine's generator, the library none.  With the
+    frozen engine's truths drawn from a generator of their own (binary) or zero (Gaussian), its stream is the
+    library's, and two answers on any truth differ as their offsets do, so every row matches to the bit."""
     _, pairs = _oracles._supervision_pairs(structure)
     workers = sorted({w for p, c, _, _ in pairs for w in (p, c)})
     if isinstance(model, UniformWrong):
         one = st.floats(0.0, 1.0)
+        truth_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="truth seed"))
+        truth = lambda model, rng, n: truth_rng.integers(0, model.m, size=n)  # noqa: E731
     else:
         one = st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
+        truth = lambda model, rng, n: np.zeros(n)  # noqa: E731
     strategies = {w: data.draw(one) for w in workers}
     config = SimConfig(episodes, seed, model, structure, strategies)
-    new, old = simulate(config).rows, _oracles.simulate_task_by_task(config).rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_oracles, "model_truth", truth)
+        old = _oracles.simulate_task_by_task(config).rows
+    new = simulate(config).rows
     assert len(new) == len(old) and all(map(_same_row, new, old)), (new, old)
 
 
@@ -415,7 +426,7 @@ def _uniforms(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     """The worker's uniforms a binary sweep draws, replayed from its draw order."""
     rng = np.random.default_rng(seed)
     if kind == "pair":
-        rng.integers(0, m, size=n)  # the truth, then the superior's uniforms and offsets
+        rng.integers(0, m, size=n)  # the unread truth, then the superior's uniforms and offsets
         rng.random(n)
         rng.integers(1, m, size=n)
     else:
