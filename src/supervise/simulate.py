@@ -24,17 +24,17 @@ rows therefore compare the penalty component.  The parameter sweeps, which do
 need the effort term to have an interior optimum, take the effort function
 explicitly and add it analytically, in one loop over the strategy grid.
 
-Determinism and memory: one seeded generator draws the tasks one at a time,
-in sorted id order, one answer per performer of the task in sorted worker
-order.  That task's pairs are then scored, so peak memory is one task's arrays:
-one answer array per performer and three episode-length arrays (at m >= 3 one
-more while an offset is drawn), whatever the size of the structure.  Those
-arrays are made once per run and reused for every task: one float and one bool
-scratch array, one penalty array, and one answer array per performer position,
-of bools at m = 2, int64 offsets at larger m and floats for Gaussian answers.
-Structures store their rows sorted, so equal structures give equal reports
-however their JSON rows were ordered; with numpy's fixed-order reductions,
-identical configs produce identical reports.
+Determinism and memory: a structure lists its judged pairs as ``judged`` rows,
+sorted by shared task.  One seeded generator draws them task by task, one
+answer per performer of the task in sorted worker order, and scores the task's
+pairs, so peak memory is one task's arrays, whatever the size of the
+structure: an answer array per performer and a penalty array, made once per
+run and reused for every task, and for binary answers a float and a bool
+scratch array (at m >= 3 one more while an offset is drawn), made on first
+use.  Answers are bools at m = 2, int64 offsets at larger m and floats for
+Gaussian answers.  Structures store their rows sorted, so equal structures
+give equal reports however their JSON rows were ordered; with numpy's
+fixed-order reductions, identical configs produce identical reports.
 
 The binary sweeps sort their uniforms once: a grid point's loss is a count of
 the uniforms below it, read with one binary search.
@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -181,6 +182,8 @@ class SimConfig:
         _require_run(self.episodes, self.seed)
         if not isinstance(self.answer_model, (UniformWrong, Gaussian)):
             raise ModelMismatchError(f"unsupported answer model {type(self.answer_model).__name__}")
+        if not isinstance(self.structure, (SupervisionTree, SupervisionHierarchy)):
+            raise ModelMismatchError(f"unsupported structure type {type(self.structure).__name__}")
         if not isinstance(self.strategies, Mapping):
             raise ModelMismatchError(f"strategies must map worker ids to strategies, got {self.strategies!r}")
 
@@ -224,31 +227,19 @@ class SimReport:
         return "".join(self.csv_chunks())  # perfbench hashes this name; it leaves with ROADMAP item 11
 
 
-def _supervision_pairs(structure: Structure) -> tuple[str, list[tuple[str, str, str, int]]]:
-    """The supervisor, and (superior, worker, shared task, worker level) for every judged worker."""
-    if isinstance(structure, SupervisionTree):
-        tree = structure
-        extra: list[tuple[str, str, str, int]] = []
-    elif isinstance(structure, SupervisionHierarchy):
-        tree = structure.tree
-        extra = [(tree.parent[t], w, t, structure.equilibrium_depth) for w, t in structure.coverage]
-    else:
-        raise ModelMismatchError(f"unsupported structure type {type(structure).__name__}")
-    level_of = {n: i for i, lv in enumerate(tree.levels) for n in lv}
-    pairs = [(p, c, t, level_of[c]) for p, c, t in tree.shared]
-    return tree.supervisor, pairs + extra
-
-
 class _Work:
-    """The episode-length arrays one run makes once and reuses: a float and a bool scratch array, the penalty
-    array, and the answer array of each performer slot, made when the slot is first used."""
+    """The episode-length arrays one run makes once and reuses: the penalty array, and the answer array of each
+    performer slot and a float and a bool scratch array, which only binary answers use, each made on first use."""
 
     def __init__(self, n: int) -> None:
         import numpy as np
 
-        self.floats, self.flags, self.penalty = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+        self.penalty = np.empty(n)
         self._answers: dict[int, np.ndarray] = {}
         self._empty = partial(np.empty, n)
+
+    floats = cached_property(lambda self: self._empty(float))
+    flags = cached_property(lambda self: self._empty(bool))
 
     def answer(self, slot: int, dtype: type) -> np.ndarray:
         """The answer array of a performer slot; a run's model asks for every slot in one dtype."""
@@ -273,18 +264,27 @@ def _z(emp: float, analytic: float, stderr: float) -> float:
     return 0.0 if emp == analytic else math.inf
 
 
+@contextmanager
+def _episode_memory(episodes: int) -> Iterator[None]:
+    """A failure to allocate an episode-length array, as a SuperviseError that names the episode count."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise SuperviseError(f"{episodes} episodes need more memory than this process can allocate") from exc
+
+
 def simulate(config: SimConfig) -> SimReport:
     """Sample the answer model's penalty on every supervision pair of the structure.
 
-    Tasks are drawn one at a time, in sorted id order, and rows are reported by level and worker.
+    Tasks are drawn one at a time, in the sorted order of ``structure.judged``; rows are reported by level and worker.
     """
     model = require_instance(config, SimConfig, "config").answer_model
-    supervisor, pairs = _supervision_pairs(config.structure)
+    structure = config.structure
     strategy = {}
-    for w in sorted({w for p, c, _, _ in pairs for w in (p, c)}):
+    for w in sorted({w for _, p, c, _ in structure.judged for w in (p, c)}):
         if w in config.strategies:
             s = config.strategies[w]
-        elif w == supervisor:
+        elif w == structure.supervisor:
             s = model.exact
         else:
             raise SuperviseError(f"strategies must cover worker {w!r}")
@@ -293,15 +293,15 @@ def simulate(config: SimConfig) -> SimReport:
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    work = _Work(config.episodes)
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a pair's mean or stderr, refused below
-        for _, task_pairs in groupby(sorted(pairs, key=itemgetter(2)), itemgetter(2)):
+    with np.errstate(over="ignore", invalid="ignore"), _episode_memory(config.episodes):  # overflows: refused below
+        work = _Work(config.episodes)
+        for _, task_pairs in groupby(structure.judged, itemgetter(0)):
             task_pairs = list(task_pairs)
             # one answer per performer of the task: the same draw serves every pair that reads it
-            performers = sorted({w for p, c, _, _ in task_pairs for w in (p, c)})
+            performers = sorted({w for _, p, c, _ in task_pairs for w in (p, c)})
             answer = {w: model.answer(rng, strategy[w], work, i) for i, w in enumerate(performers)}
-            for p, w, _, level in task_pairs:
+            for _, p, w, level in task_pairs:
                 emp, se = _mean_stderr(model.penalty(answer[w], answer[p], work))
                 if not (math.isfinite(emp) and math.isfinite(se)):
                     raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
@@ -380,7 +380,7 @@ def _sweep(
     import numpy as np
 
     losses = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches a mean penalty, refused below
+    with np.errstate(over="ignore", invalid="ignore"), _episode_memory(episodes):  # overflows: refused below
         rng = np.random.default_rng(require_int(seed, "seed", 0))
         penalty = draw(rng, require_int(episodes, "episodes", 1, hi=_EPISODES_MAX))
         for v in vals:

@@ -203,6 +203,13 @@ class SupervisionTree:
         bottom, shared = set(self.levels[-2]), {(p, c): t for p, c, t in self.shared}
         return {w: cs if w in bottom else tuple(shared[(w, c)] for c in cs) for w, cs in self.children.items()}
 
+    @cached_property
+    def judged(self) -> tuple[tuple[str, str, str, int], ...]:
+        """One ``(task, superior, worker, worker level)`` row per judged worker, sorted, so grouped by task.  Each
+        worker has one ``shared`` row, under its parent: judged once, from one level up, on any task it is a forest."""
+        level = {n: i for i, lv in enumerate(self.levels[1:-1], 1) for n in lv}
+        return tuple(sorted((t, p, c, level[c]) for p, c, t in self.shared))
+
     def validate(self) -> None:
         """Check the columns: at least three levels, none empty, under one supervisor; unique ids; each node's
         parent in the level above; each bottom worker judged on one of its own tasks, and each higher worker on a
@@ -519,6 +526,17 @@ class SupervisionHierarchy:
     def equilibrium_depth(self) -> int:
         """Graph workers sit one level below the tree's bottom workers."""
         return self.tree.equilibrium_depth + 1
+
+    @property
+    def supervisor(self) -> str:
+        return self.tree.supervisor
+
+    @cached_property
+    def judged(self) -> tuple[tuple[str, str, str, int], ...]:
+        """The tree's ``judged`` rows and one per coverage row, sorted.  Each graph worker has one, under the bottom
+        tree worker above its task, and tree ids are not graph ids: still judged once, from one level up, a forest."""
+        tree, level = self.tree, self.equilibrium_depth
+        return tuple(sorted(chain(tree.judged, ((t, tree.parent[t], w, level) for w, t in self.coverage))))
 
     def validate(self) -> None:
         graph, tree = self.graph, self.tree

@@ -39,8 +39,9 @@ class Row(NamedTuple):
 
 H, CSV, EFFORT = "src/supervise/hierarchy.py", "src/supervise/_csv.py", "src/supervise/effort.py"
 FLAT, STRUCT, SIM = "src/supervise/flat.py", "src/supervise/structures.py", "src/supervise/simulate.py"
+ALLOC = "src/supervise/allocation.py"
 CHECKS, INPUTS, FAST = "tests/test_result_checks.py", "tests/test_inputs.py", "tests/test_fast_builders.py"
-SIMT = "tests/test_simulate.py"
+SIMT, STRUCTT, ALLOCT = "tests/test_simulate.py", "tests/test_structures.py", "tests/test_allocation.py"
 
 ROWS = (
     Row(H, "and not any(map(math.isnan, errors))", "",
@@ -125,6 +126,28 @@ ROWS = (
         "a wrong worker in the pair sweep disagrees with its superior even where both are wrong alike", (SIMT,)),
     Row(SIM, "_EPISODES_MAX = sys.maxsize // 8\n", "_EPISODES_MAX = sys.maxsize // 8 + 1\n",
         "an episode count one above what numpy can size passes the check, and numpy raises its own error", (INPUTS,)),
+    Row(SIM, "    except MemoryError as exc:", "    except OverflowError as exc:",
+        "a run too long for memory ends in numpy's MemoryError, not a SuperviseError", (INPUTS,)),
+    Row(SIM, """        if not isinstance(self.structure, (SupervisionTree, SupervisionHierarchy)):
+            raise ModelMismatchError(f"unsupported structure type {type(self.structure).__name__}")
+""", "",
+        "a config over something that is not a structure is built, and fails only when run", (INPUTS,)),
+    Row(STRUCT, "((t, tree.parent[t], w, level) for w, t in self.coverage)",
+        "((t, tree.supervisor, w, level) for w, t in self.coverage)",
+        "a graph worker is judged by the supervisor, not by the bottom tree worker above its task", (STRUCTT,)),
+    Row(STRUCT, "tree, level = self.tree, self.equilibrium_depth", "tree, level = self.tree, self.tree.equilibrium_depth",
+        "a graph worker is reported at its tree's bottom worker level", (STRUCTT,)),
+    Row(STRUCT, "return tuple(sorted((t, p, c, level[c]) for p, c, t in self.shared))",
+        "return tuple((t, p, c, level[c]) for p, c, t in self.shared)",
+        "a tree's judged rows keep the shared rows' order, so a task's rows need not be adjacent", (STRUCTT,)),
+    Row(ALLOC, "fenwick[pos + step] <= r:", "fenwick[pos + step] <= r + 1:",
+        "a greedy pick lands on the live row after the drawn one", (FAST,)),
+    Row(ALLOC, "            if alive[i]:", "            if True:",
+        "a row deleted twice is uncounted twice, so a greedy stops early or draws below zero", (FAST,)),
+    Row(ALLOC, "                witness.append((w, t))\n                break\n",
+        "                witness.append((w, t))\n",
+        "a cover's witness check never stops at a worker's first covering task, so every worker reads uncovered",
+        (ALLOCT,)),
 )
 
 

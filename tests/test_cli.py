@@ -561,6 +561,18 @@ class TestSeedsAndReruns:
         assert (code, out) == (1, "") and err.count("\n") == 1
         assert err.startswith("error: episodes must be an integer in [2, 1152921504606846975], got 1152921504606846976")
 
+    def test_more_episodes_than_memory_holds_is_one_error_line(self, capsys, tmp_path):
+        """2**50 episodes pass the count check, but their first float64 array, 8 PiB, cannot be allocated."""
+        tree_file = tmp_path / "tree.json"
+        run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--out", str(tree_file))
+        sf = tmp_path / "strat.json"
+        sf.write_text(json.dumps({"model": "uniform-wrong", "workers": {"w0": 0.1, "w1": 0.1}}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--structure", str(tree_file), "--strategies", str(sf), "--episodes", str(2**50),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 1125899906842624 episodes need more memory than this process can allocate\n"
+
     def test_negative_seed_in_a_builder_is_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "tree", "build", "--n-tasks", "7", "--k", "2", "--seed", "-1")
         assert (code, out) == (1, "") and err.startswith("error:") and "seed" in err

@@ -152,6 +152,9 @@ def _binary_strategy_true():
 
 # One more episode than numpy can size a float64 array of: refused before any array is made.
 TOO_MANY_EPISODES = 2**60
+# Few enough episodes for numpy to size, but their float64 arrays (8 PiB) exceed a 47-bit address space, so the
+# first allocation fails at once, however the system overcommits memory.  A smaller count could partly allocate.
+UNALLOCATABLE_EPISODES = 2**50
 
 
 BAD_INPUTS = {
@@ -163,6 +166,18 @@ BAD_INPUTS = {
     "pair sweep of more episodes than numpy can size": lambda: sweep_pair(SL, PARAMS, 0.1, GRID, TOO_MANY_EPISODES, 0),
     "quadratic sweep of more episodes than numpy can size": lambda: sweep_quant(
         IP, 4, 1.0, [1.0, 2.0], TOO_MANY_EPISODES, 0
+    ),
+    "simulation of more episodes than memory holds": lambda: simulate(
+        SimConfig(UNALLOCATABLE_EPISODES, 0, UniformWrong(), build_supervision_tree(2, 2, seed=0), {"w0": 0.1})
+    ),
+    "flat sweep of more episodes than memory holds": lambda: sweep_flat(
+        SL, PARAMS, 0.5, GRID, UNALLOCATABLE_EPISODES, 0
+    ),
+    "pair sweep of more episodes than memory holds": lambda: sweep_pair(
+        SL, PARAMS, 0.1, GRID, UNALLOCATABLE_EPISODES, 0
+    ),
+    "quadratic sweep of more episodes than memory holds": lambda: sweep_quant(
+        IP, 4, 1.0, [1.0, 2.0], UNALLOCATABLE_EPISODES, 0
     ),
     "uniform-wrong C as a string": lambda: UniformWrong(C="1"),
     "uniform-wrong m beyond int64 answers": lambda: UniformWrong(m=2**64),
@@ -388,6 +403,7 @@ BAD_INPUTS = {
     "solver target an integer beyond the float range": lambda: solve_deriv_equals(SL, -10**400),
     "simulation config with a model name": lambda: SimConfig(10, 0, "uniform-wrong", _TREE, {}),
     "simulation over an assignment graph": lambda: simulate(SimConfig(10, 0, UniformWrong(), _PEG.graph, {})),
+    "simulation config over an assignment graph": lambda: SimConfig(10, 0, UniformWrong(), _PEG.graph, {}),
     "simulate_quant with a uniform-wrong model": lambda: simulate_quant(SimConfig(10, 0, UniformWrong(), _TREE, {})),
     "simulation whose sampled mean exceeds the float range": lambda: simulate(
         SimConfig(100, 0, UniformWrong(m=2, C=1e308), build_supervision_tree(1, 2, 0), {"w0": 0.3})
@@ -583,6 +599,14 @@ BAD_INPUT_MESSAGES = {
         r"episodes must be an integer in \[1, 1152921504606846975\], got 1152921504606846976$",
     "quadratic sweep of more episodes than numpy can size":
         r"episodes must be an integer in \[1, 1152921504606846975\], got 1152921504606846976$",
+    "simulation of more episodes than memory holds":
+        r"^1125899906842624 episodes need more memory than this process can allocate$",
+    "flat sweep of more episodes than memory holds":
+        r"^1125899906842624 episodes need more memory than this process can allocate$",
+    "pair sweep of more episodes than memory holds":
+        r"^1125899906842624 episodes need more memory than this process can allocate$",
+    "quadratic sweep of more episodes than memory holds":
+        r"^1125899906842624 episodes need more memory than this process can allocate$",
     "sim report seed negative": "seed must be an integer >= 0, got -1",
     "sim report row whose numbers are strings": "empirical must be a real that is not NaN, got 'x'",
     "vertex cover with a vertex id twice": "duplicate vertex ids",
@@ -592,6 +616,7 @@ BAD_INPUT_MESSAGES = {
     "solver target an integer beyond the float range": "invalid target: -1000",
     "simulation config with a model name": "unsupported answer model str",
     "simulation over an assignment graph": "unsupported structure type AssignmentGraph",
+    "simulation config over an assignment graph": "unsupported structure type AssignmentGraph",
     "simulate_quant with a uniform-wrong model": "simulate_quant needs a Gaussian answer model",
     "sweep grid point a string": "strategy grid must hold reals",
     "sweep grid point beyond the float range": "strategy grid must hold reals",

@@ -185,8 +185,8 @@ def test_memory_holds_one_task_at_a_time():
 
 @pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
 def test_memory_stays_within_eight_episode_arrays(model):
-    """The reused arrays add about two to the deepest task's four answers, and a binary offset draw one more:
-    about 6.2 arrays for Gaussian answers and 7.2 for binary ones at m = 3."""
+    """The penalty array adds one to the deepest task's four answers: about 5.1 arrays for Gaussian answers.
+    Binary answers add a float and a bool scratch array, and an offset draw one more: about 7.2 at m = 3."""
     tree = build_supervision_tree(81, 3, seed=1)
     s = 0.1 if isinstance(model, UniformWrong) else (0.5, 0.1)
     strategies = {n: s for lv in tree.levels[:-1] for n in lv}

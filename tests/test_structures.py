@@ -343,6 +343,46 @@ def test_shuffled_json_rows_load_to_the_same_structure(n_workers, k, seed, data)
         assert _report(shuffled, seed) == _report(structure, seed)
 
 
+def _check_judged(structure) -> None:
+    """``judged`` is the frozen pair list, reordered and sorted, and a forest: each worker is judged once, by a worker
+    one level up, so no task's pairs close a cycle."""
+    supervisor, pairs = _oracles._supervision_pairs(structure)
+    rows = structure.judged
+    assert structure.supervisor == supervisor
+    assert list(rows) == sorted(rows) == sorted((t, p, c, level) for p, c, t, level in pairs)
+    tree = structure.tree if isinstance(structure, SupervisionHierarchy) else structure
+    level = {n: i for i, lv in enumerate(tree.levels[:-1]) for n in lv}
+    if isinstance(structure, SupervisionHierarchy):
+        level.update(dict.fromkeys(structure.graph.workers, structure.equilibrium_depth))
+    assert all(level[p] == lv - 1 == level[w] - 1 for _, p, w, lv in rows)
+    assert len({w for _, _, w, _ in rows}) == len(rows)
+
+
+@pytest.mark.parametrize("n_tasks,k,seed", [(1, 2, 0), (2, 2, 0), (81, 3, 1), (1000, 3, 7), (500, 5, 3)])
+def test_a_built_trees_judged_rows_are_its_shared_rows_by_task(n_tasks, k, seed):
+    _check_judged(build_supervision_tree(n_tasks, k, seed))
+
+
+@pytest.mark.parametrize("n_workers,n_tasks,k,seed", [(6, 5, 3, 3), (30, 20, 3, 1), (200, 150, 4, 7)])
+def test_a_peg_hierarchys_judged_rows_add_one_row_per_graph_worker(n_workers, n_tasks, k, seed):
+    h = build_supervision_hierarchy(build_peg_assignment(n_workers, n_tasks, k, seed).graph, k, seed)
+    _check_judged(h)
+    assert len(h.judged) == len(h.tree.judged) + len(h.graph.workers)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(n_workers=st.integers(1, 30), k=st.integers(2, 4), seed=SEEDS, data=st.data())
+def test_judged_rows_of_loaded_structures_are_the_frozen_pairs(n_workers, k, seed, data):
+    """Trees and peg hierarchies, as built and as loaded from JSON with shuffled rows."""
+    n_tasks = -(-n_workers // k) + k - 1 + data.draw(st.integers(0, (n_workers - 1) * (k - 1)), label="extra tasks")
+    tree = build_supervision_tree(n_tasks, k, seed)
+    hierarchy = build_supervision_hierarchy(build_peg_assignment(n_workers, n_tasks, k, seed).graph, k, seed)
+    rng = random.Random(seed)
+    for structure in (tree, hierarchy):
+        _check_judged(structure)
+        _check_judged(type(structure).from_json_dict(_shuffled(structure.to_json_dict(), rng)))
+
+
 @settings(max_examples=200, derandomize=True)
 @given(n_workers=st.integers(1, 40), n_tasks=st.integers(1, 30), k=st.integers(1, 5), graph_seed=SEEDS, seed=SEEDS)
 def test_greedy_matches_the_frozen_original_on_graphs_from_shuffled_rows(n_workers, n_tasks, k, graph_seed, seed):
