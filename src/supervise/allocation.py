@@ -23,11 +23,12 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .errors import InstanceTooLargeError, SuperviseError, require_instance, require_int
-from .structures import AssignmentGraph, _clash_free_prefix, _id_rows, _sorted_rows
+from .structures import AssignmentGraph, _fresh_ids, _id_rows, _sorted_rows
 
 __all__ = _EXPORTS["allocation"]
 
@@ -154,7 +155,10 @@ def _deletion_cover(inst: SAInstance, seed: int, n: int, pick: Callable) -> SASo
     alive = [True] * n
     chosen: set[str] = set()
     while live:
-        tasks, deleted = pick(_nth_live(fenwick, rng.randrange(live)))
+        row = _nth_live(fenwick, rng.randrange(live))
+        if not alive[row]:  # wrong counts: a dead pick deletes nothing, so the loop would never end
+            raise AssertionError(f"the Fenwick descent picked row {row}, which is already deleted")
+        tasks, deleted = pick(row)
         chosen.update(tasks)
         for i in deleted:
             if alive[i]:
@@ -242,8 +246,7 @@ def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAIns
     isolated = sorted(set(vs) - touched)
     if isolated:
         warnings.warn(f"dropping isolated vertices (they constrain nothing): {isolated}", stacklevel=2)
-    prefix = _clash_free_prefix("e", vs)  # no vertex id starts with it, so no edge worker id is a vertex's
-    workers = tuple(prefix + str(i) for i in range(len(norm)))
+    workers = tuple(islice(_fresh_ids("e", vset), len(norm)))  # no edge worker id is a vertex's
     g_edges = tuple((w, x) for w, e in zip(workers, norm) for x in e)
     graph = AssignmentGraph(workers=workers, tasks=tuple(touched), edges=g_edges)
     return SAInstance(graph=graph, k=2)

@@ -600,21 +600,16 @@ def _share_of(count: int, C: float, N: int) -> float:
 
 
 def level_info_bits(N: int, k: int) -> int:
-    """Bits a worker needs to learn its level in an N-task, branching-k tree.
+    """Bits a worker needs to learn its level in the trees ``build_supervision_tree(N, k, seed)`` makes.
 
-    The tree has ``ceil(log_k N)`` worker levels, so naming one takes the
-    ceiling of log2 of that (and 0 bits when there is at most one level).
-    Computed with exact integer arithmetic; no float logs.
+    Naming one of their worker levels takes the ceiling of log2 of their
+    count, and 0 bits when there is one.  Exact integer arithmetic.
     """
     require_int(N, "N", 1)
     require_int(k, "k", 2)
-    levels = 0
-    reach = 1
-    while reach < N:
-        reach *= k
-        levels += 1
-    levels = max(1, levels)
-    return (levels - 1).bit_length()
+    from .structures import _level_widths  # local import: importing this module does not load the builders
+
+    return (len(_level_widths(N, k)) - 3).bit_length()  # the widths hold the tasks and the supervisor too
 
 
 def profile_to_csv(profile: EquilibriumProfile) -> str:

@@ -431,9 +431,8 @@ def sweep_pair(
 
     With d_r an episode's disagreement when the worker answers right and d_w when it answers wrong, the loss at e
     is C (sum d_r + sum over u < e of (d_w - d_r)) / n.  The answers are drawn as offsets from the truth, as in
-    :func:`simulate`, after one truth draw that is never read: it keeps the stream, and so the losses, the sweep had
-    when it added the truth to the offsets.  Wrong answers are uniform, so the one both-wrong penalty the draws
-    realize is ``implied_D(C, m)``; a params with another D is refused.
+    :func:`simulate`.  Wrong answers are uniform, so the one both-wrong penalty the draws realize is
+    ``implied_D(C, m)``; a params with another D is refused.
     """
     e_w = require_prob(e_w, "superior error")
     C, m = require_instance(params, SchemeParams, "params").require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
@@ -446,7 +445,6 @@ def sweep_pair(
         import numpy as np
 
         work = _Work(n)
-        rng.integers(0, m, size=n)  # the unread truth
         a_sup = UniformWrong(m, C).answer(rng, e_w, work, 0)
         u_wrong = rng.random(n)
         # a right worker's offset is 0, a wrong one's uniform in 1..m-1: at m = 2, integers(1, 2) draws nothing

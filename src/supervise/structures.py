@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, cycle, groupby, islice, repeat
 from operator import add, eq, itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import _EXPORTS
 from .errors import SizingError, SuperviseError, require_instance, require_int
@@ -360,6 +360,21 @@ def build_supervision_tree_over(
     return _build_tree(tasks, forbidden, k, seed, worker_prefix, supervisor_id)
 
 
+def _level_widths(n_tasks: int, k: int) -> list[int]:
+    """The level sizes of the tree over ``n_tasks`` tasks at branching k, bottom up: the tasks, then a level of
+    ``ceil(width / k)`` workers over each level until at most k workers remain, then 1 for the supervisor."""
+    widths = [n_tasks, -(-n_tasks // k)]
+    while widths[-1] > k:
+        widths.append(-(-widths[-1] // k))
+    return widths + [1]
+
+
+def _fresh_ids(prefix: str, taken: Collection[str]) -> Iterator[str]:
+    """``prefix0``, ``prefix1``, ..., skipping the ids in ``taken``: a counter never repeats a name, so only the
+    given ids need skipping."""
+    return (name for i in count() if (name := f"{prefix}{i}") not in taken)
+
+
 def _build_tree(
     tasks: tuple[str, ...], forbidden: set[str], k: int, seed: int, worker_prefix: str, supervisor_id: str
 ) -> SupervisionTree:
@@ -368,26 +383,20 @@ def _build_tree(
     require_int(k, "branching factor k", 2, SizingError)
     forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))
     rng = random.Random(require_int(seed, "seed", 0))
-    # a counter never repeats a name, so only the given ids need skipping
-    prefix = f"{worker_prefix}"
-    fresh = (name for i in count() if (name := f"{prefix}{i}") not in forbidden)
+    fresh = _fresh_ids(worker_prefix, forbidden)
 
-    levels: list[tuple[str, ...]] = [tasks]
-    parents: list[array] = []  # bottom up, like levels
+    widths = _level_widths(len(tasks), k)
+    # each node of a level above takes the next chunk of at most k children: child j's parent is j // k, so the
+    # column is each position above k times over, in order (k may be far larger than the level); bottom up
+    parents = [_column(sorted(list(range(above)) * min(k, width))[:width]) for width, above in zip(widths, widths[1:])]
+    levels: list[tuple[str, ...]] = [tasks]  # bottom up, like parents
     picks: list[list[int]] = []
     judged_on: Sequence[int] = range(len(tasks))  # the task position on which each node of a level is judged
-    width, bottom, top = len(tasks), True, False
-    while not top:
-        top = not bottom and width <= k  # at most k workers left: the supervisor's level
-        n_above = 1 if top else -(-width // k)
-        # each node of the level above takes the next chunk of at most k children: child j's parent is j // k, so
-        # the column is each position above k times over, in order (k may be far larger than the level)
-        parents.append(_column(sorted(list(range(n_above)) * min(k, width))[:width]))
-        if not top:  # a worker is judged on a task drawn from those its chunk of children is judged on
-            judged_on = _chunk_picks(rng, judged_on, k)
-            picks.append(judged_on)
-        levels.append((supervisor_id,) if top else tuple(islice(fresh, n_above)))
-        width, bottom = n_above, False
+    for n_workers in widths[1:-1]:  # a worker is judged on a task drawn from those its chunk of children is judged on
+        judged_on = _chunk_picks(rng, judged_on, k)
+        picks.append(judged_on)
+        levels.append(tuple(islice(fresh, n_workers)))
+    levels.append((supervisor_id,))
 
     flat = _column(chain.from_iterable(reversed(picks)))  # top down, like the levels
     return SupervisionTree._of_columns(tuple(reversed(levels)), tuple(reversed(parents)), flat)
@@ -578,14 +587,6 @@ class SupervisionHierarchy:
         return cls(graph=graph, tree=tree, coverage=obj.get("coverage"))
 
 
-def _clash_free_prefix(base: str, forbidden: Iterable[str]) -> str:
-    names = set(forbidden)
-    prefix = base
-    while any(n.startswith(prefix) for n in names):
-        prefix += base
-    return prefix
-
-
 def build_supervision_hierarchy(
     graph: AssignmentGraph, k: int, seed: int, mode: str = "greedy"
 ) -> SupervisionHierarchy:
@@ -611,10 +612,10 @@ def build_supervision_hierarchy(
     else:
         raise SuperviseError(f"unknown cover mode {mode!r}; use 'greedy' or 'exact'")
 
-    forbidden = set(graph.workers) | set(graph.tasks)
-    prefix = _clash_free_prefix("h", forbidden)
+    forbidden = set(graph.workers).union(graph.tasks)
     sup = "supervisor"
     while sup in forbidden:
         sup += "_"
-    tree = build_supervision_tree_over(sol.tasks, k, seed, worker_prefix=prefix, supervisor_id=sup)
+    # both solvers return distinct graph tasks, which ``SASolution`` stores as sorted strings: they need no check
+    tree = _build_tree(sol.tasks, forbidden, k, seed, "h", sup)
     return SupervisionHierarchy(graph=graph, tree=tree, coverage=sol.cover_witness)

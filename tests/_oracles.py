@@ -949,11 +949,16 @@ def sweep_flat_losses(f, params: SchemeParams, p, grid, episodes, seed) -> tuple
     return _sweep_losses(f, params.k, grid, episodes, seed, draw)
 
 
+# The library's pair sweep draws no truth; its bit coupling patches this hook onto a generator of its own.
+def pair_truth(rng, m, n):
+    return rng.integers(0, m, size=n)
+
+
 def sweep_pair_losses(f, params: SchemeParams, e_w, grid, episodes, seed) -> tuple[float, ...]:
     C, m = params.C, params.m
 
     def draw(rng, n):
-        truth = rng.integers(0, m, size=n)
+        truth = pair_truth(rng, m, n)
         a_sup = _sample_binary_answers(rng, truth, e_w, m)
         u_wrong = rng.random(n)
         offset = rng.integers(1, m, size=n)

@@ -39,9 +39,10 @@ class Row(NamedTuple):
 
 H, CSV, EFFORT = "src/supervise/hierarchy.py", "src/supervise/_csv.py", "src/supervise/effort.py"
 FLAT, STRUCT, SIM = "src/supervise/flat.py", "src/supervise/structures.py", "src/supervise/simulate.py"
-ALLOC = "src/supervise/allocation.py"
+ALLOC, QUANT, CLI = "src/supervise/allocation.py", "src/supervise/quant.py", "src/supervise/cli.py"
 CHECKS, INPUTS, FAST = "tests/test_result_checks.py", "tests/test_inputs.py", "tests/test_fast_builders.py"
 SIMT, STRUCTT, ALLOCT = "tests/test_simulate.py", "tests/test_structures.py", "tests/test_allocation.py"
+QUANTT, CLIT = "tests/test_quant.py", "tests/test_cli.py"
 
 ROWS = (
     Row(H, "and not any(map(math.isnan, errors))", "",
@@ -148,6 +149,24 @@ ROWS = (
         "                witness.append((w, t))\n",
         "a cover's witness check never stops at a worker's first covering task, so every worker reads uncovered",
         (ALLOCT,)),
+    Row(STRUCT, "    while widths[-1] > k:", "    while widths[-1] >= k:",
+        "a tree over a level of exactly k workers puts one more worker level under the supervisor", (FAST, STRUCTT)),
+    Row(STRUCT, 'if (name := f"{prefix}{i}") not in taken)', 'if (name := f"{prefix}{i}"))',
+        "a fresh worker id may repeat a given id", (STRUCTT,)),
+    Row(STRUCT, "tree = _build_tree(sol.tasks, forbidden, k, seed", "tree = _build_tree(sol.tasks, set(), k, seed",
+        "a hierarchy's tree workers are named without skipping the graph ids", (STRUCTT,)),
+    Row(ALLOC, "fenwick[pos + step] <= r:", "fenwick[pos + step] < r:",
+        "a greedy pick lands on a live row before the drawn one, or on a dead one", (FAST,)),
+    Row(ALLOC, "                    j += j & -j", "                    j += 1",
+        "a deletion uncounts the wrong Fenwick entries, so picks land on dead rows", (FAST,)),
+    Row(QUANT, "if abs(mean_bias) > BIAS_TOLERANCE:", "if mean_bias > BIAS_TOLERANCE:",
+        "a population of negative net bias passes the unbiased check", (QUANTT,)),
+    Row(QUANT, "- 2.0 * b_u * b_w", "+ 2.0 * b_u * b_w",
+        "the quadratic penalty adds the bias cross term instead of subtracting it", (QUANTT,)),
+    Row(CLI, "if fx.is_integer() and abs(fx) < 2**53:", "if fx.is_integer() and abs(fx) <= 2**53:",
+        "the CLI prints 2**53, past which floats skip integers, bare", (CLIT,)),
+    Row(CLI, 'raw = os.environ.get("SUPERVISE_SEED", "0")', 'raw = os.environ.get("SUPERVISE_SEED", "1")',
+        "a CLI run without a seed or SUPERVISE_SEED runs at seed 1", (CLIT,)),
 )
 
 

@@ -157,6 +157,12 @@ class TestVcBridge:
         """Naming an edge's worker "u|v" made it a vertex's id, or another edge's worker's."""
         assert sa_exact(vc_to_sa(vertices, edges)).tasks == ("a", "a|b")
 
+    def test_edge_workers_are_named_by_the_tree_builders_skip_rule(self):
+        # "e0", "e1", ... in edge order, skipping the vertex id "e0"
+        graph = vc_to_sa(["e0", "a", "b"], [("e0", "a"), ("a", "b")]).graph
+        assert graph.workers == ("e1", "e2")
+        assert graph.edges == (("e1", "a"), ("e1", "e0"), ("e2", "a"), ("e2", "b"))
+
     def test_rejects_self_loops_and_unknowns(self):
         with pytest.raises(SuperviseError):
             vc_to_sa(["a"], [("a", "a")])

@@ -535,8 +535,9 @@ class TestSeedsAndReruns:
         monkeypatch.delenv("SUPERVISE_SEED")
         _, out_flag, _ = run_cli(capsys, "tree", "build", "--n-tasks", "13", "--k", "3", "--seed", "21")
         _, out_default, _ = run_cli(capsys, "tree", "build", "--n-tasks", "13", "--k", "3")
+        _, out_zero, _ = run_cli(capsys, "tree", "build", "--n-tasks", "13", "--k", "3", "--seed", "0")
         assert out_env == out_flag
-        assert out_default != ""  # seed 0 default still works
+        assert out_default == out_zero != out_flag  # without a seed or the variable, the run is at seed 0
 
     def test_negative_seed_is_exit_one(self, capsys, tmp_path):
         tree_file = tmp_path / "tree.json"

@@ -18,6 +18,7 @@ from supervise import (
     UniformWrong,
     WorkerType,
     best_response_under_superior,
+    build_supervision_tree,
     counterexample_trace,
     equilibrium_heterogeneous,
     equilibrium_homogeneous,
@@ -296,14 +297,22 @@ class TestLevelInfoBits:
         assert level_info_bits(10**6, 10) == 3
         assert level_info_bits(1, 10) == 0
         assert level_info_bits(10, 10) == 0
-        assert level_info_bits(11, 10) == 1
+        assert level_info_bits(11, 10) == 0  # one level of two workers under the supervisor
+        assert level_info_bits(4, 2) == 0
         assert level_info_bits(2**20, 2) == 5
 
     def test_exact_at_power_boundaries(self):
-        # float log2 would stumble exactly here
+        # float log2 would stumble exactly here: 10**17 tasks make 16 worker levels at k = 10, one more makes 17
         assert level_info_bits(10**15, 10) == 4
         assert level_info_bits(10**16, 10) == 4
-        assert level_info_bits(10**17, 10) == 5
+        assert level_info_bits(10**17, 10) == 4
+        assert level_info_bits(10**17 + 1, 10) == 5
+
+    def test_counts_the_worker_levels_of_the_built_trees(self):
+        for k in range(2, 7):
+            for N in range(1, 301):
+                tree = build_supervision_tree(N, k, 0)
+                assert level_info_bits(N, k) == (tree.equilibrium_depth - 1).bit_length(), (N, k)
 
     def test_gates(self):
         with pytest.raises(SuperviseError):

@@ -122,6 +122,8 @@ class TestEquilibrium:
     def test_bias_must_cancel_on_average(self):
         with pytest.raises(AssumptionError):
             quant_equilibrium(self.pop(biases=(0.3, -0.1)), k=4, c=1.0, epsilon=2.5, depth=3)
+        with pytest.raises(AssumptionError):  # a net bias of either sign
+            quant_equilibrium(self.pop(biases=(-0.3, 0.1)), k=4, c=1.0, epsilon=2.5, depth=3)
 
     def test_a_small_net_bias_is_refused_too(self):
         """A mean bias of 5e-7 lies far above the gate's float tolerance, though a loose one would take it."""

@@ -253,6 +253,7 @@ class TestHierarchy:
         h.validate()
         tree_workers = {n for lv in h.tree.levels[:-1] for n in lv}
         assert not (tree_workers & (set(g.workers) | set(g.tasks)))
+        assert h.tree.levels[:-1] == (("supervisor_",), ("h1",))  # the tree builder's rule: "h0" skipped
 
     def test_orphan_task_rejected(self):
         g = AssignmentGraph(
