@@ -1,8 +1,8 @@
 """Sampling the schemes: do the closed forms survive contact with a simulator?
 
-Every run draws one answer per worker-task pair, charges the penalties the
-structure dictates, and reports a z-score of empirical vs analytic penalty
-per worker.  Sweeps re-run a strategy grid under common random numbers to
+A binary run draws each supervision pair's disagreement count, a Gaussian run
+one answer per worker-task pair; both charge the penalties the structure
+dictates and report a z-score of empirical vs analytic penalty per worker.  Sweeps re-run a strategy grid under common random numbers to
 recover the best response empirically.
 """
 

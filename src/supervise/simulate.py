@@ -11,13 +11,20 @@ charged on each worker's one shared task with its superior, and the empirical
 means are reported next to the analytic expectations with a z-score, so a run
 is a statistical test of the formulas, not a replacement for them.
 
-No truth is drawn: each answer is drawn as its offset from the truth, and
-every penalty depends only on those offsets.  A binary offset is 0 where the
-answer is right, else uniform in 1..m-1; at m = 2 it is the wrong flag itself.
-Two binary answers differ exactly when their offsets differ, since adding one
-truth mod m maps offsets to answers one to one.  A Gaussian offset is
-``bias + sigma * z``, and the truth cancels from the difference of two answers.
-So the penalties have the distribution they would have with any truth drawn.
+No truth is drawn, since every penalty depends only on each answer's offset
+from it.  A Gaussian offset is ``bias + sigma * z``; a binary one is 0 where
+the answer is right, else uniform in 1..m-1, and two binary answers differ
+exactly when their offsets differ.  A binary run draws only counts: its
+penalty is C times a disagreement flag, so a row is the mean ``C * (n / N)``
+and ddof=1 stderr ``C * sqrt(n (N - n) / (N (N - 1))) / sqrt(N)`` of the
+pair's disagreement count n over N episodes.  A task's root performer is
+wrong in a ~ Bin(N, e) episodes; a worker c judged by p, wrong in a_p, is
+wrong with p in i ~ Bin(a_p, e_c) and alone in r ~ Bin(N - a_p, e_c), and at
+m >= 3 answers like p in s ~ Bin(i, 1/(m - 1)) of the i (at m = 2 in all i).
+Then n = (a_p - i) + r + (i - s), and c is wrong in a_c = i + r.  Answers are
+independent across performers and, given two wrong answers, agreement is
+independent across the edges of a task's forest, so a task's rows have the
+joint law that sampling every episode gives them.
 
 Effort costs are deterministic in the strategy and are not sampled; report
 rows therefore compare the penalty component.  The parameter sweeps, which do
@@ -25,16 +32,16 @@ need the effort term to have an interior optimum, take the effort function
 explicitly and add it analytically, in one loop over the strategy grid.
 
 Determinism and memory: a structure lists its judged pairs as ``judged`` rows,
-sorted by shared task.  One seeded generator draws them task by task, one
-answer per performer of the task in sorted worker order, and scores the task's
-pairs, so peak memory is one task's arrays, whatever the size of the
-structure: an answer array per performer and a penalty array, made once per
-run and reused for every task, and for binary answers a float and a bool
-scratch array (at m >= 3 one more while an offset is drawn), made on first
-use.  Answers are bools at m = 2, int64 offsets at larger m and floats for
-Gaussian answers.  Structures store their rows sorted, so equal structures
-give equal reports however their JSON rows were ordered; with numpy's
-fixed-order reductions, identical configs produce identical reports.
+sorted by shared task, and one seeded generator serves the tasks in that
+order.  A binary task takes its rows parents first, sorted stably on their
+level, and draws for each row a for a root superior not yet drawn, then i, r
+and, at m >= 3, s: it holds only counts, so a binary run's cost grows with its
+pairs, not its episodes.  A Gaussian task draws one answer per performer in
+sorted worker order, then scores its pairs, so peak memory is one task's
+arrays: an answer array per performer and a penalty array, made once per run
+and reused.  Structures store their rows sorted, so equal structures give
+equal reports however their JSON rows were ordered; with numpy's fixed-order
+reductions, identical configs produce identical reports.
 
 The binary sweeps sort their uniforms once: a grid point's loss is a count of
 the uniforms below it, read with one binary search.
@@ -49,7 +56,6 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -69,10 +75,11 @@ if TYPE_CHECKING:
 __all__ = _EXPORTS["simulate"]
 
 
-# The largest answer-set size: an offset, below m, is an int64 draw.  Any m up to 2**63 would fit; the bound is
-# the one answers of the form truth + offset, below 2 m, needed, kept so that the same models are refused.
+# The largest answer-set size: the pair sweep's offset, below m, is an int64 draw, and counts take any m.  The bound
+# is the one answers of the form truth + offset, below 2 m, needed, kept so that the same models are refused.
 _M_MAX = 2**62
-# The largest episode count whose float64 array numpy can size: its byte count must fit an intp.
+# The largest episode count whose float64 array numpy can size, as its byte count must fit an intp: one bound for
+# both models and the sweeps, though numpy's binomial, which draws the binary counts, takes any int64 n.
 _EPISODES_MAX = sys.maxsize // 8
 
 
@@ -94,26 +101,25 @@ class UniformWrong:
     def strategy(self, worker: str, e: object) -> float:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)
 
-    def answer(self, rng: np.random.Generator, e: float, work: _Work, slot: int) -> np.ndarray:
-        """The answer's offset from the truth, in the pooled answer array of the performer's slot: 0 where it is
-        right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 it is the wrong flag itself."""
-        import numpy as np
+    def scorer(self, rng: np.random.Generator, strategy: Mapping[str, float], n: int) -> Callable[[list], Iterator]:
+        """A task's ``judged`` rows to each row and its mean and stderr, from its disagreement count over n episodes."""
+        C, m, binomial = self.C, self.m, rng.binomial
 
-        if self.m == 2:
-            return np.less(rng.random(out=work.floats), e, out=work.answer(slot, bool))
-        a = work.answer(slot, np.int64)
-        a[...] = np.less(rng.random(out=work.floats), e, out=work.flags)  # a copy: a cast in a multiply takes a buffer
-        a *= rng.integers(1, self.m, size=a.shape[0])
-        return a
+        def score(task_pairs: list) -> Iterator[tuple[tuple, tuple[float, float]]]:
+            wrong = {}  # the episodes in which each performer of the task is wrong
+            for row in sorted(task_pairs, key=itemgetter(3)):  # parents first: a superior's level is below its worker's
+                _, p, w, _ = row
+                if p not in wrong:
+                    wrong[p] = binomial(n, strategy[p])
+                a_p, e = wrong[p], strategy[w]
+                i = binomial(a_p, e)  # wrong with the superior
+                r = binomial(n - a_p, e)  # wrong alone
+                s = i if m == 2 else binomial(i, 1 / (m - 1))  # wrong alike
+                wrong[w] = i + r
+                d = (a_p - i) + r + (i - s)  # Python ints, so d (n - d) is exact
+                yield row, (C * (d / n), C * math.sqrt(d * (n - d) / (n * (n - 1))) / math.sqrt(n))
 
-    def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
-        """``C * (a != b)``, written into ``work.penalty``."""
-        import numpy as np
-
-        x = work.penalty
-        x[...] = np.not_equal(a, b, out=work.flags)  # a copy widens the flags: a cast inside a multiply takes a buffer
-        x *= self.C
-        return x
+        return score
 
     def expected(self, e_worker: float, e_superior: float) -> float:
         return expected_penalty_pair(e_worker, e_superior, self.C, implied_D(self.C, self.m))
@@ -141,22 +147,29 @@ class Gaussian:
             require_real(bias, f"bias for {worker!r}", error=ModelMismatchError),
         )
 
-    def answer(self, rng: np.random.Generator, s: tuple[float, float], work: _Work, slot: int) -> np.ndarray:
-        """The answer's offset from the truth, ``bias + sigma * z``, in the pooled answer array of the performer's
-        slot."""
-        sigma, bias = s
-        a = rng.standard_normal(out=work.answer(slot, float))
-        a *= sigma
-        a += bias
-        return a
-
-    def penalty(self, a: np.ndarray, b: np.ndarray, work: _Work) -> np.ndarray:
-        """``c * (a - b) ** 2``, written into ``work.penalty``."""
+    def scorer(self, rng: np.random.Generator, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
+        """A task's ``judged`` rows to each row and the mean and stderr of its ``c * (a - b) ** 2`` over n episodes,
+        in arrays made on first use and reused for every task."""
         import numpy as np
 
-        x = np.square(np.subtract(a, b, out=work.penalty), out=work.penalty)
-        x *= self.c
-        return x
+        penalty, answers = np.empty(n), []
+
+        def score(task_pairs: list) -> Iterator[tuple[tuple, tuple[float, float]]]:
+            # one answer per performer of the task: the same draw serves every pair that reads it
+            answer = {}
+            for slot, w in enumerate(sorted({w for _, p, c, _ in task_pairs for w in (p, c)})):
+                if slot == len(answers):
+                    answers.append(np.empty(n))
+                sigma, bias = strategy[w]
+                a = answer[w] = rng.standard_normal(out=answers[slot])
+                a *= sigma
+                a += bias
+            for row in task_pairs:
+                x = np.square(np.subtract(answer[row[2]], answer[row[1]], out=penalty), out=penalty)
+                x *= self.c
+                yield row, _mean_stderr(x)
+
+        return score
 
     def expected(self, s_worker: tuple[float, float], s_superior: tuple[float, float]) -> float:
         return expected_penalty_quant(*s_worker, *s_superior, self.c)
@@ -227,28 +240,6 @@ class SimReport:
         return "".join(self.csv_chunks())  # perfbench hashes this name; it leaves with ROADMAP item 11
 
 
-class _Work:
-    """The episode-length arrays one run makes once and reuses: the penalty array, and the answer array of each
-    performer slot and a float and a bool scratch array, which only binary answers use, each made on first use."""
-
-    def __init__(self, n: int) -> None:
-        import numpy as np
-
-        self.penalty = np.empty(n)
-        self._answers: dict[int, np.ndarray] = {}
-        self._empty = partial(np.empty, n)
-
-    floats = cached_property(lambda self: self._empty(float))
-    flags = cached_property(lambda self: self._empty(bool))
-
-    def answer(self, slot: int, dtype: type) -> np.ndarray:
-        """The answer array of a performer slot; a run's model asks for every slot in one dtype."""
-        a = self._answers.get(slot)
-        if a is None:
-            a = self._answers[slot] = self._empty(dtype)
-        return a
-
-
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps, taken once; ``x`` is overwritten."""
     n = x.shape[0]
@@ -276,7 +267,8 @@ def _episode_memory(episodes: int) -> Iterator[None]:
 def simulate(config: SimConfig) -> SimReport:
     """Sample the answer model's penalty on every supervision pair of the structure.
 
-    Tasks are drawn one at a time, in the sorted order of ``structure.judged``; rows are reported by level and worker.
+    Tasks are drawn one at a time, in the sorted order of ``structure.judged``, binary ones as counts and Gaussian
+    ones as episode arrays; rows are reported by level and worker.
     """
     model = require_instance(config, SimConfig, "config").answer_model
     structure = config.structure
@@ -295,14 +287,9 @@ def simulate(config: SimConfig) -> SimReport:
     rng = np.random.default_rng(config.seed)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"), _episode_memory(config.episodes):  # overflows: refused below
-        work = _Work(config.episodes)
+        score = model.scorer(rng, strategy, config.episodes)
         for _, task_pairs in groupby(structure.judged, itemgetter(0)):
-            task_pairs = list(task_pairs)
-            # one answer per performer of the task: the same draw serves every pair that reads it
-            performers = sorted({w for _, p, c, _ in task_pairs for w in (p, c)})
-            answer = {w: model.answer(rng, strategy[w], work, i) for i, w in enumerate(performers)}
-            for _, p, w, level in task_pairs:
-                emp, se = _mean_stderr(model.penalty(answer[w], answer[p], work))
+            for (_, p, w, level), (emp, se) in score(list(task_pairs)):
                 if not (math.isfinite(emp) and math.isfinite(se)):
                     raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
                                          f"beyond the float range")
@@ -424,6 +411,13 @@ def sweep_flat(
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
 
+def _offsets(rng: np.random.Generator, e: float, m: int, n: int) -> np.ndarray:
+    """n binary answers as offsets from the truth: 0 where right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 an
+    offset is the wrong flag itself."""
+    wrong = rng.random(n) < e
+    return wrong if m == 2 else wrong * rng.integers(1, m, size=n)
+
+
 def sweep_pair(
     f: EffortFunction, params: SchemeParams, e_w: float, grid: Sequence[float], episodes: int, seed: int
 ) -> SweepResult:
@@ -444,12 +438,11 @@ def sweep_pair(
     def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
         import numpy as np
 
-        work = _Work(n)
-        a_sup = UniformWrong(m, C).answer(rng, e_w, work, 0)
+        a_sup = _offsets(rng, e_w, m, n)
         u_wrong = rng.random(n)
         # a right worker's offset is 0, a wrong one's uniform in 1..m-1: at m = 2, integers(1, 2) draws nothing
         d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)
-        d_r = np.not_equal(a_sup, 0, out=work.flags)
+        d_r = np.not_equal(a_sup, 0)
         base = int(np.count_nonzero(d_r))
         count = _count_below(u_wrong, d_w.view(np.int8) - d_r.view(np.int8))
         return lambda e: C * ((base + count(e)) / n)

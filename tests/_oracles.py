@@ -19,7 +19,8 @@ trace and its writer as they were before the trace stopped at its first
 repeated error, the Monte Carlo engine as it was before it drew one task
 at a time, and as it was before it reused its arrays, with the answer
 models' array formulas and the sweeps' draws of
-that time.
+that time, and its binary half as it was before binary rows were taken
+from counts; and the exact joint law of a binary task's counts.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -926,6 +927,123 @@ def simulate_task_by_task(config: SimConfig) -> SimReport:
             del truth, answer  # before the next task's draws, so that one task's arrays are alive at a time
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
+
+
+# The binary half of the Monte Carlo engine as it was before binary rows were taken from counts, frozen verbatim but
+# for its names: the answer model's two array methods are functions of the model here, and its loop keeps only the
+# binary case.  It drew every episode's answer offset into reused arrays and summarised each pair's penalty array,
+# so the count engine must give rows of the same law, not the same bits.
+
+
+class DenseWork:
+    """The episode-length arrays one run makes once and reuses: the penalty array, and the answer array of each
+    performer slot and a float and a bool scratch array, which only binary answers use, each made on first use."""
+
+    def __init__(self, n: int) -> None:
+        self.penalty = np.empty(n)
+        self._answers: dict[int, np.ndarray] = {}
+        self._empty = functools.partial(np.empty, n)
+
+    floats = functools.cached_property(lambda self: self._empty(float))
+    flags = functools.cached_property(lambda self: self._empty(bool))
+
+    def answer(self, slot: int, dtype: type) -> np.ndarray:
+        """The answer array of a performer slot; a run's model asks for every slot in one dtype."""
+        a = self._answers.get(slot)
+        if a is None:
+            a = self._answers[slot] = self._empty(dtype)
+        return a
+
+
+def dense_binary_answer(model, rng: np.random.Generator, e: float, work: DenseWork, slot: int) -> np.ndarray:
+    """The answer's offset from the truth, in the pooled answer array of the performer's slot: 0 where it is
+    right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 it is the wrong flag itself."""
+    if model.m == 2:
+        return np.less(rng.random(out=work.floats), e, out=work.answer(slot, bool))
+    a = work.answer(slot, np.int64)
+    a[...] = np.less(rng.random(out=work.floats), e, out=work.flags)  # a copy: a cast in a multiply takes a buffer
+    a *= rng.integers(1, model.m, size=a.shape[0])
+    return a
+
+
+def dense_binary_penalty(model, a: np.ndarray, b: np.ndarray, work: DenseWork) -> np.ndarray:
+    """``C * (a != b)``, written into ``work.penalty``."""
+    x = work.penalty
+    x[...] = np.not_equal(a, b, out=work.flags)  # a copy widens the flags: a cast inside a multiply takes a buffer
+    x *= model.C
+    return x
+
+
+def _dense_mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps, taken once; ``x`` is overwritten."""
+    n = x.shape[0]
+    mean = x.sum() / n
+    x -= mean
+    x *= x
+    return float(mean), math.sqrt(x.sum() / (n - 1)) / math.sqrt(n)
+
+
+def simulate_dense_binary(config: SimConfig) -> SimReport:
+    """Sample the answer model's penalty on every supervision pair of the structure.
+
+    Tasks are drawn one at a time, in the sorted order of ``structure.judged``; rows are reported by level and worker.
+    """
+    model = require_instance(config, SimConfig, "config").answer_model
+    structure = config.structure
+    strategy = {}
+    for w in sorted({w for _, p, c, _ in structure.judged for w in (p, c)}):
+        if w in config.strategies:
+            s = config.strategies[w]
+        elif w == structure.supervisor:
+            s = model.exact
+        else:
+            raise SuperviseError(f"strategies must cover worker {w!r}")
+        strategy[w] = model.strategy(w, s)
+
+    rng = np.random.default_rng(config.seed)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows: refused below
+        work = DenseWork(config.episodes)
+        for _, task_pairs in itertools.groupby(structure.judged, itemgetter(0)):
+            task_pairs = list(task_pairs)
+            # one answer per performer of the task: the same draw serves every pair that reads it
+            performers = sorted({w for _, p, c, _ in task_pairs for w in (p, c)})
+            answer = {w: dense_binary_answer(model, rng, strategy[w], work, i) for i, w in enumerate(performers)}
+            for _, p, w, level in task_pairs:
+                emp, se = _dense_mean_stderr(dense_binary_penalty(model, answer[w], answer[p], work))
+                if not (math.isfinite(emp) and math.isfinite(se)):
+                    raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
+                                         f"beyond the float range")
+                analytic = model.expected(strategy[w], strategy[p])
+                rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+    rows.sort(key=lambda r: (r.level, r.worker))
+    return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
+
+
+# The joint law of a binary task's disagreement counts, written from the answer model: in each episode every
+# performer answers right w.p. 1 - e and else one of the m - 1 wrong answers uniformly, independently of the others
+# and of the other episodes.  One episode's law is enumerated over every performer's answer, and the counts' law is
+# its n-fold convolution.
+
+
+def binary_count_law(rows, model, strategy, episodes: int) -> dict[tuple[int, ...], float]:
+    """The probability of each tuple of disagreement counts of ``rows``, one task's ``(task, superior, worker,
+    level)`` rows, in their order, over ``episodes`` episodes."""
+    performers = sorted({w for _, p, c, _ in rows for w in (p, c)})
+    episode = collections.Counter()
+    for answers in itertools.product(range(model.m), repeat=len(performers)):  # answer 0 is the right one
+        prob = math.prod((1.0 - strategy[w]) if a == 0 else strategy[w] / (model.m - 1)
+                         for w, a in zip(performers, answers))
+        answer = dict(zip(performers, answers))
+        episode[tuple(int(answer[p] != answer[c]) for _, p, c, _ in rows)] += prob
+    law = {(0,) * len(rows): 1.0}
+    for _ in range(episodes):
+        step = collections.Counter()
+        for counts, p0 in law.items():
+            for flags, p1 in episode.items():
+                step[tuple(map(sum, zip(counts, flags)))] += p0 * p1
+        law = step
+    return dict(law)
 
 
 # The three sweeps' draws and their grid loop as they were before the binary sweeps answered from one sorted pass

@@ -117,10 +117,10 @@ ROWS = (
         "a built tree's shared rows take the picks in reverse, though its columns pass", (FAST,)),
     Row(STRUCT, 'forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))', "forbidden.add(supervisor_id)",
         "a tree builder takes a supervisor id that is not a string", (INPUTS,)),
-    Row(SIM, "a *= rng.integers(1, self.m, size=a.shape[0])", "a[...] = rng.integers(1, self.m, size=a.shape[0])",
-        "a binary offset is left unmultiplied by its wrong flag, so every answer at m >= 3 is wrong", (SIMT,)),
-    Row(SIM, "if self.m == 2:", "if self.m <= 3:",
-        "the wrong-flag branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
+    Row(SIM, "else wrong * rng.integers(1, m, size=n)", "else rng.integers(1, m, size=n)",
+        "a pair sweep offset is left unmultiplied by its wrong flag, so every answer at m >= 3 is wrong", (SIMT,)),
+    Row(SIM, "return wrong if m == 2 else", "return wrong if m <= 3 else",
+        "the pair sweep's wrong-flag branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
     Row(SIM, "a += bias", "a -= bias",
         "a Gaussian answer is offset by minus its bias, which only the sign of a bias gap shows", (SIMT,)),
     Row(SIM, "d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)", "d_w = np.not_equal(rng.integers(1, m, size=n), 0)",
@@ -167,6 +167,27 @@ ROWS = (
         "the CLI prints 2**53, past which floats skip integers, bare", (CLIT,)),
     Row(CLI, 'raw = os.environ.get("SUPERVISE_SEED", "0")', 'raw = os.environ.get("SUPERVISE_SEED", "1")',
         "a CLI run without a seed or SUPERVISE_SEED runs at seed 1", (CLIT,)),
+    Row(SIM, "r = binomial(n - a_p, e)", "r = binomial(n, e)",
+        "a binary worker's wrong-alone count is drawn over every episode, not its superior's right ones", (SIMT,)),
+    Row(SIM, "i = binomial(a_p, e)", "i = binomial(n, e)",
+        "a binary worker's wrong-with-superior count is drawn over every episode, not its superior's wrong ones",
+        (SIMT,)),
+    Row(SIM, "binomial(i, 1 / (m - 1))", "binomial(i, 1 / m)",
+        "two wrong binary answers agree with chance 1/m, not 1/(m - 1)", (SIMT,)),
+    Row(SIM, "binomial(i, 1 / (m - 1))", "binomial(a_p, 1 / (m - 1))",
+        "the agreeing wrong answers are drawn over the superior's wrong episodes, not the both-wrong ones", (SIMT,)),
+    Row(SIM, "s = i if m == 2 else", "s = i if m <= 3 else",
+        "the count engine's m = 2 branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
+    Row(SIM, "for row in sorted(task_pairs, key=itemgetter(3)):", "for row in task_pairs:",
+        "a task's binary rows are taken in sorted row order, so a child may be drawn before its superior", (SIMT,)),
+    Row(SIM, "if p not in wrong:", "if True:",
+        "a superior's count is drawn anew for each row it judges, not once per task", (SIMT,)),
+    Row(SIM, "wrong[w] = i + r", "wrong[w] = r",
+        "a binary worker's wrong count forgets the episodes in which its superior was wrong too", (SIMT,)),
+    Row(SIM, "(n * (n - 1))", "(n * n)",
+        "a binary row's stderr divides by N, not N - 1", (SIMT,)),
+    Row(SIM, "(C * (d / n), ", "(C * d / n, ",
+        "a binary row's mean multiplies before it divides, so a cost near the float maximum overflows", (SIMT,)),
 )
 
 

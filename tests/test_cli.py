@@ -563,11 +563,12 @@ class TestSeedsAndReruns:
         assert err.startswith("error: episodes must be an integer in [2, 1152921504606846975], got 1152921504606846976")
 
     def test_more_episodes_than_memory_holds_is_one_error_line(self, capsys, tmp_path):
-        """2**50 episodes pass the count check, but their first float64 array, 8 PiB, cannot be allocated."""
+        """2**50 episodes pass the count check, but a Gaussian run's first float64 array, 8 PiB, cannot be allocated
+        (a binary run takes its rows from counts and makes no episode array)."""
         tree_file = tmp_path / "tree.json"
         run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--out", str(tree_file))
         sf = tmp_path / "strat.json"
-        sf.write_text(json.dumps({"model": "uniform-wrong", "workers": {"w0": 0.1, "w1": 0.1}}))
+        sf.write_text(json.dumps({"model": "gaussian", "workers": {"w0": [1.0, 0.0], "w1": [1.0, 0.0]}}))
         code, out, err = run_cli(
             capsys, "simulate", "--structure", str(tree_file), "--strategies", str(sf), "--episodes", str(2**50),
         )

@@ -167,8 +167,8 @@ BAD_INPUTS = {
     "quadratic sweep of more episodes than numpy can size": lambda: sweep_quant(
         IP, 4, 1.0, [1.0, 2.0], TOO_MANY_EPISODES, 0
     ),
-    "simulation of more episodes than memory holds": lambda: simulate(
-        SimConfig(UNALLOCATABLE_EPISODES, 0, UniformWrong(), build_supervision_tree(2, 2, seed=0), {"w0": 0.1})
+    "simulation of more episodes than memory holds": lambda: simulate(  # Gaussian: binary rows make no arrays
+        SimConfig(UNALLOCATABLE_EPISODES, 0, Gaussian(), build_supervision_tree(2, 2, seed=0), {"w0": (1.0, 0.0)})
     ),
     "flat sweep of more episodes than memory holds": lambda: sweep_flat(
         SL, PARAMS, 0.5, GRID, UNALLOCATABLE_EPISODES, 0
@@ -405,8 +405,8 @@ BAD_INPUTS = {
     "simulation over an assignment graph": lambda: simulate(SimConfig(10, 0, UniformWrong(), _PEG.graph, {})),
     "simulation config over an assignment graph": lambda: SimConfig(10, 0, UniformWrong(), _PEG.graph, {}),
     "simulate_quant with a uniform-wrong model": lambda: simulate_quant(SimConfig(10, 0, UniformWrong(), _TREE, {})),
-    "simulation whose sampled mean exceeds the float range": lambda: simulate(
-        SimConfig(100, 0, UniformWrong(m=2, C=1e308), build_supervision_tree(1, 2, 0), {"w0": 0.3})
+    "simulation whose sampled mean exceeds the float range": lambda: simulate(  # a binary mean never exceeds C
+        SimConfig(100, 0, Gaussian(c=1e308), build_supervision_tree(1, 2, 0), {"w0": (0.0, 10.0)})
     ),
     "sweep whose sampled mean exceeds the float range": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 100, 0,
                                                                             sigma_w=1e200),

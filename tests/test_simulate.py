@@ -1,9 +1,12 @@
 """Monte Carlo engine: sampled penalties against the analytic expectations."""
 
+import collections
+import dataclasses
 import hashlib
 import math
 import statistics
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -14,12 +17,15 @@ from hypothesis import strategies as st
 
 from supervise import (
     EffortDomainError,
+    AssignmentGraph,
     EffortFunction,
     Gaussian,
     ModelMismatchError,
     SchemeParams,
     SimConfig,
     SuperviseError,
+    SupervisionHierarchy,
+    SupervisionTree,
     UniformWrong,
     build_peg_assignment,
     build_supervision_hierarchy,
@@ -31,7 +37,8 @@ from supervise import (
     sweep_pair,
     sweep_quant,
 )
-from supervise.simulate import _mean_stderr, _Work
+from supervise.errors import FLOAT_MAX
+from supervise.simulate import _mean_stderr, _offsets
 
 import _oracles
 
@@ -112,11 +119,11 @@ class TestBinary:
             simulate_binary(SimConfig(100, 0, Gaussian(c=1.0), cfg.structure, cfg.strategies))
 
     def test_independent_correctness_draws(self):
+        """The pair sweep's answers: two draws in a row are right independently, each at its own rate."""
         rng = np.random.default_rng(17)
         n = 200_000
-        work, model = _Work(n), UniformWrong(m=2)
-        a = model.answer(rng, 0.3, work, 0) == 0  # right where the offset from the truth is 0
-        b = model.answer(rng, 0.4, work, 1) == 0
+        a = _offsets(rng, 0.3, 2, n) == 0  # right where the offset from the truth is 0
+        b = _offsets(rng, 0.4, 2, n) == 0
         corr = float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
         assert abs(float(np.mean(a)) - 0.7) <= 4.0 * math.sqrt(0.7 * 0.3 / n)
@@ -167,38 +174,148 @@ def test_task_by_task_engine_matches_the_frozen_original(structure, model):
         assert abs(a.empirical - b.empirical) <= bound * math.hypot(a.stderr, b.stderr), (a, b)
 
 
-def test_memory_holds_one_task_at_a_time():
-    """The deepest task of an 81-task tree has four performers, and a run peaks near 7 arrays of ``episodes``
-    values; the engine that held every task's arrays at once peaked near 96."""
+# A 3-performer chain, z judging b judging a on task t, named so that the sorted ``judged`` rows put the child's row
+# first; and a 3-performer star, b judging g1 and g2 on task t2 of a hierarchy, whose supervisor judges b on t1.
+_CHAIN = SupervisionTree(levels=(("z",), ("b",), ("a",), ("t",)), edges=(("z", "b"), ("b", "a"), ("a", "t")),
+                         shared=(("z", "b", "t"), ("b", "a", "t")))
+_STAR = SupervisionHierarchy(
+    graph=AssignmentGraph(workers=("g1", "g2"), tasks=("t1", "t2"), edges=(("g1", "t2"), ("g2", "t2"))),
+    tree=SupervisionTree(levels=(("s",), ("b",), ("t1", "t2")), edges=(("s", "b"), ("b", "t1"), ("b", "t2")),
+                         shared=(("s", "b", "t1"),)),
+    coverage=(("g1", "t2"), ("g2", "t2")),
+)
+# Fixed before the test first ran, from the Pearson statistic's noncentrality under planted faults (a child drawn
+# before its superior, a root drawn anew per row, a child's count without its both-wrong episodes, 1/m for
+# 1/(m - 1)), each of which then exceeds the bound several times over: N = 3 episodes, 4000 runs a case, cells
+# expected below 5 pooled, and the chi-square quantile at 1 - 1e-3 by Wilson and Hilferty's cube-root form.
+_LAW_EPISODES, _LAW_RUNS, _LAW_ALPHA = 3, 4000, 1e-3
+_LAW_CASES = (
+    (_CHAIN, "t", {"z": 0.4, "b": 0.6, "a": 0.2}),
+    (_STAR, "t2", {"b": 0.6, "g1": 0.2, "g2": 0.7}),
+)
+
+
+def _chi2_quantile(q: float, df: int) -> float:
+    z = statistics.NormalDist().inv_cdf(q)
+    return df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
+
+
+def test_binary_counts_have_the_exact_joint_law():
+    """One Pearson test over the chain and the star at m = 2 and 3: the counts of a task's rows, read from the
+    reports of seeded runs, against their joint law enumerated over every performer's answer in every episode."""
+    stat, df = 0.0, 0
+    for structure, task, strategies in _LAW_CASES:
+        rows = [row for row in structure.judged if row[0] == task]
+        for m in (2, 3):
+            model, n = UniformWrong(m=m, C=1.0), _LAW_EPISODES
+            law = _oracles.binary_count_law(rows, model, {structure.supervisor: 0.0, **strategies}, n)
+            seen = collections.Counter()
+            for seed in range(_LAW_RUNS):
+                report = {r.worker: r for r in simulate(SimConfig(n, seed, model, structure, strategies)).rows}
+                seen[tuple(round(report[w].empirical * n) for _, _, w, _ in rows)] += 1
+            pooled_want = pooled_seen = 0.0
+            for cell in set(law) | set(seen):
+                want = _LAW_RUNS * law.get(cell, 0.0)
+                if want < 5.0:
+                    pooled_want, pooled_seen = pooled_want + want, pooled_seen + seen[cell]
+                else:
+                    stat, df = stat + (seen[cell] - want) ** 2 / want, df + 1
+            stat += (pooled_seen - pooled_want) ** 2 / pooled_want if pooled_want else (math.inf if pooled_seen else 0.0)
+            df += bool(pooled_want) - 1
+    assert stat <= _chi2_quantile(1.0 - _LAW_ALPHA, df), (stat, df)
+
+
+# Fixed before the test first ran: 400 seeds an engine at 40 episodes, and a bound of the normal quantile at a
+# family-wise 1e-3, split over the rows and the two statistics.
+_DENSE_SEEDS, _DENSE_EPISODES, _DENSE_ALPHA = 400, 40, 1e-3
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize(
+    "structure",
+    [build_supervision_tree(27, 3, seed=2), build_supervision_hierarchy(_PEG.graph, k=2, seed=3)],
+    ids=["tree", "hierarchy"],
+)
+def test_counts_match_the_frozen_dense_engine_over_seeds(structure, m):
+    """Each row's mean and variance over seeds agree between the count engine and the frozen dense engine, within
+    the bound times the standard error of their difference."""
+    workers = sorted({w for _, p, c, _ in structure.judged for w in (p, c)})
+    strategies = {w: 0.05 + 0.04 * (i % 10) for i, w in enumerate(workers)}
+    model = UniformWrong(m=m, C=4.0)
+
+    def samples(engine):
+        runs = [engine(SimConfig(_DENSE_EPISODES, seed, model, structure, strategies)).rows
+                for seed in range(_DENSE_SEEDS)]
+        assert all([r[:2] + r[4:5] for r in rows] == [r[:2] + r[4:5] for r in runs[0]] for rows in runs)
+        return np.array([[r.empirical for r in rows] for rows in runs])
+
+    new, old = samples(simulate), samples(_oracles.simulate_dense_binary)
+    bound = statistics.NormalDist().inv_cdf(1 - _DENSE_ALPHA / (2 * 2 * new.shape[1]))
+    s = _DENSE_SEEDS
+
+    def moments(x):
+        mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        m4 = ((x - mean) ** 4).mean(axis=0)
+        return mean, var, var / s, (m4 - var**2 * (s - 3) / (s - 1)) / s  # the two estimates and their variances
+
+    (mean_a, var_a, v_mean_a, v_var_a), (mean_b, var_b, v_mean_b, v_var_b) = moments(new), moments(old)
+    for diff, v in ((mean_a - mean_b, v_mean_a + v_mean_b), (var_a - var_b, v_var_a + v_var_b)):
+        assert np.all(np.abs(diff) <= bound * np.sqrt(v)), (diff / np.sqrt(v))
+
+
+def test_a_binary_run_at_a_trillion_episodes_gives_finite_rows():
     tree = build_supervision_tree(81, 3, seed=1)
     strategies = {n: 0.1 for lv in tree.levels[:-1] for n in lv}
-    config = SimConfig(20_000, 0, UniformWrong(m=3, C=1.0), tree, strategies)
-    simulate(SimConfig(2, 0, config.answer_model, tree, strategies))  # numpy's first draws import modules
+    report = simulate(SimConfig(10**12, 0, UniformWrong(m=3, C=1.0), tree, strategies))
+    assert len(report.rows) == len(tree.judged) and report.episodes == 10**12
+    assert all(math.isfinite(x) for r in report.rows for x in r[2:])
+    assert report.max_abs_z <= 5.0  # a Bonferroni bound of about 2e-5 over the 39 rows
+
+
+def test_a_binary_cost_near_the_float_maximum_gives_finite_rows():
+    """A row's mean is ``C * (n / N)``, never above C: ``(C * n) / N`` would overflow and be refused."""
+    report = simulate(tree_config(episodes=1_000, seed=4, e=0.5, C=FLOAT_MAX, m=3, n_tasks=9))
+    assert all(math.isfinite(r.empirical) and math.isfinite(r.stderr) and r.empirical <= FLOAT_MAX
+               for r in report.rows)
+    assert any(r.empirical > FLOAT_MAX / 4 for r in report.rows)
+
+
+def _traced_peak(config):
+    """The peak traced allocation of one run, after a two-episode run has let numpy's first draws import modules."""
+    simulate(dataclasses.replace(config, episodes=2))
     tracemalloc.start()
     try:
         simulate(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_memory_holds_one_task_at_a_time():
+    """Gaussian answers, the model that still makes episode arrays: the deepest task of an 81-task tree has four
+    performers, and a run peaks near 5 arrays of ``episodes`` values; the engine that held every task's arrays at
+    once peaked near 96."""
+    tree = build_supervision_tree(81, 3, seed=1)
+    strategies = {n: (0.5, 0.1) for lv in tree.levels[:-1] for n in lv}
+    config = SimConfig(20_000, 0, Gaussian(c=1.0), tree, strategies)
+    peak = _traced_peak(config)
     assert peak <= 16 * config.episodes * 8, peak / (config.episodes * 8)
 
 
 @pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
 def test_memory_stays_within_eight_episode_arrays(model):
     """The penalty array adds one to the deepest task's four answers: about 5.1 arrays for Gaussian answers.
-    Binary answers add a float and a bool scratch array, and an offset draw one more: about 7.2 at m = 3."""
+    Binary rows come from counts, so a binary run's peak does not grow with its episodes: from 2·10⁴ to 2·10⁶
+    episodes it grows by less than a tenth of one 2·10⁴-episode array, where one 2·10⁶-episode array is 16 MB."""
     tree = build_supervision_tree(81, 3, seed=1)
     s = 0.1 if isinstance(model, UniformWrong) else (0.5, 0.1)
     strategies = {n: s for lv in tree.levels[:-1] for n in lv}
     config = SimConfig(20_000, 0, model, tree, strategies)
-    simulate(SimConfig(2, 0, model, tree, strategies))  # numpy's first draws import modules
-    tracemalloc.start()
-    try:
-        simulate(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(config)
     assert peak <= 8 * config.episodes * 8, peak / (config.episodes * 8)
+    if isinstance(model, UniformWrong):
+        grown = _traced_peak(dataclasses.replace(config, episodes=2_000_000)) - peak
+        assert grown <= config.episodes * 8 // 10, grown
 
 
 class TestQuant:
@@ -304,11 +421,12 @@ def _pinned_outputs():
 
 
 # sha256 of each output: the flat and quadratic sweeps' taken before the two simulators and the three sweep loops
-# became one, the three reports' when the engine stopped drawing a truth per task, the pair sweep's when it stopped
-# drawing its unread truth; a change to the RNG stream must update these on purpose
+# became one, the Gaussian report's when the engine stopped drawing a truth per task, the pair sweep's when it
+# stopped drawing its unread truth, the two binary reports' when their rows came from counts; a change to the RNG
+# stream must update these on purpose
 PINNED_SHA256 = {
-    "binary_hierarchy": "f3cbe7346b56d0390e799420c56a68485c8664ea99169ba72ab1ad8a8b967980",
-    "binary_tree": "021356f0b5aab8987d0b5169f11ef281ea61f927903868bfc8df99fef34bbe9d",
+    "binary_hierarchy": "8936a0b4b20729439d5f382fb276349c16bd4fb674f3fe1455b6dddb04fead7b",
+    "binary_tree": "7c9d2677662ca8a67b79eb81736fcee088bd8360444bc37ca55011c930fa6ad6",
     "quant_tree": "edab6c213c67679478438f6d52d5b276a804b8dce427ed1466375641112532a3",
     "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
     "sweep_pair": "00672ee622c9214a98cd6f44ab3c826f6f38aaaee7ddcf68bccd8c3d7c9facdb",
@@ -319,6 +437,15 @@ PINNED_SHA256 = {
 @pytest.fixture(scope="module")
 def pinned_outputs():
     return _pinned_outputs()
+
+
+def test_the_frozen_dense_engine_gives_the_binary_bytes_of_its_time():
+    """The binary reports' digests before their rows came from counts, from the frozen dense engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules[__name__], "simulate_binary", _oracles.simulate_dense_binary)
+        outputs = _pinned_outputs()
+    assert _sha(outputs["binary_tree"]) == "021356f0b5aab8987d0b5169f11ef281ea61f927903868bfc8df99fef34bbe9d"
+    assert _sha(outputs["binary_hierarchy"]) == "f3cbe7346b56d0390e799420c56a68485c8664ea99169ba72ab1ad8a8b967980"
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
@@ -368,9 +495,9 @@ def test_binary_answers_match_the_sampler_that_draws_offsets(m, e):
     n = 1000
     truth = np.random.default_rng(1).integers(0, m, size=n)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    offsets = UniformWrong(m=m).answer(got_rng, e, _Work(n), 0)
+    offsets = _offsets(got_rng, e, m, n)
     assert offsets.dtype == (bool if m == 2 else np.int64)
-    want = _oracles.sample_binary_answers_with_offsets(want_rng, truth, e, m, _Work(n))
+    want = _oracles.sample_binary_answers_with_offsets(want_rng, truth, e, m, _oracles.DenseWork(n))
     assert np.array_equal((truth + offsets) % m, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -401,25 +528,32 @@ _MODELS = st.one_of(
     data=st.data(),
 )
 def test_reused_arrays_give_the_frozen_engines_rows_to_the_bit(structure, model, episodes, seed, data):
-    """A coupling: the frozen engine draws a truth per task from the engine's generator, the library none.  With the
-    frozen engine's truths drawn from a generator of their own (binary) or zero (Gaussian), its stream is the
-    library's, and two answers on any truth differ as their offsets do, so every row matches to the bit."""
+    """Gaussian answers, a coupling: the frozen engine draws a truth per task from the engine's generator, the
+    library none.  With the frozen engine's truths zero, its stream is the library's, and two answers on any truth
+    differ as their offsets do, so every row matches to the bit.  Binary rows come from counts, which share no draws
+    with the frozen engine: each row is its row in worker, level and analytic column, and a count's row, the mean
+    and ddof=1 stderr of n values C and N - n zeros for an integer n in [0, N], to 1e-12 of each or of C (the array
+    summary's mean may round off C, and leave a stderr of a few ulps where the count's is 0)."""
     _, pairs = _oracles._supervision_pairs(structure)
     workers = sorted({w for p, c, _, _ in pairs for w in (p, c)})
-    if isinstance(model, UniformWrong):
-        one = st.floats(0.0, 1.0)
-        truth_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="truth seed"))
-        truth = lambda model, rng, n: truth_rng.integers(0, model.m, size=n)  # noqa: E731
-    else:
-        one = st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
-        truth = lambda model, rng, n: np.zeros(n)  # noqa: E731
+    binary = isinstance(model, UniformWrong)
+    one = st.floats(0.0, 1.0) if binary else st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
     strategies = {w: data.draw(one) for w in workers}
     config = SimConfig(episodes, seed, model, structure, strategies)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_oracles, "model_truth", truth)
+        mp.setattr(_oracles, "model_truth", lambda model, rng, n: np.zeros(n))
         old = _oracles.simulate_task_by_task(config).rows
     new = simulate(config).rows
-    assert len(new) == len(old) and all(map(_same_row, new, old)), (new, old)
+    if not binary:
+        assert len(new) == len(old) and all(map(_same_row, new, old)), (new, old)
+        return
+    assert [r[:2] + r[4:5] for r in new] == [r[:2] + r[4:5] for r in old]
+    for r in new:
+        n = round(r.empirical * episodes / model.C)
+        assert 0 <= n <= episodes
+        mean, stderr = _oracles._mean_stderr(np.where(np.arange(episodes) < n, model.C, 0.0))
+        close = lambda a, b: math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * model.C)  # noqa: E731
+        assert close(r.empirical, mean) and close(r.stderr, stderr), r
 
 
 def _uniforms(kind: str, m: int, n: int, seed: int) -> np.ndarray:
