@@ -218,6 +218,18 @@ def sa_greedy_edge_deletion(inst: SAInstance, seed: int) -> SASolution:
     return _deletion_cover(inst, seed, len(edges), pick)
 
 
+def _cover(graph: AssignmentGraph, mode: str, seed: int) -> SASolution:
+    """The cover by the solver ``mode`` names: the one mode list, for hierarchies and ``supervise allocate``."""
+    inst = SAInstance(graph=graph, k=graph.k)
+    if mode == "exact":
+        return sa_exact(inst)
+    if mode == "greedy":
+        return sa_greedy(inst, seed)
+    if mode == "paper-greedy":
+        return sa_greedy_edge_deletion(inst, seed)
+    raise SuperviseError(f"unknown cover mode {mode!r}; use 'exact', 'greedy' or 'paper-greedy'")
+
+
 def vc_to_sa(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> SAInstance:
     """Embed vertex cover: each graph edge becomes a worker with two tasks.
 

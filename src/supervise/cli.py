@@ -211,20 +211,14 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    from .allocation import SAInstance, sa_exact, sa_greedy, sa_greedy_edge_deletion
+    from .allocation import _cover
     from .structures import AssignmentGraph
 
     graph = AssignmentGraph.from_json_dict(_read_json(args.graph))
-    inst = SAInstance(graph=graph, k=graph.k)
-    if args.mode == "exact":
-        sol = sa_exact(inst)
-    elif args.mode == "greedy":
-        sol = sa_greedy(inst, args.seed)
-    else:
-        sol = sa_greedy_edge_deletion(inst, args.seed)
+    sol = _cover(graph, args.mode, args.seed)
     payload: dict = {"cover": list(sol.tasks), "size": sol.size}
     try:
-        best = sol if args.mode == "exact" else sa_exact(inst)
+        best = sol if args.mode == "exact" else _cover(graph, "exact", args.seed)
     except InstanceTooLargeError:  # too large for the exact solver: no optimum to compare with
         best = None
     if best is not None and best.size > 0:
@@ -371,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     hib = hisub.add_parser("build")
     hib.add_argument("--graph", required=True, help="assignment graph JSON file")
     hib.add_argument("--k", type=int, required=True, help="tree branching factor")
-    hib.add_argument("--mode", choices=["greedy", "exact"], default="greedy")
+    hib.add_argument("--mode", choices=["exact", "greedy", "paper-greedy"], default="greedy")
     _add_seed(hib)
     _add_out(hib)
     hib.set_defaults(func=_cmd_hierarchy)

@@ -46,8 +46,7 @@ class EffortFunction:
                 raise SuperviseError(
                     f"effort family must be one of {', '.join(f.value for f in Family)}, got {self.family!r}"
                 ) from None
-        if not (type(self.alpha) is float and 0.0 < self.alpha <= FLOAT_MAX):  # a float in range is kept as it is
-            object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
+        object.__setattr__(self, "alpha", require_real(self.alpha, "effort scale", 0.0, lo_open=True))
 
     @property
     def domain_hi(self) -> float:
@@ -119,7 +118,7 @@ def effort_deriv(f: EffortFunction, e: float) -> float:
         return -f.alpha / e
     if f.family is Family.BOUNDARY_LOG:
         return -2.0 * f.alpha * math.log(0.5 / e) / e
-    return -f.alpha / (e * e)
+    return -f.alpha / (e * e) if e * e else -math.inf  # e * e underflows to 0 below about 1.5e-162
 
 
 def _lambertw_nonneg(y: float) -> float:

@@ -226,12 +226,9 @@ class TypeEquilibrium(_CyclicLevels):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        w, sigma = self.weight, self.sigma
-        if (isinstance(self.worker, WorkerType) and type(w) is float and 0.0 <= w <= FLOAT_MAX
-                and type(sigma) is float and 0.0 <= sigma <= 1.0 and type(self.sigma_clamped) is bool):
-            return
+        sigma = self.sigma
         require_instance(self.worker, WorkerType, "worker")
-        require_weight(w)
+        require_weight(self.weight)
         require_number(sigma, "sigma")
         require_prob(sigma, "sigma")
         require_instance(self.sigma_clamped, bool, "sigma_clamped")

@@ -256,12 +256,16 @@ def _z(emp: float, analytic: float, stderr: float) -> float:
 
 
 @contextmanager
-def _episode_memory(episodes: int) -> Iterator[None]:
-    """A failure to allocate an episode-length array, as a SuperviseError that names the episode count."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise SuperviseError(f"{episodes} episodes need more memory than this process can allocate") from exc
+def _episode_arrays(episodes: int) -> Iterator[None]:
+    """Episode arrays without numpy's overflow warnings, as callers refuse results beyond the float range, and a
+    failure to allocate one as a SuperviseError that names the episode count."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except MemoryError as exc:
+            raise SuperviseError(f"{episodes} episodes need more memory than this process can allocate") from exc
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -286,7 +290,7 @@ def simulate(config: SimConfig) -> SimReport:
 
     rng = np.random.default_rng(config.seed)
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"), _episode_memory(config.episodes):  # overflows: refused below
+    with _episode_arrays(config.episodes):
         score = model.scorer(rng, strategy, config.episodes)
         for _, task_pairs in groupby(structure.judged, itemgetter(0)):
             for (_, p, w, level), (emp, se) in score(list(task_pairs)):
@@ -367,7 +371,7 @@ def _sweep(
     import numpy as np
 
     losses = []
-    with np.errstate(over="ignore", invalid="ignore"), _episode_memory(episodes):  # overflows: refused below
+    with _episode_arrays(episodes):
         rng = np.random.default_rng(require_int(seed, "seed", 0))
         penalty = draw(rng, require_int(episodes, "episodes", 1, hi=_EPISODES_MAX))
         for v in vals:

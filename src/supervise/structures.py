@@ -592,30 +592,23 @@ def build_supervision_hierarchy(
 ) -> SupervisionHierarchy:
     """Cover all workers with few tasks, then supervise the cover with a tree.
 
-    The covering set comes from the allocation module (seeded greedy by
-    default, exact on request).  Every graph worker is judged on its covering
-    task by the bottom tree worker performing it, so graph workers form one
-    extra layer under the tree.
+    The covering set comes from the allocation module, by one of ``supervise
+    allocate``'s modes (seeded greedy by default).  Every graph worker is
+    judged on its covering task by the bottom tree worker performing it, so
+    graph workers form one extra layer under the tree.
     """
     require_instance(graph, AssignmentGraph, "graph")
     require_int(k, "branching factor k", 2, SizingError)
     if not graph.workers:  # the cover would be empty, and the tree builder would name task ids the user never gave
         raise SuperviseError("input error: graph has no workers, so there is no one to supervise")
     _refuse_idle_tasks(graph)  # before the cover solver, whose own limits would otherwise be reported first
-    from .allocation import SAInstance, sa_exact, sa_greedy  # local import: allocation builds on these graph types
+    from .allocation import _cover  # local import: allocation builds on these graph types
 
-    inst = SAInstance(graph=graph, k=graph.k)
-    if mode == "greedy":
-        sol = sa_greedy(inst, seed)
-    elif mode == "exact":
-        sol = sa_exact(inst)
-    else:
-        raise SuperviseError(f"unknown cover mode {mode!r}; use 'greedy' or 'exact'")
-
+    sol = _cover(graph, mode, seed)
     forbidden = set(graph.workers).union(graph.tasks)
     sup = "supervisor"
     while sup in forbidden:
         sup += "_"
-    # both solvers return distinct graph tasks, which ``SASolution`` stores as sorted strings: they need no check
+    # every solver returns distinct graph tasks, which ``SASolution`` stores as sorted strings: they need no check
     tree = _build_tree(sol.tasks, forbidden, k, seed, "h", sup)
     return SupervisionHierarchy(graph=graph, tree=tree, coverage=sol.cover_witness)

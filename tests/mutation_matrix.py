@@ -69,9 +69,9 @@ ROWS = (
         "a trace may cross its threshold one level before its last", (CHECKS,)),
     Row(H, "    _unit_errors = False  # a divergent error may lie above 1", "    _unit_errors = True",
         "a divergent trace above 1 is refused", ("tests/test_cascades.py",)),
-    Row(H, "type(w) is float and 0.0 <= w <= FLOAT_MAX", "type(w) is float and w <= FLOAT_MAX",
+    Row(H, "require_weight(self.weight)", 'require_real(self.weight, "population weight")',
         "a type takes a negative weight", (CHECKS, INPUTS)),
-    Row(H, "type(sigma) is float and 0.0 <= sigma <= 1.0", "type(sigma) is float",
+    Row(H, """        require_number(sigma, "sigma")\n""", """        if sigma != sigma:\n            return\n""",
         "a type takes a NaN sigma", (INPUTS,)),
     Row(H, "map(_SHAPE, types), map(_FIRST, prefixes)", "map(_SHAPE, types)",
         "a mixture takes types of different level-0 roots", (CHECKS, INPUTS)),
@@ -93,11 +93,10 @@ ROWS = (
         "a long cycle keeps a table for every phase", ("tests/test_results.py",)),
     Row(EFFORT, "type(target) is float and -FLOAT_MAX <= target <= FLOAT_MAX", "type(target) is float",
         "the solver takes an infinite target", ("tests/test_effort.py",)),
-    Row(EFFORT, "type(self.alpha) is float and 0.0 < self.alpha <= FLOAT_MAX",
-        "type(self.alpha) is float and 0.0 <= self.alpha <= FLOAT_MAX",
+    Row(EFFORT, '"effort scale", 0.0, lo_open=True)', '"effort scale", 0.0)',
         "an effort curve takes alpha 0", ("tests/test_effort.py",)),
-    Row(H, "and 0.0 <= sigma <= 1.0 and", "and sigma == sigma and",
-        "a type's C pass takes a sigma above 1", (INPUTS, CHECKS)),
+    Row(H, 'require_prob(sigma, "sigma")', 'require_prob(min(sigma, 1.0), "sigma")',
+        "a type takes a sigma above 1, though it refuses one below 0", (INPUTS, CHECKS)),
     Row(H, """        require_prob(sigma, "sigma")\n""", "",
         "the type's walk takes a sigma above 1", (INPUTS, CHECKS)),
     Row(H, 'require_prob(root.value, "best response error")', "",
@@ -188,6 +187,13 @@ ROWS = (
         "a binary row's stderr divides by N, not N - 1", (SIMT,)),
     Row(SIM, "(C * (d / n), ", "(C * d / n, ",
         "a binary row's mean multiplies before it divides, so a cost near the float maximum overflows", (SIMT,)),
+    Row(ALLOC, "return sa_greedy_edge_deletion(inst, seed)", "return sa_greedy(inst, seed)",
+        "the paper-greedy mode builds the disjoint-worker greedy's cover", (CLIT,)),
+    Row(EFFORT, "-f.alpha / (e * e) if e * e else -math.inf", "-f.alpha / (e * e)",
+        "the inverse power's derivative divides by an e * e that underflowed to 0", ("tests/test_effort.py", CLIT)),
+    Row(SIM, "self.C, implied_D(self.C, self.m))", "self.C, 0.0)",
+        "the binary expectation charges nothing where both answers are wrong, which only m >= 3 shows",
+        ("tests/test_planted_errors.py",)),
 )
 
 

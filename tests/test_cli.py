@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, file round trips, seeding."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from supervise import build_supervision_tree
-from supervise.cli import fmt_decimal, main
+from supervise.cli import build_parser, fmt_decimal, main
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +136,14 @@ NOT_FINITE_RESULTS = {
     ),
     "flat bound where k / C overflows": (
         ["flat", "--effort", "simplelog", "--epsilon", "0.1", "--k", "3", "--C", "5e-324"],
+        "the verification probability bound",
+    ),
+    # the inverse power's derivative is -inf where epsilon * epsilon underflows to 0
+    "binary bound where the inverse power's epsilon squared underflows": (
+        ["binary", "--effort", "inversepower", "--k", "2", "--epsilon", "1e-200"], "the penalty bound"
+    ),
+    "flat bound where the inverse power's epsilon squared underflows": (
+        ["flat", "--effort", "inversepower", "--k", "1", "--epsilon", "1e-170", "--c", "1"],
         "the verification probability bound",
     ),
 }
@@ -648,6 +657,41 @@ def test_a_refused_run_prints_one_error_line(capsys, tmp_path, case):
     argv, start = REFUSALS[case]
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert (code, out) == (1, "") and err.startswith(start) and err.count("\n") == 1
+
+
+def _mode_choices(*command: str) -> list:
+    parser = build_parser()
+    for name in command:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return next(a for a in parser._actions if a.dest == "mode").choices
+
+
+def test_both_mode_lists_are_exactly_the_modes_the_cover_accepts(capsys, tmp_path):
+    """The parser keeps its --mode choices as literals, so parsing loads no solver: each of them is one that
+    ``_cover`` takes, and its refusal of any other mode names exactly them.  A paper-greedy hierarchy is built from
+    the edge-deletion cover and passes validation when read back."""
+    from supervise import (SAInstance, SuperviseError, SupervisionHierarchy, build_peg_assignment, sa_greedy,
+                           sa_greedy_edge_deletion)
+    from supervise.allocation import _cover
+
+    modes = _mode_choices("allocate")
+    assert _mode_choices("hierarchy", "build") == modes
+    graph = build_peg_assignment(12, 10, 3, seed=1).graph
+    for mode in modes:
+        assert _cover(graph, mode, 3).size >= 1
+    with pytest.raises(SuperviseError, match="unknown cover mode 'bogus'") as exc:
+        _cover(graph, "bogus", 3)
+    assert re.findall(r"'([^']*)'", str(exc.value).split("; use ", 1)[1]) == modes
+
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph.to_json_dict()))
+    code, out, err = run_cli(capsys, "hierarchy", "build", "--graph", str(path), "--k", "2", "--mode", "paper-greedy",
+                             "--seed", "3")
+    assert (code, err) == (0, "")
+    h = SupervisionHierarchy.from_json_dict(json.loads(out))
+    cover = sa_greedy_edge_deletion(SAInstance(graph, graph.k), 3)
+    assert cover.cover_witness != sa_greedy(SAInstance(graph, graph.k), 3).cover_witness  # the modes differ here
+    assert (h.graph, h.coverage, sorted(h.tree_tasks)) == (graph, cover.cover_witness, list(cover.tasks))
 
 
 def test_allocate_prints_a_ratio_exactly_where_the_exact_solver_answers(capsys, tmp_path):

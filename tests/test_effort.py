@@ -53,6 +53,11 @@ class TestWorkedValues:
         assert effort_deriv(f, 2.0) == -0.25
         assert effort_eval(f, 10.0) == pytest.approx(0.1)
 
+    def test_inverse_power_deriv_is_minus_inf_where_e_squared_underflows(self):
+        f = EffortFunction.inverse_power(1.0)
+        assert effort_deriv(f, 1e-200) == -math.inf
+        assert effort_deriv(f, 1e-150) == -1.0 / (1e-150 * 1e-150)  # finite: e * e is still a normal float
+
     def test_alpha_scales_both(self):
         f1 = EffortFunction.simple_log(1.0)
         f3 = EffortFunction.simple_log(3.0)
