@@ -1,9 +1,10 @@
 """Sampling the schemes: do the closed forms survive contact with a simulator?
 
 A binary run draws each supervision pair's disagreement count, a Gaussian run
-one answer per worker-task pair; both charge the penalties the structure
-dictates and report a z-score of empirical vs analytic penalty per worker.  Sweeps re-run a strategy grid under common random numbers to
-recover the best response empirically.
+one normal array per supervision pair, each worker's noise relative to its
+task's root; both charge the penalties the structure dictates and report a
+z-score of empirical vs analytic penalty per worker.  Sweeps re-run a strategy
+grid under common random numbers to recover the best response empirically.
 """
 
 from supervise import (

@@ -14,7 +14,12 @@ is a statistical test of the formulas, not a replacement for them.
 No truth is drawn, since every penalty depends only on each answer's offset
 from it.  A Gaussian offset is ``bias + sigma * z``; a binary one is 0 where
 the answer is right, else uniform in 1..m-1, and two binary answers differ
-exactly when their offsets differ.  A binary run draws only counts: its
+exactly when their offsets differ.  A Gaussian run draws one normal array a
+row: on each tree of a task's forest, a worker's D is its noise minus the
+root's, so a row's answer gap is ``D_w - D_p + bias_w - bias_p``, and the D's
+are drawn parents first from their conditional law given the tree's D's so far
+(see :func:`_answer_gaps`), which gives the rows the joint law of independent
+answers without a draw for any root.  A binary run draws only counts: its
 penalty is C times a disagreement flag, so a row is the mean ``C * (n / N)``
 and ddof=1 stderr ``C * sqrt(n (N - n) / (N (N - 1))) / sqrt(N)`` of the
 pair's disagreement count n over N episodes.  A task's root performer is
@@ -33,15 +38,16 @@ explicitly and add it analytically, in one loop over the strategy grid.
 
 Determinism and memory: a structure lists its judged pairs as ``judged`` rows,
 sorted by shared task, and one seeded generator serves the tasks in that
-order.  A binary task takes its rows parents first, sorted stably on their
-level, and draws for each row a for a root superior not yet drawn, then i, r
-and, at m >= 3, s: it holds only counts, so a binary run's cost grows with its
-pairs, not its episodes.  A Gaussian task draws one answer per performer in
-sorted worker order, then scores its pairs, so peak memory is one task's
-arrays: an answer array per performer and a penalty array, made once per run
-and reused.  Structures store their rows sorted, so equal structures give
-equal reports however their JSON rows were ordered; with numpy's fixed-order
-reductions, identical configs produce identical reports.
+order.  The answer model's scorer takes each task's rows parents first, sorted
+stably on their level.  A binary task draws for each row a for a root superior
+not yet drawn, then i, r and, at m >= 3, s: it holds only counts, so a binary
+run's cost grows with its pairs, not its episodes.  A Gaussian task draws one
+normal array for each row in that order and scores the row at once, so peak
+memory is one task's arrays: a D per row, an M per tree that has a row left to
+draw, and a penalty array, made once per run and reused.  Structures store
+their rows sorted, so equal structures give equal reports however their JSON
+rows were ordered; with numpy's fixed-order reductions, identical configs
+produce identical reports.
 
 The binary sweeps sort their uniforms once: a grid point's loss is a count of
 the uniforms below it, read with one binary search.
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
@@ -102,12 +109,13 @@ class UniformWrong:
         return require_prob(e, f"binary strategy for {worker!r}", ModelMismatchError)
 
     def scorer(self, rng: np.random.Generator, strategy: Mapping[str, float], n: int) -> Callable[[list], Iterator]:
-        """A task's ``judged`` rows to each row and its mean and stderr, from its disagreement count over n episodes."""
+        """A task's ``judged`` rows, parents first, to each row and its mean and stderr, from its disagreement count
+        over n episodes."""
         C, m, binomial = self.C, self.m, rng.binomial
 
         def score(task_pairs: list) -> Iterator[tuple[tuple, tuple[float, float]]]:
             wrong = {}  # the episodes in which each performer of the task is wrong
-            for row in sorted(task_pairs, key=itemgetter(3)):  # parents first: a superior's level is below its worker's
+            for row in task_pairs:
                 _, p, w, _ = row
                 if p not in wrong:
                     wrong[p] = binomial(n, strategy[p])
@@ -148,31 +156,76 @@ class Gaussian:
         )
 
     def scorer(self, rng: np.random.Generator, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
-        """A task's ``judged`` rows to each row and the mean and stderr of its ``c * (a - b) ** 2`` over n episodes,
-        in arrays made on first use and reused for every task."""
+        """A task's ``judged`` rows, parents first, to each row and the mean and stderr of its ``c * (a - b) ** 2``
+        over n episodes, from the answer gaps :func:`_answer_gaps` draws."""
         import numpy as np
 
-        penalty, answers = np.empty(n), []
+        c, gaps = self.c, _answer_gaps(rng.standard_normal, strategy, n)
 
         def score(task_pairs: list) -> Iterator[tuple[tuple, tuple[float, float]]]:
-            # one answer per performer of the task: the same draw serves every pair that reads it
-            answer = {}
-            for slot, w in enumerate(sorted({w for _, p, c, _ in task_pairs for w in (p, c)})):
-                if slot == len(answers):
-                    answers.append(np.empty(n))
-                sigma, bias = strategy[w]
-                a = answer[w] = rng.standard_normal(out=answers[slot])
-                a *= sigma
-                a += bias
-            for row in task_pairs:
-                x = np.square(np.subtract(answer[row[2]], answer[row[1]], out=penalty), out=penalty)
-                x *= self.c
+            for row, x in gaps(task_pairs):
+                x = np.square(x, out=x)
+                x *= c
                 yield row, _mean_stderr(x)
 
         return score
 
     def expected(self, s_worker: tuple[float, float], s_superior: tuple[float, float]) -> float:
         return expected_penalty_quant(*s_worker, *s_superior, self.c)
+
+
+def _answer_gaps(normal: Callable, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
+    """A task's ``judged`` rows, parents first, to each row and its answer gap ``a_w - a_p`` over n episodes, from
+    one ``normal(out=...)`` draw a row.
+
+    Each tree of the task's forest is drawn relative to its root r.  A worker's D is its centred answer minus the
+    root's, ``sigma_w z_w - sigma_r z_r`` (0 at r), so a row's gap is ``D_w - D_p + bias_w - bias_p``.  Given the
+    tree's D's drawn so far, minus the root's noise is normal with mean M and sd u, from (0, sigma_r).  So a worker's
+    D is ``M + hypot(sigma_w, u) z``, and then, with gain ``g = u² / (sigma_w² + u²)``, ``M += g (D - M)`` and
+    ``u = u sigma_w / hypot(sigma_w, u)``.  Standard deviations, not variances, keep every finite sigma finite, and
+    a root without noise gives a gain of 0.  The gap is written into one array overwritten per row; the D's and M's
+    fill arrays made on first use and reused for every task.
+    """
+    import numpy as np
+
+    gap, arrays = np.empty(n), []
+
+    def slot(i: int) -> np.ndarray:
+        if i == len(arrays):
+            arrays.append(np.empty(n))
+        return arrays[i]
+
+    def gaps(task_pairs: list) -> Iterator[tuple[tuple, np.ndarray]]:
+        root, left = {}, Counter()  # each worker's tree root, and the rows each tree has left to draw
+        for _, p, w, _ in task_pairs:
+            root[w] = r = root.get(p, p)
+            left[r] += 1
+        drawn, law, used = {}, {}, 0  # each worker's D, and each tree's (M, or None for 0, and u)
+        for row in task_pairs:
+            _, p, w, _ = row
+            r, s = root[w], strategy[w][0]
+            mean, u = law.get(r) or (None, strategy[r][0])
+            h = math.hypot(s, u)
+            d = drawn[w] = normal(out=slot(used))
+            used += 1
+            d *= h
+            if mean is not None:
+                d += mean
+            left[r] -= 1
+            if left[r] and u:  # a later row of the tree reads its law: fold this draw in
+                g = (u / h) ** 2
+                if mean is None:
+                    mean = np.multiply(d, g, out=slot(used))
+                    used += 1
+                else:
+                    mean += np.multiply(np.subtract(d, mean, out=gap), g, out=gap)
+                law[r] = mean, u * (s / h)
+            x = np.add(d, strategy[w][1] - strategy[p][1], out=gap)
+            if p != r:
+                x -= drawn[p]
+            yield row, x
+
+    return gaps
 
 
 Structure = Union[SupervisionTree, SupervisionHierarchy]
@@ -271,8 +324,8 @@ def _episode_arrays(episodes: int) -> Iterator[None]:
 def simulate(config: SimConfig) -> SimReport:
     """Sample the answer model's penalty on every supervision pair of the structure.
 
-    Tasks are drawn one at a time, in the sorted order of ``structure.judged``, binary ones as counts and Gaussian
-    ones as episode arrays; rows are reported by level and worker.
+    Tasks are drawn one at a time, in the sorted order of ``structure.judged``, each task's rows parents first,
+    binary ones as counts and Gaussian ones as one normal array a row; rows are reported by level and worker.
     """
     model = require_instance(config, SimConfig, "config").answer_model
     structure = config.structure
@@ -293,7 +346,8 @@ def simulate(config: SimConfig) -> SimReport:
     with _episode_arrays(config.episodes):
         score = model.scorer(rng, strategy, config.episodes)
         for _, task_pairs in groupby(structure.judged, itemgetter(0)):
-            for (_, p, w, level), (emp, se) in score(list(task_pairs)):
+            # parents first: a superior's level is below its worker's, and the sort is stable
+            for (_, p, w, level), (emp, se) in score(sorted(task_pairs, key=itemgetter(3))):
                 if not (math.isfinite(emp) and math.isfinite(se)):
                     raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
                                          f"beyond the float range")

@@ -900,7 +900,8 @@ def simulate(config: SimConfig) -> SimReport:
 # The Monte Carlo engine as it was when it drew one task at a time and before it reused its arrays, frozen verbatim
 # but calling the model formulas, the strategy lookup and the summary helper above, whose bits its array-method
 # summary had: each task's truth, answers and penalties were fresh arrays, and each pair's mean and stderr two
-# numpy reductions.  Its draws are the engine's, so every row must match to the bit.
+# numpy reductions.  Its Gaussian answers are one normal array per performer, as the engine drew them until it
+# drew each task relative to its roots, one array a row, so the two engines' Gaussian rows share a law, not bits.
 
 
 def simulate_task_by_task(config: SimConfig) -> SimReport:

@@ -120,8 +120,8 @@ ROWS = (
         "a pair sweep offset is left unmultiplied by its wrong flag, so every answer at m >= 3 is wrong", (SIMT,)),
     Row(SIM, "return wrong if m == 2 else", "return wrong if m <= 3 else",
         "the pair sweep's wrong-flag branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
-    Row(SIM, "a += bias", "a -= bias",
-        "a Gaussian answer is offset by minus its bias, which only the sign of a bias gap shows", (SIMT,)),
+    Row(SIM, "strategy[w][1] - strategy[p][1]", "strategy[p][1] - strategy[w][1]",
+        "a Gaussian row's answer gap is offset by minus its bias gap, which only the gaps themselves show", (SIMT,)),
     Row(SIM, "d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)", "d_w = np.not_equal(rng.integers(1, m, size=n), 0)",
         "a wrong worker in the pair sweep disagrees with its superior even where both are wrong alike", (SIMT,)),
     Row(SIM, "_EPISODES_MAX = sys.maxsize // 8\n", "_EPISODES_MAX = sys.maxsize // 8 + 1\n",
@@ -177,8 +177,8 @@ ROWS = (
         "the agreeing wrong answers are drawn over the superior's wrong episodes, not the both-wrong ones", (SIMT,)),
     Row(SIM, "s = i if m == 2 else", "s = i if m <= 3 else",
         "the count engine's m = 2 branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
-    Row(SIM, "for row in sorted(task_pairs, key=itemgetter(3)):", "for row in task_pairs:",
-        "a task's binary rows are taken in sorted row order, so a child may be drawn before its superior", (SIMT,)),
+    Row(SIM, "score(sorted(task_pairs, key=itemgetter(3)))", "score(list(task_pairs))",
+        "a task's rows are taken in sorted row order, so a child may be drawn before its superior", (SIMT,)),
     Row(SIM, "if p not in wrong:", "if True:",
         "a superior's count is drawn anew for each row it judges, not once per task", (SIMT,)),
     Row(SIM, "wrong[w] = i + r", "wrong[w] = r",
@@ -194,6 +194,27 @@ ROWS = (
     Row(SIM, "self.C, implied_D(self.C, self.m))", "self.C, 0.0)",
         "the binary expectation charges nothing where both answers are wrong, which only m >= 3 shows",
         ("tests/test_planted_errors.py",)),
+    Row(SIM, "g = (u / h) ** 2", "g = (s / h) ** 2",
+        "a Gaussian draw's gain is sigma² / (sigma² + v), not v / (sigma² + v)", (SIMT,)),
+    Row(SIM, "law[r] = mean, u * (s / h)", "law[r] = mean, u",
+        "a Gaussian draw leaves its root's noise variance v as it was", (SIMT,)),
+    Row(SIM, "            d *= h\n", "            d *= s\n",
+        "a Gaussian D is drawn with its worker's sd, without the root's remaining v", (SIMT,)),
+    Row(SIM, """                if mean is None:
+                    mean = np.multiply(d, g, out=slot(used))
+                    used += 1
+                else:
+                    mean += np.multiply(np.subtract(d, mean, out=gap), g, out=gap)
+""", "",
+        "a Gaussian draw leaves its root's noise mean M as it was", (SIMT,)),
+    Row(SIM, "root[w] = r = root.get(p, p)", "root[w] = r = p",
+        "every Gaussian worker is drawn as if its superior were its tree's root", (SIMT,)),
+    Row(SIM, "            if p != r:\n                x -= drawn[p]\n", "",
+        "a Gaussian row's gap forgets its superior's D", (SIMT,)),
+    Row(SIM, "h = math.hypot(s, u)", "h = math.sqrt(s ** 2 + u ** 2)",
+        "a Gaussian draw squares its sigmas, which raises OverflowError past about 1.34e154", (INPUTS,)),
+    Row(SIM, "score(sorted(task_pairs, key=itemgetter(3)))", "score(sorted(task_pairs, key=itemgetter(1)))",
+        "a task's rows are sorted on their superior's id, not their level, so a child may be drawn first", (SIMT,)),
 )
 
 

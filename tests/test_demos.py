@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "03_heterogeneous_population.py": "e7f46b0c8180cd72d11e22a5f33fa3d867a62212908175c0e72212cda9f147bc",
     "04_quantitative_scheme.py": "1d76e2922884d0031a3d1e3b5eb62a8fd52ca912d2014bde92b13913a406c3c0",
     "05_structures_and_allocation.py": "83c708088557f27c007d40ef3a670c119eb2b770eca9a6a1646898be6eb4a937",
-    "06_monte_carlo_checks.py": "121aa9ab869fa974dc0ce1aec1db069166df4f492126621aa2d8458f1f5f1763",
+    "06_monte_carlo_checks.py": "d95e3df0bf0df3709b08153cc14da8f327a81ef436376bc6ff08592a45608af4",
 }
 
 

@@ -91,6 +91,19 @@ _TREE = build_supervision_tree(4, 2, seed=7)
 TREE = _TREE.to_json_dict()
 _HIER = build_supervision_hierarchy(_PEG.graph, k=2, seed=5)
 HIERARCHY = _HIER.to_json_dict()
+# Task t1 of this tree is a chain of four performers: the supervisor judges w8, who judges w5, who judges w0.
+_CHAIN_TREE = build_supervision_tree(9, 2, seed=7)
+
+
+def _gaussian_chain_run(sigma_supervisor, sigma_w8):
+    """A Gaussian run over ``_CHAIN_TREE``, every other performer's sigma 1."""
+    strategies = {w: (1.0, 0.0) for lv in _CHAIN_TREE.levels[1:-1] for w in lv}
+    strategies.update({_CHAIN_TREE.supervisor: (sigma_supervisor, 0.0), "w8": (sigma_w8, 0.0)})
+    return simulate(SimConfig(100, 0, Gaussian(), _CHAIN_TREE, strategies))
+
+
+_CHAIN_BEYOND_FLOATS = "worker 'w8' under 'supervisor' has a mean or stderr beyond the float range"
+
 
 
 def _with(obj, path, value):
@@ -408,6 +421,8 @@ BAD_INPUTS = {
     "simulation whose sampled mean exceeds the float range": lambda: simulate(  # a binary mean never exceeds C
         SimConfig(100, 0, Gaussian(c=1e308), build_supervision_tree(1, 2, 0), {"w0": (0.0, 10.0)})
     ),
+    "simulation of a root sigma of 1e200 over a child of sigma 1": lambda: _gaussian_chain_run(1e200, 1.0),
+    "simulation of two sigmas whose squares sum past the float range": lambda: _gaussian_chain_run(1.3e154, 1.3e154),
     "sweep whose sampled mean exceeds the float range": lambda: sweep_quant(IP, 4, 1.0, [1.0, 2.0], 100, 0,
                                                                             sigma_w=1e200),
     "sweep grid point a string": lambda: sweep_quant(IP, 4, 1.0, ["x", 2.0], 10, 0),
@@ -492,6 +507,8 @@ BAD_INPUT_MESSAGES = {
     "cover solution tasks a string": "'tasks' must be an array of string ids",
     "cover solution witness an integer": "'cover_witness' must be an array of arrays of 2 string ids",
     "simulation whose sampled mean exceeds the float range": "worker 'w0' under 'supervisor' has a mean or stderr",
+    "simulation of a root sigma of 1e200 over a child of sigma 1": _CHAIN_BEYOND_FLOATS,
+    "simulation of two sigmas whose squares sum past the float range": _CHAIN_BEYOND_FLOATS,
     "sweep whose sampled mean exceeds the float range": "grid point 1.0 has a mean beyond the float range",
     "exact hierarchy over a graph whose task t30 has no worker": "task 't30' has no workers",
     "hierarchy constructed with a coverage row twice": "names a worker twice",

@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 import statistics
 import struct
 import sys
 import tracemalloc
 import warnings
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from supervise import (
     sweep_quant,
 )
 from supervise.errors import FLOAT_MAX
-from supervise.simulate import _mean_stderr, _offsets
+from supervise.simulate import _answer_gaps, _mean_stderr, _offsets
 
 import _oracles
 
@@ -225,42 +227,133 @@ def test_binary_counts_have_the_exact_joint_law():
     assert stat <= _chi2_quantile(1.0 - _LAW_ALPHA, df), (stat, df)
 
 
-# Fixed before the test first ran: 400 seeds an engine at 40 episodes, and a bound of the normal quantile at a
-# family-wise 1e-3, split over the rows and the two statistics.
+# Fixed before the tests first ran, the binary one's and then the Gaussian one's: 400 seeds an engine at 40 episodes,
+# and a bound of the normal quantile at a family-wise 1e-3, split over each row's two statistics and each row pair's
+# covariance.
 _DENSE_SEEDS, _DENSE_EPISODES, _DENSE_ALPHA = 400, 40, 1e-3
-
-
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize(
+_SEEDED_STRUCTURES = pytest.mark.parametrize(
     "structure",
     [build_supervision_tree(27, 3, seed=2), build_supervision_hierarchy(_PEG.graph, k=2, seed=3)],
     ids=["tree", "hierarchy"],
 )
-def test_counts_match_the_frozen_dense_engine_over_seeds(structure, m):
-    """Each row's mean and variance over seeds agree between the count engine and the frozen dense engine, within
-    the bound times the standard error of their difference."""
-    workers = sorted({w for _, p, c, _ in structure.judged for w in (p, c)})
-    strategies = {w: 0.05 + 0.04 * (i % 10) for i, w in enumerate(workers)}
-    model = UniformWrong(m=m, C=4.0)
 
-    def samples(engine):
-        runs = [engine(SimConfig(_DENSE_EPISODES, seed, model, structure, strategies)).rows
-                for seed in range(_DENSE_SEEDS)]
-        assert all([r[:2] + r[4:5] for r in rows] == [r[:2] + r[4:5] for r in runs[0]] for rows in runs)
-        return np.array([[r.empirical for r in rows] for rows in runs])
 
-    new, old = samples(simulate), samples(_oracles.simulate_dense_binary)
-    bound = statistics.NormalDist().inv_cdf(1 - _DENSE_ALPHA / (2 * 2 * new.shape[1]))
+def _over_seeds(engine, model, structure, strategies):
+    """Each row's empirical column over the seeds, one run a row of the array, after checking that every run has
+    the same rows in worker, level and analytic column."""
+    runs = [engine(SimConfig(_DENSE_EPISODES, seed, model, structure, strategies)).rows
+            for seed in range(_DENSE_SEEDS)]
+    assert all([r[:2] + r[4:5] for r in rows] == [r[:2] + r[4:5] for r in runs[0]] for rows in runs)
+    return np.array([[r.empirical for r in rows] for rows in runs])
+
+
+def _assert_same_moments(new, old, pairs=()):
+    """Each column's mean and variance, and the covariance of each pair of columns, agree between two samples of
+    the seeds, within the bound times the standard error of their difference."""
     s = _DENSE_SEEDS
+    bound = statistics.NormalDist().inv_cdf(1 - _DENSE_ALPHA / (2 * (2 * new.shape[1] + len(pairs))))
 
     def moments(x):
         mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
         m4 = ((x - mean) ** 4).mean(axis=0)
         return mean, var, var / s, (m4 - var**2 * (s - 3) / (s - 1)) / s  # the two estimates and their variances
 
+    def covariances(x):
+        dev = x - x.mean(axis=0)
+        prods = np.array([dev[:, i] * dev[:, j] for i, j in pairs]).reshape(len(pairs), s)
+        cov = prods.sum(axis=1) / (s - 1)
+        return cov, ((prods**2).mean(axis=1) - cov**2) / s  # the estimates and their variances
+
     (mean_a, var_a, v_mean_a, v_var_a), (mean_b, var_b, v_mean_b, v_var_b) = moments(new), moments(old)
-    for diff, v in ((mean_a - mean_b, v_mean_a + v_mean_b), (var_a - var_b, v_var_a + v_var_b)):
+    (cov_a, v_cov_a), (cov_b, v_cov_b) = covariances(new), covariances(old)
+    for diff, v in ((mean_a - mean_b, v_mean_a + v_mean_b), (var_a - var_b, v_var_a + v_var_b),
+                    (cov_a - cov_b, v_cov_a + v_cov_b)):
         assert np.all(np.abs(diff) <= bound * np.sqrt(v)), (diff / np.sqrt(v))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@_SEEDED_STRUCTURES
+def test_counts_match_the_frozen_dense_engine_over_seeds(structure, m):
+    """Each row's mean and variance over seeds agree between the count engine and the frozen dense engine, within
+    the bound times the standard error of their difference."""
+    workers = sorted({w for _, p, c, _ in structure.judged for w in (p, c)})
+    strategies = {w: 0.05 + 0.04 * (i % 10) for i, w in enumerate(workers)}
+    model = UniformWrong(m=m, C=4.0)
+    _assert_same_moments(*(_over_seeds(engine, model, structure, strategies)
+                           for engine in (simulate, _oracles.simulate_dense_binary)))
+
+
+@_SEEDED_STRUCTURES
+def test_gaussian_rows_match_the_frozen_answer_engine_over_seeds(structure):
+    """Each row's mean and variance over seeds, and the covariance of the first two rows of every task with two,
+    agree between the engine that draws each task relative to its roots and the frozen one that draws every answer,
+    within the bound times the standard error of their difference.  The supervisor has a sigma too, so every task's
+    root is noisy."""
+    workers = sorted({w for _, p, c, _ in structure.judged for w in (p, c)})
+    strategies = {w: (0.3 + 0.2 * (i % 7), 0.25 * (i % 3 - 1)) for i, w in enumerate(workers)}
+    model = Gaussian(c=1.5)
+    # the rows' report order is by level and worker; a pair is the first two rows of a task, parents first
+    report = simulate(SimConfig(2, 0, model, structure, strategies))
+    column = {(r.worker, r.level): i for i, r in enumerate(report.rows)}
+    pairs = []
+    for _, rows in itertools.groupby(structure.judged, itemgetter(0)):
+        rows = sorted(rows, key=itemgetter(3))
+        if len(rows) >= 2:
+            pairs.append(tuple(column[(w, level)] for _, _, w, level in rows[:2]))
+    assert pairs
+    _assert_same_moments(*(_over_seeds(engine, model, structure, strategies)
+                           for engine in (simulate, _oracles.simulate_task_by_task)), pairs)
+
+
+def _unit_normals():
+    """A stand-in for ``standard_normal(out=...)`` whose k-th draw is the k-th unit vector, and the draw count."""
+    drawn = [0]
+
+    def normal(out):
+        out[...] = 0.0
+        out[drawn[0]] = 1.0
+        drawn[0] += 1
+        return out
+
+    return normal, drawn
+
+
+# Forests of one task's rows, (superior, worker, level), and each performer's sigma: a chain, a star, two trees, a
+# root without noise and a middle worker without noise, each with at least three rows below some noisy performer.
+_FORESTS = {
+    "chain": ([("r", "a", 1), ("a", "b", 2), ("b", "c", 3)], {"r": 1.5, "a": 0.7, "b": 2.0, "c": 0.4}),
+    "star": ([("r", "a", 1), ("r", "b", 1), ("r", "c", 1), ("b", "d", 2)],
+             {"r": 1.2, "a": 0.5, "b": 1.7, "c": 0.9, "d": 1.1}),
+    "two trees": ([("r1", "a", 1), ("r2", "c", 2), ("a", "b", 2), ("r2", "d", 2), ("c", "e", 3)],
+                  {"r1": 0.8, "a": 1.1, "b": 0.3, "r2": 2.0, "c": 0.6, "d": 1.4, "e": 3.0}),
+    "quiet root": ([("r", "a", 1), ("r", "c", 1), ("a", "b", 2)], {"r": 0.0, "a": 1.0, "b": 0.5, "c": 2.0}),
+    "quiet middle": ([("r", "a", 1), ("r", "d", 1), ("a", "b", 2), ("a", "c", 2), ("b", "e", 3)],
+                     {"r": 1.0, "a": 0.0, "b": 0.7, "c": 1.3, "d": 0.4, "e": 0.9}),
+}
+
+
+@pytest.mark.parametrize("forest", sorted(_FORESTS))
+def test_gaussian_answer_gaps_have_the_exact_joint_law(forest):
+    """With the k-th normal draw the k-th unit vector, each row's answer gap is its coefficient vector on the
+    draws, so the gaps' products summed over the episodes are their exact covariances: for rows e = (p -> c) and
+    f = (q -> w), ``s_p² [p = q] - s_c² [c = q] - s_w² [w = p]``, and ``s_p² + s_c²`` for e = f, the law of
+    independent answers.  One draw a row, and the biases shift each gap by ``b_w - b_p``."""
+    edges, sigma = _FORESTS[forest]
+    rows = sorted((("t", p, c, level) for p, c, level in edges), key=itemgetter(3))
+    n = len(rows) + 2  # more episodes than draws: the last ones are all 0
+    bias = {w: 0.25 * i - 0.5 for i, w in enumerate(sorted(sigma))}
+    normal, drawn = _unit_normals()
+    gaps = [(row, x.copy()) for row, x in _answer_gaps(normal, {w: (s, bias[w]) for w, s in sigma.items()}, n)(rows)]
+    assert [row for row, _ in gaps] == rows and drawn[0] == len(rows)
+    scale = max(sigma.values()) ** 2
+    for (_, p, c, _), x in gaps:
+        for (_, q, w, _), y in gaps:
+            if (p, c) == (q, w):
+                want = sigma[p] ** 2 + sigma[c] ** 2
+            else:
+                want = sigma[p] ** 2 * (p == q) - sigma[c] ** 2 * (c == q) - sigma[w] ** 2 * (w == p)
+            got = float(np.dot(x - (bias[c] - bias[p]), y - (bias[w] - bias[q])))
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale), ((p, c), (q, w), got, want)
 
 
 def test_a_binary_run_at_a_trillion_episodes_gives_finite_rows():
@@ -292,9 +385,9 @@ def _traced_peak(config):
 
 
 def test_memory_holds_one_task_at_a_time():
-    """Gaussian answers, the model that still makes episode arrays: the deepest task of an 81-task tree has four
-    performers, and a run peaks near 5 arrays of ``episodes`` values; the engine that held every task's arrays at
-    once peaked near 96."""
+    """Gaussian answers, the model that still makes episode arrays: the deepest task of an 81-task tree has three
+    rows, and a run peaks near 5 arrays of ``episodes`` values; the engine that held every task's arrays at once
+    peaked near 96."""
     tree = build_supervision_tree(81, 3, seed=1)
     strategies = {n: (0.5, 0.1) for lv in tree.levels[:-1] for n in lv}
     config = SimConfig(20_000, 0, Gaussian(c=1.0), tree, strategies)
@@ -302,9 +395,20 @@ def test_memory_holds_one_task_at_a_time():
     assert peak <= 16 * config.episodes * 8, peak / (config.episodes * 8)
 
 
+def test_a_one_row_gaussian_run_holds_at_most_three_episode_arrays():
+    """One pair under a noisy supervisor at 10⁶ episodes, where a run's arrays outweigh everything else: the
+    worker's D and the penalty array, as the last row of its tree folds nothing into its root's law; the engine
+    that drew an answer per performer held three."""
+    tree = build_supervision_tree(1, 2, seed=0)
+    config = SimConfig(1_000_000, 0, Gaussian(c=2.0), tree, {"w0": (1.0, 0.5), tree.supervisor: (0.8, -0.5)})
+    peak = _traced_peak(config)
+    assert peak <= 3 * config.episodes * 8, peak / (config.episodes * 8)
+
+
 @pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
 def test_memory_stays_within_eight_episode_arrays(model):
-    """The penalty array adds one to the deepest task's four answers: about 5.1 arrays for Gaussian answers.
+    """The deepest task's three rows hold a D each and their noisy root's M, and the penalty array adds one: about
+    5.1 arrays for Gaussian answers.
     Binary rows come from counts, so a binary run's peak does not grow with its episodes: from 2·10⁴ to 2·10⁶
     episodes it grows by less than a tenth of one 2·10⁴-episode array, where one 2·10⁶-episode array is 16 MB."""
     tree = build_supervision_tree(81, 3, seed=1)
@@ -421,13 +525,13 @@ def _pinned_outputs():
 
 
 # sha256 of each output: the flat and quadratic sweeps' taken before the two simulators and the three sweep loops
-# became one, the Gaussian report's when the engine stopped drawing a truth per task, the pair sweep's when it
-# stopped drawing its unread truth, the two binary reports' when their rows came from counts; a change to the RNG
-# stream must update these on purpose
+# became one, the pair sweep's when it stopped drawing its unread truth, the two binary reports' when their rows
+# came from counts, the Gaussian report's when each task was drawn relative to its roots, one normal array a row; a
+# change to the RNG stream must update these on purpose
 PINNED_SHA256 = {
     "binary_hierarchy": "8936a0b4b20729439d5f382fb276349c16bd4fb674f3fe1455b6dddb04fead7b",
     "binary_tree": "7c9d2677662ca8a67b79eb81736fcee088bd8360444bc37ca55011c930fa6ad6",
-    "quant_tree": "edab6c213c67679478438f6d52d5b276a804b8dce427ed1466375641112532a3",
+    "quant_tree": "242d6953079a653cb01a76a602ed12ee4523ec78ab94b0b8988121d3fc348987",
     "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
     "sweep_pair": "00672ee622c9214a98cd6f44ab3c826f6f38aaaee7ddcf68bccd8c3d7c9facdb",
     "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
@@ -502,10 +606,6 @@ def test_binary_answers_match_the_sampler_that_draws_offsets(m, e):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def _same_row(a, b) -> bool:
-    return a[:2] == b[:2] and all(map(_same_bits, a[2:], b[2:]))
-
-
 _STRUCTURES = st.one_of(
     st.builds(build_supervision_tree, st.integers(1, 30), st.integers(2, 4), st.integers(0, 2**16)),
     st.builds(
@@ -513,40 +613,29 @@ _STRUCTURES = st.one_of(
         st.integers(3, 12), st.integers(0, 2**16),
     ),
 )
-_MODELS = st.one_of(
-    st.builds(UniformWrong, st.one_of(st.integers(2, 6), st.just(2**62)), st.floats(0.1, 100.0)),
-    st.builds(Gaussian, st.floats(0.1, 100.0)),
-)
 
 
 @settings(max_examples=150, derandomize=True)
 @given(
     structure=_STRUCTURES,
-    model=_MODELS,
+    model=st.builds(UniformWrong, st.one_of(st.integers(2, 6), st.just(2**62)), st.floats(0.1, 100.0)),
     episodes=st.one_of(st.just(2), st.integers(3, 300)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_reused_arrays_give_the_frozen_engines_rows_to_the_bit(structure, model, episodes, seed, data):
-    """Gaussian answers, a coupling: the frozen engine draws a truth per task from the engine's generator, the
-    library none.  With the frozen engine's truths zero, its stream is the library's, and two answers on any truth
-    differ as their offsets do, so every row matches to the bit.  Binary rows come from counts, which share no draws
-    with the frozen engine: each row is its row in worker, level and analytic column, and a count's row, the mean
-    and ddof=1 stderr of n values C and N - n zeros for an integer n in [0, N], to 1e-12 of each or of C (the array
-    summary's mean may round off C, and leave a stderr of a few ulps where the count's is 0)."""
+    """Binary rows come from counts, which share no draws with the frozen engine: each row is its row in worker,
+    level and analytic column, and a count's row, the mean and ddof=1 stderr of n values C and N - n zeros for an
+    integer n in [0, N], to 1e-12 of each or of C (the array summary's mean may round off C, and leave a stderr of a
+    few ulps where the count's is 0).  Gaussian rows are drawn relative to each task's roots, so they share no
+    draws with it either; ``test_gaussian_answer_gaps_have_the_exact_joint_law`` and
+    ``test_gaussian_rows_match_the_frozen_answer_engine_over_seeds`` check their law."""
     _, pairs = _oracles._supervision_pairs(structure)
     workers = sorted({w for p, c, _, _ in pairs for w in (p, c)})
-    binary = isinstance(model, UniformWrong)
-    one = st.floats(0.0, 1.0) if binary else st.tuples(st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
-    strategies = {w: data.draw(one) for w in workers}
+    strategies = {w: data.draw(st.floats(0.0, 1.0)) for w in workers}
     config = SimConfig(episodes, seed, model, structure, strategies)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_oracles, "model_truth", lambda model, rng, n: np.zeros(n))
-        old = _oracles.simulate_task_by_task(config).rows
+    old = _oracles.simulate_task_by_task(config).rows
     new = simulate(config).rows
-    if not binary:
-        assert len(new) == len(old) and all(map(_same_row, new, old)), (new, old)
-        return
     assert [r[:2] + r[4:5] for r in new] == [r[:2] + r[4:5] for r in old]
     for r in new:
         n = round(r.empirical * episodes / model.C)
