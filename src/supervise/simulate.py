@@ -11,46 +11,45 @@ charged on each worker's one shared task with its superior, and the empirical
 means are reported next to the analytic expectations with a z-score, so a run
 is a statistical test of the formulas, not a replacement for them.
 
-No truth is drawn, since every penalty depends only on each answer's offset
-from it.  A Gaussian offset is ``bias + sigma * z``; a binary one is 0 where
-the answer is right, else uniform in 1..m-1, and two binary answers differ
-exactly when their offsets differ.  A Gaussian run draws one normal array a
-row: on each tree of a task's forest, a worker's D is its noise minus the
-root's, so a row's answer gap is ``D_w - D_p + bias_w - bias_p``, and the D's
-are drawn parents first from their conditional law given the tree's D's so far
-(see :func:`_answer_gaps`), which gives the rows the joint law of independent
-answers without a draw for any root.  A binary run draws only counts: its
-penalty is C times a disagreement flag, so a row is the mean ``C * (n / N)``
-and ddof=1 stderr ``C * sqrt(n (N - n) / (N (N - 1))) / sqrt(N)`` of the
-pair's disagreement count n over N episodes.  A task's root performer is
-wrong in a ~ Bin(N, e) episodes; a worker c judged by p, wrong in a_p, is
-wrong with p in i ~ Bin(a_p, e_c) and alone in r ~ Bin(N - a_p, e_c), and at
-m >= 3 answers like p in s ~ Bin(i, 1/(m - 1)) of the i (at m = 2 in all i).
-Then n = (a_p - i) + r + (i - s), and c is wrong in a_c = i + r.  Answers are
+Every row and every sweep is drawn from its sufficient statistics, never from
+episode arrays.  No truth is drawn, since every penalty depends only on each
+answer's offset from it.  A binary penalty is C times a disagreement flag, so a
+row is the mean ``C * (n / N)`` and ddof=1 stderr
+``C * sqrt(n (N - n) / (N (N - 1))) / sqrt(N)`` of the pair's disagreement
+count n over N episodes.  A task's root performer is wrong in a ~ Bin(N, e)
+episodes; a worker c judged by p, wrong in a_p, is wrong with p in
+i ~ Bin(a_p, e_c) and alone in r ~ Bin(N - a_p, e_c), and at m >= 3 answers
+like p in s ~ Bin(i, 1/(m - 1)) of the i (at m = 2 in all i).  Then
+n = (a_p - i) + r + (i - s), and c is wrong in a_c = i + r.  Answers are
 independent across performers and, given two wrong answers, agreement is
 independent across the edges of a task's forest, so a task's rows have the
-joint law that sampling every episode gives them.
+joint law that sampling every episode gives them.  A Gaussian answer's offset
+is ``bias + sigma * z``.  A task's sample means and centred cross-product
+matrix are drawn at once (:func:`_sufficient`, by Bartlett's decomposition), and
+a row (w, p) with centred sum of squares S and mean gap mu has mean
+``c (S / N + mu²)``.  Its stderr is the normal-theory plug-in
+``c sqrt((2 s⁴ + 4 mu² s²) / N)`` with ``s² = S / (N - 1)``: the sample's fourth
+moment is not a function of these statistics, so a Gaussian stderr is
+model-based, where a binary one is exactly the empirical one.
 
 Effort costs are deterministic in the strategy and are not sampled; report
 rows therefore compare the penalty component.  The parameter sweeps, which do
 need the effort term to have an interior optimum, take the effort function
-explicitly and add it analytically, in one loop over the strategy grid.
+explicitly and add it analytically, in one loop over the strategy grid.  Their
+grid points share one draw, as common random numbers do: a binary sweep's counts
+below every point come from one walk of nested binomials (:func:`_below`), and
+the quadratic sweep's sums from one :func:`_sufficient` draw.
 
 Determinism and memory: a structure lists its judged pairs as ``judged`` rows,
 sorted by shared task, and one seeded generator serves the tasks in that
 order.  The answer model's scorer takes each task's rows parents first, sorted
 stably on their level.  A binary task draws for each row a for a root superior
-not yet drawn, then i, r and, at m >= 3, s: it holds only counts, so a binary
-run's cost grows with its pairs, not its episodes.  A Gaussian task draws one
-normal array for each row in that order and scores the row at once, so peak
-memory is one task's arrays: a D per row, an M per tree that has a row left to
-draw, and a penalty array, made once per run and reused.  Structures store
-their rows sorted, so equal structures give equal reports however their JSON
-rows were ordered; with numpy's fixed-order reductions, identical configs
-produce identical reports.
-
-The binary sweeps sort their uniforms once: a grid point's loss is a count of
-the uniforms below it, read with one binary search.
+not yet drawn, then i, r and, at m >= 3, s.  A Gaussian task draws its
+performers' means and their Bartlett factor.  Both hold only counts and a
+task's small matrices, so a run's cost and memory grow with its pairs, not its
+episodes, and a sweep's with its grid.  Structures store their rows sorted, so
+equal structures give equal reports however their JSON rows were ordered, and
+identical configs produce identical reports.
 
 numpy is imported inside the functions that use it, when they run, so
 importing the package, and every subcommand but ``simulate``, runs without it.
@@ -60,11 +59,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import _EXPORTS
@@ -82,11 +79,9 @@ if TYPE_CHECKING:
 __all__ = _EXPORTS["simulate"]
 
 
-# The largest answer-set size: the pair sweep's offset, below m, is an int64 draw, and counts take any m.  The bound
-# is the one answers of the form truth + offset, below 2 m, needed, kept so that the same models are refused.
-_M_MAX = 2**62
-# The largest episode count whose float64 array numpy can size, as its byte count must fit an intp: one bound for
-# both models and the sweeps, though numpy's binomial, which draws the binary counts, takes any int64 n.
+# The largest episode count, 2**60 - 1 on a 64-bit build: one bound for both models and the sweeps.  numpy's binomial
+# takes its count as an int64, so the bound must lie below 2**63; it stays where float64 episode arrays once put it,
+# so that the episode counts a run accepts have not changed.
 _EPISODES_MAX = sys.maxsize // 8
 
 
@@ -102,7 +97,7 @@ class UniformWrong:
     exact = 0.0  # the strategy of a supervisor the strategies leave out
 
     def __post_init__(self) -> None:
-        require_int(self.m, "m", 2, hi=_M_MAX)
+        require_int(self.m, "m", 2, hi=FLOAT_MAX)
         object.__setattr__(self, "C", require_real(self.C, "C", 0.0, lo_open=True))
 
     def strategy(self, worker: str, e: object) -> float:
@@ -156,17 +151,25 @@ class Gaussian:
         )
 
     def scorer(self, rng: np.random.Generator, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
-        """A task's ``judged`` rows, parents first, to each row and the mean and stderr of its ``c * (a - b) ** 2``
-        over n episodes, from the answer gaps :func:`_answer_gaps` draws."""
-        import numpy as np
-
-        c, gaps = self.c, _answer_gaps(rng.standard_normal, strategy, n)
+        """A task's ``judged`` rows to each row and the mean and stderr of its ``c * (a - b) ** 2`` over n episodes,
+        from one :func:`_sufficient` draw for the task's performers.  A row (w, p) has centred sum of squares
+        ``S = |sigma_w A_w - sigma_p A_p|²``, a difference of rows that cancels nothing, and mean gap
+        ``mu = ā_w - ā_p``; its mean is ``c (S / n + mu²)`` and its stderr ``c sqrt((2 s⁴ + 4 mu² s²) / n)`` with
+        ``s² = S / (n - 1)``, in Python floats, so a sum beyond the float range is inf, not a numpy warning."""
+        c = self.c
 
         def score(task_pairs: list) -> Iterator[tuple[tuple, tuple[float, float]]]:
-            for row, x in gaps(task_pairs):
-                x = np.square(x, out=x)
-                x *= c
-                yield row, _mean_stderr(x)
+            slot = {}  # each performer's index in the draw, in the order the rows name them
+            for _, p, w, _ in task_pairs:
+                slot.setdefault(p, len(slot))
+                slot.setdefault(w, len(slot))
+            means, rows = _sufficient(rng, [strategy[x] for x in slot], n)
+            for row in task_pairs:
+                _, p, w, _ = row
+                S = sum(d * d for d in map(sub, rows[slot[w]], rows[slot[p]]))
+                mu = means[slot[w]] - means[slot[p]]
+                s2 = S / (n - 1)
+                yield row, (c * (S / n + mu * mu), c * math.sqrt(s2 / n) * math.sqrt(2 * s2 + 4 * mu * mu))
 
         return score
 
@@ -174,61 +177,29 @@ class Gaussian:
         return expected_penalty_quant(*s_worker, *s_superior, self.c)
 
 
-def _answer_gaps(normal: Callable, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
-    """A task's ``judged`` rows, parents first, to each row and its answer gap ``a_w - a_p`` over n episodes, from
-    one ``normal(out=...)`` draw a row.
+def _sufficient(
+    rng: np.random.Generator, performers: Sequence[tuple[float, float]], n: int
+) -> tuple[list[float], list[list[float]]]:
+    """The sample means of q performers' answers ``bias + sigma z`` over n episodes, and a factor of their centred
+    cross-product matrix: row i is ``sigma_i A_i``, so the matrix is the rows' Gram matrix.
 
-    Each tree of the task's forest is drawn relative to its root r.  A worker's D is its centred answer minus the
-    root's, ``sigma_w z_w - sigma_r z_r`` (0 at r), so a row's gap is ``D_w - D_p + bias_w - bias_p``.  Given the
-    tree's D's drawn so far, minus the root's noise is normal with mean M and sd u, from (0, sigma_r).  So a worker's
-    D is ``M + hypot(sigma_w, u) z``, and then, with gain ``g = u² / (sigma_w² + u²)``, ``M += g (D - M)`` and
-    ``u = u sigma_w / hypot(sigma_w, u)``.  Standard deviations, not variances, keep every finite sigma finite, and
-    a root without noise gives a gain of 0.  The gap is written into one array overwritten per row; the D's and M's
-    fill arrays made on first use and reused for every task.
+    The means are ``bias_i + sigma_i z_i / sqrt(n)``.  The matrix is independent of them and Wishart(n - 1,
+    diag sigma²), drawn by Bartlett's decomposition: A is lower triangular, ``A_ii² ~ χ²(n - 1 - i)`` (twice a
+    standard gamma), with standard normals below the diagonal.  A column whose degrees of freedom are not positive
+    is 0, the singular Wishart of a task with more performers than n - 1, so a row holds min(q, n - 1) columns.  A
+    task costs at most q + q (q - 1) / 2 normals and q gammas, whatever n is.
     """
-    import numpy as np
-
-    gap, arrays = np.empty(n), []
-
-    def slot(i: int) -> np.ndarray:
-        if i == len(arrays):
-            arrays.append(np.empty(n))
-        return arrays[i]
-
-    def gaps(task_pairs: list) -> Iterator[tuple[tuple, np.ndarray]]:
-        root, left = {}, Counter()  # each worker's tree root, and the rows each tree has left to draw
-        for _, p, w, _ in task_pairs:
-            root[w] = r = root.get(p, p)
-            left[r] += 1
-        drawn, law, used = {}, {}, 0  # each worker's D, and each tree's (M, or None for 0, and u)
-        for row in task_pairs:
-            _, p, w, _ = row
-            r, s = root[w], strategy[w][0]
-            mean, u = law.get(r) or (None, strategy[r][0])
-            h = math.hypot(s, u)
-            d = drawn[w] = normal(out=slot(used))
-            used += 1
-            d *= h
-            if mean is not None:
-                d += mean
-            left[r] -= 1
-            if left[r] and u:  # a later row of the tree reads its law: fold this draw in
-                g = (u / h) ** 2
-                if mean is None:
-                    mean = np.multiply(d, g, out=slot(used))
-                    used += 1
-                else:
-                    mean += np.multiply(np.subtract(d, mean, out=gap), g, out=gap)
-                law[r] = mean, u * (s / h)
-            x = np.add(d, strategy[w][1] - strategy[p][1], out=gap)
-            if p != r:
-                x -= drawn[p]
-            yield row, x
-
-    return gaps
-
-
-Structure = Union[SupervisionTree, SupervisionHierarchy]
+    q, cols = len(performers), min(len(performers), n - 1)
+    z = iter(rng.standard_normal(q + sum(min(i, cols) for i in range(q))).tolist())
+    # one scalar call a column: given a list of shapes, numpy converts and checks it, at several times a draw's cost
+    diagonal = [math.sqrt(2 * rng.standard_gamma((n - 1 - j) / 2)) for j in range(cols)]
+    root_n = math.sqrt(n)
+    means = [bias + sigma * (next(z) / root_n) for sigma, bias in performers]
+    rows = []
+    for i, (sigma, _) in enumerate(performers):
+        a = [next(z) for _ in range(min(i, cols))] + diagonal[i : i + 1]
+        rows.append([sigma * x for x in a] + [0.0] * (cols - len(a)))
+    return means, rows
 
 
 def _require_run(episodes: int, seed: int) -> None:
@@ -241,7 +212,7 @@ class SimConfig:
     episodes: int
     seed: int
     answer_model: Union[UniformWrong, Gaussian]
-    structure: Structure
+    structure: Union[SupervisionTree, SupervisionHierarchy]
     strategies: Mapping[str, object]
 
     def __post_init__(self) -> None:
@@ -293,39 +264,17 @@ class SimReport:
         return "".join(self.csv_chunks())  # perfbench hashes this name; it leaves with ROADMAP item 11
 
 
-def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps, taken once; ``x`` is overwritten."""
-    n = x.shape[0]
-    mean = x.sum() / n
-    x -= mean
-    x *= x
-    return float(mean), math.sqrt(x.sum() / (n - 1)) / math.sqrt(n)
-
-
 def _z(emp: float, analytic: float, stderr: float) -> float:
     if stderr > 0:
         return (emp - analytic) / stderr
     return 0.0 if emp == analytic else math.inf
 
 
-@contextmanager
-def _episode_arrays(episodes: int) -> Iterator[None]:
-    """Episode arrays without numpy's overflow warnings, as callers refuse results beyond the float range, and a
-    failure to allocate one as a SuperviseError that names the episode count."""
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except MemoryError as exc:
-            raise SuperviseError(f"{episodes} episodes need more memory than this process can allocate") from exc
-
-
 def simulate(config: SimConfig) -> SimReport:
     """Sample the answer model's penalty on every supervision pair of the structure.
 
-    Tasks are drawn one at a time, in the sorted order of ``structure.judged``, each task's rows parents first,
-    binary ones as counts and Gaussian ones as one normal array a row; rows are reported by level and worker.
+    Tasks are drawn one at a time, in the sorted order of ``structure.judged``, each task's rows parents first, from
+    their sufficient statistics; rows are reported by level and worker.
     """
     model = require_instance(config, SimConfig, "config").answer_model
     structure = config.structure
@@ -343,16 +292,15 @@ def simulate(config: SimConfig) -> SimReport:
 
     rng = np.random.default_rng(config.seed)
     rows = []
-    with _episode_arrays(config.episodes):
-        score = model.scorer(rng, strategy, config.episodes)
-        for _, task_pairs in groupby(structure.judged, itemgetter(0)):
-            # parents first: a superior's level is below its worker's, and the sort is stable
-            for (_, p, w, level), (emp, se) in score(sorted(task_pairs, key=itemgetter(3))):
-                if not (math.isfinite(emp) and math.isfinite(se)):
-                    raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
-                                         f"beyond the float range")
-                analytic = model.expected(strategy[w], strategy[p])
-                rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+    score = model.scorer(rng, strategy, config.episodes)
+    for _, task_pairs in groupby(structure.judged, itemgetter(0)):
+        # parents first: a superior's level is below its worker's, and the sort is stable
+        for (_, p, w, level), (emp, se) in score(sorted(task_pairs, key=itemgetter(3))):
+            if not (math.isfinite(emp) and math.isfinite(se)):
+                raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
+                                     f"beyond the float range")
+            analytic = model.expected(strategy[w], strategy[p])
+            rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
     rows.sort(key=lambda r: (r.level, r.worker))
     return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)
 
@@ -409,12 +357,12 @@ def _sweep(
     grid: Sequence[float],
     episodes: int,
     seed: int,
-    draw: Callable[[np.random.Generator, int], Callable[[float], float]],
+    draw: Callable[[np.random.Generator, int, tuple], Callable[[float], float]],
 ) -> SweepResult:
     """Loss ``k f(v) + penalty(v)`` at every grid point, and its argmin.
 
-    ``draw(rng, episodes)`` samples once and returns ``penalty``, so every
-    grid point sees the same random numbers.
+    ``draw(rng, episodes, values)`` samples once for the whole grid and returns
+    ``penalty``, so every grid point sees the same random numbers.
     """
     require_instance(f, EffortFunction, "f")
     try:
@@ -424,29 +372,31 @@ def _sweep(
     _require_grid(vals)
     import numpy as np
 
+    rng = np.random.default_rng(require_int(seed, "seed", 0))
+    n = require_int(episodes, "episodes", 1, hi=_EPISODES_MAX)
+    efforts = [k * effort_eval(f, v) for v in vals]  # first: a point outside f's domain raises a domain error
+    penalty = draw(rng, n, vals)
     losses = []
-    with _episode_arrays(episodes):
-        rng = np.random.default_rng(require_int(seed, "seed", 0))
-        penalty = draw(rng, require_int(episodes, "episodes", 1, hi=_EPISODES_MAX))
-        for v in vals:
-            effort = k * effort_eval(f, v)  # first: a point outside f's domain raises a domain error, not the penalty's
-            mean = float(penalty(v))
-            if not math.isfinite(mean):
-                raise SuperviseError(f"the sampled penalty at grid point {v!r} has a mean beyond the float range")
-            losses.append(effort + mean)
+    for v, effort in zip(vals, efforts):
+        mean = penalty(v)
+        if not math.isfinite(mean):
+            raise SuperviseError(f"the sampled penalty at grid point {v!r} has a mean beyond the float range")
+        losses.append(effort + mean)
     return SweepResult(values=vals, mean_losses=tuple(losses))
 
 
-def _count_below(u: np.ndarray, weight: np.ndarray) -> Callable[[float], int]:
-    """``e -> sum(weight[u < e])``: ``u`` is sorted once and its weights summed in that order, so a query is one
-    binary search, and O(n log n + G log n) answers G queries."""
-    import numpy as np
-
-    order = u.argsort()
-    prefix = np.zeros(u.shape[0] + 1, dtype=np.int64)
-    np.cumsum(weight[order], dtype=np.int64, out=prefix[1:])
-    u = u[order]
-    return lambda e: int(prefix[u.searchsorted(e)])
+def _below(binomial: Callable[[int, float], int], n: int, points: Sequence[float]) -> Callable[[float], int]:
+    """``e -> #{u < e}`` over n uniforms, at grid points clamped to [0, 1], with the joint law of thresholding the
+    same uniforms at every point: the distinct points are walked in ascending order, and the count below e_j is
+    ``c_{j-1} + Bin(n - c_{j-1}, (e_j - e_{j-1}) / (1 - e_{j-1}))``, from e_0 = 0 and c_0 = 0."""
+    clamp = lambda e: min(max(e, 0.0), 1.0)  # noqa: E731
+    below, lo, c = {}, 0.0, 0
+    for e in sorted(set(map(clamp, points))):
+        if e > lo:
+            c += binomial(n - c, (e - lo) / (1.0 - lo))
+            lo = e
+        below[e] = c
+    return lambda e: below[clamp(e)]
 
 
 def sweep_flat(
@@ -454,26 +404,18 @@ def sweep_flat(
 ) -> SweepResult:
     """Empirical flat loss k f(e) + C [checked][wrong] over an error grid.
 
-    Common random numbers across grid points: the same uniforms are
-    thresholded at each e, so the argmin is far less noisy than independent
-    runs of the same length.  The loss at e is C #{checked and u < e} / n.
+    Common random numbers across grid points: the loss at e is C #{checked and u < e} / n for the same uniforms at
+    every e, so the argmin is far less noisy than independent runs of the same length.  The checked count is drawn
+    as K ~ Bin(n, p), and the counts below the grid points by one :func:`_below` walk over the K checked episodes.
     """
     p = require_prob(p, "verification probability")
     C = require_instance(params, SchemeParams, "params").require_C()
 
-    def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
-        checked = rng.random(n) < p
-        count = _count_below(rng.random(n), checked)
-        return lambda e: C * (count(e) / n)
+    def draw(rng: np.random.Generator, n: int, points: tuple) -> Callable[[float], float]:
+        below = _below(rng.binomial, rng.binomial(n, p), points)
+        return lambda e: C * (below(e) / n)
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
-
-
-def _offsets(rng: np.random.Generator, e: float, m: int, n: int) -> np.ndarray:
-    """n binary answers as offsets from the truth: 0 where right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 an
-    offset is the wrong flag itself."""
-    wrong = rng.random(n) < e
-    return wrong if m == 2 else wrong * rng.integers(1, m, size=n)
 
 
 def sweep_pair(
@@ -481,29 +423,26 @@ def sweep_pair(
 ) -> SweepResult:
     """Empirical pair loss against a superior playing error e_w.
 
-    With d_r an episode's disagreement when the worker answers right and d_w when it answers wrong, the loss at e
-    is C (sum d_r + sum over u < e of (d_w - d_r)) / n.  The answers are drawn as offsets from the truth, as in
-    :func:`simulate`.  Wrong answers are uniform, so the one both-wrong penalty the draws realize is
-    ``implied_D(C, m)``; a params with another D is refused.
+    The superior is wrong in a ~ Bin(n, e_w) episodes, and a wrong worker would answer like it in
+    s ~ Bin(a, 1/(m - 1)) of them (s = a at m = 2): the count law of :class:`UniformWrong`'s scorer for a root
+    superior.  A worker playing e disagrees in the superior's wrong episodes but the alike ones it gets wrong, and
+    in the right superior's episodes it gets wrong, so the loss at e is C (a + R(e) - S(e)) / n, where R walks the
+    n - a episodes of a right superior and S the s alike ones (:func:`_below`).  Wrong answers are uniform, so the
+    one both-wrong penalty the draws realize is ``implied_D(C, m)``; a params with another D is refused.
     """
     e_w = require_prob(e_w, "superior error")
-    C, m = require_instance(params, SchemeParams, "params").require_C(), require_int(params.m, "m", 2, hi=_M_MAX)
+    C, m = require_instance(params, SchemeParams, "params").require_C(), params.m
     if (D := params.effective_D()) != implied_D(C, m):
         raise ModelMismatchError(
             f"sweep_pair samples uniformly wrong answers, so D must be implied_D(C, m) = {implied_D(C, m)!r}, got {D!r}"
         )
 
-    def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
-        import numpy as np
-
-        a_sup = _offsets(rng, e_w, m, n)
-        u_wrong = rng.random(n)
-        # a right worker's offset is 0, a wrong one's uniform in 1..m-1: at m = 2, integers(1, 2) draws nothing
-        d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)
-        d_r = np.not_equal(a_sup, 0)
-        base = int(np.count_nonzero(d_r))
-        count = _count_below(u_wrong, d_w.view(np.int8) - d_r.view(np.int8))
-        return lambda e: C * ((base + count(e)) / n)
+    def draw(rng: np.random.Generator, n: int, points: tuple) -> Callable[[float], float]:
+        binomial = rng.binomial
+        a = binomial(n, e_w)
+        s = a if m == 2 else binomial(a, 1 / (m - 1))
+        right, alike = _below(binomial, n - a, points), _below(binomial, s, points)
+        return lambda e: C * ((a + right(e) - alike(e)) / n)
 
     return _sweep(f, params.k, grid, episodes, seed, draw)
 
@@ -518,23 +457,22 @@ def sweep_quant(
     sigma_w: float = 1.0,
     bias_w: float = 0.0,
 ) -> SweepResult:
-    """Empirical quadratic loss k f(v) + c (x - y)^2 over a variance grid."""
+    """Empirical quadratic loss k f(v) + c (x - y)^2 over a variance grid.
+
+    The worker's answer is ``sqrt(v) z`` and the superior's offset ``y = bias_w + sigma_w w``, so the loss at v is
+    ``c (v Szz - 2 sqrt(v) Szy + Syy) / n`` in the raw sums of z², z y and y², taken from one :func:`_sufficient`
+    draw for the performers (1, 0) and (sigma_w, bias_w).
+    """
     require_int(k, "k", 1, hi=FLOAT_MAX)
     require_real(c, "c", 0.0, lo_open=True)
     require_real(sigma_w, "sigma_w", 0.0)
     require_real(bias_w, "bias_w")
 
-    def draw(rng: np.random.Generator, n: int) -> Callable[[float], float]:
-        import numpy as np
-
-        z_u = rng.standard_normal(n)
-        diff_base = bias_w + sigma_w * rng.standard_normal(n)  # truth cancels in x - y
-        x = np.empty(n)
-
-        def penalty(v: float) -> float:
-            np.square(np.subtract(np.multiply(z_u, math.sqrt(v), out=x), diff_base, out=x), out=x)
-            return c * x.mean()
-
-        return penalty
+    def draw(rng: np.random.Generator, n: int, points: tuple) -> Callable[[float], float]:
+        (m_z, m_y), (a_z, a_y) = _sufficient(rng, ((1.0, 0.0), (sigma_w, bias_w)), n)
+        Szz = sum(map(mul, a_z, a_z)) + n * m_z * m_z
+        Szy = sum(map(mul, a_z, a_y)) + n * m_z * m_y
+        Syy = sum(map(mul, a_y, a_y)) + n * m_y * m_y
+        return lambda v: c * ((v * Szz - 2 * math.sqrt(v) * Szy + Syy) / n)
 
     return _sweep(f, k, grid, episodes, seed, draw)

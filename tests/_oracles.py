@@ -20,7 +20,9 @@ repeated error, the Monte Carlo engine as it was before it drew one task
 at a time, and as it was before it reused its arrays, with the answer
 models' array formulas and the sweeps' draws of
 that time, and its binary half as it was before binary rows were taken
-from counts; and the exact joint law of a binary task's counts.
+from counts, and its Gaussian half and the three sweeps as they were
+before they were drawn from sufficient statistics; and the exact joint law
+of a binary task's counts and of a binary sweep's.
 Written straight from the defining formulas, or frozen before the fast paths
 existed; the tests compare the two and neither side imports the other's
 algorithm.
@@ -37,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -74,9 +77,11 @@ from supervise.errors import FLOAT_MAX, require_instance, require_int, require_n
 from supervise.errors import require_weight
 from supervise.hierarchy import _require_hierarchical_epsilon, _require_hierarchical_threshold, _require_trace_threshold
 from supervise.hierarchy import _response_target, _validate_e0
-from supervise.simulate import Structure, _z
+from supervise.simulate import _z
 from supervise.structures import _id_rows, _json_fields, _sorted_rows
 from supervise import TypeEquilibrium as _TypeRow
+
+Structure = Union[SupervisionTree, SupervisionHierarchy]
 
 
 def bisect_deriv(f: EffortFunction, target: float) -> float:
@@ -1037,7 +1042,12 @@ def binary_count_law(rows, model, strategy, episodes: int) -> dict[tuple[int, ..
                          for w, a in zip(performers, answers))
         answer = dict(zip(performers, answers))
         episode[tuple(int(answer[p] != answer[c]) for _, p, c, _ in rows)] += prob
-    law = {(0,) * len(rows): 1.0}
+    return _n_fold(episode, episodes)
+
+
+def _n_fold(episode: dict, episodes: int) -> dict[tuple[int, ...], float]:
+    """The law of the sum over ``episodes`` independent episodes of one episode's flags, whose law is ``episode``."""
+    law = {(0,) * len(next(iter(episode))): 1.0}
     for _ in range(episodes):
         step = collections.Counter()
         for counts, p0 in law.items():
@@ -1047,9 +1057,33 @@ def binary_count_law(rows, model, strategy, episodes: int) -> dict[tuple[int, ..
     return dict(law)
 
 
+def binary_sweep_law(grid, episodes: int, *, p: float = None, e_w: float = None, m: int = 2) -> dict:
+    """The probability of each tuple of a binary sweep's penalty counts at the points of ``grid``, in its order, over
+    ``episodes`` episodes, written from the sweep's definition: in each episode the worker answers wrong at a point
+    where one uniform, the same at every point, lies below it (a point clamped to [0, 1]).  Given ``p``, the flat
+    sweep: an episode is checked w.p. p, and a checked wrong answer costs one.  Given ``e_w``, the pair sweep: the
+    superior answers right w.p. 1 - e_w and else one of the m - 1 wrong answers uniformly, the worker's wrong answer
+    is uniform over them too, and a disagreement costs one."""
+    points = [min(max(e, 0.0), 1.0) for e in grid]
+    cuts = sorted(set(points) | {0.0, 1.0})
+    episode = collections.Counter()
+    for lo, hi in zip(cuts, cuts[1:]):  # a uniform in (lo, hi) lies below a point exactly when the point is >= hi
+        wrong = [hi <= e for e in points]
+        if p is not None:
+            episode[tuple(map(int, wrong))] += (hi - lo) * p
+            episode[(0,) * len(points)] += (hi - lo) * (1.0 - p)
+            continue
+        for superior in range(m):  # answer 0 is the right one
+            p_superior = (1.0 - e_w) if superior == 0 else e_w / (m - 1)
+            for answer in range(1, m):  # the worker's answer where it is wrong
+                flags = tuple(int((answer if w else 0) != superior) for w in wrong)
+                episode[flags] += (hi - lo) * p_superior / (m - 1)
+    return _n_fold(episode, episodes)
+
+
 # The three sweeps' draws and their grid loop as they were before the binary sweeps answered from one sorted pass
 # and the quadratic one reused its array, frozen verbatim: each grid point recomputed its loss over every episode.
-# They return the mean losses, which must match the library's to the bit.
+# They return the mean losses, which the sorted sweeps below must match to the bit.
 
 
 def _sweep_losses(f, k, grid, episodes, seed, draw) -> tuple[float, ...]:
@@ -1068,7 +1102,7 @@ def sweep_flat_losses(f, params: SchemeParams, p, grid, episodes, seed) -> tuple
     return _sweep_losses(f, params.k, grid, episodes, seed, draw)
 
 
-# The library's pair sweep draws no truth; its bit coupling patches this hook onto a generator of its own.
+# The sorted pair sweep below draws no truth; its bit coupling patches this hook onto a generator of its own.
 def pair_truth(rng, m, n):
     return rng.integers(0, m, size=n)
 
@@ -1094,3 +1128,147 @@ def sweep_quant_losses(f, k, c, grid, episodes, seed, sigma_w=1.0, bias_w=0.0) -
         return lambda v: c * ((math.sqrt(v) * z_u - diff_base) ** 2).mean()
 
     return _sweep_losses(f, k, grid, episodes, seed, draw)
+
+
+# The three sweeps as they were before they were drawn from counts and a Bartlett draw, frozen verbatim but for their
+# names and the grid loop, which is ``_sweep_losses`` above: the binary ones sorted their uniforms once and read each
+# point's count with one binary search, the pair sweep drew its answers as offsets from the truth, and the quadratic
+# one reused one array.  Each gives the losses of the sweep above it to the bit.
+
+
+def _count_below(u: np.ndarray, weight: np.ndarray) -> Callable[[float], int]:
+    """``e -> sum(weight[u < e])``: ``u`` is sorted once and its weights summed in that order, so a query is one
+    binary search, and O(n log n + G log n) answers G queries."""
+    order = u.argsort()
+    prefix = np.zeros(u.shape[0] + 1, dtype=np.int64)
+    np.cumsum(weight[order], dtype=np.int64, out=prefix[1:])
+    u = u[order]
+    return lambda e: int(prefix[u.searchsorted(e)])
+
+
+def _offsets(rng: np.random.Generator, e: float, m: int, n: int) -> np.ndarray:
+    """n binary answers as offsets from the truth: 0 where right, w.p. 1 - e, else uniform in 1..m-1.  At m = 2 an
+    offset is the wrong flag itself."""
+    wrong = rng.random(n) < e
+    return wrong if m == 2 else wrong * rng.integers(1, m, size=n)
+
+
+def sorted_sweep_flat_losses(f, params: SchemeParams, p, grid, episodes, seed) -> tuple[float, ...]:
+    C = params.C
+
+    def draw(rng, n):
+        checked = rng.random(n) < p
+        count = _count_below(rng.random(n), checked)
+        return lambda e: C * (count(e) / n)
+
+    return _sweep_losses(f, params.k, grid, episodes, seed, draw)
+
+
+def sorted_sweep_pair_losses(f, params: SchemeParams, e_w, grid, episodes, seed) -> tuple[float, ...]:
+    C, m = params.C, params.m
+
+    def draw(rng, n):
+        a_sup = _offsets(rng, e_w, m, n)
+        u_wrong = rng.random(n)
+        # a right worker's offset is 0, a wrong one's uniform in 1..m-1: at m = 2, integers(1, 2) draws nothing
+        d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)
+        d_r = np.not_equal(a_sup, 0)
+        base = int(np.count_nonzero(d_r))
+        count = _count_below(u_wrong, d_w.view(np.int8) - d_r.view(np.int8))
+        return lambda e: C * ((base + count(e)) / n)
+
+    return _sweep_losses(f, params.k, grid, episodes, seed, draw)
+
+
+def reused_sweep_quant_losses(f, k, c, grid, episodes, seed, sigma_w=1.0, bias_w=0.0) -> tuple[float, ...]:
+    def draw(rng, n):
+        z_u = rng.standard_normal(n)
+        diff_base = bias_w + sigma_w * rng.standard_normal(n)  # truth cancels in x - y
+        x = np.empty(n)
+
+        def penalty(v: float) -> float:
+            np.square(np.subtract(np.multiply(z_u, math.sqrt(v), out=x), diff_base, out=x), out=x)
+            return c * x.mean()
+
+        return penalty
+
+    return _sweep_losses(f, k, grid, episodes, seed, draw)
+
+
+# The Gaussian half of the Monte Carlo engine as it was before each task was drawn from its sufficient statistics,
+# frozen verbatim but for its loop, which keeps only the Gaussian case: on each tree of a task's forest it drew each
+# worker's noise minus the root's, one normal array a row, and summarised each row's penalty array with the ddof=1
+# summary ``_dense_mean_stderr`` above.  The engine that replaced it shares its law, not its bits.
+
+
+def _answer_gaps(normal: Callable, strategy: Mapping[str, tuple], n: int) -> Callable[[list], Iterator]:
+    """A task's ``judged`` rows, parents first, to each row and its answer gap ``a_w - a_p`` over n episodes, from
+    one ``normal(out=...)`` draw a row.
+
+    Each tree of the task's forest is drawn relative to its root r.  A worker's D is its centred answer minus the
+    root's, ``sigma_w z_w - sigma_r z_r`` (0 at r), so a row's gap is ``D_w - D_p + bias_w - bias_p``.  Given the
+    tree's D's drawn so far, minus the root's noise is normal with mean M and sd u, from (0, sigma_r).  So a worker's
+    D is ``M + hypot(sigma_w, u) z``, and then, with gain ``g = u² / (sigma_w² + u²)``, ``M += g (D - M)`` and
+    ``u = u sigma_w / hypot(sigma_w, u)``.  Standard deviations, not variances, keep every finite sigma finite, and
+    a root without noise gives a gain of 0.  The gap is written into one array overwritten per row; the D's and M's
+    fill arrays made on first use and reused for every task.
+    """
+    gap, arrays = np.empty(n), []
+
+    def slot(i: int) -> np.ndarray:
+        if i == len(arrays):
+            arrays.append(np.empty(n))
+        return arrays[i]
+
+    def gaps(task_pairs: list) -> Iterator[tuple[tuple, np.ndarray]]:
+        root, left = {}, collections.Counter()  # each worker's tree root, and the rows each tree has left to draw
+        for _, p, w, _ in task_pairs:
+            root[w] = r = root.get(p, p)
+            left[r] += 1
+        drawn, law, used = {}, {}, 0  # each worker's D, and each tree's (M, or None for 0, and u)
+        for row in task_pairs:
+            _, p, w, _ = row
+            r, s = root[w], strategy[w][0]
+            mean, u = law.get(r) or (None, strategy[r][0])
+            h = math.hypot(s, u)
+            d = drawn[w] = normal(out=slot(used))
+            used += 1
+            d *= h
+            if mean is not None:
+                d += mean
+            left[r] -= 1
+            if left[r] and u:  # a later row of the tree reads its law: fold this draw in
+                g = (u / h) ** 2
+                if mean is None:
+                    mean = np.multiply(d, g, out=slot(used))
+                    used += 1
+                else:
+                    mean += np.multiply(np.subtract(d, mean, out=gap), g, out=gap)
+                law[r] = mean, u * (s / h)
+            x = np.add(d, strategy[w][1] - strategy[p][1], out=gap)
+            if p != r:
+                x -= drawn[p]
+            yield row, x
+
+    return gaps
+
+
+def simulate_relative_gaussian(config: SimConfig) -> SimReport:
+    model, structure = config.answer_model, config.structure
+    strategy = _strategies(config, structure.supervisor, [(p, c, t, level) for t, p, c, level in structure.judged])
+    rng = np.random.default_rng(config.seed)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows: refused below
+        gaps = _answer_gaps(rng.standard_normal, strategy, config.episodes)
+        for _, task_pairs in itertools.groupby(structure.judged, itemgetter(0)):
+            for (_, p, w, level), x in gaps(sorted(task_pairs, key=itemgetter(3))):
+                x = np.square(x, out=x)
+                x *= model.c
+                emp, se = _dense_mean_stderr(x)
+                if not (math.isfinite(emp) and math.isfinite(se)):
+                    raise SuperviseError(f"the sampled penalty of worker {w!r} under {p!r} has a mean or stderr "
+                                         f"beyond the float range")
+                analytic = model.expected(strategy[w], strategy[p])
+                rows.append(WorkerStats(w, level, emp, se, analytic, _z(emp, analytic, se)))
+    rows.sort(key=lambda r: (r.level, r.worker))
+    return SimReport(rows=tuple(rows), episodes=config.episodes, seed=config.seed)

@@ -116,18 +116,8 @@ ROWS = (
         "a built tree's shared rows take the picks in reverse, though its columns pass", (FAST,)),
     Row(STRUCT, 'forbidden.add(require_instance(supervisor_id, str, "supervisor_id"))', "forbidden.add(supervisor_id)",
         "a tree builder takes a supervisor id that is not a string", (INPUTS,)),
-    Row(SIM, "else wrong * rng.integers(1, m, size=n)", "else rng.integers(1, m, size=n)",
-        "a pair sweep offset is left unmultiplied by its wrong flag, so every answer at m >= 3 is wrong", (SIMT,)),
-    Row(SIM, "return wrong if m == 2 else", "return wrong if m <= 3 else",
-        "the pair sweep's wrong-flag branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
-    Row(SIM, "strategy[w][1] - strategy[p][1]", "strategy[p][1] - strategy[w][1]",
-        "a Gaussian row's answer gap is offset by minus its bias gap, which only the gaps themselves show", (SIMT,)),
-    Row(SIM, "d_w = np.not_equal(rng.integers(1, m, size=n), a_sup)", "d_w = np.not_equal(rng.integers(1, m, size=n), 0)",
-        "a wrong worker in the pair sweep disagrees with its superior even where both are wrong alike", (SIMT,)),
     Row(SIM, "_EPISODES_MAX = sys.maxsize // 8\n", "_EPISODES_MAX = sys.maxsize // 8 + 1\n",
-        "an episode count one above what numpy can size passes the check, and numpy raises its own error", (INPUTS,)),
-    Row(SIM, "    except MemoryError as exc:", "    except OverflowError as exc:",
-        "a run too long for memory ends in numpy's MemoryError, not a SuperviseError", (INPUTS,)),
+        "an episode count one above the bound passes the check", (INPUTS,)),
     Row(SIM, """        if not isinstance(self.structure, (SupervisionTree, SupervisionHierarchy)):
             raise ModelMismatchError(f"unsupported structure type {type(self.structure).__name__}")
 """, "",
@@ -194,27 +184,36 @@ ROWS = (
     Row(SIM, "self.C, implied_D(self.C, self.m))", "self.C, 0.0)",
         "the binary expectation charges nothing where both answers are wrong, which only m >= 3 shows",
         ("tests/test_planted_errors.py",)),
-    Row(SIM, "g = (u / h) ** 2", "g = (s / h) ** 2",
-        "a Gaussian draw's gain is sigma² / (sigma² + v), not v / (sigma² + v)", (SIMT,)),
-    Row(SIM, "law[r] = mean, u * (s / h)", "law[r] = mean, u",
-        "a Gaussian draw leaves its root's noise variance v as it was", (SIMT,)),
-    Row(SIM, "            d *= h\n", "            d *= s\n",
-        "a Gaussian D is drawn with its worker's sd, without the root's remaining v", (SIMT,)),
-    Row(SIM, """                if mean is None:
-                    mean = np.multiply(d, g, out=slot(used))
-                    used += 1
-                else:
-                    mean += np.multiply(np.subtract(d, mean, out=gap), g, out=gap)
-""", "",
-        "a Gaussian draw leaves its root's noise mean M as it was", (SIMT,)),
-    Row(SIM, "root[w] = r = root.get(p, p)", "root[w] = r = p",
-        "every Gaussian worker is drawn as if its superior were its tree's root", (SIMT,)),
-    Row(SIM, "            if p != r:\n                x -= drawn[p]\n", "",
-        "a Gaussian row's gap forgets its superior's D", (SIMT,)),
-    Row(SIM, "h = math.hypot(s, u)", "h = math.sqrt(s ** 2 + u ** 2)",
-        "a Gaussian draw squares its sigmas, which raises OverflowError past about 1.34e154", (INPUTS,)),
     Row(SIM, "score(sorted(task_pairs, key=itemgetter(3)))", "score(sorted(task_pairs, key=itemgetter(1)))",
         "a task's rows are sorted on their superior's id, not their level, so a child may be drawn first", (SIMT,)),
+    Row(SIM, "(e - lo) / (1.0 - lo)", "(e - lo)",
+        "a sweep's nested binomial forgets that its count is over the uniforms above the last point", (SIMT,)),
+    Row(SIM, "            lo = e\n", "",
+        "a sweep's walk measures every step from 0, not from the last point", (SIMT,)),
+    Row(SIM, "sorted(set(map(clamp, points)))", "dict.fromkeys(map(clamp, points))",
+        "a sweep walks an unsorted grid as given, so a point below an earlier one keeps that one's count", (SIMT,)),
+    Row(SIM, "binomial(a, 1 / (m - 1))", "binomial(a, 1 / m)",
+        "the pair sweep's wrong answers agree with chance 1/m, not 1/(m - 1)", (SIMT,)),
+    Row(SIM, "s = a if m == 2 else", "s = a if m <= 3 else",
+        "the pair sweep's m = 2 branch takes m = 3, whose two wrong answers then always agree", (SIMT,)),
+    Row(SIM, "_below(binomial, n - a, points)", "_below(binomial, n, points)",
+        "the pair sweep walks every episode as one of a right superior, not only the n - a", (SIMT,)),
+    Row(SIM, "_below(rng.binomial, rng.binomial(n, p), points)", "_below(rng.binomial, n, points)",
+        "the flat sweep checks every episode, whatever p is", (SIMT,)),
+    Row(SIM, "rng.standard_gamma((n - 1 - j) / 2)", "rng.standard_gamma((n - j) / 2)",
+        "the Bartlett diagonal has N - i degrees of freedom, not N - 1 - i, as if the means were known", (SIMT,)),
+    Row(SIM, "q, cols = len(performers), min(len(performers), n - 1)", "q, cols = len(performers), len(performers)",
+        "a task of more performers than N - 1 asks for chi-squares of no or negative degrees of freedom", (SIMT,)),
+    Row(SIM, "sigma * (next(z) / root_n)", "sigma * next(z)",
+        "a Gaussian sample mean is drawn with its answers' sd, not over sqrt(N)", (SIMT,)),
+    Row(SIM, "S = sum(d * d for d in map(sub, rows[slot[w]], rows[slot[p]]))", "S = sum(d * d for d in rows[slot[w]])",
+        "a Gaussian row's sum of squares forgets its superior's answers", (SIMT,)),
+    Row(SIM, "math.sqrt(2 * s2 + 4 * mu * mu)", "math.sqrt(2 * s2)",
+        "a Gaussian stderr forgets the 4 mu² s² term of a biased gap", (SIMT,)),
+    Row(SIM, "s2 = S / (n - 1)", "s2 = S / n",
+        "a Gaussian stderr's variance divides by N, not N - 1", (SIMT,)),
+    Row(SIM, "v * Szz - 2 * math.sqrt(v) * Szy", "v * Szz + 2 * math.sqrt(v) * Szy",
+        "the quadratic sweep adds its cross sum instead of subtracting it, a fault of the same law", (SIMT,)),
 )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from supervise import build_supervision_tree
 from supervise.cli import build_parser, fmt_decimal, main
+from supervise.simulate import _EPISODES_MAX
 
 
 def run_cli(capsys, *argv):
@@ -560,7 +561,7 @@ class TestSeedsAndReruns:
         assert code == 1 and err.startswith("error:") and "seed" in err
 
     def test_more_episodes_than_numpy_can_size_is_one_error_line(self, capsys, tmp_path):
-        """2**60 float64 values overflow numpy's byte count; the count is refused before any array is made."""
+        """2**60 episodes are one more than the episode bound; the count is refused before anything is drawn."""
         tree_file = tmp_path / "tree.json"
         run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--out", str(tree_file))
         sf = tmp_path / "strat.json"
@@ -571,18 +572,21 @@ class TestSeedsAndReruns:
         assert (code, out) == (1, "") and err.count("\n") == 1
         assert err.startswith("error: episodes must be an integer in [2, 1152921504606846975], got 1152921504606846976")
 
-    def test_more_episodes_than_memory_holds_is_one_error_line(self, capsys, tmp_path):
-        """2**50 episodes pass the count check, but a Gaussian run's first float64 array, 8 PiB, cannot be allocated
-        (a binary run takes its rows from counts and makes no episode array)."""
+    @pytest.mark.parametrize("episodes", [2**50, _EPISODES_MAX], ids=["2**50", "_EPISODES_MAX"])
+    def test_more_episodes_than_memory_could_hold_run(self, capsys, tmp_path, episodes):
+        """A Gaussian run of 2**50 episodes, whose answers as 8-byte arrays would be 8 PiB, and one at the episode
+        bound: each row is drawn from its sufficient statistics, so both exit 0 with finite rows."""
         tree_file = tmp_path / "tree.json"
         run_cli(capsys, "tree", "build", "--n-tasks", "4", "--k", "2", "--out", str(tree_file))
         sf = tmp_path / "strat.json"
         sf.write_text(json.dumps({"model": "gaussian", "workers": {"w0": [1.0, 0.0], "w1": [1.0, 0.0]}}))
         code, out, err = run_cli(
-            capsys, "simulate", "--structure", str(tree_file), "--strategies", str(sf), "--episodes", str(2**50),
+            capsys, "simulate", "--structure", str(tree_file), "--strategies", str(sf), "--episodes", str(episodes),
         )
-        assert (code, out) == (1, "")
-        assert err == "error: 1125899906842624 episodes need more memory than this process can allocate\n"
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert header == "worker,level,empirical,stderr,analytic,z" and rows
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[2:])
 
     def test_negative_seed_in_a_builder_is_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "tree", "build", "--n-tasks", "7", "--k", "2", "--seed", "-1")

@@ -9,6 +9,7 @@ import statistics
 import struct
 import sys
 import tracemalloc
+import types
 import warnings
 from operator import itemgetter
 
@@ -32,6 +33,7 @@ from supervise import (
     build_peg_assignment,
     build_supervision_hierarchy,
     build_supervision_tree,
+    effort_eval,
     simulate,
     simulate_binary,
     simulate_quant,
@@ -40,7 +42,7 @@ from supervise import (
     sweep_quant,
 )
 from supervise.errors import FLOAT_MAX
-from supervise.simulate import _answer_gaps, _mean_stderr, _offsets
+from supervise.simulate import _EPISODES_MAX
 
 import _oracles
 
@@ -121,11 +123,11 @@ class TestBinary:
             simulate_binary(SimConfig(100, 0, Gaussian(c=1.0), cfg.structure, cfg.strategies))
 
     def test_independent_correctness_draws(self):
-        """The pair sweep's answers: two draws in a row are right independently, each at its own rate."""
+        """The frozen pair sweep's answers: two draws in a row are right independently, each at its own rate."""
         rng = np.random.default_rng(17)
         n = 200_000
-        a = _offsets(rng, 0.3, 2, n) == 0  # right where the offset from the truth is 0
-        b = _offsets(rng, 0.4, 2, n) == 0
+        a = _oracles._offsets(rng, 0.3, 2, n) == 0  # right where the offset from the truth is 0
+        b = _oracles._offsets(rng, 0.4, 2, n) == 0
         corr = float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(n)
         assert abs(float(np.mean(a)) - 0.7) <= 4.0 * math.sqrt(0.7 * 0.3 / n)
@@ -202,6 +204,20 @@ def _chi2_quantile(q: float, df: int) -> float:
     return df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
 
 
+def _pearson(law, seen):
+    """The Pearson statistic of ``_LAW_RUNS`` outcomes counted in ``seen`` against their law, cells expected below 5
+    pooled, and its degrees of freedom."""
+    stat, df, pooled_want, pooled_seen = 0.0, -1, 0.0, 0.0
+    for cell in set(law) | set(seen):
+        want = _LAW_RUNS * law.get(cell, 0.0)
+        if want < 5.0:
+            pooled_want, pooled_seen = pooled_want + want, pooled_seen + seen[cell]
+        else:
+            stat, df = stat + (seen[cell] - want) ** 2 / want, df + 1
+    stat += (pooled_seen - pooled_want) ** 2 / pooled_want if pooled_want else (math.inf if pooled_seen else 0.0)
+    return stat, df + bool(pooled_want)
+
+
 def test_binary_counts_have_the_exact_joint_law():
     """One Pearson test over the chain and the star at m = 2 and 3: the counts of a task's rows, read from the
     reports of seeded runs, against their joint law enumerated over every performer's answer in every episode."""
@@ -215,16 +231,108 @@ def test_binary_counts_have_the_exact_joint_law():
             for seed in range(_LAW_RUNS):
                 report = {r.worker: r for r in simulate(SimConfig(n, seed, model, structure, strategies)).rows}
                 seen[tuple(round(report[w].empirical * n) for _, _, w, _ in rows)] += 1
-            pooled_want = pooled_seen = 0.0
-            for cell in set(law) | set(seen):
-                want = _LAW_RUNS * law.get(cell, 0.0)
-                if want < 5.0:
-                    pooled_want, pooled_seen = pooled_want + want, pooled_seen + seen[cell]
-                else:
-                    stat, df = stat + (seen[cell] - want) ** 2 / want, df + 1
-            stat += (pooled_seen - pooled_want) ** 2 / pooled_want if pooled_want else (math.inf if pooled_seen else 0.0)
-            df += bool(pooled_want) - 1
+            case_stat, case_df = _pearson(law, seen)
+            stat, df = stat + case_stat, df + case_df
     assert stat <= _chi2_quantile(1.0 - _LAW_ALPHA, df), (stat, df)
+
+
+# Fixed before the test first ran: an unsorted grid with a repeated point and one above 1, which counts as 1, under
+# an effort curve defined there; N = 3 episodes and 4000 runs a case, as for the rows.
+_SWEEP_LAW_GRID = (0.6, 0.15, 1.4, 0.6, 0.35)
+_SWEEP_LAW_CASES = {"flat": dict(p=0.6), "pair m=2": dict(e_w=0.3, m=2), "pair m=3": dict(e_w=0.3, m=3)}
+
+
+def _sweep_counts(case, episodes, seed):
+    """A binary sweep's penalty count at each grid point, from its mean losses, at C = 1 and k = 2."""
+    f, law = IP(0.5), _SWEEP_LAW_CASES[case]
+    if "p" in law:
+        res = sweep_flat(f, SchemeParams(k=2, epsilon=0.25, C=1.0), law["p"], _SWEEP_LAW_GRID, episodes, seed)
+    else:
+        params = SchemeParams(k=2, epsilon=0.25, C=1.0, m=law["m"])
+        res = sweep_pair(f, params, law["e_w"], _SWEEP_LAW_GRID, episodes, seed)
+    return tuple(round((loss - 2 * effort_eval(f, v)) * episodes) for v, loss in zip(res.values, res.mean_losses))
+
+
+def test_binary_sweeps_have_the_exact_joint_law():
+    """One Pearson test over the flat sweep and the pair sweep at m = 2 and 3: the counts at every grid point, read
+    from the losses of seeded sweeps, against their joint law enumerated over every episode's outcome, with one
+    uniform per episode thresholded at every point."""
+    stat, df = 0.0, 0
+    for case, law in _SWEEP_LAW_CASES.items():
+        want = _oracles.binary_sweep_law(_SWEEP_LAW_GRID, _LAW_EPISODES, **law)
+        seen = collections.Counter(_sweep_counts(case, _LAW_EPISODES, seed) for seed in range(_LAW_RUNS))
+        case_stat, case_df = _pearson(want, seen)
+        stat, df = stat + case_stat, df + case_df
+    assert stat <= _chi2_quantile(1.0 - _LAW_ALPHA, df), (stat, df)
+
+
+class _StubDraws:
+    """A stand-in generator: its j-th normal of a call is ``(0.3 + 0.4 j) (-1)^j`` and its standard gamma of shape
+    a is 1.5 a, and it records the shapes it is asked for."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def standard_normal(self, size):
+        return np.array([(0.3 + 0.4 * j) * (-1) ** j for j in range(size)])
+
+    def standard_gamma(self, shape):
+        self.shapes.append(shape)
+        return 1.5 * shape
+
+
+def _bartlett(performers, n):
+    """The stub's sample means and centred cross-product matrix of ``performers``' answers, written as matrices:
+    normals fill the means, then A below its diagonal row by row, in its first min(q, n - 1) columns, and
+    ``A_ii² = 2 * 1.5 * (n - 1 - i) / 2``; W = D A Aᵀ D."""
+    q = len(performers)
+    cols = min(q, n - 1)
+    z = list(_StubDraws().standard_normal(q + sum(min(i, cols) for i in range(q))))
+    sigma, bias = np.array([s for s, _ in performers]), np.array([b for _, b in performers])
+    means = bias + sigma * np.array(z[:q]) / math.sqrt(n)
+    A, rest = np.zeros((q, q)), iter(z[q:])
+    for i in range(q):
+        for j in range(min(i, cols)):
+            A[i, j] = next(rest)
+        if i < cols:
+            A[i, i] = math.sqrt(1.5 * (n - 1 - i))
+    return means, np.diag(sigma) @ A @ A.T @ np.diag(sigma)
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_gaussian_rows_from_a_stub_draw_follow_their_formulas(n):
+    """A task of 4 performers, singular at 2 episodes: each row's mean is ``c (S / n + mu²)`` and its stderr
+    ``c sqrt((2 s⁴ + 4 mu² s²) / n)`` with ``S = W_ww + W_pp - 2 W_wp``, ``mu`` its mean gap and ``s² = S / (n - 1)``,
+    the gammas' shapes are the degrees of freedom n - 1 - i halved, and the performers are drawn in the order the
+    parents-first rows name them."""
+    rows = [("t", "r", "a", 1), ("t", "a", "b", 2), ("t", "r", "c", 2)]
+    strategy = {"r": (1.3, 0.2), "a": (0.8, -0.4), "b": (2.1, 0.5), "c": (0.6, 0.0)}
+    order = ["r", "a", "b", "c"]
+    stub, c = _StubDraws(), 1.7
+    got = list(Gaussian(c=c).scorer(stub, strategy, n)(rows))
+    assert stub.shapes == [(n - 1 - i) / 2 for i in range(min(4, n - 1))]
+    means, W = _bartlett([strategy[x] for x in order], n)
+    assert [row for row, _ in got] == rows
+    for (_, p, w, _), (mean, stderr) in got:
+        i, j = order.index(w), order.index(p)
+        S, mu = W[i, i] + W[j, j] - 2 * W[i, j], means[i] - means[j]
+        s2 = S / (n - 1)
+        assert math.isclose(mean, c * (S / n + mu**2), rel_tol=1e-12), (w, mean)
+        assert math.isclose(stderr, c * math.sqrt((2 * s2**2 + 4 * mu**2 * s2) / n), rel_tol=1e-12), (w, stderr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_quant_sweep_from_a_stub_draw_follows_its_formula(n, monkeypatch):
+    """The loss at v is ``k f(v) + c (v Szz - 2 sqrt(v) Szy + Syy) / n``, the raw sums from the means and W of the
+    performers (1, 0) and (sigma_w, bias_w)."""
+    stub, k, c, sigma_w, bias_w, grid = _StubDraws(), 3, 1.4, 0.7, 0.3, [0.5, 1.5, 4.0]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: stub)
+    got = sweep_quant(IP(1.0), k, c, grid, n, 0, sigma_w, bias_w).mean_losses
+    (m_z, m_y), W = _bartlett([(1.0, 0.0), (sigma_w, bias_w)], n)
+    Szz, Szy, Syy = W[0, 0] + n * m_z**2, W[0, 1] + n * m_z * m_y, W[1, 1] + n * m_y**2
+    for v, loss in zip(grid, got):
+        want = k * effort_eval(IP(1.0), v) + c * (v * Szz - 2 * math.sqrt(v) * Szy + Syy) / n
+        assert math.isclose(loss, want, rel_tol=1e-12), (v, loss, want)
 
 
 # Fixed before the tests first ran, the binary one's and then the Gaussian one's: 400 seeds an engine at 40 episodes,
@@ -238,10 +346,10 @@ _SEEDED_STRUCTURES = pytest.mark.parametrize(
 )
 
 
-def _over_seeds(engine, model, structure, strategies):
+def _over_seeds(engine, model, structure, strategies, episodes=_DENSE_EPISODES):
     """Each row's empirical column over the seeds, one run a row of the array, after checking that every run has
     the same rows in worker, level and analytic column."""
-    runs = [engine(SimConfig(_DENSE_EPISODES, seed, model, structure, strategies)).rows
+    runs = [engine(SimConfig(episodes, seed, model, structure, strategies)).rows
             for seed in range(_DENSE_SEEDS)]
     assert all([r[:2] + r[4:5] for r in rows] == [r[:2] + r[4:5] for r in runs[0]] for rows in runs)
     return np.array([[r.empirical for r in rows] for rows in runs])
@@ -286,9 +394,13 @@ def test_counts_match_the_frozen_dense_engine_over_seeds(structure, m):
 @_SEEDED_STRUCTURES
 def test_gaussian_rows_match_the_frozen_answer_engine_over_seeds(structure):
     """Each row's mean and variance over seeds, and the covariance of the first two rows of every task with two,
-    agree between the engine that draws each task relative to its roots and the frozen one that draws every answer,
-    within the bound times the standard error of their difference.  The supervisor has a sigma too, so every task's
-    root is noisy."""
+    agree between the engine that draws each task's sufficient statistics and the frozen one that draws every
+    answer, within the bound times the standard error of their difference.  The supervisor has a sigma too, so every
+    task's root is noisy."""
+    _assert_gaussian_engines_agree(structure, _oracles.simulate_task_by_task, _DENSE_EPISODES)
+
+
+def _assert_gaussian_engines_agree(structure, frozen, episodes):
     workers = sorted({w for _, p, c, _ in structure.judged for w in (p, c)})
     strategies = {w: (0.3 + 0.2 * (i % 7), 0.25 * (i % 3 - 1)) for i, w in enumerate(workers)}
     model = Gaussian(c=1.5)
@@ -301,8 +413,41 @@ def test_gaussian_rows_match_the_frozen_answer_engine_over_seeds(structure):
         if len(rows) >= 2:
             pairs.append(tuple(column[(w, level)] for _, _, w, level in rows[:2]))
     assert pairs
-    _assert_same_moments(*(_over_seeds(engine, model, structure, strategies)
-                           for engine in (simulate, _oracles.simulate_task_by_task)), pairs)
+    _assert_same_moments(*(_over_seeds(engine, model, structure, strategies, episodes)
+                           for engine in (simulate, frozen)), pairs)
+
+
+@pytest.mark.parametrize("episodes", [2, _DENSE_EPISODES])
+@_SEEDED_STRUCTURES
+def test_gaussian_rows_match_the_frozen_relative_engine_over_seeds(structure, episodes):
+    """The same moments against the frozen engine that drew each task relative to its roots, one normal array a
+    row, also at 2 episodes, where both structures' tasks of 3 or 5 performers have a singular Wishart."""
+    _assert_gaussian_engines_agree(structure, _oracles.simulate_relative_gaussian, episodes)
+
+
+# Fixed before the test first ran: 400 seeds a sweep at 2 and at 40 episodes over 8 grid points, against the frozen
+# sweeps, with the bound of ``_assert_same_moments``: each point's mean and variance, and the covariance of each two
+# neighbouring points.
+_MOMENT_SWEEPS = {
+    "flat": (sweep_flat, _oracles.sorted_sweep_flat_losses, (SL(1.0), SchemeParams(k=2, epsilon=0.25, C=10.0), 0.6),
+             (), tuple(0.1 * (i + 1) for i in range(8))),
+    "pair m=2": (sweep_pair, _oracles.sorted_sweep_pair_losses,
+                 (SL(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0), 0.2), (), tuple(0.1 * (i + 1) for i in range(8))),
+    "pair m=3": (sweep_pair, _oracles.sorted_sweep_pair_losses,
+                 (SL(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0, m=3), 0.2), (),
+                 tuple(0.1 * (i + 1) for i in range(8))),
+    "quadratic": (sweep_quant, _oracles.reused_sweep_quant_losses, (IP(1.0), 4, 1.5), (0.7, 0.3),
+                  tuple(0.25 * (i + 1) for i in range(8))),
+}
+
+
+@pytest.mark.parametrize("episodes", [2, _DENSE_EPISODES])
+@pytest.mark.parametrize("sweep", sorted(_MOMENT_SWEEPS))
+def test_sweeps_match_the_frozen_sweeps_over_seeds(sweep, episodes):
+    new, old, head, tail, grid = _MOMENT_SWEEPS[sweep]
+    losses = [np.array([run(*head, grid, episodes, seed, *tail) for seed in range(_DENSE_SEEDS)])
+              for run in (lambda *a: new(*a).mean_losses, old)]
+    _assert_same_moments(*losses, [(j, j + 1) for j in range(len(grid) - 1)])
 
 
 def _unit_normals():
@@ -334,8 +479,8 @@ _FORESTS = {
 
 @pytest.mark.parametrize("forest", sorted(_FORESTS))
 def test_gaussian_answer_gaps_have_the_exact_joint_law(forest):
-    """With the k-th normal draw the k-th unit vector, each row's answer gap is its coefficient vector on the
-    draws, so the gaps' products summed over the episodes are their exact covariances: for rows e = (p -> c) and
+    """The frozen engine's gaps: with the k-th normal draw the k-th unit vector, each row's answer gap is its
+    coefficient vector on the draws, so the gaps' products summed over the episodes are their exact covariances: for rows e = (p -> c) and
     f = (q -> w), ``s_p² [p = q] - s_c² [c = q] - s_w² [w = p]``, and ``s_p² + s_c²`` for e = f, the law of
     independent answers.  One draw a row, and the biases shift each gap by ``b_w - b_p``."""
     edges, sigma = _FORESTS[forest]
@@ -343,7 +488,8 @@ def test_gaussian_answer_gaps_have_the_exact_joint_law(forest):
     n = len(rows) + 2  # more episodes than draws: the last ones are all 0
     bias = {w: 0.25 * i - 0.5 for i, w in enumerate(sorted(sigma))}
     normal, drawn = _unit_normals()
-    gaps = [(row, x.copy()) for row, x in _answer_gaps(normal, {w: (s, bias[w]) for w, s in sigma.items()}, n)(rows)]
+    strategy = {w: (s, bias[w]) for w, s in sigma.items()}
+    gaps = [(row, x.copy()) for row, x in _oracles._answer_gaps(normal, strategy, n)(rows)]
     assert [row for row, _ in gaps] == rows and drawn[0] == len(rows)
     scale = max(sigma.values()) ** 2
     for (_, p, c, _), x in gaps:
@@ -363,6 +509,15 @@ def test_a_binary_run_at_a_trillion_episodes_gives_finite_rows():
     assert len(report.rows) == len(tree.judged) and report.episodes == 10**12
     assert all(math.isfinite(x) for r in report.rows for x in r[2:])
     assert report.max_abs_z <= 5.0  # a Bonferroni bound of about 2e-5 over the 39 rows
+
+
+def test_answer_sets_beyond_int64_give_finite_results():
+    """m is bounded by the float range alone, as ``SchemeParams`` bounds it: at m = 2**200 two wrong answers all but
+    never agree, and a run and a pair sweep end in finite numbers."""
+    report = simulate(tree_config(episodes=1_000, seed=4, e=0.3, C=2.0, m=2**200, n_tasks=9))
+    assert all(math.isfinite(x) for r in report.rows for x in r[2:]) and report.max_abs_z <= 5.0
+    sweep = sweep_pair(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0, m=2**200), 0.1, [0.1, 0.2], 1_000, 0)
+    assert all(map(math.isfinite, sweep.mean_losses))
 
 
 def test_a_binary_cost_near_the_float_maximum_gives_finite_rows():
@@ -385,9 +540,8 @@ def _traced_peak(config):
 
 
 def test_memory_holds_one_task_at_a_time():
-    """Gaussian answers, the model that still makes episode arrays: the deepest task of an 81-task tree has three
-    rows, and a run peaks near 5 arrays of ``episodes`` values; the engine that held every task's arrays at once
-    peaked near 96."""
+    """Gaussian answers over an 81-task tree: the engine that held every task's arrays at once peaked near 96
+    arrays of ``episodes`` values, and one that held a task's arrays near 5; sufficient statistics hold none."""
     tree = build_supervision_tree(81, 3, seed=1)
     strategies = {n: (0.5, 0.1) for lv in tree.levels[:-1] for n in lv}
     config = SimConfig(20_000, 0, Gaussian(c=1.0), tree, strategies)
@@ -396,9 +550,9 @@ def test_memory_holds_one_task_at_a_time():
 
 
 def test_a_one_row_gaussian_run_holds_at_most_three_episode_arrays():
-    """One pair under a noisy supervisor at 10⁶ episodes, where a run's arrays outweigh everything else: the
-    worker's D and the penalty array, as the last row of its tree folds nothing into its root's law; the engine
-    that drew an answer per performer held three."""
+    """One pair under a noisy supervisor at 10⁶ episodes, where any episode array would outweigh everything else:
+    the engine that drew an answer per performer held three, the one that drew a row's gap two, and sufficient
+    statistics hold none."""
     tree = build_supervision_tree(1, 2, seed=0)
     config = SimConfig(1_000_000, 0, Gaussian(c=2.0), tree, {"w0": (1.0, 0.5), tree.supervisor: (0.8, -0.5)})
     peak = _traced_peak(config)
@@ -407,10 +561,9 @@ def test_a_one_row_gaussian_run_holds_at_most_three_episode_arrays():
 
 @pytest.mark.parametrize("model", [UniformWrong(m=3, C=1.0), Gaussian(c=1.0)], ids=["binary", "gaussian"])
 def test_memory_stays_within_eight_episode_arrays(model):
-    """The deepest task's three rows hold a D each and their noisy root's M, and the penalty array adds one: about
-    5.1 arrays for Gaussian answers.
-    Binary rows come from counts, so a binary run's peak does not grow with its episodes: from 2·10⁴ to 2·10⁶
-    episodes it grows by less than a tenth of one 2·10⁴-episode array, where one 2·10⁶-episode array is 16 MB."""
+    """Binary rows come from counts, so a binary run's peak does not grow with its episodes: from 2·10⁴ to 2·10⁶
+    episodes it grows by less than a tenth of one 2·10⁴-episode array, where one 2·10⁶-episode array is 16 MB.
+    The engine that drew a Gaussian row's gap peaked near 5.1 arrays."""
     tree = build_supervision_tree(81, 3, seed=1)
     s = 0.1 if isinstance(model, UniformWrong) else (0.5, 0.1)
     strategies = {n: s for lv in tree.levels[:-1] for n in lv}
@@ -420,6 +573,41 @@ def test_memory_stays_within_eight_episode_arrays(model):
     if isinstance(model, UniformWrong):
         grown = _traced_peak(dataclasses.replace(config, episodes=2_000_000)) - peak
         assert grown <= config.episodes * 8 // 10, grown
+
+
+def _traced_growth(run, small, large):
+    """How much more a run's peak traced allocation is at ``large`` episodes than at ``small``, after a first run
+    has let numpy's first draws import modules."""
+    peaks = []
+    run(small)
+    for episodes in (small, large):
+        tracemalloc.start()
+        try:
+            run(episodes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[1] - peaks[0]
+
+
+_TREE_81 = build_supervision_tree(81, 3, seed=1)
+_GAUSSIAN_81 = {w: (0.5 + 0.01 * i, 0.1) for i, w in enumerate(sorted(w for lv in _TREE_81.levels[:-1] for w in lv))}
+_MONTE_CARLO_RUNS = {
+    "gaussian run": lambda n: simulate(SimConfig(n, 0, Gaussian(c=1.0), _TREE_81, _GAUSSIAN_81)),
+    "flat sweep": lambda n: sweep_flat(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=10.0), 0.5,
+                                       [0.3 + 0.01 * i for i in range(41)], n, 0),
+    "pair sweep": lambda n: sweep_pair(SL(1.0), SchemeParams(k=2, epsilon=0.25, C=16.0, m=3), 0.1,
+                                       [0.05 + 0.005 * i for i in range(41)], n, 0),
+    "quadratic sweep": lambda n: sweep_quant(IP(1.0), 4, 1.0, [1.0 + 0.05 * i for i in range(41)], n, 0, 0.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_MONTE_CARLO_RUNS))
+def test_a_trillion_episodes_allocate_no_more_than_a_thousand(run):
+    """No Monte Carlo path allocates anything whose size grows with the episode count: at 10¹² episodes the traced
+    peak exceeds the peak at 10³ by less than 4 kB, where one array of 10¹² floats would be 8 TB."""
+    grown = _traced_growth(_MONTE_CARLO_RUNS[run], 10**3, 10**12)
+    assert grown < 4096, grown
 
 
 class TestQuant:
@@ -524,17 +712,16 @@ def _pinned_outputs():
     }
 
 
-# sha256 of each output: the flat and quadratic sweeps' taken before the two simulators and the three sweep loops
-# became one, the pair sweep's when it stopped drawing its unread truth, the two binary reports' when their rows
-# came from counts, the Gaussian report's when each task was drawn relative to its roots, one normal array a row; a
-# change to the RNG stream must update these on purpose
+# sha256 of each output: the two binary reports' taken when their rows came from counts, the Gaussian report's and
+# the three sweeps' when they were drawn from sufficient statistics; a change to the RNG stream must update these on
+# purpose
 PINNED_SHA256 = {
     "binary_hierarchy": "8936a0b4b20729439d5f382fb276349c16bd4fb674f3fe1455b6dddb04fead7b",
     "binary_tree": "7c9d2677662ca8a67b79eb81736fcee088bd8360444bc37ca55011c930fa6ad6",
-    "quant_tree": "242d6953079a653cb01a76a602ed12ee4523ec78ab94b0b8988121d3fc348987",
-    "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
-    "sweep_pair": "00672ee622c9214a98cd6f44ab3c826f6f38aaaee7ddcf68bccd8c3d7c9facdb",
-    "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
+    "quant_tree": "15dc951d69ce1df667b7dc68b933f4c3cb85ad86917a712fe357f191947d5687",
+    "sweep_flat": "ff8f40c0715b19ed7ff789b5339ca47c3fd41c3c91c5191e63754e4a93ae7f0a",
+    "sweep_pair": "db33a29f3a622207fabb8a712c4114e635f3eebce9fbb3f0cfc65b4fc556467b",
+    "sweep_quant": "191cb1ec34264d53f67e56a3972b4efb84cfc52c302da67e2f76a9952ba667b6",
 }
 
 
@@ -550,6 +737,27 @@ def test_the_frozen_dense_engine_gives_the_binary_bytes_of_its_time():
         outputs = _pinned_outputs()
     assert _sha(outputs["binary_tree"]) == "021356f0b5aab8987d0b5169f11ef281ea61f927903868bfc8df99fef34bbe9d"
     assert _sha(outputs["binary_hierarchy"]) == "f3cbe7346b56d0390e799420c56a68485c8664ea99169ba72ab1ad8a8b967980"
+
+
+def test_the_frozen_engines_give_the_gaussian_and_sweep_bytes_of_their_time():
+    """The Gaussian report's and the three sweeps' digests before they were drawn from sufficient statistics, from
+    the frozen engine that drew each task relative to its roots and the frozen sweeps."""
+    def losses(frozen):
+        return lambda *args, **kwargs: types.SimpleNamespace(mean_losses=frozen(*args, **kwargs))
+
+    with pytest.MonkeyPatch.context() as mp:
+        module = sys.modules[__name__]
+        mp.setattr(module, "simulate_quant", _oracles.simulate_relative_gaussian)
+        mp.setattr(module, "sweep_flat", losses(_oracles.sorted_sweep_flat_losses))
+        mp.setattr(module, "sweep_pair", losses(_oracles.sorted_sweep_pair_losses))
+        mp.setattr(module, "sweep_quant", losses(_oracles.reused_sweep_quant_losses))
+        outputs = _pinned_outputs()
+    assert {name: _sha(outputs[name]) for name in ("quant_tree", "sweep_flat", "sweep_pair", "sweep_quant")} == {
+        "quant_tree": "242d6953079a653cb01a76a602ed12ee4523ec78ab94b0b8988121d3fc348987",
+        "sweep_flat": "5a8f02c9eb313510c57e7bccbea82512d689bf87657b37cbd6b03fd172f5abce",
+        "sweep_pair": "00672ee622c9214a98cd6f44ab3c826f6f38aaaee7ddcf68bccd8c3d7c9facdb",
+        "sweep_quant": "e7a8b9309cbf56f88f303376458b85b9ef2511da51b301a1d6a7310dc40970e3",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
@@ -586,7 +794,7 @@ def test_array_method_helpers_match_the_frozen_originals(m, n, mask, seed):
     for penalty in (1.5 * (answers != truth), (answers - truth + rng.standard_normal(n)) ** 2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got, ref = _mean_stderr(penalty.copy()), _oracles._mean_stderr(penalty)
+            got, ref = _oracles._dense_mean_stderr(penalty.copy()), _oracles._mean_stderr(penalty)
         assert all(map(_same_bits, got, ref)), (got, ref)
 
 
@@ -599,7 +807,7 @@ def test_binary_answers_match_the_sampler_that_draws_offsets(m, e):
     n = 1000
     truth = np.random.default_rng(1).integers(0, m, size=n)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
-    offsets = _offsets(got_rng, e, m, n)
+    offsets = _oracles._offsets(got_rng, e, m, n)
     assert offsets.dtype == (bool if m == 2 else np.int64)
     want = _oracles.sample_binary_answers_with_offsets(want_rng, truth, e, m, _oracles.DenseWork(n))
     assert np.array_equal((truth + offsets) % m, want)
@@ -646,7 +854,7 @@ def test_reused_arrays_give_the_frozen_engines_rows_to_the_bit(structure, model,
 
 
 def _uniforms(kind: str, m: int, n: int, seed: int) -> np.ndarray:
-    """The worker's uniforms a binary sweep draws, replayed from its draw order."""
+    """The worker's uniforms a frozen sorted binary sweep draws, replayed from its draw order."""
     rng = np.random.default_rng(seed)
     if kind == "pair":
         rng.random(n)  # the superior's uniforms and offsets
@@ -666,6 +874,8 @@ def _uniforms(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     data=st.data(),
 )
 def test_sorted_binary_sweeps_give_the_frozen_losses_to_the_bit(kind, m, above_one, episodes, seed, data):
+    """The frozen sorted sweeps, which the law tests compare the library's with, give the losses of the older frozen
+    sweeps that threshold every uniform at every point, to the bit."""
     # points above 1 need an effort curve defined there; a tie is a point equal to a drawn uniform
     f, hi = (IP(0.5), 3.0) if above_one else (SL(1.0), 1.0)
     points = data.draw(st.lists(st.floats(1e-9, hi), min_size=1, max_size=10))
@@ -677,14 +887,14 @@ def test_sorted_binary_sweeps_give_the_frozen_losses_to_the_bit(kind, m, above_o
     C = data.draw(st.floats(0.1, 100.0))
     if kind == "flat":
         params, p = SchemeParams(k=2, epsilon=0.25, C=C), data.draw(st.floats(0.0, 1.0))
-        got = sweep_flat(f, params, p, grid, episodes, seed).mean_losses
+        got = _oracles.sorted_sweep_flat_losses(f, params, p, grid, episodes, seed)
         want = _oracles.sweep_flat_losses(f, params, p, grid, episodes, seed)
     else:
-        # the frozen sweep adds a truth to the offsets; drawn from a generator of its own, it leaves the stream
-        # the library's, and two answers on any truth differ as their offsets do
+        # the older sweep adds a truth to the offsets; drawn from a generator of its own, it leaves the stream
+        # the sorted sweep's, and two answers on any truth differ as their offsets do
         params, e_w = SchemeParams(k=2, epsilon=0.25, C=C, m=m), data.draw(st.floats(0.0, 1.0))
         truth_rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="truth seed"))
-        got = sweep_pair(f, params, e_w, grid, episodes, seed).mean_losses
+        got = _oracles.sorted_sweep_pair_losses(f, params, e_w, grid, episodes, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_oracles, "pair_truth", lambda rng, m, n: truth_rng.integers(0, m, size=n))
             want = _oracles.sweep_pair_losses(f, params, e_w, grid, episodes, seed)
@@ -701,7 +911,8 @@ def test_sorted_binary_sweeps_give_the_frozen_losses_to_the_bit(kind, m, above_o
     bias_w=st.floats(-2.0, 2.0),
 )
 def test_reused_quant_sweep_gives_the_frozen_losses_to_the_bit(points, episodes, seed, c, sigma_w, bias_w):
+    """The frozen quadratic sweep that reused its array gives the older frozen sweep's losses to the bit."""
     grid = points + points[:1]  # a duplicate point; points above 1 under inverse_power
-    got = sweep_quant(IP(1.0), 3, c, grid, episodes, seed, sigma_w, bias_w).mean_losses
+    got = _oracles.reused_sweep_quant_losses(IP(1.0), 3, c, grid, episodes, seed, sigma_w, bias_w)
     want = _oracles.sweep_quant_losses(IP(1.0), 3, c, grid, episodes, seed, sigma_w, bias_w)
     assert all(map(_same_bits, got, want)), (got, want)
